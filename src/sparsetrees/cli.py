@@ -36,6 +36,8 @@ from .reports import (
     emit,
 )
 from .spectral import (
+    coverage_grid,
+    covered_fraction,
     essential_spectrum_coverage,
     mc_exponent,
     phase_diagram,
@@ -92,11 +94,12 @@ def _spec_field(cfg: dict):
     return spec_from_record(record)
 
 
-def _phi_field(cfg: dict):
+def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
     """Resolve the phase angle: a float, or an exact rational multiple of pi.
 
-    Returns (phi, reducer); the reducer is None on the float path and an
-    exact fixed-point reducer when phi_pi_multiple is given.
+    Returns (phi, multiple); multiple is None on the float path, and the
+    parsed rational when phi_pi_multiple is given, phi then being
+    multiple * pi as a float.
     """
     phi = cfg.get("phi")
     multiple = cfg.get("phi_pi_multiple")
@@ -109,7 +112,7 @@ def _phi_field(cfg: dict):
             raise ValidationError(
                 f"phi_pi_multiple: cannot parse {multiple!r} as a rational"
             ) from exc
-        return float(frac) * math.pi, PhaseReducer.from_pi_multiple(frac)
+        return float(frac) * math.pi, frac
     if isinstance(phi, bool) or not isinstance(phi, (int, float)):
         raise ValidationError("phi: must be a number")
     return float(phi), None
@@ -201,7 +204,16 @@ def _run_spectrum(cfg: dict, seed: int):
     block = _int_field(cfg, "block", 0)
     variant = _variant_field(cfg, allow_both=False)
     rho = _float_field(cfg, "rho", 0.0)
-    eigenvalues = [float(e) for e in eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))]
+    with_coverage = "coverage" in cfg
+    if with_coverage:
+        cov = cfg["coverage"]
+        if not isinstance(cov, dict):
+            raise ValidationError("coverage: must be a mapping with eps, grid_points")
+        eps = _float_field(cov, "eps")
+        grid_points = _int_field(cov, "grid_points", 1000)
+        grid = coverage_grid(eps, grid_points)
+    solved = eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))
+    eigenvalues = [float(e) for e in solved]
     payload = {
         "spec": spec_to_record(spec),
         "block": block,
@@ -210,17 +222,14 @@ def _run_spectrum(cfg: dict, seed: int):
         "rho": rho,
         "eigenvalues": eigenvalues,
     }
-    if "coverage" in cfg:
-        cov = cfg["coverage"]
-        if not isinstance(cov, dict):
-            raise ValidationError("coverage: must be a mapping with eps, grid_points")
-        eps = _float_field(cov, "eps")
-        grid_points = _int_field(cov, "grid_points", 1000)
-        payload["coverage"] = {
-            "eps": eps,
-            "grid_points": grid_points,
-            "fraction": essential_spectrum_coverage(spec, depth, eps, grid_points),
-        }
+    if with_coverage:
+        # Coverage is taken on the root adjacency block at rho = 0; reuse
+        # its eigenvalues when that is the block just solved.
+        if block == 0 and variant == ADJACENCY and rho == 0.0:
+            fraction = covered_fraction(solved, grid, eps)
+        else:
+            fraction = essential_spectrum_coverage(spec, depth, eps, grid_points)
+        payload["coverage"] = {"eps": eps, "grid_points": grid_points, "fraction": fraction}
     table = CsvTable(
         SPECTRUM_HEADER, tuple((i, e) for i, e in enumerate(eigenvalues))
     )
@@ -229,7 +238,8 @@ def _run_spectrum(cfg: dict, seed: int):
 
 def _run_efgp(cfg: dict, seed: int):
     spec = _spec_field(cfg)
-    phi, reducer = _phi_field(cfg)
+    phi, multiple = _phi_field(cfg)
+    reducer = None if multiple is None else PhaseReducer.from_pi_multiple(multiple)
     if "rho" in cfg and "theta0" in cfg:
         raise ValidationError("theta0: give either theta0 or rho, not both")
     if "rho" in cfg:
@@ -273,18 +283,15 @@ def _run_phase_diagram(cfg: dict, seed: int):
 def _run_mc_exponent(cfg: dict, seed: int):
     k = _int_field(cfg, "k")
     gamma = parse_gamma(_field(cfg, "gamma"))
-    phi = cfg.get("phi")
-    multiple = cfg.get("phi_pi_multiple")
-    if phi is not None and (isinstance(phi, bool) or not isinstance(phi, (int, float))):
-        raise ValidationError("phi: must be a number")
+    phi, multiple = _phi_field(cfg)
     report = mc_exponent(
         k,
         gamma,
-        None if phi is None else float(phi),
+        phi if multiple is None else None,
         n_bumps=_int_field(cfg, "n_bumps", 2000),
         trials=_int_field(cfg, "trials", 20),
         seed=seed,
-        pi_multiple=None if multiple is None else str(multiple),
+        pi_multiple=multiple,
     )
     payload = dataclasses.asdict(report)
     payload["trial_means"] = list(report.trial_means)

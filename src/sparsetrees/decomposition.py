@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients, block_offsets
 from .operators import (
     SymOperator,
@@ -26,6 +26,7 @@ from .operators import (
     assemble_delta,
     assemble_delta_tilde,
     eigenvalues_sym,
+    tridiagonal,
 )
 from .trees import TreeSpec, ball_count, kappa
 
@@ -38,6 +39,8 @@ __all__ = [
     "truncated_block",
     "verify_decomposition",
 ]
+
+_BLOCK_DEPTH_GUARD = 100_000
 
 
 def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
@@ -124,7 +127,12 @@ def truncated_block(
     the first site of the root block loses its (missing) parent and the
     last site loses its cut children.  Without those two boundary
     corrections the eigenvalue match with the truncated tree fails.
+    Depths above 100,000 are refused before anything is built.
     """
+    if depth > _BLOCK_DEPTH_GUARD:
+        raise GuardError(
+            f"depth {depth} exceeds the truncated-block solver guard ({_BLOCK_DEPTH_GUARD})"
+        )
     offs = block_offsets(spec)
     if not 0 <= block < len(offs):
         raise ValidationError("block: outside 0..n_branchings")
@@ -145,12 +153,8 @@ def truncated_block(
             diag[j - 1] = -deg
     else:
         raise ValidationError(f"variant: unknown variant {variant!r}")
-    if rho != 0.0:
-        if not abs(rho) < math.pi / 2:
-            raise ValidationError("rho: boundary parameter must satisfy |rho| < pi/2")
-        diag[0] -= math.tan(rho)
-    edges = tuple((i, i + 1, float(off[i])) for i in range(size - 1))
-    return SymOperator(size, tuple(float(d) for d in diag), edges)
+    block_op = tridiagonal(diag, off)
+    return apply_root_boundary(block_op, rho) if rho != 0.0 else block_op
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ ADJACENCY = "adjacency"
 DEGREE = "degree"
 
 
+def check_rho(rho: float) -> None:
+    if not abs(rho) < math.pi / 2:
+        raise ValidationError("rho: boundary parameter must satisfy |rho| < pi/2")
+
+
 @dataclass(frozen=True)
 class JacobiCoefficients:
     """Sparse-bump Jacobi coefficients a(j), b(j) with boundary rho.
@@ -55,8 +60,7 @@ class JacobiCoefficients:
         for v in self.values:
             if not v > 0:
                 raise ValidationError("values: bump weights must be positive")
-        if not abs(self.rho) < math.pi / 2:
-            raise ValidationError("rho: boundary parameter must satisfy |rho| < pi/2")
+        check_rho(self.rho)
         if self.variant == DEGREE and len(self.diag_bumps) != len(self.positions):
             raise ValidationError("diag_bumps: degree variant needs one entry per bump")
 
@@ -112,12 +116,6 @@ class JacobiCoefficients:
     @property
     def bump_count(self) -> int:
         return len(self.positions)
-
-    def bump(self, m: int) -> tuple[int, float]:
-        """Position and weight of the m-th bump, m = 1..bump_count."""
-        if not 1 <= m <= len(self.positions):
-            raise ValidationError("m: bump index out of range")
-        return self.positions[m - 1], self.values[m - 1]
 
     def _bump_index(self, j: int) -> int | None:
         pos = bisect_left(self.positions, j)

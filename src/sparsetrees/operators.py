@@ -1,14 +1,15 @@
-"""Assembly of tree graph operators on finite truncations.
+"""Tree operators and Jacobi blocks as forests, and their eigenvalues.
 
 Vertices of the ball of radius D around the root are indexed breadth
-first, generation by generation, so parent and child indices are pure
-arithmetic on generation offsets.  Two operators are assembled: the plain
+first, generation by generation, so parent indices are pure arithmetic on
+generation offsets.  Two tree operators are assembled: the plain
 adjacency matrix, and adjacency minus the diagonal of vertex degrees
 (degrees counted inside the truncation, so the truncation is a Dirichlet
-cut after generation D).  Eigenvalues of operators up to BISECTION_ROWS
-rows whose graph is a forest (tree operators, tridiagonal blocks) come
-from bisection of inertia counts in plain IEEE arithmetic, so their bits
-are the same on every platform; larger operators go to LAPACK via
+cut after generation D).  These and the tridiagonal Jacobi blocks are all
+forests numbered parents first, which is the one form SymOperator
+stores.  Eigenvalues of operators up to BISECTION_ROWS rows come from
+bisection of inertia counts in plain IEEE arithmetic, so their bits are
+the same on every platform; larger operators go to LAPACK via
 numpy/scipy, with a fast path for tridiagonal matrices.
 """
 
@@ -21,12 +22,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GuardError, ValidationError
+from .jacobi import check_rho
 from .trees import TreeSpec, ball_count, generation_size, kappa
 
 VERTEX_GUARD = 1_000_000
 DENSE_GUARD = 4_000
 
-# Largest forest operator solved by forest_eigenvalues instead of LAPACK.
+# Largest operator solved by forest_eigenvalues instead of LAPACK.
 # The bisection makes 27 elimination passes of n vector steps each: on a
 # tridiagonal block of 500 rows it took 0.23 s of CPU against 7 ms for
 # LAPACK's eigh_tridiagonal (2 cores, Python 3.11, numpy 2.4, OpenBLAS
@@ -51,48 +53,12 @@ SECTION_BITS = 2
 class VertexIndexing:
     """Breadth-first vertex numbering of the depth-D truncation."""
 
-    spec: TreeSpec
-    depth: int
     offsets: tuple[int, ...]  # offsets[j] = index of first vertex in generation j
     sizes: tuple[int, ...]
 
     @property
     def total(self) -> int:
         return self.offsets[-1] + self.sizes[-1]
-
-    def index(self, generation: int, position: int) -> int:
-        if not 0 <= generation <= self.depth:
-            raise ValidationError("generation: outside the truncation")
-        if not 0 <= position < self.sizes[generation]:
-            raise ValidationError("position: outside the generation")
-        return self.offsets[generation] + position
-
-    def generation_of(self, idx: int) -> tuple[int, int]:
-        """Inverse lookup, returns (generation, position)."""
-        if not 0 <= idx < self.total:
-            raise ValidationError("idx: outside the truncation")
-        lo, hi = 0, self.depth
-        while lo < hi:  # last generation with offset <= idx
-            mid = (lo + hi + 1) // 2
-            if self.offsets[mid] <= idx:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo, idx - self.offsets[lo]
-
-    def parent(self, idx: int) -> int:
-        gen, pos = self.generation_of(idx)
-        if gen == 0:
-            raise ValidationError("idx: the root has no parent")
-        return self.offsets[gen - 1] + pos // kappa(self.spec, gen - 1)
-
-    def children(self, idx: int) -> range:
-        gen, pos = self.generation_of(idx)
-        if gen == self.depth:
-            return range(0)
-        k = kappa(self.spec, gen)
-        base = self.offsets[gen + 1] + pos * k
-        return range(base, base + k)
 
 
 def enumerate_vertices(spec: TreeSpec, depth: int) -> VertexIndexing:
@@ -108,79 +74,82 @@ def enumerate_vertices(spec: TreeSpec, depth: int) -> VertexIndexing:
     offsets = [0]
     for s in sizes[:-1]:
         offsets.append(offsets[-1] + s)
-    return VertexIndexing(spec, depth, tuple(offsets), tuple(sizes))
+    return VertexIndexing(tuple(offsets), tuple(sizes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Real symmetric operator stored as a diagonal plus one edge list.
+    """Real symmetric operator whose graph is a forest numbered parents first.
 
-    Each off-diagonal entry appears exactly once, as (i, j, value) with
-    i < j, so symmetry holds by construction rather than by bookkeeping.
+    Vertex v has diagonal entry diag[v] and at most one lower-numbered
+    neighbour, parent[v] < v (-1 for none), coupled by weight[v].  A zero
+    coupling is no edge: weight[v] is nonzero exactly where parent[v] >= 0.
+    Breadth-first tree operators and tridiagonal blocks have this form, and
+    nothing else is built.
     """
 
-    size: int
-    diag: tuple[float, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    diag: np.ndarray
+    parent: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.diag)
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.size, self.size))
-        np.fill_diagonal(a, self.diag)
-        for i, j, v in self.edges:
-            a[i, j] = v
-            a[j, i] = v
+        a = np.diag(self.diag)
+        child = np.flatnonzero(self.parent >= 0)
+        a[child, self.parent[child]] = self.weight[child]
+        a[self.parent[child], child] = self.weight[child]
         return a
 
     def is_tridiagonal(self) -> bool:
-        return all(j == i + 1 for i, j, _ in self.edges)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.size, dtype=np.int64)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def to_triplets(self) -> list[tuple[int, int, float]]:
-        """Coordinate export: diagonal entries first, then each edge once."""
-        out = [(i, i, d) for i, d in enumerate(self.diag) if d != 0.0]
-        out.extend(self.edges)
-        return out
+        return bool(np.all((self.parent < 0) | (self.parent == np.arange(self.size) - 1)))
 
 
-def _tree_edges(indexing: VertexIndexing) -> tuple[tuple[int, int, float], ...]:
-    edges = []
-    for gen in range(indexing.depth):
-        k = kappa(indexing.spec, gen)
-        parent_base = indexing.offsets[gen]
-        child_base = indexing.offsets[gen + 1]
-        for pos in range(indexing.sizes[gen]):
-            p = parent_base + pos
-            for c in range(pos * k, (pos + 1) * k):
-                edges.append((p, child_base + c))
-    return tuple((i, j, 1.0) for i, j in edges)
+def tridiagonal(diag, off) -> SymOperator:
+    """Tridiagonal operator with diagonal diag and off[i] coupling rows i, i + 1.
+
+    A zero off[i] is no edge: the operator splits there.
+    """
+    weight = np.zeros(len(diag))
+    weight[1:] = off
+    parent = np.arange(-1, len(diag) - 1)
+    parent[weight == 0.0] = -1
+    return SymOperator(np.asarray(diag, dtype=float), parent, weight)
+
+
+def _tree_parents(spec: TreeSpec, depth: int) -> np.ndarray:
+    """Parent of every vertex of the depth-D truncation, -1 for the root.
+
+    The child at position i of generation g + 1 has parent
+    offsets[g] + i // kappa(g), where kappa(g) = sizes[g + 1] // sizes[g].
+    """
+    indexing = enumerate_vertices(spec, depth)
+    offsets = np.array(indexing.offsets)
+    sizes = np.array(indexing.sizes)
+    g = np.repeat(np.arange(depth), sizes[1:])  # generation of each parent
+    position = np.arange(1, indexing.total) - offsets[g + 1]
+    return np.concatenate(([-1], offsets[g] + position // (sizes[g + 1] // sizes[g])))
 
 
 def assemble_delta(spec: TreeSpec, depth: int) -> SymOperator:
     """Pure adjacency operator of the truncated tree (0/1 entries)."""
-    indexing = enumerate_vertices(spec, depth)
-    edges = _tree_edges(indexing)
-    return SymOperator(indexing.total, (0.0,) * indexing.total, edges)
+    parent = _tree_parents(spec, depth)
+    return SymOperator(np.zeros(parent.size), parent, np.where(parent >= 0, 1.0, 0.0))
 
 
 def assemble_delta_tilde(spec: TreeSpec, depth: int) -> SymOperator:
     """Adjacency minus vertex degrees, degrees counted within the truncation.
 
     Equivalently the negative graph Laplacian of the ball, so the result is
-    negative semidefinite and every row sums to zero.
+    negative semidefinite and every row sums to zero.  The lone root of
+    depth 0 gets the diagonal entry -0.0.
     """
-    indexing = enumerate_vertices(spec, depth)
-    edges = _tree_edges(indexing)
-    deg = np.zeros(indexing.total)
-    for i, j, _ in edges:
-        deg[i] += 1
-        deg[j] += 1
-    return SymOperator(indexing.total, tuple(-deg), edges)
+    parent = _tree_parents(spec, depth)
+    linked = parent >= 0
+    degree = linked + np.bincount(parent[linked], minlength=parent.size)
+    return SymOperator(-degree.astype(float), parent, np.where(linked, 1.0, 0.0))
 
 
 def apply_root_boundary(op: SymOperator, rho: float) -> SymOperator:
@@ -189,31 +158,12 @@ def apply_root_boundary(op: SymOperator, rho: float) -> SymOperator:
     rho parametrises the boundary condition of the half-line reduction;
     |rho| must stay below pi/2 so the tangent is finite.
     """
-    if not abs(rho) < math.pi / 2:
-        raise ValidationError("rho: boundary parameter must satisfy |rho| < pi/2")
+    check_rho(rho)
     if op.size == 0:
         raise ValidationError("op: empty operator")
-    diag = list(op.diag)
+    diag = op.diag.copy()
     diag[0] -= math.tan(rho)
-    return SymOperator(op.size, tuple(diag), op.edges)
-
-
-def _parent_links(op: SymOperator) -> tuple[list[int], list[float]] | None:
-    """Lower-numbered neighbour of every vertex (-1 for none) and its coupling.
-
-    None unless each vertex has at most one lower-numbered neighbour, which
-    makes the graph a forest numbered parents first, as breadth-first tree
-    numberings and tridiagonal blocks are.  Zero couplings are no edges.
-    """
-    parent = [-1] * op.size
-    weight = [0.0] * op.size
-    for i, j, w in op.edges:
-        if w == 0.0:
-            continue
-        if not i < j or parent[j] >= 0:
-            return None
-        parent[j], weight[j] = i, w
-    return parent, weight
+    return SymOperator(diag, op.parent, op.weight)
 
 
 def _negative_pivots(diag, parent, w2, x) -> np.ndarray:
@@ -243,10 +193,7 @@ def _negative_pivots(diag, parent, w2, x) -> np.ndarray:
 
 
 def forest_eigenvalues(op: SymOperator) -> np.ndarray:
-    """Ascending eigenvalues of a forest operator numbered parents first.
-
-    op must have at most one lower-numbered neighbour per vertex (see
-    _parent_links), as tree operators and tridiagonal blocks do.
+    """Ascending eigenvalues of a SymOperator (a forest), in plain IEEE arithmetic.
 
     Every eigenvalue is located by bisection of the inertia count on the
     grid j*h, with j an integer, |j| <= 2**GRID_BITS, and h = 2**e / 2**GRID_BITS
@@ -269,22 +216,14 @@ def forest_eigenvalues(op: SymOperator) -> np.ndarray:
     libm call, no BLAS reduction.  The bits are thus the same on every
     platform, whether or not the floating-point count is monotone in x.
     """
-    links = _parent_links(op)
-    if links is None:
-        raise ValidationError("op: graph must be a forest numbered parents first")
-    return _bisect_forest(op, *links)
-
-
-def _bisect_forest(op: SymOperator, parent: list[int], weight: list[float]) -> np.ndarray:
-    """forest_eigenvalues for op with its parent links already taken."""
-    diag = [d + 0.0 for d in op.diag]  # turns -0.0 into +0.0
-    w = np.asarray(weight)
-    up = np.asarray(parent)
-    radius = np.abs(diag) + np.abs(w)  # Gershgorin: own coupling, then children's
-    np.add.at(radius, up[up >= 0], np.abs(w[up >= 0]))
+    diag = op.diag + 0.0  # turns -0.0 into +0.0
+    linked = op.parent >= 0
+    radius = np.abs(diag) + np.abs(op.weight)  # Gershgorin: own coupling, then children's
+    np.add.at(radius, op.parent[linked], np.abs(op.weight[linked]))
     h = math.ldexp(1.0, math.frexp(float(radius.max()))[1] + 1 - GRID_BITS)
 
-    w2 = [c * c for c in weight]
+    parent = op.parent.tolist()
+    w2 = (op.weight * op.weight).tolist()
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
     target = np.arange(op.size)[:, None]  # eigenvalue index
@@ -304,26 +243,22 @@ def _bisect_forest(op: SymOperator, parent: list[int], weight: list[float]) -> n
 def eigenvalues_sym(op: SymOperator) -> np.ndarray:
     """All eigenvalues of a SymOperator, ascending.
 
-    Forests numbered parents first (tree operators, tridiagonal blocks) of
-    up to BISECTION_ROWS rows go through forest_eigenvalues, and their bits
-    are the same on every platform.  Above that, tridiagonal operators go
-    through the specialised LAPACK routine at any size and anything else is
-    solved densely, guarded at DENSE_GUARD rows; those bits depend on the
-    LAPACK build.
+    Every SymOperator is a forest numbered parents first, so there is no
+    route for other graphs.  Operators of up to BISECTION_ROWS rows go
+    through forest_eigenvalues, and their bits are the same on every
+    platform.  Above that, tridiagonal operators (blocks, and trees that do
+    not branch inside the truncation) go through LAPACK's tridiagonal
+    solver at any size, and branching trees are solved densely, guarded at
+    DENSE_GUARD rows; those bits depend on the LAPACK build.
     """
     if op.size == 0:
         return np.zeros(0)
     if op.size == 1:
         return np.array([op.diag[0]])
     if op.size <= BISECTION_ROWS:
-        links = _parent_links(op)
-        if links is not None:
-            return _bisect_forest(op, *links)
+        return forest_eigenvalues(op)
     if op.is_tridiagonal():
-        off = np.zeros(op.size - 1)
-        for i, _, v in op.edges:
-            off[i] = v
-        return eigh_tridiagonal(np.asarray(op.diag), off, eigvals_only=True)
+        return eigh_tridiagonal(op.diag, op.weight[1:], eigvals_only=True)
     if op.size > DENSE_GUARD:
         raise GuardError(
             f"size: dense eigensolve limited to {DENSE_GUARD} rows, got {op.size}"

@@ -13,7 +13,6 @@ last bits of eigenvalues, and so the bytes, depend on the LAPACK build.
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,7 +122,3 @@ def emit(envelope: ReportEnvelope, fmt: str, table: CsvTable | None = None) -> b
             )
         return table.emit()
     raise ValidationError(f"format: unknown format {fmt!r}")
-
-
-def rows_from_records(records: Iterable[dict], fields: Sequence[str]) -> tuple[tuple, ...]:
-    return tuple(tuple(record[f] for f in fields) for record in records)

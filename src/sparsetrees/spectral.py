@@ -32,14 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import truncated_block
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from .jacobi import ADJACENCY
 from .operators import eigenvalues_sym
 from .phase import PhaseReducer
-from .trees import TreeSpec, parse_gamma, sample_omega_tree, theoretical_dimension
-from .transfer import bump_coefficients, efgp_run
-
-_BLOCK_DEPTH_GUARD = 100_000
+from .trees import TreeSpec, check_k, parse_gamma, sample_omega_tree, theoretical_dimension
+from .transfer import bump_coefficients, check_phi, efgp_run, mean_kick
 
 
 def _as_float_gamma(gamma) -> float:
@@ -49,14 +47,9 @@ def _as_float_gamma(gamma) -> float:
     return value
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError("k: branching factor must be an integer >= 2")
-
-
 def V(k: int) -> float:
     """Threshold value (1 + k)^2 / (4 k) separating the two phases in gamma."""
-    _check_k(k)
+    check_k(k)
     return (1 + k) ** 2 / (4 * k)
 
 
@@ -66,12 +59,7 @@ def Z(phi: float, k: int) -> float:
     Equals the average of f_theta over a uniform angle, which is the
     growth exponent the Monte Carlo trajectories realize per bump.
     """
-    _check_k(k)
-    if not 0.0 < phi < math.pi:
-        raise ValidationError("phi: must lie strictly between 0 and pi")
-    sin2 = math.sin(phi) ** 2
-    a = ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
-    return 0.5 * math.log((a + 1.0) / 2.0)
+    return 0.5 * math.log((mean_kick(k, phi) + 1.0) / 2.0)
 
 
 def f_theta(theta: float, k: int, phi: float) -> float:
@@ -165,7 +153,7 @@ class PhasePoint:
 def classify(energy: float, k: int, gamma) -> PhasePoint:
     """Place one energy in the predicted phase diagram."""
     g = _as_float_gamma(gamma)
-    _check_k(k)
+    check_k(k)
     window = interval_I(k, g)
     if abs(energy) > 2.0:
         return PhasePoint(energy, k, g, "outside", None)
@@ -248,7 +236,7 @@ def mc_exponent(
     angle would wash out at geometric depths.
     """
     g = _as_float_gamma(gamma)
-    _check_k(k)
+    check_k(k)
     if (phi is None) == (pi_multiple is None):
         raise ValidationError("phi: give exactly one of phi, pi_multiple")
     reducer = None
@@ -256,8 +244,7 @@ def mc_exponent(
         multiple = Fraction(pi_multiple)
         reducer = PhaseReducer.from_pi_multiple(multiple)
         phi = float(multiple) * math.pi
-    if not 0.0 < phi < math.pi:
-        raise ValidationError("phi: must lie strictly between 0 and pi")
+    check_phi(phi)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:
@@ -272,7 +259,7 @@ def mc_exponent(
     curves: list[np.ndarray] = []
     num = 0.0
     for trial in range(trials):
-        spec, _ = sample_omega_tree(k=k, gamma=gamma, n_levels=n_bumps, seed=seed, trial=trial)
+        spec = sample_omega_tree(k=k, gamma=gamma, n_levels=n_bumps, seed=seed, trial=trial)
         trajectory = efgp_run(spec, phi, reducer=reducer)
         trial_means.append(trajectory.mean_y())
         curve = trajectory.log_r_array
@@ -414,6 +401,24 @@ def pearson_density_proxy(
     return half_width * total
 
 
+def coverage_grid(eps: float, grid_points: int) -> np.ndarray:
+    """The [-2, 2] grid of essential_spectrum_coverage, after checking its inputs."""
+    if eps <= 0.0:
+        raise ValidationError("eps: must be positive")
+    if grid_points < 2:
+        raise ValidationError("grid_points: need at least 2")
+    return np.linspace(-2.0, 2.0, grid_points)
+
+
+def covered_fraction(eigenvalues: np.ndarray, grid: np.ndarray, eps: float) -> float:
+    """Fraction of the grid points within eps of an ascending eigenvalue list."""
+    idx = np.searchsorted(eigenvalues, grid)
+    left = eigenvalues[np.clip(idx - 1, 0, eigenvalues.size - 1)]
+    right = eigenvalues[np.clip(idx, 0, eigenvalues.size - 1)]
+    distance = np.minimum(np.abs(grid - left), np.abs(grid - right))
+    return float(np.mean(distance <= eps))
+
+
 def essential_spectrum_coverage(
     spec: TreeSpec,
     depth: int,
@@ -427,19 +432,6 @@ def essential_spectrum_coverage(
     resolution eps.  Approaches 1 as the depth grows, which is the
     finite-size shadow of the essential spectrum being all of [-2, 2].
     """
-    if depth > _BLOCK_DEPTH_GUARD:
-        raise GuardError(
-            f"depth {depth} exceeds the truncated-block solver guard ({_BLOCK_DEPTH_GUARD})"
-        )
-    if eps <= 0.0:
-        raise ValidationError("eps: must be positive")
-    if grid_points < 2:
-        raise ValidationError("grid_points: need at least 2")
-    block = truncated_block(spec, 0, depth, variant=ADJACENCY)
-    eigenvalues = eigenvalues_sym(block)
-    grid = np.linspace(-2.0, 2.0, grid_points)
-    idx = np.searchsorted(eigenvalues, grid)
-    left = eigenvalues[np.clip(idx - 1, 0, eigenvalues.size - 1)]
-    right = eigenvalues[np.clip(idx, 0, eigenvalues.size - 1)]
-    distance = np.minimum(np.abs(grid - left), np.abs(grid - right))
-    return float(np.mean(distance <= eps))
+    grid = coverage_grid(eps, grid_points)
+    eigenvalues = eigenvalues_sym(truncated_block(spec, 0, depth, variant=ADJACENCY))
+    return covered_fraction(eigenvalues, grid, eps)

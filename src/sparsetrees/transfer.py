@@ -30,14 +30,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .jacobi import JacobiCoefficients
+from .jacobi import JacobiCoefficients, check_rho
 from .phase import PhaseReducer
+from .trees import check_k
 
 _TWO_PI = 2.0 * math.pi
 _RENORM_LIMIT = 1e100
 
 
-def _check_phi(phi: float) -> None:
+def check_phi(phi: float) -> None:
     if not (0.0 < phi < math.pi):
         raise ValidationError("phi: must lie strictly between 0 and pi")
 
@@ -292,7 +293,7 @@ def efgp_transform(u: Sequence[float], phi: float) -> tuple[np.ndarray, np.ndarr
     sin(phi) u(j-1).  On free stretches the radius is constant and the
     angle advances by exactly phi per site.
     """
-    _check_phi(phi)
+    check_phi(phi)
     arr = np.asarray(u, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError("u: need a one-dimensional array with at least 2 entries")
@@ -305,7 +306,7 @@ def efgp_transform(u: Sequence[float], phi: float) -> tuple[np.ndarray, np.ndarr
 
 def phase_to_pair(theta: float, phi: float, radius: float = 1.0) -> tuple[float, float]:
     """Invert the phase map: returns (u(j), u(j-1)) for the given angle."""
-    _check_phi(phi)
+    check_phi(phi)
     s = math.sin(phi)
     return (radius * math.sin(phi + theta) / s, radius * math.sin(theta) / s)
 
@@ -317,9 +318,8 @@ def boundary_theta0(rho: float, phi: float) -> float:
     free recursion from (u(0), u(1)) = (-tan(rho), 1); this is the angle of
     that initial pair.  rho = 0 gives the Dirichlet angle 0.
     """
-    _check_phi(phi)
-    if not abs(rho) < math.pi / 2:
-        raise ValidationError("rho: boundary parameter must satisfy |rho| < pi/2")
+    check_phi(phi)
+    check_rho(rho)
     t = math.tan(rho)
     return math.atan2(-math.sin(phi) * t, 1.0 + math.cos(phi) * t) % _TWO_PI
 
@@ -347,9 +347,17 @@ class BumpCoefficients:
         return self.a + self.b * math.cos(2.0 * theta) + self.c * math.sin(2.0 * theta)
 
 
+def mean_kick(k: int, phi: float) -> float:
+    """Angle average a = ((1 + k^2) / (2k) - cos^2(phi)) / sin^2(phi) of r_out^2 / r_in^2."""
+    check_k(k)
+    check_phi(phi)
+    sin2 = math.sin(phi) ** 2
+    return ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
+
+
 def bump_r_squared_ratio(k: int, phi: float, theta: float) -> float:
     """Squared radius amplification of one weight-sqrt(k) bump at entry angle theta."""
-    _check_phi(phi)
+    check_phi(phi)
     mat = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi))
     w0, w1 = mat.apply(phase_to_pair(theta, phi))
     x = w0 - math.cos(phi) * w1
@@ -361,16 +369,11 @@ def bump_r_squared_ratio(k: int, phi: float, theta: float) -> float:
 def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
     """Radial kick coefficients for a branching factor k at phase step phi.
 
-    The mean coefficient has the closed form
-    a = ((1 + k^2) / (2k) - cos^2(phi)) / sin^2(phi); the oscillatory pair
-    (b, c) is recovered by evaluating the exact two-step amplification at
-    three entry angles, which also pins down a for a consistency check.
+    The mean coefficient a is the closed form mean_kick; the oscillatory
+    pair (b, c) is recovered by evaluating the exact two-step amplification
+    at three entry angles, which also pins down a for a consistency check.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError("k: branching factor must be an integer >= 2")
-    _check_phi(phi)
-    sin2 = math.sin(phi) ** 2
-    a_closed = ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
+    a_closed = mean_kick(k, phi)
     r0 = bump_r_squared_ratio(k, phi, 0.0)
     r1 = bump_r_squared_ratio(k, phi, math.pi / 4.0)
     r2 = bump_r_squared_ratio(k, phi, math.pi / 2.0)
@@ -463,7 +466,7 @@ def efgp_run(
     theta0 is the phase at site 1; use `boundary_theta0` to encode a
     boundary coupling.
     """
-    _check_phi(phi)
+    check_phi(phi)
     levels = spec.branch_levels
     factors = spec.branch_factors
     if n_bumps is None:

@@ -28,6 +28,11 @@ from .errors import ValidationError
 _MAX_SEED = 2**64
 
 
+def check_k(k: int) -> None:
+    if not isinstance(k, int) or k < 2:
+        raise ValidationError("k: branching factor must be an integer >= 2")
+
+
 def parse_gamma(value: str | float | int | Fraction) -> Fraction:
     """Parse a growth ratio into an exact rational.
 
@@ -93,22 +98,6 @@ class TreeSpec:
         return self.branch_levels[-1] if self.branch_levels else 0
 
 
-@dataclass(frozen=True)
-class OmegaSample:
-    """Record of one random jitter draw: the seed and the offsets omega_n."""
-
-    seed: int
-    omega: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BallCount:
-    """Number of vertices within graph distance radius of the root."""
-
-    radius: int
-    count: int
-
-
 @lru_cache(maxsize=256)
 def _prefix_products(factors: tuple[int, ...]) -> tuple[int, ...]:
     # products[m] = k_1 * ... * k_m, products[0] = 1
@@ -163,8 +152,7 @@ def theoretical_dimension(k: int, gamma: Fraction | float) -> float:
     g = float(gamma)
     if g <= 1:
         raise ValidationError("gamma: dimension defined for gamma > 1")
-    if k < 2:
-        raise ValidationError("k: branching factor must be >= 2")
+    check_k(k)
     return 1.0 + math.log(k) / math.log(g)
 
 
@@ -173,12 +161,7 @@ def estimate_dimension(spec: TreeSpec, radius: int) -> float:
     if radius < 2:
         raise ValidationError("radius: must be >= 2 so log(radius) > 0")
     count = ball_count(spec, radius)
-    return _log_big(count) / _log_big(radius)
-
-
-def _log_big(n: int) -> float:
-    # math.log handles arbitrary precision ints directly
-    return math.log(n)
+    return math.log(count) / math.log(radius)
 
 
 def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> TreeSpec:
@@ -198,8 +181,7 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
         raise ValidationError(f"gamma: geometric family needs gamma > 1, got {g}")
     if n_levels < 1:
         raise ValidationError("n_levels: need at least one branching level")
-    if k < 2:
-        raise ValidationError("k: branching factor must be >= 2")
+    check_k(k)
     p, q = g.numerator, g.denominator
     levels = []
     pn, qn = 1, 1
@@ -232,13 +214,14 @@ def sample_omega_tree(
     n_levels: int,
     seed: int,
     trial: int = 0,
-) -> tuple[TreeSpec, OmegaSample]:
+) -> TreeSpec:
     """Draw the jittered geometric spec L_n = floor(gamma**n) + omega_n.
 
     omega_n is uniform on {-n, ..., n}.  When a draw would break the tree
     (level below 1, or a gap smaller than 2) only that omega_n is redrawn;
     for gamma > 2 a valid value always exists, so the repair terminates.
-    Identical (seed, trial) pairs reproduce the sample exactly.
+    Identical (seed, trial) pairs reproduce the sample exactly; the drawn
+    offsets are kept in the spec's omega field.
     """
     g = parse_gamma(gamma)
     if g <= 2:
@@ -258,7 +241,7 @@ def sample_omega_tree(
             raise ValidationError(f"gamma: repair failed at level {n}")
         levels.append(floor_n + w)
         omegas.append(w)
-    spec = TreeSpec(
+    return TreeSpec(
         tuple(levels),
         (k,) * n_levels,
         family="omega",
@@ -266,7 +249,6 @@ def sample_omega_tree(
         seed=seed,
         omega=tuple(omegas),
     )
-    return spec, OmegaSample(seed=seed, omega=tuple(omegas))
 
 
 def validate(spec: TreeSpec) -> dict[str, bool]:
@@ -337,8 +319,7 @@ def spec_from_record(record: dict) -> TreeSpec:
     if family == "omega":
         if "seed" not in record:
             raise ValidationError("seed: omega family requires a seed")
-        spec, _ = sample_omega_tree(
+        return sample_omega_tree(
             int(record["k"]), record["gamma"], int(record["N"]), int(record["seed"])
         )
-        return spec
     raise ValidationError(f"family: unknown family {family!r}")

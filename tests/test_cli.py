@@ -116,6 +116,17 @@ def test_format_flag_switches_spectrum_to_csv(capsysbinary):
     assert len(lines) - 1 == len(report["payload"]["eigenvalues"])
 
 
+def test_spectrum_coverage_is_of_the_root_adjacency_block(tmp_path, capsysbinary):
+    cfg = json.loads((FIXTURES / "spectrum.json").read_text())
+    golden = json.loads((GOLDEN / "spectrum.json").read_text())["payload"]["coverage"]
+    for listed in ({"variant": "degree"}, {"rho": 0.3}, {"block": 1}):
+        config = tmp_path / "listed.json"
+        config.write_text(json.dumps({**cfg, **listed}))
+        assert run(["spectrum", "--config", str(config)]) == 0
+        report = json.loads(capsysbinary.readouterr().out)
+        assert report["payload"]["coverage"] == golden
+
+
 def test_phase_diagram_csv_alpha_empty_outside_window():
     lines = (GOLDEN / "phase_diagram.csv").read_text().splitlines()
     assert lines[0] == "E,k,gamma,class,alpha"
@@ -152,6 +163,15 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     huge_seed.write_text('{"k": 2, "gamma": 3, "phi": 1.0, "seed": 18446744073709551616}')
     assert run(["mc-exponent", "--config", str(huge_seed)]) == 2
 
+    for multiple in ("abc", "1/0"):
+        bad_multiple = tmp_path / "bad_multiple.json"
+        bad_multiple.write_text(json.dumps({"k": 2, "gamma": 3, "phi_pi_multiple": multiple}))
+        capsys.readouterr()
+        assert run(["mc-exponent", "--config", str(bad_multiple)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: phi_pi_multiple: cannot parse {multiple!r} as a rational\n"
+        )
+
 
 def test_guard_violation_exits_3(tmp_path, capsys):
     config = tmp_path / "huge.json"
@@ -164,6 +184,13 @@ def test_guard_violation_exits_3(tmp_path, capsys):
         )
     )
     assert run(["decompose", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("guard:")
+
+    deep = tmp_path / "deep.json"
+    deep.write_text(
+        json.dumps({"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 3}, "depth": 200_000})
+    )
+    assert run(["spectrum", "--config", str(deep)]) == 3
     assert capsys.readouterr().err.startswith("guard:")
 
 

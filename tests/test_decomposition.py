@@ -117,7 +117,7 @@ def test_truncated_block_matrix_example():
 def test_truncated_block_single_site():
     spec = TreeSpec((1,), (2,))
     op = truncated_block(spec, 1, 2)
-    assert op.size == 1 and op.diag == (0.0,)
+    assert op.size == 1 and op.diag.tolist() == [0.0]
     with pytest.raises(ValidationError):
         truncated_block(spec, 1, 1)
 
@@ -126,12 +126,12 @@ def test_truncated_block_degree_boundaries():
     # root site has no parent, the last site has its children cut
     spec = TreeSpec((1,), (2,))
     op = truncated_block(spec, 0, 2, "degree")
-    assert op.diag == (-1.0, -3.0, -1.0)
+    assert op.diag.tolist() == [-1.0, -3.0, -1.0]
     leaf_block = truncated_block(spec, 1, 2, "degree")
-    assert leaf_block.diag == (-1.0,)
+    assert leaf_block.diag.tolist() == [-1.0]
     # depth zero: the root alone, degree zero
     root_only = truncated_block(spec, 0, 0, "degree")
-    assert root_only.diag == (0.0,)
+    assert root_only.diag.tolist() == [0.0]
 
 
 def test_plan_counting_identity_exact():

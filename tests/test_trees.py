@@ -167,23 +167,23 @@ def test_parse_gamma_forms():
 
 
 def test_sample_omega_tree_deterministic_and_valid():
-    spec1, sample1 = sample_omega_tree(2, 3, 10, seed=42)
-    spec2, sample2 = sample_omega_tree(2, 3, 10, seed=42)
+    spec1 = sample_omega_tree(2, 3, 10, seed=42)
+    spec2 = sample_omega_tree(2, 3, 10, seed=42)
     assert spec1 == spec2
-    assert sample1 == sample2
-    assert all(abs(w) <= n + 1 for n, w in enumerate(sample1.omega))
+    assert spec1.omega == spec2.omega
+    assert all(abs(w) <= n + 1 for n, w in enumerate(spec1.omega))
     gaps = [b - a for a, b in zip(spec1.branch_levels, spec1.branch_levels[1:])]
     assert all(g >= 2 for g in gaps)
-    spec3, _ = sample_omega_tree(2, 3, 10, seed=43)
+    spec3 = sample_omega_tree(2, 3, 10, seed=43)
     assert spec3 != spec1
 
 
 def test_sample_omega_tree_offsets_within_range():
     base = make_gamma_tree(2, 3, 12)
-    spec, sample = sample_omega_tree(2, 3, 12, seed=7)
+    spec = sample_omega_tree(2, 3, 12, seed=7)
     for n in range(12):
-        assert spec.branch_levels[n] == base.branch_levels[n] + sample.omega[n]
-        assert -(n + 1) <= sample.omega[n] <= n + 1
+        assert spec.branch_levels[n] == base.branch_levels[n] + spec.omega[n]
+        assert -(n + 1) <= spec.omega[n] <= n + 1
 
 
 def test_sample_omega_tree_rejects_small_gamma():
@@ -196,8 +196,8 @@ def test_omega_marginal_is_uniform():
     trials = 20000
     counts = {w: 0 for w in range(-3, 4)}
     for t in range(trials):
-        _, sample = sample_omega_tree(2, 3, 4, seed=2024, trial=t)
-        counts[sample.omega[2]] += 1
+        spec = sample_omega_tree(2, 3, 4, seed=2024, trial=t)
+        counts[spec.omega[2]] += 1
     expect = trials / 7
     sigma = math.sqrt(trials * (1 / 7) * (6 / 7))
     for w, c in counts.items():
@@ -223,7 +223,7 @@ def test_spec_record_round_trip():
     gamma_spec = make_gamma_tree(2, "5/2", 6)
     assert spec_from_record(spec_to_record(gamma_spec)) == gamma_spec
 
-    omega_spec, _ = sample_omega_tree(2, 3, 6, seed=5)
+    omega_spec = sample_omega_tree(2, 3, 6, seed=5)
     rec = spec_to_record(omega_spec)
     assert rec["seed"] == 5
     assert spec_from_record(rec) == omega_spec
