@@ -26,7 +26,7 @@ from .decomposition import truncated_block, verify_decomposition
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE
 from .operators import eigenvalues_sym
-from .phase import PhaseReducer
+from .phase import PhaseReducer, parse_pi_multiple
 from .reports import (
     CsvTable,
     EFGP_RUN_HEADER,
@@ -106,12 +106,7 @@ def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
     if (phi is None) == (multiple is None):
         raise ValidationError("phi: give exactly one of phi, phi_pi_multiple")
     if multiple is not None:
-        try:
-            frac = Fraction(str(multiple))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(
-                f"phi_pi_multiple: cannot parse {multiple!r} as a rational"
-            ) from exc
+        frac = parse_pi_multiple(str(multiple), "phi_pi_multiple")
         return float(frac) * math.pi, frac
     if isinstance(phi, bool) or not isinstance(phi, (int, float)):
         raise ValidationError("phi: must be a number")

@@ -8,6 +8,9 @@ multiplying by the step count and keeping the fractional part loses less
 than 2**-180 of a turn.  The working precision adapts to the step count,
 so step counts with thousands of bits are handled; when the angle is an
 exact rational multiple of pi the reduction is exact integer arithmetic.
+Either way the residue is an integer fraction of the turn, and its float
+comes from Python's correctly rounded int/int division: the same double
+as converting the exact rational, without reducing it by a gcd first.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ from .errors import ValidationError
 _TWO_PI = 2.0 * math.pi
 _MIN_BITS = 256
 _GUARD_BITS = 192
+
+
+def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
+    """Parse an exact rational multiple of pi, naming `field` on failure."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from exc
 
 
 class PhaseReducer:
@@ -50,8 +61,7 @@ class PhaseReducer:
     @classmethod
     def from_pi_multiple(cls, multiple: Fraction | str | int) -> PhaseReducer:
         """Reducer for the angle multiple * pi, kept exact."""
-        m = Fraction(multiple)
-        return cls(circle_fraction=m / 2)
+        return cls(circle_fraction=parse_pi_multiple(multiple) / 2)
 
     def _bits_for(self, steps: int) -> int:
         need = steps.bit_length() + _GUARD_BITS
@@ -72,6 +82,16 @@ class PhaseReducer:
         self._fixed_cache[bits] = value
         return value
 
+    def _residue(self, steps: int, use_exact: bool) -> tuple[int, int]:
+        """(numerator, denominator) of the fractional turn of steps * angle."""
+        if steps < 0:
+            raise ValidationError("steps: must be >= 0")
+        if self.circle_fraction is not None and use_exact:
+            f = self.circle_fraction
+            return (steps * f.numerator) % f.denominator, f.denominator
+        bits = self._bits_for(steps)
+        return (steps * self._fixed(bits)) & ((1 << bits) - 1), 1 << bits
+
     def reduce_fraction(self, steps: int, use_exact: bool = True) -> Fraction:
         """Fractional part of steps * angle / (2*pi) as an exact rational.
 
@@ -80,16 +100,14 @@ class PhaseReducer:
         Passing use_exact=False forces the fixed-point engine even for a
         rational angle, which is how its error bound is verified.
         """
-        if steps < 0:
-            raise ValidationError("steps: must be >= 0")
-        if self.circle_fraction is not None and use_exact:
-            f = self.circle_fraction
-            return Fraction((steps * f.numerator) % f.denominator, f.denominator)
-        bits = self._bits_for(steps)
-        r = (steps * self._fixed(bits)) & ((1 << bits) - 1)
-        return Fraction(r, 1 << bits)
+        return Fraction(*self._residue(steps, use_exact))
 
     def reduce(self, steps: int) -> float:
-        """steps * angle modulo 2*pi, in [0, 2*pi)."""
-        value = float(self.reduce_fraction(steps)) * _TWO_PI
+        """steps * angle modulo 2*pi, in [0, 2*pi).
+
+        The residue's float is its correctly rounded integer division,
+        bit for bit float(reduce_fraction(steps)), with no gcd taken.
+        """
+        num, den = self._residue(steps, True)
+        value = num / den * _TWO_PI
         return value if value < _TWO_PI else 0.0

@@ -35,7 +35,7 @@ from .decomposition import truncated_block
 from .errors import ValidationError
 from .jacobi import ADJACENCY
 from .operators import eigenvalues_sym
-from .phase import PhaseReducer
+from .phase import PhaseReducer, parse_pi_multiple
 from .trees import TreeSpec, check_k, parse_gamma, sample_omega_tree, theoretical_dimension
 from .transfer import bump_coefficients, check_phi, efgp_run, mean_kick
 
@@ -241,7 +241,7 @@ def mc_exponent(
         raise ValidationError("phi: give exactly one of phi, pi_multiple")
     reducer = None
     if pi_multiple is not None:
-        multiple = Fraction(pi_multiple)
+        multiple = parse_pi_multiple(pi_multiple)
         reducer = PhaseReducer.from_pi_multiple(multiple)
         phi = float(multiple) * math.pi
     check_phi(phi)

@@ -365,7 +365,7 @@ def bump_r_squared_ratio(k: int, phi: float, theta: float) -> float:
     return x * x + y * y
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
     """Radial kick coefficients for a branching factor k at phase step phi.
 
@@ -484,25 +484,36 @@ def efgp_run(
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
     energy = 2.0 * cos_phi
-    kick_cache: dict[int, tuple[BumpCoefficients, Mat2]] = {}
+    # Per branching factor: the kick coefficients (a, b, c) and the bump
+    # matrix entries.  The loop below inlines BumpCoefficients.ratio_squared,
+    # phase_to_pair and Mat2.apply in their exact operation order.
+    kick_cache: dict[int, tuple[float, ...]] = {}
+    reduce = reducer.reduce
+    log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
     rows = [EFGPCheckpoint(0, 0, 0.0, theta, 0.0, theta)]
-    for n in range(1, n_bumps + 1):
-        gap = levels[0] if n == 1 else levels[n - 1] - levels[n - 2] - 2
-        theta_entry = (theta + reducer.reduce(gap)) % _TWO_PI
-        k = factors[n - 1]
+    previous = None
+    for n, level, k in zip(range(1, n_bumps + 1), levels, factors):
+        gap = level if previous is None else level - previous - 2
+        previous = level
+        theta_entry = (theta + reduce(gap)) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
-            cached = (bump_coefficients(k, phi), bump_matrix(math.sqrt(k), energy))
+            kick = bump_coefficients(k, phi)
+            bump = bump_matrix(math.sqrt(k), energy)
+            cached = (kick.a, kick.b, kick.c, bump.m11, bump.m12, bump.m21, bump.m22)
             kick_cache[k] = cached
-        kick, bump = cached
-        y = 0.5 * math.log(kick.ratio_squared(theta_entry))
-        w0, w1 = bump.apply(phase_to_pair(theta_entry, phi))
-        theta = math.atan2(sin_phi * w1, w0 - cos_phi * w1) % _TWO_PI
+        a, b, c, m11, m12, m21, m22 = cached
+        y = 0.5 * log(a + b * cos(2.0 * theta_entry) + c * sin(2.0 * theta_entry))
+        u1 = sin(phi + theta_entry) / sin_phi
+        u0 = sin(theta_entry) / sin_phi
+        w0 = m11 * u1 + m12 * u0
+        w1 = m21 * u1 + m22 * u0
+        theta = atan2(sin_phi * w1, w0 - cos_phi * w1) % _TWO_PI
         log_r += y
-        rows.append(EFGPCheckpoint(n, levels[n - 1], log_r, theta, y, theta_entry))
+        rows.append(EFGPCheckpoint(n, level, log_r, theta, y, theta_entry))
     return EFGPTrajectory(phi=phi, theta0=theta0 % _TWO_PI, checkpoints=tuple(rows))
 
 

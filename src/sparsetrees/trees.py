@@ -226,12 +226,23 @@ def sample_omega_tree(
     g = parse_gamma(gamma)
     if g <= 2:
         raise ValidationError(f"gamma: jittered family needs gamma > 2, got {g}")
-    base = make_gamma_tree(k, g, n_levels)
+    floors = make_gamma_tree(k, g, n_levels).branch_levels
+    # Level m is safe when its lowest value floor_m - m clears the highest
+    # value floor_{m-1} + (m - 1) of the level before by 2: no draw there
+    # needs a repair.  Levels up to the last unsafe one are drawn one by
+    # one; every later level comes from one array draw, which bounds each
+    # element like a scalar draw and so reads the same Philox stream.
+    repairable = 0
+    for m in range(n_levels, 0, -1):
+        lower = 1 if m == 1 else floors[m - 2] + m + 1
+        if floors[m - 1] - m < lower:
+            repairable = m
+            break
     rng = _trial_rng(seed, trial)
     levels: list[int] = []
     omegas: list[int] = []
-    for n in range(1, n_levels + 1):
-        floor_n = base.branch_levels[n - 1]
+    for n in range(1, repairable + 1):
+        floor_n = floors[n - 1]
         lower = 1 if n == 1 else levels[-1] + 2
         for _ in range(1000):
             w = int(rng.integers(-n, n + 1))
@@ -241,6 +252,10 @@ def sample_omega_tree(
             raise ValidationError(f"gamma: repair failed at level {n}")
         levels.append(floor_n + w)
         omegas.append(w)
+    n = np.arange(repairable + 1, n_levels + 1)
+    tail = rng.integers(-n, n + 1).tolist()
+    levels.extend(f + w for f, w in zip(floors[repairable:], tail))
+    omegas.extend(tail)
     return TreeSpec(
         tuple(levels),
         (k,) * n_levels,

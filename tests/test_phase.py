@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsetrees.errors import ValidationError
-from sparsetrees.phase import PhaseReducer
+from sparsetrees.phase import PhaseReducer, parse_pi_multiple
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,3 +98,53 @@ def test_negative_angle_reduces_into_range():
     reducer = PhaseReducer.from_angle(-0.7)
     assert reducer.reduce(1) == pytest.approx(TWO_PI - 0.7, rel=1e-15)
     assert reducer.reduce(13) == pytest.approx(math.fmod(-0.7 * 13, TWO_PI) + TWO_PI, rel=1e-12)
+
+
+def test_parse_pi_multiple_names_the_field():
+    assert parse_pi_multiple("3/4") == Fraction(3, 4)
+    assert parse_pi_multiple(Fraction(1, 3)) == Fraction(1, 3)
+    for bad in ("1/0", "abc", "inf", None):
+        with pytest.raises(ValidationError, match="^phi_pi_multiple: cannot parse"):
+            parse_pi_multiple(bad, "phi_pi_multiple")
+    with pytest.raises(ValidationError, match="^pi_multiple: "):
+        PhaseReducer.from_pi_multiple("1/0")
+
+
+# ---------------------------------------------------------------------------
+# reduce is bit for bit the float of the exact residue
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+_steps = st.one_of(
+    st.integers(0, 2**64),
+    st.integers(0, 3**2500),
+    st.integers(0, 2500).map(lambda n: 3**n),
+)
+_reducers = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(PhaseReducer.from_angle),
+    st.fractions(-4, 4, max_denominator=10**6).map(PhaseReducer.from_pi_multiple),
+)
+
+
+def fraction_reduce(reducer, steps):
+    """reduce as the float of the gcd-reduced Fraction, folded to 0 at 2*pi."""
+    value = float(reducer.reduce_fraction(steps)) * TWO_PI
+    return value if value < TWO_PI else 0.0
+
+
+@_PROPERTY
+@given(reducer=_reducers, steps=_steps)
+def test_reduce_is_the_float_of_the_exact_fraction(reducer, steps):
+    assert reducer.reduce(steps).hex() == fraction_reduce(reducer, steps).hex()
+
+
+@_PROPERTY
+@given(multiple=st.fractions(-4, 4, max_denominator=10**6), steps=_steps)
+def test_fixed_point_residue_division_is_the_fraction_float(multiple, steps):
+    # The fixed-point engine of a rational angle: its correctly rounded
+    # integer division gives the float of the reduced Fraction.
+    reducer = PhaseReducer.from_pi_multiple(multiple)
+    num, den = reducer._residue(steps, use_exact=False)
+    assert den & (den - 1) == 0
+    assert (num / den).hex() == float(reducer.reduce_fraction(steps, use_exact=False)).hex()

@@ -229,6 +229,9 @@ def test_mc_exponent_exact_right_angle_input():
         mc_exponent(2, 3, 1.0, pi_multiple="1/2")
     with pytest.raises(ValidationError):
         mc_exponent(2, 3, None)
+    for bad in ("1/0", "abc"):
+        with pytest.raises(ValidationError, match="^pi_multiple: cannot parse"):
+            mc_exponent(2, 3, None, pi_multiple=bad)
 
 
 # ---------------------------------------------------------------------------

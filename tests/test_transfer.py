@@ -249,6 +249,12 @@ def test_bump_kick_matches_direct_ratio_everywhere():
         )
 
 
+def test_bump_coefficients_cache_is_bounded():
+    for i in range(1100):
+        bump_coefficients(2, 0.5 + i * 1e-4)
+    assert bump_coefficients.cache_info().currsize <= 1024
+
+
 def test_bump_coefficients_validation():
     with pytest.raises(ValidationError):
         bump_coefficients(1, 1.0)
@@ -307,6 +313,29 @@ def test_efgp_run_with_boundary_coupling_matches_oracle():
     for row, (_, log_r, theta, _) in zip(trajectory.checkpoints[1:], oracle):
         assert row.log_r == pytest.approx(log_r - math.log(r1), abs=1e-10)
         assert circular_gap(row.theta, theta) < 1e-10
+
+
+def test_efgp_run_is_bit_identical_to_the_helper_composition():
+    # The per-bump body inlines ratio_squared, phase_to_pair and Mat2.apply;
+    # composing the helpers themselves must give the same bits.
+    spec = TreeSpec(branch_levels=(3, 7, 40, 95, 10**30), branch_factors=(2, 5, 3, 2, 7))
+    for phi, theta0 in ((0.37, 0.0), (1.0, 2.5), (2.9, 6.0)):
+        reducer = PhaseReducer.from_angle(phi)
+        theta = theta0 % TWO_PI
+        log_r = 0.0
+        previous = None
+        expected = []
+        for n, (level, k) in enumerate(zip(spec.branch_levels, spec.branch_factors), 1):
+            gap = level if previous is None else level - previous - 2
+            previous = level
+            entry = (theta + reducer.reduce(gap)) % TWO_PI
+            y = 0.5 * math.log(bump_coefficients(k, phi).ratio_squared(entry))
+            w0, w1 = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi)).apply(phase_to_pair(entry, phi))
+            theta = math.atan2(math.sin(phi) * w1, w0 - math.cos(phi) * w1) % TWO_PI
+            log_r += y
+            expected.append((n, level, log_r, theta, y, entry))
+        rows = efgp_run(spec, phi, theta0=theta0).checkpoints[1:]
+        assert [(c.n, c.level, c.log_r, c.theta, c.y, c.theta_entry) for c in rows] == expected
 
 
 def test_efgp_run_row_zero_and_levels():

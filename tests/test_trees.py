@@ -6,7 +6,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsetrees.errors import ValidationError
 from sparsetrees.trees import (
@@ -189,6 +192,52 @@ def test_sample_omega_tree_offsets_within_range():
 def test_sample_omega_tree_rejects_small_gamma():
     with pytest.raises(ValidationError):
         sample_omega_tree(2, 2, 5, seed=1)
+
+
+def scalar_omega_sample(k, gamma, n_levels, seed, trial):
+    """(levels, omega, redraws) from one scalar draw per level, with repair."""
+    floors = make_gamma_tree(k, gamma, n_levels).branch_levels
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+    levels, omegas, redraws = [], [], 0
+    for n in range(1, n_levels + 1):
+        lower = 1 if n == 1 else levels[-1] + 2
+        while True:
+            w = int(rng.integers(-n, n + 1))
+            if floors[n - 1] + w >= lower:
+                break
+            redraws += 1
+        levels.append(floors[n - 1] + w)
+        omegas.append(w)
+    return tuple(levels), tuple(omegas), redraws
+
+
+_OMEGA_GAMMAS = ("2.01", "21/10", "5/2", "3", "7")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    gamma=st.sampled_from(_OMEGA_GAMMAS),
+    n_levels=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 7),
+)
+@example(gamma="2.01", n_levels=60, seed=0, trial=0)
+def test_sample_omega_tree_matches_scalar_draws(gamma, n_levels, seed, trial):
+    spec = sample_omega_tree(2, gamma, n_levels, seed=seed, trial=trial)
+    levels, omegas, _ = scalar_omega_sample(2, gamma, n_levels, seed, trial)
+    assert spec.branch_levels == levels
+    assert spec.omega == omegas
+
+
+def test_sample_omega_tree_matches_scalar_draws_through_repairs():
+    redraws = 0
+    for gamma in ("2.01", "21/10"):
+        for seed in range(8):
+            levels, omegas, fired = scalar_omega_sample(3, gamma, 60, seed, 1)
+            spec = sample_omega_tree(3, gamma, 60, seed=seed, trial=1)
+            assert (spec.branch_levels, spec.omega) == (levels, omegas)
+            redraws += fired
+    assert redraws > 0
 
 
 def test_omega_marginal_is_uniform():
