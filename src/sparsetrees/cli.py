@@ -47,7 +47,9 @@ from .transfer import boundary_theta0, efgp_run
 from .trees import (
     ball_count,
     estimate_dimension,
+    int_field,
     parse_gamma,
+    record_field,
     spec_from_record,
     spec_to_record,
     theoretical_dimension,
@@ -64,34 +66,16 @@ SUBCOMMANDS = (
     "classify-theorems",
 )
 
-_MISSING = object()
 
-
-def _field(cfg: dict, name: str, default=_MISSING):
-    if name in cfg:
-        return cfg[name]
-    if default is _MISSING:
-        raise ValidationError(f"{name}: required config field is missing")
-    return default
-
-
-def _int_field(cfg: dict, name: str, default=_MISSING) -> int:
-    value = _field(cfg, name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name}: must be an integer")
-    return value
-
-
-def _float_field(cfg: dict, name: str, default=_MISSING) -> float:
-    value = _field(cfg, name, default)
+def _float_field(cfg: dict, name: str, *default: float) -> float:
+    value = record_field(cfg, name, *default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name}: must be a number")
     return float(value)
 
 
 def _spec_field(cfg: dict):
-    record = _field(cfg, "spec")
-    return spec_from_record(record)
+    return spec_from_record(record_field(cfg, "spec"))
 
 
 def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
@@ -114,7 +98,7 @@ def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
 
 
 def _energy_grid(cfg: dict) -> list[float]:
-    grid = _field(cfg, "energies")
+    grid = record_field(cfg, "energies")
     if isinstance(grid, list):
         if not grid or not all(
             isinstance(e, (int, float)) and not isinstance(e, bool) for e in grid
@@ -124,7 +108,7 @@ def _energy_grid(cfg: dict) -> list[float]:
     if isinstance(grid, dict):
         lo = _float_field(grid, "min")
         hi = _float_field(grid, "max")
-        points = _int_field(grid, "points")
+        points = int_field(grid, "points")
         if points < 2:
             raise ValidationError("points: energy grid needs at least 2 points")
         if not lo < hi:
@@ -135,7 +119,7 @@ def _energy_grid(cfg: dict) -> list[float]:
 
 def _variant_field(cfg: dict, allow_both: bool) -> str:
     allowed = (ADJACENCY, DEGREE) + (("both",) if allow_both else ())
-    variant = _field(cfg, "variant", "both" if allow_both else ADJACENCY)
+    variant = record_field(cfg, "variant", "both" if allow_both else ADJACENCY)
     if variant not in allowed:
         raise ValidationError(f"variant: must be one of {', '.join(allowed)}")
     return variant
@@ -148,7 +132,7 @@ def _variant_field(cfg: dict, allow_both: bool) -> str:
 
 def _run_tree_stats(cfg: dict, seed: int):
     spec = _spec_field(cfg)
-    depth = _int_field(cfg, "depth")
+    depth = int_field(cfg, "depth")
     payload = {
         "spec": spec_to_record(spec),
         "n_branchings": len(spec.branch_levels),
@@ -178,7 +162,7 @@ def _decomposition_record(report) -> dict:
 
 def _run_decompose(cfg: dict, seed: int):
     spec = _spec_field(cfg)
-    depth = _int_field(cfg, "depth")
+    depth = int_field(cfg, "depth")
     variant = _variant_field(cfg, allow_both=True)
     rho = _float_field(cfg, "rho", 0.0)
     variants = (ADJACENCY, DEGREE) if variant == "both" else (variant,)
@@ -195,8 +179,8 @@ def _run_decompose(cfg: dict, seed: int):
 
 def _run_spectrum(cfg: dict, seed: int):
     spec = _spec_field(cfg)
-    depth = _int_field(cfg, "depth")
-    block = _int_field(cfg, "block", 0)
+    depth = int_field(cfg, "depth")
+    block = int_field(cfg, "block", 0)
     variant = _variant_field(cfg, allow_both=False)
     rho = _float_field(cfg, "rho", 0.0)
     with_coverage = "coverage" in cfg
@@ -205,7 +189,7 @@ def _run_spectrum(cfg: dict, seed: int):
         if not isinstance(cov, dict):
             raise ValidationError("coverage: must be a mapping with eps, grid_points")
         eps = _float_field(cov, "eps")
-        grid_points = _int_field(cov, "grid_points", 1000)
+        grid_points = int_field(cov, "grid_points", 1000)
         grid = coverage_grid(eps, grid_points)
     solved = eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))
     eigenvalues = [float(e) for e in solved]
@@ -241,9 +225,17 @@ def _run_efgp(cfg: dict, seed: int):
         theta0 = boundary_theta0(_float_field(cfg, "rho"), phi)
     else:
         theta0 = _float_field(cfg, "theta0", 0.0)
-    n_bumps = _int_field(cfg, "n_bumps", len(spec.branch_levels))
+    n_bumps = int_field(cfg, "n_bumps", len(spec.branch_levels))
     trajectory = efgp_run(spec, phi, theta0=theta0, n_bumps=n_bumps, reducer=reducer)
-    rows = trajectory.as_rows()
+    rows = tuple(
+        zip(
+            range(n_bumps + 1),
+            (0,) + spec.branch_levels[:n_bumps],
+            trajectory.log_r,
+            trajectory.theta,
+            trajectory.y,
+        )
+    )
     payload = {
         "spec": spec_to_record(spec),
         "phi": phi,
@@ -255,12 +247,12 @@ def _run_efgp(cfg: dict, seed: int):
             for n, level, log_r, theta, y in rows
         ],
     }
-    return payload, CsvTable(EFGP_RUN_HEADER, tuple(rows))
+    return payload, CsvTable(EFGP_RUN_HEADER, rows)
 
 
 def _run_phase_diagram(cfg: dict, seed: int):
-    k = _int_field(cfg, "k")
-    gamma = parse_gamma(_field(cfg, "gamma"))
+    k = int_field(cfg, "k")
+    gamma = parse_gamma(record_field(cfg, "gamma"))
     energies = _energy_grid(cfg)
     points = phase_diagram(k, gamma, energies)
     payload = {
@@ -276,15 +268,15 @@ def _run_phase_diagram(cfg: dict, seed: int):
 
 
 def _run_mc_exponent(cfg: dict, seed: int):
-    k = _int_field(cfg, "k")
-    gamma = parse_gamma(_field(cfg, "gamma"))
+    k = int_field(cfg, "k")
+    gamma = parse_gamma(record_field(cfg, "gamma"))
     phi, multiple = _phi_field(cfg)
     report = mc_exponent(
         k,
         gamma,
         phi if multiple is None else None,
-        n_bumps=_int_field(cfg, "n_bumps", 2000),
-        trials=_int_field(cfg, "trials", 20),
+        n_bumps=int_field(cfg, "n_bumps", 2000),
+        trials=int_field(cfg, "trials", 20),
         seed=seed,
         pi_multiple=multiple,
     )
@@ -353,10 +345,10 @@ def run(argv=None) -> int:
             raise ValidationError(
                 f"subcommand: config declares {declared!r} but {args.subcommand!r} was invoked"
             )
-        seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
+        seed = args.seed if args.seed is not None else int_field(cfg, "seed", 0)
         if not 0 <= seed < 2**64:
             raise ValidationError("seed: must fit in 64 bits")
-        fmt = args.format or _field(cfg, "format", "json")
+        fmt = args.format or record_field(cfg, "format", "json")
         if fmt not in ("csv", "json"):
             raise ValidationError(f"format: unknown format {fmt!r}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients, block_offsets
+from .jacobi import ADJACENCY, DEGREE, block_offsets
 from .operators import (
     SymOperator,
     apply_root_boundary,
@@ -33,7 +33,6 @@ from .trees import TreeSpec, ball_count, kappa
 __all__ = [
     "DecompositionPlan",
     "DecompositionReport",
-    "block_coefficients",
     "multiplicities",
     "plan_decomposition",
     "truncated_block",
@@ -57,16 +56,6 @@ def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
         out.append(prod_cur - prod_prev)
         prod_prev = prod_cur
     return tuple(out)
-
-
-def block_coefficients(
-    spec: TreeSpec,
-    block: int,
-    variant: str = ADJACENCY,
-    rho: float = 0.0,
-) -> JacobiCoefficients:
-    """Lazy coefficient sequences of one decomposition block."""
-    return JacobiCoefficients.for_tree_block(spec, block, variant, rho)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def mc_exponent(
         spec = sample_omega_tree(k=k, gamma=gamma, n_levels=n_bumps, seed=seed, trial=trial)
         trajectory = efgp_run(spec, phi, reducer=reducer)
         trial_means.append(trajectory.mean_y())
-        curve = trajectory.log_r_array
+        curve = np.array(trajectory.log_r)
         curves.append(curve)
         num += float(np.dot(xc, curve))
 
@@ -396,7 +396,7 @@ def pearson_density_proxy(
             integrand = 1.0
         else:
             trajectory = efgp_run(spec, float(phi), theta0=theta0, n_bumps=n)
-            integrand = math.exp(-2.0 * trajectory.checkpoints[-1].log_r)
+            integrand = math.exp(-2.0 * trajectory.log_r[-1])
         total += float(w) * integrand
     return half_width * total
 

@@ -112,11 +112,6 @@ class Mat2:
             self.m21 * v[0] + self.m22 * v[1],
         )
 
-    def log_apply_norm(self, v: Sequence[float]) -> float:
-        """log of the Euclidean norm of the full matrix applied to v."""
-        x, y = self.apply(v)
-        return math.log(math.hypot(x, y)) + self.log_scale
-
     def _qr_split(self) -> tuple[float, float]:
         e = (self.m11 + self.m22) / 2.0
         f = (self.m11 - self.m22) / 2.0
@@ -139,9 +134,6 @@ class Mat2:
     def log_norm(self) -> float:
         """log of the spectral norm of the full scaled matrix."""
         return self.log_singular_values()[0]
-
-    def norm(self) -> float:
-        return math.exp(self.log_norm())
 
 
 @dataclass(frozen=True)
@@ -395,55 +387,30 @@ def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
 
 
 @dataclass(frozen=True)
-class EFGPCheckpoint:
-    """Phase-flow state immediately after crossing bump n.
+class EFGPTrajectory:
+    """Phase-flow state after each bump, one column per quantity.
 
-    theta is the outgoing angle (two sites past the branching level), y the
-    log radial kick of this bump alone, and theta_entry the incoming angle
-    the kick was evaluated at.  Row n = 0 is the initial state.
+    Entry n of each column is the state just past bump n, and entry 0 the
+    initial state.  theta is the outgoing angle (two sites past the
+    branching level), y the log radial kick of bump n alone and
+    theta_entry the incoming angle the kick was evaluated at; at n = 0,
+    y is 0 and theta_entry is theta.  log_r[n] = log_r[n - 1] + y[n].
+    Bump n sits at level spec.branch_levels[n - 1].
     """
 
-    n: int
-    level: int
-    log_r: float
-    theta: float
-    y: float
-    theta_entry: float
-
-
-@dataclass(frozen=True)
-class EFGPTrajectory:
-    phi: float
-    theta0: float
-    checkpoints: tuple[EFGPCheckpoint, ...]
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(c.level for c in self.checkpoints)
-
-    @property
-    def log_r_array(self) -> np.ndarray:
-        return np.array([c.log_r for c in self.checkpoints])
-
-    @property
-    def theta_array(self) -> np.ndarray:
-        return np.array([c.theta for c in self.checkpoints])
-
-    @property
-    def y_array(self) -> np.ndarray:
-        """Per-bump kicks y_1..y_N (the zeroth row is excluded)."""
-        return np.array([c.y for c in self.checkpoints[1:]])
+    log_r: tuple[float, ...]
+    theta: tuple[float, ...]
+    y: tuple[float, ...]
+    theta_entry: tuple[float, ...]
 
     def mean_y(self, burn_in: int = 0) -> float:
-        """Average radial kick per bump, optionally dropping early bumps."""
-        ys = self.y_array[burn_in:]
-        if ys.size == 0:
-            raise ValidationError("burn_in: no checkpoints left to average")
+        """Average radial kick per bump, dropping the first burn_in bumps."""
+        if burn_in < 0:
+            raise ValidationError("burn_in: must be >= 0")
+        ys = self.y[1 + burn_in :]
+        if not ys:
+            raise ValidationError("burn_in: no bumps left to average")
         return float(np.mean(ys))
-
-    def as_rows(self) -> list[tuple[int, int, float, float, float]]:
-        """(n, level, log_r, theta, y) tuples in checkpoint order."""
-        return [(c.n, c.level, c.log_r, c.theta, c.y) for c in self.checkpoints]
 
 
 def efgp_run(
@@ -493,9 +460,9 @@ def efgp_run(
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
-    rows = [EFGPCheckpoint(0, 0, 0.0, theta, 0.0, theta)]
+    log_rs, thetas, ys, entries = [log_r], [theta], [0.0], [theta]
     previous = None
-    for n, level, k in zip(range(1, n_bumps + 1), levels, factors):
+    for level, k in zip(levels[:n_bumps], factors):
         gap = level if previous is None else level - previous - 2
         previous = level
         theta_entry = (theta + reduce(gap)) % _TWO_PI
@@ -513,8 +480,11 @@ def efgp_run(
         w1 = m21 * u1 + m22 * u0
         theta = atan2(sin_phi * w1, w0 - cos_phi * w1) % _TWO_PI
         log_r += y
-        rows.append(EFGPCheckpoint(n, level, log_r, theta, y, theta_entry))
-    return EFGPTrajectory(phi=phi, theta0=theta0 % _TWO_PI, checkpoints=tuple(rows))
+        log_rs.append(log_r)
+        thetas.append(theta)
+        ys.append(y)
+        entries.append(theta_entry)
+    return EFGPTrajectory(tuple(log_rs), tuple(thetas), tuple(ys), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,27 @@ import numpy as np
 from .errors import ValidationError
 
 _MAX_SEED = 2**64
+_MISSING = object()
+
+
+def record_field(record: dict, name: str, default=_MISSING):
+    """Field `name` of a config or spec record; a missing required field is a ValidationError."""
+    if name in record:
+        return record[name]
+    if default is _MISSING:
+        raise ValidationError(f"{name}: required config field is missing")
+    return default
+
+
+def check_int(value, name: str) -> int:
+    """`value` itself if it is an int; bools, floats and strings are ValidationErrors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name}: must be an integer")
+    return value
+
+
+def int_field(record: dict, name: str, default=_MISSING) -> int:
+    return check_int(record_field(record, name, default), name)
 
 
 def check_k(k: int) -> None:
@@ -46,7 +67,7 @@ def parse_gamma(value: str | float | int | Fraction) -> Fraction:
             gamma = Fraction(int(num), int(den))
         else:
             gamma = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"gamma: cannot parse {value!r} as a rational") from exc
     if gamma <= 0:
         raise ValidationError(f"gamma: must be positive, got {gamma}")
@@ -328,13 +349,14 @@ def spec_from_record(record: dict) -> TreeSpec:
         factors = record.get("k")
         if not isinstance(levels, list) or not isinstance(factors, list):
             raise ValidationError("L: explicit family needs list fields L and k")
-        return TreeSpec(tuple(int(x) for x in levels), tuple(int(x) for x in factors))
-    if family == "gamma":
-        return make_gamma_tree(int(record["k"]), record["gamma"], int(record["N"]))
-    if family == "omega":
-        if "seed" not in record:
-            raise ValidationError("seed: omega family requires a seed")
-        return sample_omega_tree(
-            int(record["k"]), record["gamma"], int(record["N"]), int(record["seed"])
+        return TreeSpec(
+            tuple(check_int(x, "L") for x in levels), tuple(check_int(x, "k") for x in factors)
         )
+    if family in ("gamma", "omega"):
+        k = int_field(record, "k")
+        gamma = record_field(record, "gamma")
+        n_levels = int_field(record, "N")
+        if family == "gamma":
+            return make_gamma_tree(k, gamma, n_levels)
+        return sample_omega_tree(k, gamma, n_levels, int_field(record, "seed"))
     raise ValidationError(f"family: unknown family {family!r}")

@@ -184,10 +184,11 @@ def test_ac05_efgp_cross_validation():
         trajectory = efgp_run(spec, phi)
         u = solve_u(coeffs, 2.0 * math.cos(phi), length)
         radius, angle = efgp_transform(u, phi)
-        for row in trajectory.checkpoints[1:]:
-            site = row.level + 3
-            worst_log_r = max(worst_log_r, abs(row.log_r - math.log(radius[site - 1])))
-            worst_theta = max(worst_theta, _circular_gap(row.theta, angle[site - 1]))
+        columns = zip(spec.branch_levels, trajectory.log_r[1:], trajectory.theta[1:])
+        for level, log_r, theta in columns:
+            site = level + 3
+            worst_log_r = max(worst_log_r, abs(log_r - math.log(radius[site - 1])))
+            worst_theta = max(worst_theta, _circular_gap(theta, angle[site - 1]))
     ok = worst_log_r <= 1e-9 and worst_theta <= 1e-9
     _verdict(
         "AC5 phase-flow cross-validation",

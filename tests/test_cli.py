@@ -32,6 +32,13 @@ def test_fixture_matches_golden_file(subcommand, stem, suffix, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{stem}.{suffix}").read_bytes()
 
 
+def test_efgp_run_json_matches_golden_file(tmp_path):
+    out = tmp_path / "report.json"
+    config = str(FIXTURES / "efgp_run.json")
+    assert run(["efgp-run", "--config", config, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "efgp_run.json").read_bytes()
+
+
 @pytest.mark.parametrize("subcommand,stem", [("spectrum", "spectrum"), ("decompose", "decompose")])
 def test_golden_eigenvalue_bytes_do_not_depend_on_lapack(subcommand, stem, tmp_path, monkeypatch):
     # Both fixtures sit below the bisection cap, so no LAPACK call may be
@@ -158,6 +165,30 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     no_table = tmp_path / "no_table.json"
     no_table.write_text('{"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 3}, "depth": 5, "format": "csv"}')
     assert run(["tree-stats", "--config", str(no_table)]) == 2
+
+    # Spec records: missing or mistyped fields are named, never truncated.
+    bad_specs = [
+        ('{"family": "gamma", "gamma": 3, "N": 3}', "k"),
+        ('{"family": "gamma", "k": 2, "gamma": 3, "N": "x"}', "N"),
+        ('{"family": "gamma", "k": 2, "gamma": [3], "N": 3}', "gamma"),
+        ('{"family": "gamma", "k": 2, "gamma": Infinity, "N": 3}', "gamma"),
+        ('{"family": "gamma", "k": 2.5, "gamma": 3, "N": 3}', "k"),
+        ('{"family": "gamma", "k": true, "gamma": 3, "N": 3}', "k"),
+        ('{"family": "omega", "k": 2, "gamma": 3, "N": 3}', "seed"),
+        ('{"family": "explicit", "k": [2, 2], "L": [1, 2.7]}', "L"),
+        ('{"family": "explicit", "k": [2, 2.5], "L": [1, 3]}', "k"),
+    ]
+    capsys.readouterr()
+    for record, field in bad_specs:
+        config = tmp_path / "bad_spec.json"
+        config.write_text('{"spec": ' + record + ', "depth": 5}')
+        assert run(["tree-stats", "--config", str(config)]) == 2, record
+        assert capsys.readouterr().err.startswith(f"error: {field}:"), record
+    for gamma in ("[3]", "Infinity"):
+        config = tmp_path / "bad_gamma_value.json"
+        config.write_text('{"k": 2, "gamma": ' + gamma + ', "energies": [0.0]}')
+        assert run(["phase-diagram", "--config", str(config)]) == 2, gamma
+        assert capsys.readouterr().err.startswith("error: gamma:"), gamma
 
     huge_seed = tmp_path / "huge_seed.json"
     huge_seed.write_text('{"k": 2, "gamma": 3, "phi": 1.0, "seed": 18446744073709551616}')

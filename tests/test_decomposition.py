@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sparsetrees.decomposition import (
-    block_coefficients,
     multiplicities,
     plan_decomposition,
     truncated_block,
@@ -56,25 +55,25 @@ def test_block_offsets():
     assert block_offsets(spec) == (0, 2, 5)
 
 
-def test_block_coefficients_adjacency():
+def test_for_tree_block_adjacency():
     spec = TreeSpec((1,), (2,))
-    j0 = block_coefficients(spec, 0)
+    j0 = JacobiCoefficients.for_tree_block(spec, 0)
     assert j0.a(2) == pytest.approx(math.sqrt(2))
     assert j0.a(1) == 1.0 and j0.a(5) == 1.0 and j0.a(0) == 1.0
     assert j0.b(1) == 0.0 and j0.b(2) == 0.0
 
 
-def test_block_coefficients_degree_variant():
+def test_for_tree_block_degree_variant():
     spec = TreeSpec((1,), (2,))
-    j0 = block_coefficients(spec, 0, "degree")
+    j0 = JacobiCoefficients.for_tree_block(spec, 0, "degree")
     assert j0.b(2) == -3.0
     assert j0.b(1) == -2.0 and j0.b(3) == -2.0 and j0.b(7) == -2.0
     assert j0.a(2) == pytest.approx(math.sqrt(2))
 
 
-def test_block_coefficients_boundary_rho():
+def test_for_tree_block_boundary_rho():
     spec = TreeSpec((3,), (2,))
-    j = block_coefficients(spec, 0, rho=math.pi / 4)
+    j = JacobiCoefficients.for_tree_block(spec, 0, rho=math.pi / 4)
     assert j.b(1) == pytest.approx(-1.0)
     assert j.b(2) == 0.0
 
@@ -87,11 +86,13 @@ def test_blocks_nest_as_tails():
         offs = block_offsets(spec)
         for n in range(1, len(offs)):
             shift = offs[n] - offs[n - 1]
-            younger = block_coefficients(spec, n)
-            older = block_coefficients(spec, n - 1)
+            younger = JacobiCoefficients.for_tree_block(spec, n)
+            older = JacobiCoefficients.for_tree_block(spec, n - 1)
             for j in range(1, offs[-1] - offs[n] + 4):
                 assert younger.a(j) == older.a(j + shift)
-        degree_blocks = [block_coefficients(spec, n, "degree") for n in range(len(offs))]
+        degree_blocks = [
+            JacobiCoefficients.for_tree_block(spec, n, "degree") for n in range(len(offs))
+        ]
         for n in range(1, len(offs)):
             shift = offs[n] - offs[n - 1]
             for j in range(1, offs[-1] - offs[n] + 4):

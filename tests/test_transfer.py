@@ -31,7 +31,7 @@ from sparsetrees.transfer import (
     subordinate_direction,
     transfer_product,
 )
-from sparsetrees.trees import TreeSpec
+from sparsetrees.trees import TreeSpec, make_gamma_tree
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,11 +295,11 @@ def test_efgp_run_matches_sitewise_oracle(phi):
     spec = small_tree()
     trajectory = efgp_run(spec, phi)
     oracle = run_sitewise_oracle(spec, phi)
-    for row, (n, log_r, theta, theta_entry) in zip(trajectory.checkpoints[1:], oracle):
-        assert row.n == n
-        assert row.log_r == pytest.approx(log_r, abs=1e-10)
-        assert circular_gap(row.theta, theta) < 1e-10
-        assert circular_gap(row.theta_entry, theta_entry) < 1e-10
+    assert len(trajectory.log_r) == len(oracle) + 1
+    for n, log_r, theta, theta_entry in oracle:
+        assert trajectory.log_r[n] == pytest.approx(log_r, abs=1e-10)
+        assert circular_gap(trajectory.theta[n], theta) < 1e-10
+        assert circular_gap(trajectory.theta_entry[n], theta_entry) < 1e-10
 
 
 def test_efgp_run_with_boundary_coupling_matches_oracle():
@@ -310,9 +310,9 @@ def test_efgp_run_with_boundary_coupling_matches_oracle():
     # The oracle radius carries the boundary frame's r(1) != 1 normalization.
     u0 = [-math.tan(rho), 1.0]
     r1 = math.hypot(u0[1] - math.cos(phi) * u0[0], math.sin(phi) * u0[0])
-    for row, (_, log_r, theta, _) in zip(trajectory.checkpoints[1:], oracle):
-        assert row.log_r == pytest.approx(log_r - math.log(r1), abs=1e-10)
-        assert circular_gap(row.theta, theta) < 1e-10
+    for n, log_r, theta, _ in oracle:
+        assert trajectory.log_r[n] == pytest.approx(log_r - math.log(r1), abs=1e-10)
+        assert circular_gap(trajectory.theta[n], theta) < 1e-10
 
 
 def test_efgp_run_is_bit_identical_to_the_helper_composition():
@@ -325,7 +325,7 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
         log_r = 0.0
         previous = None
         expected = []
-        for n, (level, k) in enumerate(zip(spec.branch_levels, spec.branch_factors), 1):
+        for level, k in zip(spec.branch_levels, spec.branch_factors):
             gap = level if previous is None else level - previous - 2
             previous = level
             entry = (theta + reducer.reduce(gap)) % TWO_PI
@@ -333,19 +333,34 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
             w0, w1 = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi)).apply(phase_to_pair(entry, phi))
             theta = math.atan2(math.sin(phi) * w1, w0 - math.cos(phi) * w1) % TWO_PI
             log_r += y
-            expected.append((n, level, log_r, theta, y, entry))
-        rows = efgp_run(spec, phi, theta0=theta0).checkpoints[1:]
-        assert [(c.n, c.level, c.log_r, c.theta, c.y, c.theta_entry) for c in rows] == expected
+            expected.append((log_r, theta, y, entry))
+        trajectory = efgp_run(spec, phi, theta0=theta0)
+        columns = (trajectory.log_r, trajectory.theta, trajectory.y, trajectory.theta_entry)
+        assert list(zip(*columns))[1:] == expected
 
 
 def test_efgp_run_row_zero_and_levels():
     spec = small_tree()
     trajectory = efgp_run(spec, 1.0, theta0=0.3)
-    first = trajectory.checkpoints[0]
-    assert (first.n, first.level, first.log_r, first.y) == (0, 0, 0.0, 0.0)
-    assert first.theta == pytest.approx(0.3)
-    assert trajectory.levels == (0, 2, 5, 9, 14)
-    assert trajectory.log_r_array[-1] == pytest.approx(sum(trajectory.y_array))
+    assert (trajectory.log_r[0], trajectory.y[0]) == (0.0, 0.0)
+    assert trajectory.theta[0] == pytest.approx(0.3)
+    assert trajectory.theta_entry[0] == trajectory.theta[0]
+    for n_bumps in (1, 2, 4):
+        trajectory = efgp_run(spec, 1.0, theta0=0.3, n_bumps=n_bumps)
+        columns = (trajectory.log_r, trajectory.theta, trajectory.y, trajectory.theta_entry)
+        assert [len(column) for column in columns] == [n_bumps + 1] * 4
+        for n in range(1, n_bumps + 1):
+            assert trajectory.log_r[n] == trajectory.log_r[n - 1] + trajectory.y[n]
+
+
+def test_mean_y_burn_in_drops_leading_bumps_and_rejects_negatives():
+    trajectory = efgp_run(make_gamma_tree(2, 3, 50), 1.0)
+    assert trajectory.mean_y() == float(np.mean(trajectory.y[1:]))
+    assert trajectory.mean_y(burn_in=10) == float(np.mean(trajectory.y[11:]))
+    with pytest.raises(ValidationError, match="burn_in"):
+        trajectory.mean_y(burn_in=-1)
+    with pytest.raises(ValidationError, match="burn_in"):
+        trajectory.mean_y(burn_in=50)
 
 
 def test_efgp_run_validation():
