@@ -67,11 +67,16 @@ SUBCOMMANDS = (
 )
 
 
-def _float_field(cfg: dict, name: str, *default: float) -> float:
-    value = record_field(cfg, name, *default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name}: must be a number")
+def _finite(value, name: str) -> float:
+    """value as a float; bools, non-numbers, NaN and infinities are refused."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{name}: must be a finite number")
     return float(value)
+
+
+def _float_field(cfg: dict, name: str, *default: float) -> float:
+    return _finite(record_field(cfg, name, *default), name)
 
 
 def _spec_field(cfg: dict):
@@ -92,29 +97,23 @@ def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
     if multiple is not None:
         frac = parse_pi_multiple(str(multiple), "phi_pi_multiple")
         return float(frac) * math.pi, frac
-    if isinstance(phi, bool) or not isinstance(phi, (int, float)):
-        raise ValidationError("phi: must be a number")
-    return float(phi), None
+    return _finite(phi, "phi"), None
 
 
 def _energy_grid(cfg: dict) -> list[float]:
     grid = record_field(cfg, "energies")
-    if isinstance(grid, list):
-        if not grid or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) for e in grid
-        ):
-            raise ValidationError("energies: list entries must be numbers")
-        return [float(e) for e in grid]
+    if isinstance(grid, list) and grid:
+        return [_finite(e, "energies") for e in grid]
     if isinstance(grid, dict):
         lo = _float_field(grid, "min")
         hi = _float_field(grid, "max")
         points = int_field(grid, "points")
         if points < 2:
             raise ValidationError("points: energy grid needs at least 2 points")
-        if not lo < hi:
-            raise ValidationError("min: energy grid needs min < max")
+        if not 0.0 < hi - lo < math.inf:
+            raise ValidationError("min: energy grid needs min < max, max - min finite")
         return [float(e) for e in np.linspace(lo, hi, points)]
-    raise ValidationError("energies: must be a list or a min/max/points mapping")
+    raise ValidationError("energies: must be a nonempty list or a min/max/points mapping")
 
 
 def _variant_field(cfg: dict, allow_both: bool) -> str:
@@ -148,25 +147,13 @@ def _run_tree_stats(cfg: dict, seed: int):
     return payload, None
 
 
-def _decomposition_record(report) -> dict:
-    return {
-        "passed": report.passed,
-        "max_deviation": report.max_deviation,
-        "tolerance": report.tolerance,
-        "tree_size": report.tree_size,
-        "counting_ok": report.counting_ok,
-        "block_sizes": list(report.block_sizes),
-        "block_multiplicities": list(report.block_multiplicities),
-    }
-
-
 def _run_decompose(cfg: dict, seed: int):
     spec = _spec_field(cfg)
     depth = int_field(cfg, "depth")
     variant = _variant_field(cfg, allow_both=True)
     rho = _float_field(cfg, "rho", 0.0)
     variants = (ADJACENCY, DEGREE) if variant == "both" else (variant,)
-    reports = {v: _decomposition_record(verify_decomposition(spec, depth, v, rho)) for v in variants}
+    reports = {v: dataclasses.asdict(verify_decomposition(spec, depth, v, rho)) for v in variants}
     payload = {
         "spec": spec_to_record(spec),
         "depth": depth,

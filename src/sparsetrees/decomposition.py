@@ -171,16 +171,13 @@ def verify_decomposition(
     Both sides go through eigenvalues_sym: the tree side is the assembled
     tree operator, the block side the tridiagonal matrices of the block
     recurrences, so the two eigenvalue lists come from different matrices.
-    Operators of up to BISECTION_ROWS rows are solved by the inertia
-    bisection of forest_eigenvalues, larger ones by LAPACK (dense for the
-    tree, tridiagonal for the blocks).  Where both sides are below the cap
-    the comparison is thus bisection against bisection: it checks the
-    decomposition, not the eigensolver, which tests/test_operators.py checks
-    against a 40-digit mpmath count.  For trees of at most BISECTION_ROWS
-    vertices and rho = 0 the report is the same on every platform (a
-    nonzero rho enters through the platform's tan).  Sorted lists are
-    compared entrywise; the default tolerance is 1e-9 * (1 + max
-    |eigenvalue|).
+    Both sides are solved by the same inertia bisection, tridiagonal
+    operators above BISECTION_ROWS rows aside, so the comparison checks the
+    decomposition, not the eigensolver, which tests/test_operators.py
+    checks against a 40-digit mpmath count.  With rho = 0 and no such long
+    block the report is the same on every platform (a nonzero rho enters
+    through the platform's tan).  Sorted lists are compared entrywise; the
+    default tolerance is 1e-9 * (1 + max |eigenvalue|).
     """
     if variant == ADJACENCY:
         tree_op = assemble_delta(spec, depth)

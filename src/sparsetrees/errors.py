@@ -11,4 +11,4 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A size guard refused the computation (too many vertices, too dense)."""
+    """A size guard refused the computation (too many vertices, too much work)."""

@@ -7,35 +7,39 @@ adjacency matrix, and adjacency minus the diagonal of vertex degrees
 (degrees counted inside the truncation, so the truncation is a Dirichlet
 cut after generation D).  These and the tridiagonal Jacobi blocks are all
 forests numbered parents first, which is the one form SymOperator
-stores.  Eigenvalues of operators up to BISECTION_ROWS rows come from
-bisection of inertia counts in plain IEEE arithmetic, so their bits are
-the same on every platform; larger operators go to LAPACK via
-numpy/scipy, with a fast path for tridiagonal matrices.
+stores.  Eigenvalues come from bisection of leaf-up inertia counts in
+plain IEEE arithmetic, so their bits are the same on every platform.  A
+count runs over classes of equal subtrees, not over vertices: on a
+spherically homogeneous tree every generation is one class.  Only
+tridiagonal operators above BISECTION_ROWS rows go to LAPACK.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GuardError, ValidationError
 from .jacobi import check_rho
-from .trees import TreeSpec, ball_count, generation_size, kappa
+from .trees import TreeSpec, ball_count, generation_size
 
 VERTEX_GUARD = 1_000_000
-DENSE_GUARD = 4_000
 
-# Largest operator solved by forest_eigenvalues instead of LAPACK.
-# The bisection makes 27 elimination passes of n vector steps each: on a
-# tridiagonal block of 500 rows it took 0.23 s of CPU against 7 ms for
+# Largest tridiagonal operator solved by forest_eigenvalues instead of
+# LAPACK.  A block has one subtree class per row, so its bisection work
+# grows as rows**2: at 500 rows it took 0.13 s of CPU against 7 ms for
 # LAPACK's eigh_tridiagonal (2 cores, Python 3.11, numpy 2.4, OpenBLAS
-# 0.3.31).  The cap keeps the AC1 trees (702 to 2,938 vertices) and deep
-# spectrum blocks on LAPACK.  Up to the cap the eigenvalue bits are the
-# same on every platform; above it, per LAPACK build.
+# 0.3.31).  Above the cap the eigenvalue bits depend on the LAPACK build.
 BISECTION_ROWS = 500
+
+# Largest bisection work, rows times class steps (forest_eigenvalues).  A
+# forest has at most 2 * rows - 1 steps, so every forest of up to 4,000
+# rows is accepted.
+WORK_GUARD = 32_000_000
 
 # Bisection grid: eigenvalues are located on the integers j in
 # [-2**GRID_BITS, 2**GRID_BITS], all exact doubles, scaled by a power of two.
@@ -95,13 +99,6 @@ class SymOperator:
     @property
     def size(self) -> int:
         return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        child = np.flatnonzero(self.parent >= 0)
-        a[child, self.parent[child]] = self.weight[child]
-        a[self.parent[child], child] = self.weight[child]
-        return a
 
     def is_tridiagonal(self) -> bool:
         return bool(np.all((self.parent < 0) | (self.parent == np.arange(self.size) - 1)))
@@ -166,30 +163,46 @@ def apply_root_boundary(op: SymOperator, rho: float) -> SymOperator:
     return SymOperator(diag, op.parent, op.weight)
 
 
-def _negative_pivots(diag, parent, w2, x) -> np.ndarray:
-    """Signs of the leaf-up elimination of A - x: entry [v, i] is q_v(x_i) < 0.
+def _subtree_classes(op: SymOperator) -> tuple[list[tuple], dict[int, int]]:
+    """Classes of equal subtrees, numbered children first, and their sizes.
 
-    Vertices are eliminated from the highest number down, so each comes
-    after its children: q_v = (d_v - x) - sum over children c of w_c^2/q_c,
-    the sum taken in elimination order.  By Sylvester's law of inertia the
-    number of negative pivots is the number of eigenvalues below x.  A zero
-    pivot (always +0.0, as no diagonal entry is -0.0) sends +inf to its
-    parent: the limit of a tiny positive pivot.
+    Going from the highest vertex down, a vertex's key is its diagonal, its
+    squared coupling and its children's classes in elimination order; one
+    key means one pivot q(x) and one term w^2/q sent to the parent.
     """
-    pivots = np.subtract.outer(diag, x)
-    pending = [None] * len(diag)  # sum of w_c^2/q_c over the eliminated children
-    for v in range(len(diag) - 1, -1, -1):
-        q = pivots[v]
-        if pending[v] is not None:
-            q -= pending[v]
-        p = parent[v]
-        if p < 0:
-            continue
-        if pending[p] is None:
-            pending[p] = w2[v] / q
-        else:
-            pending[p] += w2[v] / q
-    return pivots < 0.0
+    diag = (op.diag + 0.0).tolist()  # turns -0.0 into +0.0
+    w2 = (op.weight * op.weight).tolist()
+    parent = op.parent.tolist()
+    ids, mult = {}, {}
+    kids = {}  # classes of the children eliminated so far, by parent
+    for v in range(op.size - 1, -1, -1):
+        c = ids.setdefault((diag[v], w2[v], tuple(kids.pop(v, ()))), len(ids))
+        mult[c] = mult.get(c, 0) + 1
+        if parent[v] >= 0:
+            kids.setdefault(parent[v], []).append(c)
+    return list(ids), mult
+
+
+def _count_below(classes, mult, last_reader, x) -> np.ndarray:
+    """Number of eigenvalues below each x (Sylvester): sum of mult * [q < 0].
+
+    A class's pivot is q = (d - x) - its children's terms, equal terms still
+    added one at a time in elimination order, so q has the bits of the
+    per-vertex elimination.  A zero pivot (always +0.0, as no diagonal is
+    -0.0) sends +inf to its parent: the limit of a tiny positive pivot.  A
+    term is kept until its last reader has added it.
+    """
+    count = np.zeros(len(x), dtype=np.int64)
+    terms = {}
+    for c, (d, w2, kids) in enumerate(classes):
+        q = d - x
+        if kids:
+            q -= reduce(np.add, (terms[k] for k in kids))
+        count += mult[c] * (q < 0.0)
+        if c in last_reader:
+            terms[c] = w2 / q
+        terms = {k: t for k, t in terms.items() if last_reader[k] > c}
+    return count
 
 
 def forest_eigenvalues(op: SymOperator) -> np.ndarray:
@@ -215,15 +228,23 @@ def forest_eigenvalues(op: SymOperator) -> np.ndarray:
     Only IEEE basic operations and integer counts are used: no LAPACK, no
     libm call, no BLAS reduction.  The bits are thus the same on every
     platform, whether or not the floating-point count is monotone in x.
+
+    A count runs over classes of equal subtrees: one pivot per generation
+    on a spherically homogeneous tree.  Its work, rows times steps (class
+    pivots plus child terms), is refused above WORK_GUARD before any count.
     """
-    diag = op.diag + 0.0  # turns -0.0 into +0.0
+    classes, mult = _subtree_classes(op)
+    steps = sum(1 + len(kids) for _, _, kids in classes)
+    if op.size * steps > WORK_GUARD:
+        raise GuardError(
+            f"size: bisection work {op.size} rows x {steps} class steps, guard is {WORK_GUARD}"
+        )
+    last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
     linked = op.parent >= 0
-    radius = np.abs(diag) + np.abs(op.weight)  # Gershgorin: own coupling, then children's
+    radius = np.abs(op.diag) + np.abs(op.weight)  # Gershgorin: own coupling, then children's
     np.add.at(radius, op.parent[linked], np.abs(op.weight[linked]))
     h = math.ldexp(1.0, math.frexp(float(radius.max()))[1] + 1 - GRID_BITS)
 
-    parent = op.parent.tolist()
-    w2 = (op.weight * op.weight).tolist()
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
     target = np.arange(op.size)[:, None]  # eigenvalue index
@@ -233,34 +254,25 @@ def forest_eigenvalues(op: SymOperator) -> np.ndarray:
         while width > 1:
             width //= parts
             x = (lo[:, None] + width * inner) * h
-            below = _negative_pivots(diag, parent, w2, x.ravel())
-            above = np.count_nonzero(below, axis=0).reshape(x.shape) > target
+            points, back = np.unique(x, return_inverse=True)  # repeated eigenvalues share points
+            count = _count_below(classes, mult, last_reader, points)[back]
+            above = count.reshape(x.shape) > target
             first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
             lo += first * width
     return np.sort(lo * h)
 
 
 def eigenvalues_sym(op: SymOperator) -> np.ndarray:
-    """All eigenvalues of a SymOperator, ascending.
+    """All eigenvalues of a SymOperator (a forest), ascending.
 
-    Every SymOperator is a forest numbered parents first, so there is no
-    route for other graphs.  Operators of up to BISECTION_ROWS rows go
-    through forest_eigenvalues, and their bits are the same on every
-    platform.  Above that, tridiagonal operators (blocks, and trees that do
-    not branch inside the truncation) go through LAPACK's tridiagonal
-    solver at any size, and branching trees are solved densely, guarded at
-    DENSE_GUARD rows; those bits depend on the LAPACK build.
+    Tridiagonal operators above BISECTION_ROWS rows (long blocks, and trees
+    that do not branch inside the truncation) go to LAPACK's tridiagonal
+    solver, with bits per LAPACK build; that check comes first.  Every
+    other operator goes through forest_eigenvalues: the same bits on every
+    platform, with work above WORK_GUARD refused.
     """
-    if op.size == 0:
-        return np.zeros(0)
-    if op.size == 1:
-        return np.array([op.diag[0]])
-    if op.size <= BISECTION_ROWS:
-        return forest_eigenvalues(op)
-    if op.is_tridiagonal():
+    if op.size <= 1:
+        return op.diag.copy()
+    if op.size > BISECTION_ROWS and op.is_tridiagonal():
         return eigh_tridiagonal(op.diag, op.weight[1:], eigvals_only=True)
-    if op.size > DENSE_GUARD:
-        raise GuardError(
-            f"size: dense eigensolve limited to {DENSE_GUARD} rows, got {op.size}"
-        )
-    return np.linalg.eigvalsh(op.to_dense())
+    return forest_eigenvalues(op)

@@ -4,10 +4,10 @@ Every emitted byte is a pure function of the run configuration and seed:
 floats are printed with 17 significant digits (enough to round-trip a
 double exactly), JSON objects keep the key order their payloads were
 built with, CSV tables carry a fixed documented header row, and wall
-clock timing never enters the output stream.  Eigenvalues of operators up
-to operators.BISECTION_ROWS rows come from LAPACK-free bisection, so
-those reports are the same bytes on every platform; above that cap the
-last bits of eigenvalues, and so the bytes, depend on the LAPACK build.
+clock timing never enters the output stream.  Eigenvalues of trees, and
+of blocks of up to operators.BISECTION_ROWS rows, come from LAPACK-free
+bisection, so those reports are the same bytes on every platform; only
+longer blocks take their last bits, and so their bytes, from LAPACK.
 """
 
 import json

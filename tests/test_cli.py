@@ -145,7 +145,7 @@ def test_phase_diagram_csv_alpha_empty_outside_window():
             assert 0.0 < float(row[4]) <= 1.0
 
 
-def test_validation_errors_exit_2(tmp_path, capsys):
+def test_validation_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad_gamma = tmp_path / "bad_gamma.json"
     bad_gamma.write_text('{"k": 2, "gamma": "abc", "energies": [0.0]}')
     assert run(["phase-diagram", "--config", str(bad_gamma)]) == 2
@@ -190,6 +190,27 @@ def test_validation_errors_exit_2(tmp_path, capsys):
         assert run(["phase-diagram", "--config", str(config)]) == 2, gamma
         assert capsys.readouterr().err.startswith("error: gamma:"), gamma
 
+    # Non-finite numbers are refused at parse time, before any computation.
+    def no_run(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("efgp_run", "phase_diagram", "mc_exponent"):
+        monkeypatch.setattr(f"sparsetrees.cli.{name}", no_run)
+    spec = '"spec": {"family": "explicit", "k": [2, 3], "L": [2, 5]}'
+    non_finite = [
+        ("efgp-run", "{" + spec + ', "phi": 1.0, "theta0": NaN}', "theta0"),
+        ("efgp-run", "{" + spec + ', "phi": Infinity}', "phi"),
+        ("mc-exponent", '{"k": 2, "gamma": 3, "phi": -Infinity}', "phi"),
+        ("phase-diagram", '{"k": 2, "gamma": 4, "energies": [NaN, 0.0]}', "energies"),
+        ("phase-diagram", '{"k": 2, "gamma": 4, "energies": {"min": -Infinity, "max": 2.0, "points": 5}}', "min"),
+        ("phase-diagram", '{"k": 2, "gamma": 4, "energies": {"min": -1e308, "max": 1e308, "points": 5}}', "min"),
+    ]
+    for subcommand, text, field in non_finite:
+        config = tmp_path / "non_finite.json"
+        config.write_text(text)
+        assert run([subcommand, "--config", str(config)]) == 2, text
+        assert capsys.readouterr().err.startswith(f"error: {field}:"), text
+
     huge_seed = tmp_path / "huge_seed.json"
     huge_seed.write_text('{"k": 2, "gamma": 3, "phi": 1.0, "seed": 18446744073709551616}')
     assert run(["mc-exponent", "--config", str(huge_seed)]) == 2
@@ -222,6 +243,12 @@ def test_guard_violation_exits_3(tmp_path, capsys):
         json.dumps({"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 3}, "depth": 200_000})
     )
     assert run(["spectrum", "--config", str(deep)]) == 3
+    assert capsys.readouterr().err.startswith("guard:")
+
+    # about 10,000 rows x 5,001 subtree classes: over the bisection work guard
+    long_tree = tmp_path / "long_tree.json"
+    long_tree.write_text(json.dumps({"spec": {"family": "explicit", "k": [2], "L": [1]}, "depth": 5000}))
+    assert run(["decompose", "--config", str(long_tree)]) == 3
     assert capsys.readouterr().err.startswith("guard:")
 
 

@@ -102,15 +102,10 @@ def test_blocks_nest_as_tails():
 def test_truncated_block_matrix_example():
     spec = TreeSpec((1,), (2,))
     op = truncated_block(spec, 0, 2)
-    dense = op.to_dense()
-    want = np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [1.0, 0.0, math.sqrt(2)],
-            [0.0, math.sqrt(2), 0.0],
-        ]
-    )
-    assert np.allclose(dense, want, atol=1e-15)
+    # the matrix [[0, 1, 0], [1, 0, sqrt 2], [0, sqrt 2, 0]] as a forest
+    assert op.diag.tolist() == [0.0, 0.0, 0.0]
+    assert op.parent.tolist() == [-1, 0, 1]
+    assert np.allclose(op.weight, [0.0, 1.0, math.sqrt(2)], atol=1e-15)
     evs = eigenvalues_sym(op)
     assert np.allclose(evs, [-math.sqrt(3), 0.0, math.sqrt(3)], atol=1e-12)
 
@@ -195,3 +190,18 @@ def test_verify_decomposition_random_specs():
         for variant in ("adjacency", "degree"):
             rep = verify_decomposition(spec, depth, variant)
             assert rep.passed, (spec, depth, variant, rep)
+
+
+def test_verify_decomposition_makes_no_lapack_call_on_large_trees(monkeypatch):
+    # An AC1 tree and an 11,112-vertex tree: the class count solves both
+    # trees, and their blocks are short enough for the same bisection.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolver called")
+
+    monkeypatch.setattr("sparsetrees.operators.eigh_tridiagonal", no_lapack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    cases = [(make_gamma_tree(2, "5/2", 9), 150, 2863), (TreeSpec((1, 2, 3, 4), (10,) * 4), 5, 11_112)]
+    for spec, depth, size in cases:
+        for variant in ("adjacency", "degree"):
+            rep = verify_decomposition(spec, depth, variant)
+            assert rep.passed and rep.tree_size == size, (size, variant, rep.max_deviation)

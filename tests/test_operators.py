@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.operators import (
     GRID_BITS,
+    SECTION_BITS,
+    WORK_GUARD,
     SymOperator,
     apply_root_boundary,
     assemble_delta,
@@ -23,6 +28,15 @@ from sparsetrees.operators import (
     tridiagonal,
 )
 from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
+
+
+def dense(op: SymOperator) -> np.ndarray:
+    """The symmetric matrix of a forest operator."""
+    a = np.diag(op.diag)
+    child = np.flatnonzero(op.parent >= 0)
+    a[child, op.parent[child]] = op.weight[child]
+    a[op.parent[child], child] = op.weight[child]
+    return a
 
 
 def free_tridiagonal(m: int) -> SymOperator:
@@ -83,8 +97,7 @@ def test_delta_tilde_degrees_and_rows():
     op = assemble_delta_tilde(spec, 2)
     assert op.diag.tolist() == [-1.0, -3.0, -1.0, -1.0]
     assert math.copysign(1.0, assemble_delta_tilde(spec, 0).diag[0]) == -1.0
-    dense = op.to_dense()
-    assert np.allclose(dense.sum(axis=1), 0.0)
+    assert np.allclose(dense(op).sum(axis=1), 0.0)
     evs = eigenvalues_sym(op)
     assert evs.max() <= 1e-10
 
@@ -107,7 +120,7 @@ def test_root_boundary():
     spec = TreeSpec((2,), (2,))
     op = assemble_delta(spec, 3)
     unshifted = apply_root_boundary(op, 0.0)
-    assert np.array_equal(unshifted.to_dense(), op.to_dense())
+    assert np.array_equal(dense(unshifted), dense(op))
     shifted = apply_root_boundary(op, math.pi / 4)
     assert shifted.diag[0] == pytest.approx(-1.0, abs=1e-15)
     assert np.array_equal(shifted.diag[1:], op.diag[1:])
@@ -131,11 +144,11 @@ def test_eigenvalues_single_entry():
 def test_eigenvalue_residuals_small():
     spec = TreeSpec((1, 3), (3, 2))
     op = assemble_delta(spec, 5)
-    dense = op.to_dense()
-    evs, vecs = np.linalg.eigh(dense)
-    scale = np.abs(dense).sum(axis=1).max()
+    matrix = dense(op)
+    evs, vecs = np.linalg.eigh(matrix)
+    scale = np.abs(matrix).sum(axis=1).max()
     for idx in (0, len(evs) // 2, len(evs) - 1):
-        r = dense @ vecs[:, idx] - evs[idx] * vecs[:, idx]
+        r = matrix @ vecs[:, idx] - evs[idx] * vecs[:, idx]
         assert np.linalg.norm(r) <= 1e-9 * scale
 
 
@@ -148,7 +161,7 @@ def test_gershgorin_bound():
             levels.append(cur)
         spec = TreeSpec(tuple(levels), tuple(rng.randint(2, 5) for _ in levels))
         op = assemble_delta(spec, levels[-1] + 1)
-        max_degree = np.count_nonzero(op.to_dense(), axis=1).max()
+        max_degree = np.count_nonzero(dense(op), axis=1).max()
         evs = eigenvalues_sym(op)
         assert np.abs(evs).max() <= max_degree + 1e-12
 
@@ -162,13 +175,28 @@ def test_truncations_nest():
     assert np.array_equal(large.diag[: small.size], small.diag)
 
 
-def test_dense_guard_rejects_big_nontridiagonal():
+def test_work_guard_counts_classes_not_rows():
+    # 4,001 rows but 3 subtree classes: one edge and 3,999 lone vertices
     n = 4001
     parent = np.full(n, -1)
     parent[n - 1] = 0
     op = SymOperator(np.zeros(n), parent, np.where(parent >= 0, 1.0, 0.0))
-    with pytest.raises(GuardError):
-        eigenvalues_sym(op)
+    evs = eigenvalues_sym(op)
+    want = np.concatenate(([-1.0], np.zeros(n - 2), [1.0]))
+    assert np.abs(evs - want).max() <= documented_bound(op)
+
+    # a path of 5,000 pairs: 10,000 rows, 5,001 classes, 10,002 class steps
+    big = assemble_delta(TreeSpec((1,), (2,)), 5000)
+    assert big.size * 10_002 > WORK_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError):
+            eigenvalues_sym(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before any rows x classes array (400 MB of doubles) exists
+    assert peak < 8 * big.size * 5001 / 50
 
 
 def mp_count_below(op: SymOperator):
@@ -237,3 +265,107 @@ def test_forest_eigenvalues_within_documented_bound_of_mpmath():
     # the tree's repeated eigenvalues are each found
     assert largest_cluster >= 2
     assert cases[3].size == 47
+
+
+def per_vertex_eigenvalues(op: SymOperator) -> np.ndarray:
+    """forest_eigenvalues with one pivot per vertex: the reference for the class count.
+
+    The same grid and sections; each pass eliminates every vertex from the
+    highest number down, q_v = (d_v - x) - sum of w_c^2/q_c over its
+    children in elimination order, and counts the negative pivots.
+    """
+    diag = op.diag + 0.0
+    linked = op.parent >= 0
+    radius = np.abs(diag) + np.abs(op.weight)
+    np.add.at(radius, op.parent[linked], np.abs(op.weight[linked]))
+    h = math.ldexp(1.0, math.frexp(float(radius.max()))[1] + 1 - GRID_BITS)
+    parent = op.parent.tolist()
+    w2 = (op.weight * op.weight).tolist()
+    parts = 1 << SECTION_BITS
+    inner = np.arange(1, parts)
+    target = np.arange(op.size)[:, None]
+    lo = np.full(op.size, -(1 << GRID_BITS), dtype=np.int64)
+    width = 1 << (GRID_BITS + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        while width > 1:
+            width //= parts
+            x = (lo[:, None] + width * inner) * h
+            pivots = np.subtract.outer(diag, x.ravel())
+            pending = [None] * op.size
+            for v in range(op.size - 1, -1, -1):
+                q = pivots[v]
+                if pending[v] is not None:
+                    q -= pending[v]
+                p = parent[v]
+                if p < 0:
+                    continue
+                if pending[p] is None:
+                    pending[p] = w2[v] / q
+                else:
+                    pending[p] += w2[v] / q
+            count = np.count_nonzero(pivots < 0.0, axis=0)
+            above = count.reshape(x.shape) > target
+            first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
+            lo += first * width
+    return np.sort(lo * h)
+
+
+@st.composite
+def forests_with_repeated_subtrees(draw, max_rows: int = 60) -> SymOperator:
+    """Forests grown generation by generation from a few subtree types.
+
+    A type is a diagonal, a coupling to its parent and a list of child
+    types, so equal types grow equal subtrees.  Diagonals include -0.0; a
+    zero coupling is no edge, and the child starts a tree of its own.  Each
+    generation is shuffled, so equal subtrees may order their children
+    differently.
+    """
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25])
+    couplings = st.sampled_from([0.0, 1.0, 0.5, math.sqrt(2.0)])
+    types = []
+    for t in range(draw(st.integers(2, 7))):
+        kids = draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=5)) if t else []
+        types.append((draw(values), draw(couplings), kids))
+    roots = [len(types) - 1] + draw(st.lists(st.integers(0, len(types) - 1), max_size=2))
+    level = [(t, -1) for t in roots]
+    diag, parent, weight = [], [], []
+    while level and len(diag) < max_rows:
+        grown = []
+        for t, p in draw(st.permutations(level))[: max_rows - len(diag)]:
+            d, w, kids = types[t]
+            linked = p >= 0 and w != 0.0
+            grown.extend((k, len(diag)) for k in kids)
+            diag.append(d)
+            parent.append(p if linked else -1)
+            weight.append(w if linked else 0.0)
+        level = grown
+    return SymOperator(np.array(diag), np.array(parent), np.array(weight))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(forests_with_repeated_subtrees())
+@example(assemble_delta_tilde(TreeSpec((1, 3), (3, 2)), 6))
+@example(apply_root_boundary(assemble_delta(make_gamma_tree(2, 3, 4), 9), 0.3))
+def test_class_count_is_the_per_vertex_count_bit_for_bit(op):
+    evs = forest_eigenvalues(op)
+    assert np.array_equal(evs.view(np.int64), per_vertex_eigenvalues(op).view(np.int64))
+    with mpmath.workdps(40):
+        bound = mpmath.mpf(documented_bound(op))
+        count_below = mp_count_below(op)
+        for k, ev in enumerate(evs):
+            assert count_below(mpmath.mpf(ev) - bound) <= k < count_below(mpmath.mpf(ev) + bound)
+
+
+def test_class_count_agrees_with_dense_lapack_at_ac1_size():
+    # The two largest AC1 trees, in both variants, against LAPACK's dense
+    # solver; the tolerance, 1e-12 * (1 + Gershgorin bound), was fixed
+    # before the first run.
+    cases = [(make_gamma_tree(2, "5/2", 9), 150, 2863), (make_gamma_tree(3, 3, 5), 97, 2938)]
+    for spec, depth, size in cases:
+        for assemble in (assemble_delta, assemble_delta_tilde):
+            op = assemble(spec, depth)
+            matrix = dense(op)
+            gershgorin = np.abs(matrix).sum(axis=1).max()
+            got = eigenvalues_sym(op)
+            assert op.size == size
+            assert np.abs(got - np.linalg.eigvalsh(matrix)).max() <= 1e-12 * (1.0 + gershgorin)
