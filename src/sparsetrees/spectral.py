@@ -36,15 +36,23 @@ from .errors import ValidationError
 from .jacobi import ADJACENCY
 from .operators import eigenvalues_sym
 from .phase import PhaseReducer, parse_pi_multiple
-from .trees import TreeSpec, check_k, parse_gamma, sample_omega_tree, theoretical_dimension
+from .trees import (
+    TreeSpec,
+    check_floor_bits,
+    check_jitter_gamma,
+    check_k,
+    make_gamma_tree,
+    parse_gamma,
+    sample_omega_tree,
+    theoretical_dimension,
+)
 from .transfer import bump_coefficients, check_phi, efgp_run, mean_kick
 
 
 def _as_float_gamma(gamma) -> float:
-    value = float(parse_gamma(gamma))
-    if not value > 2.0:
-        raise ValidationError("gamma: must be > 2")
-    return value
+    g = parse_gamma(gamma)
+    check_jitter_gamma(g)
+    return float(g)
 
 
 def V(k: int) -> float:
@@ -234,8 +242,16 @@ def mc_exponent(
     float to run at an exact rational multiple of pi: the phase advances
     are then reduced exactly, which preserves resonance effects a float
     angle would wash out at geometric depths.
+
+    The trials share what does not depend on the jitter: gamma is parsed
+    and checked once, the floors floor(gamma**n) are built once (each
+    trial draws its jitter on them), and one PhaseReducer serves every
+    trial, so a floor gap's phase product is computed once per op (up to
+    the reducer's MEMO_ENTRIES).  n_bumps is refused with a GuardError
+    when its floors would exceed trees.FLOOR_BITS_GUARD.
     """
-    g = _as_float_gamma(gamma)
+    gamma = parse_gamma(gamma)
+    check_jitter_gamma(gamma)
     check_k(k)
     if (phi is None) == (pi_multiple is None):
         raise ValidationError("phi: give exactly one of phi, pi_multiple")
@@ -245,11 +261,16 @@ def mc_exponent(
         reducer = PhaseReducer.from_pi_multiple(multiple)
         phi = float(multiple) * math.pi
     check_phi(phi)
+    if reducer is None:
+        reducer = PhaseReducer.from_angle(phi)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:
         raise ValidationError("trials: must be at least 1")
+    check_floor_bits(gamma, n_bumps, "n_bumps")
+    base = make_gamma_tree(k, gamma, n_bumps)
 
+    g = float(gamma)
     z = Z(phi, k)
     log_g = math.log(g)
     x = np.arange(n_bumps + 1, dtype=float) * log_g
@@ -259,7 +280,7 @@ def mc_exponent(
     curves: list[np.ndarray] = []
     num = 0.0
     for trial in range(trials):
-        spec = sample_omega_tree(k=k, gamma=gamma, n_levels=n_bumps, seed=seed, trial=trial)
+        spec = sample_omega_tree(base, seed, trial)
         trajectory = efgp_run(spec, phi, reducer=reducer)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)

@@ -432,6 +432,13 @@ def efgp_run(
     levels sit, so geometric trees with thousands of branchings are cheap.
     theta0 is the phase at site 1; use `boundary_theta0` to encode a
     boundary coupling.
+
+    On an omega spec each gap is handed to the reducer split as the gap
+    of the floors plus the jitter difference omega_n - omega_{n-1}, so
+    runs that share one reducer over the same floors (`mc_exponent`'s
+    trials) compute each floor gap's phase product once.  Gamma and
+    explicit specs pass their gaps whole and leave the reducer's memo
+    empty.
     """
     check_phi(phi)
     levels = spec.branch_levels
@@ -458,14 +465,20 @@ def efgp_run(
     reduce = reducer.reduce
     log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
 
+    omega = spec.omega
+    if omega:
+        offsets = [w - v for v, w in zip((0,) + omega, omega[:n_bumps])]
+    else:
+        offsets = [None] * n_bumps
+
     theta = theta0 % _TWO_PI
     log_r = 0.0
     log_rs, thetas, ys, entries = [log_r], [theta], [0.0], [theta]
     previous = None
-    for level, k in zip(levels[:n_bumps], factors):
+    for level, k, offset in zip(levels[:n_bumps], factors, offsets):
         gap = level if previous is None else level - previous - 2
         previous = level
-        theta_entry = (theta + reduce(gap)) % _TWO_PI
+        theta_entry = (theta + reduce(gap, offset)) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
             kick = bump_coefficients(k, phi)

@@ -23,10 +23,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 
 _MAX_SEED = 2**64
 _MISSING = object()
+
+# Largest total size, in bits, of the exact floors floor(gamma**n), n <= N,
+# that a generated spec may hold: about N**2 / 2 * log2(gamma) bits, so
+# memory grows as N**2 (about 100 GB at N = 10**6, gamma = 3).  2**27 bits
+# are 16 MiB of floors, N = 13,000 at gamma = 3; the largest configs in
+# use (N = 2,000 at gamma = 3) hold 3.2 million bits.
+FLOOR_BITS_GUARD = 2**27
 
 
 def record_field(record: dict, name: str, default=_MISSING):
@@ -47,6 +54,24 @@ def check_int(value, name: str) -> int:
 
 def int_field(record: dict, name: str, default=_MISSING) -> int:
     return check_int(record_field(record, name, default), name)
+
+
+def check_floor_bits(gamma: Fraction, n_levels: int, name: str) -> None:
+    """Refuse n_levels floors of gamma > 1 above FLOOR_BITS_GUARD, naming field `name`."""
+    bits = n_levels * (n_levels + 1) / 2 * (
+        math.log2(gamma.numerator) - math.log2(gamma.denominator)
+    )
+    if bits > FLOOR_BITS_GUARD:
+        raise GuardError(
+            f"{name}: {n_levels} floors of gamma = {gamma} hold about {bits:.3g} bits, "
+            f"guard is {FLOOR_BITS_GUARD}"
+        )
+
+
+def check_jitter_gamma(gamma: Fraction) -> None:
+    """The jittered family, and the phase predictions made for it, need gamma > 2."""
+    if gamma <= 2:
+        raise ValidationError(f"gamma: must be > 2, got {gamma}")
 
 
 def check_k(k: int) -> None:
@@ -81,7 +106,8 @@ class TreeSpec:
     branch_levels holds the generations L_n at which branching happens
     (strictly increasing, starting at 1 or later) and branch_factors the
     corresponding k_n >= 2.  family records how the spec was produced;
-    gamma, seed and omega are only set for the generated families.
+    gamma is only set for the generated families, and seed, trial and
+    omega only for the jittered one.
     """
 
     branch_levels: tuple[int, ...]
@@ -89,6 +115,7 @@ class TreeSpec:
     family: str = "explicit"
     gamma: Fraction | None = None
     seed: int | None = None
+    trial: int | None = None
     omega: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -196,6 +223,9 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
     k : constant branching factor, >= 2
     gamma : growth ratio > 1 (rational "p/q", decimal string, or number)
     n_levels : number of branching generations to materialise
+
+    Floors holding more than FLOOR_BITS_GUARD bits in all are refused
+    with a GuardError naming N, before any is built.
     """
     g = parse_gamma(gamma)
     if g <= 1:
@@ -203,18 +233,20 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
     if n_levels < 1:
         raise ValidationError("n_levels: need at least one branching level")
     check_k(k)
+    check_floor_bits(g, n_levels, "N")
     p, q = g.numerator, g.denominator
     levels = []
     pn, qn = 1, 1
     for _ in range(n_levels):
         pn *= p
         qn *= q
-        levels.append(pn // qn)
-    for a, b in zip(levels, levels[1:]):
-        if b <= a:
+        level = pn // qn
+        # refused at the first repeat, not after all n_levels powers
+        if levels and level <= levels[-1]:
             raise ValidationError(
                 f"gamma: floor(gamma**n) not strictly increasing at this horizon (gamma={g})"
             )
+        levels.append(level)
     if levels[0] < 1:
         raise ValidationError("gamma: first level floor(gamma) must be >= 1")
     return TreeSpec(tuple(levels), (k,) * n_levels, family="gamma", gamma=g)
@@ -229,34 +261,33 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
-def sample_omega_tree(
-    k: int,
-    gamma: str | float | Fraction,
-    n_levels: int,
-    seed: int,
-    trial: int = 0,
-) -> TreeSpec:
+def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
     """Draw the jittered geometric spec L_n = floor(gamma**n) + omega_n.
 
+    base is the gamma-family spec (`make_gamma_tree`) whose levels are the
+    floors; they are read, not rebuilt, so the trials of one Monte Carlo
+    op draw their jitter on the floors built once for the op.
     omega_n is uniform on {-n, ..., n}.  When a draw would break the tree
     (level below 1, or a gap smaller than 2) only that omega_n is redrawn;
     for gamma > 2 a valid value always exists, so the repair terminates.
     Identical (seed, trial) pairs reproduce the sample exactly; the drawn
     offsets are kept in the spec's omega field.
     """
-    g = parse_gamma(gamma)
-    if g <= 2:
-        raise ValidationError(f"gamma: jittered family needs gamma > 2, got {g}")
-    floors = make_gamma_tree(k, g, n_levels).branch_levels
+    if base.family != "gamma":
+        raise ValidationError("family: omega trees are drawn on a gamma-family spec")
+    g = base.gamma
+    check_jitter_gamma(g)
+    floors = base.branch_levels
+    n_levels = base.n_branchings
     # Level m is safe when its lowest value floor_m - m clears the highest
-    # value floor_{m-1} + (m - 1) of the level before by 2: no draw there
+    # value floor_{m-1} + (m - 1) of the level before by 2, that is when
+    # floor_m - floor_{m-1} > 2m (level 1: when floor_1 > 1): no draw there
     # needs a repair.  Levels up to the last unsafe one are drawn one by
     # one; every later level comes from one array draw, which bounds each
     # element like a scalar draw and so reads the same Philox stream.
-    repairable = 0
-    for m in range(n_levels, 0, -1):
-        lower = 1 if m == 1 else floors[m - 2] + m + 1
-        if floors[m - 1] - m < lower:
+    repairable = 0 if floors[0] > 1 else 1
+    for m in range(n_levels, 1, -1):
+        if floors[m - 1] - floors[m - 2] <= 2 * m:
             repairable = m
             break
     rng = _trial_rng(seed, trial)
@@ -279,10 +310,11 @@ def sample_omega_tree(
     omegas.extend(tail)
     return TreeSpec(
         tuple(levels),
-        (k,) * n_levels,
+        base.branch_factors,
         family="omega",
         gamma=g,
         seed=seed,
+        trial=trial,
         omega=tuple(omegas),
     )
 
@@ -336,6 +368,8 @@ def spec_to_record(spec: TreeSpec) -> dict:
     }
     if spec.family == "omega":
         record["seed"] = spec.seed
+        if spec.trial:
+            record["trial"] = spec.trial
     return record
 
 
@@ -358,5 +392,7 @@ def spec_from_record(record: dict) -> TreeSpec:
         n_levels = int_field(record, "N")
         if family == "gamma":
             return make_gamma_tree(k, gamma, n_levels)
-        return sample_omega_tree(k, gamma, n_levels, int_field(record, "seed"))
+        seed = int_field(record, "seed")
+        trial = int_field(record, "trial", 0)
+        return sample_omega_tree(make_gamma_tree(k, gamma, n_levels), seed, trial)
     raise ValidationError(f"family: unknown family {family!r}")

@@ -252,6 +252,20 @@ def test_guard_violation_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("guard:")
 
 
+def test_floor_guard_exits_3_naming_the_field(tmp_path, capsys):
+    # just over the floor-bits guard at gamma = 3 (13,000 floors fit)
+    cases = [
+        ("tree-stats", {"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 13_100}, "depth": 5}, "N"),
+        ("efgp-run", {"spec": {"family": "omega", "k": 2, "gamma": 3, "N": 13_100, "seed": 1}, "phi": 1.0}, "N"),
+        ("mc-exponent", {"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 13_100}, "n_bumps"),
+    ]
+    for subcommand, cfg, field in cases:
+        config = tmp_path / "floors.json"
+        config.write_text(json.dumps(cfg))
+        assert run([subcommand, "--config", str(config)]) == 3, subcommand
+        assert capsys.readouterr().err.startswith(f"guard: {field}: 13100 floors"), subcommand
+
+
 def test_efgp_run_accepts_exact_pi_multiple(tmp_path, capsysbinary):
     config = tmp_path / "exact.json"
     config.write_text(

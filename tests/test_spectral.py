@@ -2,18 +2,21 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sparsetrees.errors import GuardError, ValidationError
+from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import (
     PREDICTION_DEFERRED,
     PREDICTION_PURE_SC,
     V,
     Z,
     classify,
+    ExponentReport,
     corollary_check,
     essential_spectrum_coverage,
     f_theta,
@@ -25,7 +28,8 @@ from sparsetrees.spectral import (
     phase_diagram,
     theorem_classifier,
 )
-from sparsetrees.trees import TreeSpec, make_gamma_tree, theoretical_dimension
+from sparsetrees.transfer import efgp_run
+from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree, theoretical_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,88 @@ def test_mc_exponent_exact_right_angle_input():
     for bad in ("1/0", "abc"):
         with pytest.raises(ValidationError, match="^pi_multiple: cannot parse"):
             mc_exponent(2, 3, None, pi_multiple=bad)
+
+
+def test_mc_exponent_shared_work_changes_nothing():
+    # At gamma = 3, 400 bumps take the gaps through four precision steps
+    # (256 to 1,024 bits), so memoised products meet every precision.
+    k, phi, n_bumps, trials, seed = 2, 1.0, 400, 3, 11
+    report = mc_exponent(k, 3, phi, n_bumps=n_bumps, trials=trials, seed=seed)
+
+    # One op without sharing: fresh floors and a fresh reducer per trial.
+    runs = [
+        efgp_run(
+            sample_omega_tree(make_gamma_tree(k, 3, n_bumps), seed, trial),
+            phi,
+            reducer=PhaseReducer.from_angle(phi),
+        )
+        for trial in range(trials)
+    ]
+    log_g = math.log(3.0)
+    x = np.arange(n_bumps + 1, dtype=float) * log_g
+    xc = x - x.mean()
+    num = 0.0
+    for run in runs:
+        num += float(np.dot(xc, np.array(run.log_r)))
+    slope = num / (float(np.dot(xc, xc)) * trials)
+    stacked = np.vstack([np.array(run.log_r) for run in runs])
+    intercept = float(stacked.mean()) - slope * float(x.mean())
+    means = np.asarray([run.mean_y() for run in runs])
+    mean_y = float(means.mean())
+    std_error = float(means.std(ddof=1) / math.sqrt(trials))
+    z = Z(phi, k)
+    assert report == ExponentReport(
+        k=k,
+        gamma=3.0,
+        phi=phi,
+        n_bumps=n_bumps,
+        trials=trials,
+        seed=seed,
+        z_predicted=z,
+        mean_y=mean_y,
+        std_error=std_error,
+        deviation_sigmas=abs(mean_y - z) / std_error,
+        slope=slope,
+        slope_target=z / log_g,
+        slope_rel_error=(slope - z / log_g) / (z / log_g),
+        rms_residual=float(np.sqrt(np.mean((stacked - (intercept + slope * x)) ** 2))),
+        trial_means=tuple(run.mean_y() for run in runs),
+    )
+
+
+def test_mc_exponent_builds_floors_and_reducer_once(monkeypatch):
+    floors, reducers = [], []
+    monkeypatch.setattr(
+        "sparsetrees.spectral.make_gamma_tree",
+        lambda *args: floors.append(args) or make_gamma_tree(*args),
+    )
+    init = PhaseReducer.__init__
+
+    def counted_init(reducer, *args, **kwargs):
+        reducers.append(reducer)
+        init(reducer, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseReducer, "__init__", counted_init)
+    mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
+    assert len(floors) == 1 and len(reducers) == 1
+    # one product per floor gap
+    assert len(reducers[0]._memo) == 50
+    mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
+    assert len(floors) == 2 and len(reducers) == 2
+    assert not reducers[1]._memo
+
+
+def test_mc_exponent_guards_n_bumps_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="^n_bumps: 13100 floors"):
+            mc_exponent(2, 3, 1.0, n_bumps=13_100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(ValidationError, match="^gamma: must be > 2, got 2$"):
+        mc_exponent(2, 2, 1.0, n_bumps=10)
 
 
 # ---------------------------------------------------------------------------

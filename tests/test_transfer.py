@@ -31,7 +31,7 @@ from sparsetrees.transfer import (
     subordinate_direction,
     transfer_product,
 )
-from sparsetrees.trees import TreeSpec, make_gamma_tree
+from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,6 +361,21 @@ def test_mean_y_burn_in_drops_leading_bumps_and_rejects_negatives():
         trajectory.mean_y(burn_in=-1)
     with pytest.raises(ValidationError, match="burn_in"):
         trajectory.mean_y(burn_in=50)
+
+
+def test_efgp_run_splits_only_jittered_gaps():
+    base = make_gamma_tree(2, 3, 60)
+    reducer = PhaseReducer.from_angle(1.0)
+    assert efgp_run(base, 1.0, reducer=reducer) == efgp_run(base, 1.0)
+    assert efgp_run(small_tree(), 1.0, reducer=reducer) == efgp_run(small_tree(), 1.0)
+    assert not reducer._memo
+    for trial in range(3):
+        spec = sample_omega_tree(base, seed=9, trial=trial)
+        assert efgp_run(spec, 1.0, reducer=reducer) == efgp_run(spec, 1.0)
+    # one product per floor gap
+    assert len(reducer._memo) == 60
+    spec = sample_omega_tree(base, seed=9, trial=3)
+    assert efgp_run(spec, 1.0, n_bumps=20, reducer=reducer) == efgp_run(spec, 1.0, n_bumps=20)
 
 
 def test_efgp_run_validation():

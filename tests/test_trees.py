@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsetrees.errors import ValidationError
+from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.trees import (
+    FLOOR_BITS_GUARD,
     TreeSpec,
     ball_count,
+    check_floor_bits,
     estimate_dimension,
     generation_size,
     kappa,
@@ -170,20 +173,21 @@ def test_parse_gamma_forms():
 
 
 def test_sample_omega_tree_deterministic_and_valid():
-    spec1 = sample_omega_tree(2, 3, 10, seed=42)
-    spec2 = sample_omega_tree(2, 3, 10, seed=42)
+    base = make_gamma_tree(2, 3, 10)
+    spec1 = sample_omega_tree(base, seed=42)
+    spec2 = sample_omega_tree(base, seed=42)
     assert spec1 == spec2
     assert spec1.omega == spec2.omega
     assert all(abs(w) <= n + 1 for n, w in enumerate(spec1.omega))
     gaps = [b - a for a, b in zip(spec1.branch_levels, spec1.branch_levels[1:])]
     assert all(g >= 2 for g in gaps)
-    spec3 = sample_omega_tree(2, 3, 10, seed=43)
+    spec3 = sample_omega_tree(base, seed=43)
     assert spec3 != spec1
 
 
 def test_sample_omega_tree_offsets_within_range():
     base = make_gamma_tree(2, 3, 12)
-    spec = sample_omega_tree(2, 3, 12, seed=7)
+    spec = sample_omega_tree(base, seed=7)
     for n in range(12):
         assert spec.branch_levels[n] == base.branch_levels[n] + spec.omega[n]
         assert -(n + 1) <= spec.omega[n] <= n + 1
@@ -191,7 +195,7 @@ def test_sample_omega_tree_offsets_within_range():
 
 def test_sample_omega_tree_rejects_small_gamma():
     with pytest.raises(ValidationError):
-        sample_omega_tree(2, 2, 5, seed=1)
+        sample_omega_tree(make_gamma_tree(2, 2, 5), seed=1)
 
 
 def scalar_omega_sample(k, gamma, n_levels, seed, trial):
@@ -223,7 +227,7 @@ _OMEGA_GAMMAS = ("2.01", "21/10", "5/2", "3", "7")
 )
 @example(gamma="2.01", n_levels=60, seed=0, trial=0)
 def test_sample_omega_tree_matches_scalar_draws(gamma, n_levels, seed, trial):
-    spec = sample_omega_tree(2, gamma, n_levels, seed=seed, trial=trial)
+    spec = sample_omega_tree(make_gamma_tree(2, gamma, n_levels), seed=seed, trial=trial)
     levels, omegas, _ = scalar_omega_sample(2, gamma, n_levels, seed, trial)
     assert spec.branch_levels == levels
     assert spec.omega == omegas
@@ -234,7 +238,7 @@ def test_sample_omega_tree_matches_scalar_draws_through_repairs():
     for gamma in ("2.01", "21/10"):
         for seed in range(8):
             levels, omegas, fired = scalar_omega_sample(3, gamma, 60, seed, 1)
-            spec = sample_omega_tree(3, gamma, 60, seed=seed, trial=1)
+            spec = sample_omega_tree(make_gamma_tree(3, gamma, 60), seed=seed, trial=1)
             assert (spec.branch_levels, spec.omega) == (levels, omegas)
             redraws += fired
     assert redraws > 0
@@ -244,8 +248,9 @@ def test_omega_marginal_is_uniform():
     # frequency of each omega_3 value over many trials, three-sigma band
     trials = 20000
     counts = {w: 0 for w in range(-3, 4)}
+    base = make_gamma_tree(2, 3, 4)
     for t in range(trials):
-        spec = sample_omega_tree(2, 3, 4, seed=2024, trial=t)
+        spec = sample_omega_tree(base, seed=2024, trial=t)
         counts[spec.omega[2]] += 1
     expect = trials / 7
     sigma = math.sqrt(trials * (1 / 7) * (6 / 7))
@@ -272,7 +277,7 @@ def test_spec_record_round_trip():
     gamma_spec = make_gamma_tree(2, "5/2", 6)
     assert spec_from_record(spec_to_record(gamma_spec)) == gamma_spec
 
-    omega_spec = sample_omega_tree(2, 3, 6, seed=5)
+    omega_spec = sample_omega_tree(make_gamma_tree(2, 3, 6), seed=5)
     rec = spec_to_record(omega_spec)
     assert rec["seed"] == 5
     assert spec_from_record(rec) == omega_spec
@@ -282,6 +287,52 @@ def test_spec_record_round_trip():
 
     with pytest.raises(ValidationError):
         spec_from_record({"family": "gamma", "k": 2, "gamma": "x", "N": 3})
+
+
+def test_omega_record_round_trips_its_trial():
+    spec = sample_omega_tree(make_gamma_tree(2, 3, 30), seed=5, trial=3)
+    record = spec_to_record(spec)
+    assert record["trial"] == 3
+    assert spec_from_record(record) == spec
+    assert spec_from_record(record).omega[:3] == (0, -2, 0)
+    # trial 0 writes no trial field, so reports of earlier versions keep their bytes
+    first = spec_to_record(sample_omega_tree(make_gamma_tree(2, 3, 30), seed=5))
+    assert "trial" not in first
+    with pytest.raises(ValidationError, match="^trial: must be an integer"):
+        spec_from_record({**record, "trial": "3"})
+
+
+def test_sample_omega_tree_needs_a_gamma_base():
+    with pytest.raises(ValidationError, match="^family:"):
+        sample_omega_tree(TreeSpec((3, 9), (2, 2)), seed=1)
+    with pytest.raises(ValidationError, match="^gamma: must be > 2, got 2$"):
+        sample_omega_tree(make_gamma_tree(2, 2, 5), seed=1)
+
+
+def test_floor_bits_guard_refuses_before_building():
+    # N (N + 1) / 2 * log2(3) bits against 2**27: 13,000 floors of gamma = 3
+    # fit and 13,100 do not.  The refused sizes stay just over the guard, so
+    # a guard that stopped firing would cost seconds, not all memory.
+    assert 13_000 * 13_001 / 2 * math.log2(3) < FLOOR_BITS_GUARD < 13_100 * 13_101 / 2 * math.log2(3)
+    check_floor_bits(Fraction(3), 13_000, "N")
+    with pytest.raises(GuardError, match="^n_bumps: 2000 floors"):
+        check_floor_bits(Fraction(10**100), 2_000, "n_bumps")
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: make_gamma_tree(2, 3, 13_100),
+            lambda: spec_from_record({"family": "omega", "k": 2, "gamma": 3, "N": 13_100, "seed": 1}),
+        ):
+            with pytest.raises(GuardError, match="^N: 13100 floors of gamma = 3 hold about"):
+                build()
+        # Floors of gamma near 1 are few bits each, so the guard admits many;
+        # their first repeat refuses the spec before the rest are built.
+        with pytest.raises(ValidationError, match="^gamma: floor.gamma..n. not strictly"):
+            make_gamma_tree(2, "1.0001", 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_spec_validation_errors():
