@@ -9,15 +9,15 @@ than 2**-180 of a turn.  The working precision adapts to the step count,
 so step counts with thousands of bits are handled; when the angle is an
 exact rational multiple of pi the reduction is exact integer arithmetic.
 Either way the residue is an integer fraction of the turn, and its float
-is the correctly rounded quotient: the same double as converting the
-exact rational, without reducing it by a gcd first, and on the
-fixed-point path without dividing long integers.
+comes from Python's correctly rounded int/int division: the same double
+as converting the exact rational, without reducing it by a gcd first.
 
 A reducer holds no state beyond its angle's fixed-point values, one per
-precision, and a memo of split products (see `PhaseReducer.reduce`).
-Both live and die with the reducer, so runs that share one reducer, like
-the Monte Carlo trials of one `spectral.mc_exponent` op, share them.  The
-memo holds at most MEMO_ENTRIES products.
+precision.  Callers whose step counts recur as the same large base plus
+a small offset, like the Monte Carlo trials of one `spectral.mc_exponent`
+op on shared floors, may hand `PhaseReducer.reduce` a memo of the base
+products: a dict the caller owns, for one angle, that never holds more
+than MEMO_ENTRIES products.
 """
 
 from __future__ import annotations
@@ -33,30 +33,11 @@ _TWO_PI = 2.0 * math.pi
 _MIN_BITS = 256
 _GUARD_BITS = 192
 
-# Most split products (base * fixed) mod 2**bits one reducer keeps.  The
+# Most split products (base * fixed) mod 2**bits one memo keeps.  The
 # Monte Carlo trials of one op share a floor gap per bump, so an op of up
 # to this many bumps finds every product after its first trial.  At 2,000
-# bumps of gamma = 3 the memo holds 1.06 MB.
+# bumps of gamma = 3 a memo holds 1.06 MB.
 MEMO_ENTRIES = 4096
-
-
-def _over_power_of_two(num: int, bits: int) -> float:
-    """num / 2**bits, bit for bit Python's correctly rounded int division.
-
-    A num of thousands of bits rounds like its top 64 bits with the lowest
-    one set when any bit below them is (a sticky bit), so the double is
-    that 64-bit value's, scaled by a power of two: no long division.  Nums
-    of at most 64 bits, and quotients below the normal range, where the
-    scaling would round a second time, divide as they are.
-    """
-    length = num.bit_length()
-    shift = length - 64
-    if shift <= 0 or length < bits - 1021:
-        return num / (1 << bits)
-    top = num >> shift
-    if top << shift != num:
-        top |= 1
-    return math.ldexp(float(top), shift - bits)
 
 
 def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
@@ -84,8 +65,7 @@ class PhaseReducer:
             self.angle = float(circle_fraction) * _TWO_PI
         else:
             self.angle = float(angle)
-        self._fixed_cache: dict[int, tuple[int, int]] = {}
-        self._memo: dict[int, int] = {}
+        self._fixed_cache: dict[int, int] = {}
 
     @classmethod
     def from_angle(cls, angle: float) -> PhaseReducer:
@@ -100,8 +80,8 @@ class PhaseReducer:
         need = steps.bit_length() + _GUARD_BITS
         return max(_MIN_BITS, ((need + 255) // 256) * 256)
 
-    def _fixed(self, bits: int) -> tuple[int, int]:
-        """(floor(frac(angle / 2pi) * 2**bits), 2**bits - 1), cached per precision."""
+    def _fixed(self, bits: int) -> int:
+        """floor(frac(angle / 2pi) * 2**bits), cached per precision."""
         cached = self._fixed_cache.get(bits)
         if cached is not None:
             return cached
@@ -112,20 +92,20 @@ class PhaseReducer:
                 x = mp.mpf(self.angle) / (2 * mp.pi)
             x = x - mp.floor(x)
             value = int(mp.floor(mp.ldexp(x, bits)))
-        cached = self._fixed_cache[bits] = (value, (1 << bits) - 1)
-        return cached
+        self._fixed_cache[bits] = value
+        return value
 
     def _residue(
-        self, steps: int, use_exact: bool, offset: int | None = None
+        self, steps: int, use_exact: bool, offset: int = 0, memo: dict[int, int] | None = None
     ) -> tuple[int, int]:
         """(numerator, denominator) of the fractional turn of steps * angle.
 
-        With an offset, the fixed-point product of base = steps - offset,
+        With a memo, the fixed-point product of base = steps - offset,
         reduced at the precision of base, is taken from the memo, or
         computed and memoised while it has room.  The precision still
         follows steps: where the offset carries steps to another precision
         than base's, the product is computed whole.  So the residue is the
-        same integer as without an offset.
+        same integer as without a memo.
         """
         if steps < 0:
             raise ValidationError("steps: must be >= 0")
@@ -133,17 +113,15 @@ class PhaseReducer:
             f = self.circle_fraction
             return (steps * f.numerator) % f.denominator, f.denominator
         bits = self._bits_for(steps)
-        fixed, mask = self._fixed(bits)
-        if offset is None:
-            return (steps * fixed) & mask, 1 << bits
+        fixed, mask = self._fixed(bits), (1 << bits) - 1
         base = steps - offset
-        if self._bits_for(base) != bits:
+        if memo is None or self._bits_for(base) != bits:
             return (steps * fixed) & mask, 1 << bits
-        head = self._memo.get(base)
+        head = memo.get(base)
         if head is None:
             head = (base * fixed) & mask
-            if len(self._memo) < MEMO_ENTRIES:
-                self._memo[base] = head
+            if len(memo) < MEMO_ENTRIES:
+                memo[base] = head
         return (head + offset * fixed) & mask, 1 << bits
 
     def reduce_fraction(self, steps: int, use_exact: bool = True) -> Fraction:
@@ -156,23 +134,22 @@ class PhaseReducer:
         """
         return Fraction(*self._residue(steps, use_exact))
 
-    def reduce(self, steps: int, offset: int | None = None) -> float:
+    def reduce(self, steps: int, offset: int = 0, memo: dict[int, int] | None = None) -> float:
         """steps * angle modulo 2*pi, in [0, 2*pi).
 
-        The residue's float is its correctly rounded quotient, bit for
-        bit float(reduce_fraction(steps)), with no gcd taken.
+        The residue's float is its correctly rounded integer division,
+        bit for bit float(reduce_fraction(steps)), with no gcd taken.
 
-        offset splits steps as base + offset, for callers whose steps
+        A memo splits steps as base + offset, for callers whose steps
         recur as the same large base plus a small offset: the gaps of
         omega trees drawn on the same floors.  The product of base and
         the fixed-point angle, a multiply of two numbers of thousands of
-        bits, is then memoised per base, and a repeated base costs one
-        small multiply.  The result is the same float with or without an
-        offset.  The exact-rational path ignores it.
+        bits, is then kept in the memo per base, and a repeated base costs
+        one small multiply.  The memo belongs to the caller and to this
+        angle; it takes at most MEMO_ENTRIES products.  The result is the
+        same float with or without a memo.  The exact-rational path
+        ignores offset and memo.
         """
-        num, den = self._residue(steps, True, offset)
-        if self.circle_fraction is None:
-            value = _over_power_of_two(num, den.bit_length() - 1) * _TWO_PI
-        else:
-            value = num / den * _TWO_PI
+        num, den = self._residue(steps, True, offset, memo)
+        value = num / den * _TWO_PI
         return value if value < _TWO_PI else 0.0

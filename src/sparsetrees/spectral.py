@@ -245,10 +245,12 @@ def mc_exponent(
 
     The trials share what does not depend on the jitter: gamma is parsed
     and checked once, the floors floor(gamma**n) are built once (each
-    trial draws its jitter on them), and one PhaseReducer serves every
-    trial, so a floor gap's phase product is computed once per op (up to
-    the reducer's MEMO_ENTRIES).  n_bumps is refused with a GuardError
-    when its floors would exceed trees.FLOOR_BITS_GUARD.
+    trial draws its jitter on them), and one memo of phase products
+    serves every trial, so a floor gap's product with the fixed-point
+    angle is computed once per op (up to phase.MEMO_ENTRIES).  A float
+    phi gets a fresh PhaseReducer per trial, an exact one is shared.
+    n_bumps is refused with a GuardError when its floors would exceed
+    trees.FLOOR_BITS_GUARD.
     """
     gamma = parse_gamma(gamma)
     check_jitter_gamma(gamma)
@@ -261,8 +263,6 @@ def mc_exponent(
         reducer = PhaseReducer.from_pi_multiple(multiple)
         phi = float(multiple) * math.pi
     check_phi(phi)
-    if reducer is None:
-        reducer = PhaseReducer.from_angle(phi)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:
@@ -279,9 +279,10 @@ def mc_exponent(
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
+    memo: dict[int, int] = {}
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
-        trajectory = efgp_run(spec, phi, reducer=reducer)
+        trajectory = efgp_run(spec, phi, reducer=reducer, memo=memo)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)

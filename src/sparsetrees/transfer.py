@@ -419,6 +419,7 @@ def efgp_run(
     theta0: float = 0.0,
     n_bumps: int | None = None,
     reducer: PhaseReducer | None = None,
+    memo: dict[int, int] | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
 
@@ -433,12 +434,12 @@ def efgp_run(
     theta0 is the phase at site 1; use `boundary_theta0` to encode a
     boundary coupling.
 
-    On an omega spec each gap is handed to the reducer split as the gap
-    of the floors plus the jitter difference omega_n - omega_{n-1}, so
-    runs that share one reducer over the same floors (`mc_exponent`'s
-    trials) compute each floor gap's phase product once.  Gamma and
-    explicit specs pass their gaps whole and leave the reducer's memo
-    empty.
+    memo is for runs at one phi over the same floors (`mc_exponent`'s
+    trials): on an omega spec each gap then goes to the reducer split as
+    the gap of the floors plus the jitter difference omega_n - omega_{n-1},
+    and the memo keeps each floor gap's phase product (see
+    `PhaseReducer.reduce`).  Without a memo, or on a gamma or explicit
+    spec, gaps are reduced whole and nothing is kept.
     """
     check_phi(phi)
     levels = spec.branch_levels
@@ -466,10 +467,10 @@ def efgp_run(
     log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
 
     omega = spec.omega
-    if omega:
+    if memo is not None and omega:
         offsets = [w - v for v, w in zip((0,) + omega, omega[:n_bumps])]
     else:
-        offsets = [None] * n_bumps
+        offsets, memo = [0] * n_bumps, None
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
@@ -478,7 +479,7 @@ def efgp_run(
     for level, k, offset in zip(levels[:n_bumps], factors, offsets):
         gap = level if previous is None else level - previous - 2
         previous = level
-        theta_entry = (theta + reduce(gap, offset)) % _TWO_PI
+        theta_entry = (theta + reduce(gap, offset, memo)) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
             kick = bump_coefficients(k, phi)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsetrees.errors import ValidationError
-from sparsetrees.phase import MEMO_ENTRIES, PhaseReducer, _over_power_of_two, parse_pi_multiple
+from sparsetrees.phase import MEMO_ENTRIES, PhaseReducer, parse_pi_multiple
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,51 +179,32 @@ def test_split_reduce_is_the_float_of_the_exact_fraction(reducer, split, second)
     base, offset = split
     steps = base + offset
     expected = fraction_reduce(reducer, steps).hex()
-    assert reducer.reduce(steps, offset).hex() == expected
+    memo = {}
+    assert reducer.reduce(steps, offset, memo).hex() == expected
     # once more from the memo, and with another offset on the same base
-    assert reducer.reduce(steps, offset).hex() == expected
+    assert reducer.reduce(steps, offset, memo).hex() == expected
     if base + second >= 0:
-        again = reducer.reduce(base + second, second).hex()
+        again = reducer.reduce(base + second, second, memo).hex()
         assert again == fraction_reduce(reducer, base + second).hex()
 
 
 def test_split_reduce_refuses_negative_steps():
     reducer = PhaseReducer.from_angle(1.0)
     with pytest.raises(ValidationError, match="^steps: "):
-        reducer.reduce(-1, 3)
+        reducer.reduce(-1, 3, {})
     with pytest.raises(ValidationError, match="^steps: "):
-        PhaseReducer.from_pi_multiple("1/3").reduce(-2, -2)
+        PhaseReducer.from_pi_multiple("1/3").reduce(-2, -2, {})
 
 
-def test_split_memo_is_bounded_and_only_filled_by_splits():
+def test_split_memo_is_bounded():
     reducer = PhaseReducer.from_angle(1.0)
-    for steps in range(0, 3**200, 3**200 // 50):
-        reducer.reduce(steps)
-    assert not reducer._memo
+    memo = {}
     for base in range(MEMO_ENTRIES + 100):
-        reducer.reduce(base + 1, 1)
-    assert len(reducer._memo) == MEMO_ENTRIES
+        reducer.reduce(base + 1, 1, memo)
+    assert len(memo) == MEMO_ENTRIES
     # past the cap a new base is computed, not stored, and still exact
-    assert reducer.reduce(10**40 + 1, 1).hex() == fraction_reduce(reducer, 10**40 + 1).hex()
-    assert len(reducer._memo) == MEMO_ENTRIES
-    exact = PhaseReducer.from_pi_multiple("1/3")
-    exact.reduce(10**40 + 1, 1)
-    assert not exact._memo
-
-
-@_PROPERTY
-@given(num=st.integers(0, 2**4000), bits=st.integers(256, 4000))
-def test_power_of_two_quotient_is_the_int_division(num, bits):
-    num >>= max(0, num.bit_length() - bits)
-    assert _over_power_of_two(num, bits).hex() == (num / (1 << bits)).hex()
-
-
-def test_power_of_two_quotient_rounds_ties_and_tiny_values():
-    bits = 3072
-    one = 1 << (bits - 1)  # 0.5
-    # ties at the 54th bit round to even, sticky bits below break them
-    for num in (one + (1 << (bits - 54)), one + (3 << (bits - 54)), one + (1 << (bits - 54)) + 1):
-        assert _over_power_of_two(num, bits) == num / (1 << bits)
-    # below the normal range, and at its edge
-    for num in (1, (1 << 70) + 1, (1 << (bits - 1023)) + 12345, (1 << (bits - 1022)) + 12345):
-        assert _over_power_of_two(num, bits) == num / (1 << bits)
+    assert reducer.reduce(10**40 + 1, 1, memo).hex() == fraction_reduce(reducer, 10**40 + 1).hex()
+    assert len(memo) == MEMO_ENTRIES
+    exact, memo = PhaseReducer.from_pi_multiple("1/3"), {}
+    exact.reduce(10**40 + 1, 1, memo)
+    assert not memo

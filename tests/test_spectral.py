@@ -285,26 +285,26 @@ def test_mc_exponent_shared_work_changes_nothing():
     )
 
 
-def test_mc_exponent_builds_floors_and_reducer_once(monkeypatch):
-    floors, reducers = [], []
+def test_mc_exponent_builds_floors_and_memo_once(monkeypatch):
+    floors, memos = [], []
     monkeypatch.setattr(
         "sparsetrees.spectral.make_gamma_tree",
         lambda *args: floors.append(args) or make_gamma_tree(*args),
     )
-    init = PhaseReducer.__init__
 
-    def counted_init(reducer, *args, **kwargs):
-        reducers.append(reducer)
-        init(reducer, *args, **kwargs)
+    def recording_run(spec, phi, reducer=None, memo=None):
+        memos.append(memo)
+        return efgp_run(spec, phi, reducer=reducer, memo=memo)
 
-    monkeypatch.setattr(PhaseReducer, "__init__", counted_init)
+    monkeypatch.setattr("sparsetrees.spectral.efgp_run", recording_run)
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
-    assert len(floors) == 1 and len(reducers) == 1
+    assert len(floors) == 1 and len(memos) == 4
+    assert all(memo is memos[0] for memo in memos)
     # one product per floor gap
-    assert len(reducers[0]._memo) == 50
+    assert len(memos[0]) == 50
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
-    assert len(floors) == 2 and len(reducers) == 2
-    assert not reducers[1]._memo
+    assert len(floors) == 2
+    assert not memos[-1]
 
 
 def test_mc_exponent_guards_n_bumps_before_building():

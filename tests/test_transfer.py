@@ -363,19 +363,19 @@ def test_mean_y_burn_in_drops_leading_bumps_and_rejects_negatives():
         trajectory.mean_y(burn_in=50)
 
 
-def test_efgp_run_splits_only_jittered_gaps():
+def test_efgp_run_splits_only_jittered_gaps_given_a_memo():
     base = make_gamma_tree(2, 3, 60)
-    reducer = PhaseReducer.from_angle(1.0)
-    assert efgp_run(base, 1.0, reducer=reducer) == efgp_run(base, 1.0)
-    assert efgp_run(small_tree(), 1.0, reducer=reducer) == efgp_run(small_tree(), 1.0)
-    assert not reducer._memo
+    memo = {}
+    assert efgp_run(base, 1.0, memo=memo) == efgp_run(base, 1.0)
+    assert efgp_run(small_tree(), 1.0, memo=memo) == efgp_run(small_tree(), 1.0)
+    assert not memo
     for trial in range(3):
         spec = sample_omega_tree(base, seed=9, trial=trial)
-        assert efgp_run(spec, 1.0, reducer=reducer) == efgp_run(spec, 1.0)
+        assert efgp_run(spec, 1.0, memo=memo) == efgp_run(spec, 1.0)
     # one product per floor gap
-    assert len(reducer._memo) == 60
+    assert len(memo) == 60
     spec = sample_omega_tree(base, seed=9, trial=3)
-    assert efgp_run(spec, 1.0, n_bumps=20, reducer=reducer) == efgp_run(spec, 1.0, n_bumps=20)
+    assert efgp_run(spec, 1.0, n_bumps=20, memo=memo) == efgp_run(spec, 1.0, n_bumps=20)
 
 
 def test_efgp_run_validation():
