@@ -43,7 +43,7 @@ from .spectral import (
     phase_diagram,
     theorem_classifier,
 )
-from .transfer import boundary_theta0, efgp_run
+from .transfer import boundary_theta0, check_phi, efgp_run
 from .trees import (
     ball_count,
     estimate_dimension,
@@ -96,7 +96,9 @@ def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
         raise ValidationError("phi: give exactly one of phi, phi_pi_multiple")
     if multiple is not None:
         frac = parse_pi_multiple(str(multiple), "phi_pi_multiple")
-        return float(frac) * math.pi, frac
+        phi = float(frac) * math.pi
+        check_phi(phi, "phi_pi_multiple")
+        return phi, frac
     return _finite(phi, "phi"), None
 
 

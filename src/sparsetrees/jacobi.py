@@ -70,16 +70,6 @@ class JacobiCoefficients:
         return cls((), (), ADJACENCY, rho)
 
     @classmethod
-    def from_bumps(
-        cls,
-        positions: tuple[int, ...],
-        values: tuple[float, ...],
-        rho: float = 0.0,
-    ) -> JacobiCoefficients:
-        """Adjacency-variant coefficients with explicitly placed bumps."""
-        return cls(tuple(positions), tuple(values), ADJACENCY, rho)
-
-    @classmethod
     def for_tree_block(
         cls,
         spec: TreeSpec,

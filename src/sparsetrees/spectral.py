@@ -18,8 +18,7 @@ the chain is checked twice: algebraically on grids and statistically
 against simulated trajectories.
 
 The remaining pieces are finite-horizon classifiers for the unbounded-
-branching regime, a quadrature proxy for the spectral density in the phase
-variable, and an essential-spectrum coverage metric for truncations.
+branching regime and an essential-spectrum coverage metric for truncations.
 """
 
 from __future__ import annotations
@@ -78,24 +77,11 @@ def f_theta(theta: float, k: int, phi: float) -> float:
     return 0.5 * math.log(arg)
 
 
-def f_theta_centered(theta: float, k: int, phi: float) -> float:
-    """f_theta minus its angle average Z; integrates to zero over a period."""
-    return f_theta(theta, k, phi) - Z(phi, k)
-
-
 @dataclass(frozen=True)
 class EnergyInterval:
     """Open symmetric energy window (-endpoint, endpoint)."""
 
     endpoint: float
-
-    @property
-    def lo(self) -> float:
-        return -self.endpoint
-
-    @property
-    def hi(self) -> float:
-        return self.endpoint
 
     def contains(self, energy: float) -> bool:
         return -self.endpoint < energy < self.endpoint
@@ -386,41 +372,6 @@ def theorem_classifier(spec: TreeSpec) -> TheoremReport:
         window_start=window_start,
         prediction=PREDICTION_PURE_SC if (unbounded and gap_condition) else PREDICTION_DEFERRED,
     )
-
-
-def pearson_density_proxy(
-    spec: TreeSpec,
-    phi_interval: tuple[float, float],
-    n: int,
-    nodes: int = 64,
-    theta0: float = 0.0,
-) -> float:
-    """Quadrature of the inverse squared radius over a phase interval.
-
-    Integrates 1 / r(L_n + 3)^2 in phi by Gauss-Legendre quadrature, one
-    phase-flow run per node.  This is the finite-scale stand-in for the
-    spectral measure's weight on the interval's energy image; n = 0 skips
-    every bump and recovers the free value, the plain interval length.
-    """
-    lo, hi = phi_interval
-    if not (0.0 < lo < hi < math.pi):
-        raise ValidationError("phi_interval: need 0 < lo < hi < pi")
-    if not 0 <= n <= len(spec.branch_levels):
-        raise ValidationError("n: must be between 0 and the number of branchings")
-    if nodes < 1:
-        raise ValidationError("nodes: must be at least 1")
-    points, weights = np.polynomial.legendre.leggauss(nodes)
-    scaled = 0.5 * (hi - lo) * points + 0.5 * (hi + lo)
-    half_width = 0.5 * (hi - lo)
-    total = 0.0
-    for w, phi in zip(weights, scaled):
-        if n == 0:
-            integrand = 1.0
-        else:
-            trajectory = efgp_run(spec, float(phi), theta0=theta0, n_bumps=n)
-            integrand = math.exp(-2.0 * trajectory.log_r[-1])
-        total += float(w) * integrand
-    return half_width * total
 
 
 def coverage_grid(eps: float, grid_points: int) -> np.ndarray:

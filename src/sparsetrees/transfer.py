@@ -11,8 +11,7 @@ free background.  The module provides
   r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta);
 * a checkpoint runner that crosses the geometrically long free stretches in
   O(1) time per stretch using `phase.PhaseReducer`;
-* truncated norms and the two classical subordinacy diagnostics (the
-  inverse-square transfer sum and the windowed norm indicator).
+* the site-by-site inverse-square transfer sum of Simon and Stolz.
 
 Site indexing follows the coefficient convention: u(0) is the boundary
 ghost value, the recursion a(j)u(j+1) + b(j)u(j) + a(j-1)u(j-1) = E u(j)
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +37,10 @@ _TWO_PI = 2.0 * math.pi
 _RENORM_LIMIT = 1e100
 
 
-def check_phi(phi: float) -> None:
+def check_phi(phi: float, field: str = "phi") -> None:
+    """Refuse a phase step outside (0, pi), naming the config `field` it came from."""
     if not (0.0 < phi < math.pi):
-        raise ValidationError("phi: must lie strictly between 0 and pi")
+        raise ValidationError(f"{field}: the angle must lie strictly between 0 and pi")
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +216,6 @@ def step_matrix(coeffs: JacobiCoefficients, energy: float, j: int) -> Mat2:
     )
 
 
-def transfer_product(
-    coeffs: JacobiCoefficients, energy: float, j_hi: int, j_lo: int = 0
-) -> Mat2:
-    """Product S(j_hi) ... S(j_lo + 1), mapping data at j_lo to data at j_hi.
-
-    With j_lo = 0 this is the full transfer matrix from the boundary, whose
-    determinant is 1 / a(j_hi).
-    """
-    if j_lo < 0 or j_hi < j_lo:
-        raise ValidationError("j_hi: need j_hi >= j_lo >= 0")
-    mat = Mat2.identity()
-    for j in range(j_lo + 1, j_hi + 1):
-        mat = step_matrix(coeffs, energy, j) @ mat
-    return mat
-
-
 def bump_matrix(rho: float, energy: float) -> Mat2:
     """Two-step transfer across one off-diagonal bump of weight rho.
 
@@ -328,8 +312,6 @@ class BumpCoefficients:
     a: float
     b: float
     c: float
-    k: int
-    phi: float
 
     def unimodularity_residual(self) -> float:
         """|a^2 - b^2 - c^2 - 1|; zero because the bump matrix has det 1."""
@@ -347,38 +329,30 @@ def mean_kick(k: int, phi: float) -> float:
     return ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
 
 
-def bump_r_squared_ratio(k: int, phi: float, theta: float) -> float:
-    """Squared radius amplification of one weight-sqrt(k) bump at entry angle theta."""
-    check_phi(phi)
-    mat = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi))
-    w0, w1 = mat.apply(phase_to_pair(theta, phi))
-    x = w0 - math.cos(phi) * w1
-    y = math.sin(phi) * w1
-    return x * x + y * y
-
-
 @lru_cache(maxsize=1024)
 def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
     """Radial kick coefficients for a branching factor k at phase step phi.
 
-    The mean coefficient a is the closed form mean_kick; the oscillatory
-    pair (b, c) is recovered by evaluating the exact two-step amplification
-    at three entry angles, which also pins down a for a consistency check.
+    The kick is |G v|^2 for the unit vector v = (cos theta, sin theta) and
+    G = Q B P: the phase map P taking (r cos theta, r sin theta) to the
+    pair (u(j), u(j-1)) (`phase_to_pair`), the bump B (`bump_matrix` with
+    weight sqrt(k) at E = 2 cos(phi)), and its inverse Q, which reads the
+    phase coordinates back off the outgoing pair.  Hence
+    (a, b, c) = (tr G^T G / 2, ((G^T G)_11 - (G^T G)_22) / 2, (G^T G)_12),
+    which with C = cos^2(phi) and S = sin^2(phi) is
+
+        a = ((1 + k^2) / (2k) - C) / S                       (mean_kick)
+        b = (k - 1) (8 C^2 - 2k C - 8 C + k + 1) / (2k S)
+        c = (k - 1) cos(phi) (k + 2 - 4 C) / (k sin(phi)).
     """
-    a_closed = mean_kick(k, phi)
-    r0 = bump_r_squared_ratio(k, phi, 0.0)
-    r1 = bump_r_squared_ratio(k, phi, math.pi / 4.0)
-    r2 = bump_r_squared_ratio(k, phi, math.pi / 2.0)
-    a_fit = (r0 + r2) / 2.0
-    if abs(a_fit - a_closed) > 1e-9 * max(1.0, abs(a_closed)):
-        raise ValidationError("phi: inconsistent bump fit; angle too close to 0 or pi")
-    return BumpCoefficients(
-        a=a_closed,
-        b=(r0 - r2) / 2.0,
-        c=r1 - a_fit,
-        k=k,
-        phi=phi,
-    )
+    a = mean_kick(k, phi)
+    cos_phi = math.cos(phi)
+    sin_phi = math.sin(phi)
+    cos2 = cos_phi * cos_phi
+    sin2 = sin_phi * sin_phi
+    b = (k - 1) * (8.0 * cos2 * cos2 - 2.0 * k * cos2 - 8.0 * cos2 + k + 1) / (2.0 * k * sin2)
+    c = (k - 1) * cos_phi * (k + 2 - 4.0 * cos2) / (k * sin_phi)
+    return BumpCoefficients(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +505,8 @@ def checkpoint_transfer(
     (-2, 2), where free stretches have the rotation closed form.  The
     result is T at site pos_n + 1 (one step past the second bump site), a
     unimodular matrix whose least-stretched direction is the subordinacy
-    candidate.  Agrees with `transfer_product` wherever that is affordable.
+    candidate.  Agrees with the site-by-site product of `step_matrix`
+    factors (the O(L) oracle in the tests) wherever that is affordable.
     """
     if not coeffs.is_adjacency:
         raise ValidationError("variant: checkpoint transfer needs the adjacency variant")
@@ -580,62 +555,8 @@ def subordinate_direction(
 
 
 # ---------------------------------------------------------------------------
-# Truncated norms and subordinacy diagnostics
+# Simon-Stolz sum
 # ---------------------------------------------------------------------------
-
-
-def _window_floor(window: float) -> tuple[int, float]:
-    m = math.floor(window)
-    return int(m), window - m
-
-
-def norm_L(u: Sequence[float], window: float) -> float:
-    """Truncated solution norm over a real window length.
-
-    Squares of u(1)..u(floor(window)) plus the fractional remainder of the
-    next square, square-rooted.  u(0) never contributes.
-    """
-    arr = np.asarray(u, dtype=float)
-    if not window > 0.0:
-        raise ValidationError("window: must be positive")
-    m, frac = _window_floor(window)
-    need = m + 2 if frac > 0.0 else m + 1
-    if arr.size < need:
-        raise ValidationError("u: array too short for the requested window")
-    total = float(np.dot(arr[1 : m + 1], arr[1 : m + 1]))
-    if frac > 0.0:
-        total += frac * float(arr[m + 1]) ** 2
-    return math.sqrt(total)
-
-
-def norm_L_script(u: Sequence[float], window: float, spec_or_levels) -> float:
-    """Truncated norm that skips the site right after each bump pair.
-
-    Same as `norm_L` but the sites j = level + 2 (one past each branching's
-    second bump site) are excluded from the sum.  Accepts a tree spec or a
-    bare sequence of branching levels.
-    """
-    arr = np.asarray(u, dtype=float)
-    if not window > 0.0:
-        raise ValidationError("window: must be positive")
-    levels = getattr(spec_or_levels, "branch_levels", spec_or_levels)
-    m, frac = _window_floor(window)
-    need = m + 2 if frac > 0.0 else m + 1
-    if arr.size < need:
-        raise ValidationError("u: array too short for the requested window")
-    excluded = set()
-    for level in levels:
-        j = level + 2
-        if j > m + 1:
-            break
-        excluded.add(j)
-    total = float(np.dot(arr[1 : m + 1], arr[1 : m + 1]))
-    for j in excluded:
-        if j <= m:
-            total -= float(arr[j]) ** 2
-    if frac > 0.0 and (m + 1) not in excluded:
-        total += frac * float(arr[m + 1]) ** 2
-    return math.sqrt(max(total, 0.0))
 
 
 @dataclass(frozen=True)
@@ -676,31 +597,3 @@ def simon_stolz_profile(
         indices=np.asarray(indices, dtype=np.int64),
         partial_sums=np.asarray(sums, dtype=float),
     )
-
-
-def simon_stolz_sum(coeffs: JacobiCoefficients, energy: float, j_max: int) -> float:
-    return simon_stolz_profile(coeffs, energy, j_max).total
-
-
-def last_simon_indicator(
-    coeffs: JacobiCoefficients,
-    energy: float,
-    windows: Iterable[tuple[int, int]],
-) -> float:
-    """Smallest weighted window transfer norm min_j ||T(m_j, l_j)|| / a(l_j).
-
-    Each window (m, l) with m > l >= 0 contributes the norm of the
-    transfer matrix from site l to site m divided by a(l).  Small values
-    witness stretches the solution can cross without growth.
-    """
-    best = math.inf
-    count = 0
-    for m, l in windows:
-        if not (isinstance(m, int) and isinstance(l, int) and m > l >= 0):
-            raise ValidationError("windows: each entry needs integers m > l >= 0")
-        value = math.exp(transfer_product(coeffs, energy, m, l).log_norm()) / coeffs.a(l)
-        best = min(best, value)
-        count += 1
-    if count == 0:
-        raise ValidationError("windows: must be non-empty")
-    return best

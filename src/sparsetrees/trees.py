@@ -173,24 +173,24 @@ def generation_size(spec: TreeSpec, j: int) -> int:
     return _prefix_products(spec.branch_factors)[n_below]
 
 
-def ball_count(spec: TreeSpec, radius: int) -> int:
-    """Exact number of vertices within distance radius of the root.
+def ball_count(spec: TreeSpec, depth: int) -> int:
+    """Exact number of vertices within distance depth of the root.
 
     The generation size is constant between branchings, so the sum over
     generations collapses to one term per branching and stays cheap even
-    when radius is astronomically large.
+    when depth is astronomically large.
     """
-    if radius < 0:
-        raise ValidationError("radius: must be >= 0")
+    if depth < 0:
+        raise ValidationError("depth: must be >= 0")
     levels = spec.branch_levels
     products = _prefix_products(spec.branch_factors)
-    first = levels[0] if levels else radius
-    total = min(first, radius) + 1  # generations 0..min(L_1, radius), size 1
+    first = levels[0] if levels else depth
+    total = min(first, depth) + 1  # generations 0..min(L_1, depth), size 1
     for m in range(len(levels)):
         lo = levels[m] + 1
-        if lo > radius:
+        if lo > depth:
             break
-        hi = min(levels[m + 1], radius) if m + 1 < len(levels) else radius
+        hi = min(levels[m + 1], depth) if m + 1 < len(levels) else depth
         total += products[m + 1] * (hi - lo + 1)
     return total
 
@@ -204,12 +204,12 @@ def theoretical_dimension(k: int, gamma: Fraction | float) -> float:
     return 1.0 + math.log(k) / math.log(g)
 
 
-def estimate_dimension(spec: TreeSpec, radius: int) -> float:
-    """Empirical dimension log(ball_count)/log(radius) at one radius."""
-    if radius < 2:
-        raise ValidationError("radius: must be >= 2 so log(radius) > 0")
-    count = ball_count(spec, radius)
-    return math.log(count) / math.log(radius)
+def estimate_dimension(spec: TreeSpec, depth: int) -> float:
+    """Empirical dimension log(ball_count)/log(depth) of the ball of radius depth."""
+    if depth < 2:
+        raise ValidationError("depth: must be >= 2 so log(depth) > 0")
+    count = ball_count(spec, depth)
+    return math.log(count) / math.log(depth)
 
 
 def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> TreeSpec:

@@ -18,6 +18,7 @@ CASES = [
     ("decompose", "decompose", "json"),
     ("spectrum", "spectrum", "json"),
     ("efgp-run", "efgp_run", "csv"),
+    ("efgp-run", "efgp_run", "json"),
     ("phase-diagram", "phase_diagram", "csv"),
     ("mc-exponent", "mc_exponent", "json"),
     ("classify-theorems", "classify_theorems", "json"),
@@ -27,16 +28,9 @@ CASES = [
 @pytest.mark.parametrize("subcommand,stem,suffix", CASES)
 def test_fixture_matches_golden_file(subcommand, stem, suffix, tmp_path):
     out = tmp_path / f"report.{suffix}"
-    rc = run([subcommand, "--config", str(FIXTURES / f"{stem}.json"), "--out", str(out)])
-    assert rc == 0
+    config = str(FIXTURES / f"{stem}.json")
+    assert run([subcommand, "--config", config, "--format", suffix, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{stem}.{suffix}").read_bytes()
-
-
-def test_efgp_run_json_matches_golden_file(tmp_path):
-    out = tmp_path / "report.json"
-    config = str(FIXTURES / "efgp_run.json")
-    assert run(["efgp-run", "--config", config, "--format", "json", "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "efgp_run.json").read_bytes()
 
 
 @pytest.mark.parametrize("subcommand,stem", [("spectrum", "spectrum"), ("decompose", "decompose")])
@@ -58,8 +52,8 @@ def test_reruns_are_byte_identical(subcommand, stem, suffix, tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
     config = str(FIXTURES / f"{stem}.json")
-    assert run([subcommand, "--config", config, "--out", str(first)]) == 0
-    assert run([subcommand, "--config", config, "--out", str(second)]) == 0
+    assert run([subcommand, "--config", config, "--format", suffix, "--out", str(first)]) == 0
+    assert run([subcommand, "--config", config, "--format", suffix, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -184,6 +178,20 @@ def test_validation_errors_exit_2(tmp_path, capsys, monkeypatch):
         config.write_text('{"spec": ' + record + ', "depth": 5}')
         assert run(["tree-stats", "--config", str(config)]) == 2, record
         assert capsys.readouterr().err.startswith(f"error: {field}:"), record
+
+    # Out-of-range values name the config field they came from.
+    tree = '"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 3}'
+    out_of_range = [("tree-stats", "{" + tree + f', "depth": {depth}}}', "depth") for depth in (1, 0, -1)]
+    for multiple in ("0", "1"):
+        out_of_range += [
+            ("efgp-run", "{" + tree + f', "phi_pi_multiple": "{multiple}"}}', "phi_pi_multiple"),
+            ("mc-exponent", f'{{"k": 2, "gamma": 3, "phi_pi_multiple": "{multiple}"}}', "phi_pi_multiple"),
+        ]
+    for subcommand, text, field in out_of_range:
+        config = tmp_path / "out_of_range.json"
+        config.write_text(text)
+        assert run([subcommand, "--config", str(config)]) == 2, text
+        assert capsys.readouterr().err.startswith(f"error: {field}:"), text
     for gamma in ("[3]", "Infinity"):
         config = tmp_path / "bad_gamma_value.json"
         config.write_text('{"k": 2, "gamma": ' + gamma + ', "energies": [0.0]}')

@@ -20,11 +20,9 @@ from sparsetrees.spectral import (
     corollary_check,
     essential_spectrum_coverage,
     f_theta,
-    f_theta_centered,
     interval_I,
     local_dimension,
     mc_exponent,
-    pearson_density_proxy,
     phase_diagram,
     theorem_classifier,
 )
@@ -62,8 +60,6 @@ def test_Z_is_the_phase_average_of_f():
     for k, phi in ((2, 1.0), (3, 0.7), (5, 2.4)):
         mean = float(np.mean([f_theta(float(t), k, phi) for t in thetas]))
         assert mean == pytest.approx(Z(phi, k), abs=1e-8)
-        centered = float(np.mean([f_theta_centered(float(t), k, phi) for t in thetas]))
-        assert abs(centered) < 1e-8
 
 
 def test_f_theta_value_and_period():
@@ -85,7 +81,6 @@ def test_interval_pinned_endpoint():
     window = interval_I(2, 4)
     assert window is not None
     assert window.endpoint**2 == pytest.approx(23.0 / 6.0, abs=1e-14)
-    assert window.lo == -window.hi
 
 
 def test_interval_empty_iff_gamma_at_most_V():
@@ -363,35 +358,8 @@ def test_classifier_single_level_spec():
 
 
 # ---------------------------------------------------------------------------
-# Density proxy and essential spectrum coverage
+# Essential spectrum coverage
 # ---------------------------------------------------------------------------
-
-
-def test_pearson_proxy_free_case_is_interval_length():
-    spec = TreeSpec(branch_levels=(4, 9), branch_factors=(2, 2))
-    assert pearson_density_proxy(spec, (0.5, 1.5), 0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pearson_proxy_positive_and_additive():
-    spec = TreeSpec(branch_levels=(4, 9, 15), branch_factors=(2, 3, 2))
-    lo, mid, hi = 0.4, 1.1, 1.9
-    left = pearson_density_proxy(spec, (lo, mid), 2, nodes=256)
-    right = pearson_density_proxy(spec, (mid, hi), 2, nodes=256)
-    both = pearson_density_proxy(spec, (lo, hi), 2, nodes=512)
-    assert left > 0.0 and right > 0.0
-    assert left + right == pytest.approx(both, rel=1e-6)
-
-
-def test_pearson_proxy_validation():
-    spec = TreeSpec(branch_levels=(4, 9), branch_factors=(2, 2))
-    with pytest.raises(ValidationError):
-        pearson_density_proxy(spec, (0.0, 1.0), 1)
-    with pytest.raises(ValidationError):
-        pearson_density_proxy(spec, (1.0, math.pi), 1)
-    with pytest.raises(ValidationError):
-        pearson_density_proxy(spec, (1.5, 0.5), 1)
-    with pytest.raises(ValidationError):
-        pearson_density_proxy(spec, (0.5, 1.5), 3)
 
 
 def test_essential_spectrum_coverage_grows_with_depth():

@@ -1,9 +1,10 @@
-"""Tests for transfer matrices, the phase flow, and subordinacy diagnostics."""
+"""Tests for transfer matrices, the phase flow, and the Simon-Stolz sum."""
 
 import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,21 +16,15 @@ from sparsetrees.transfer import (
     boundary_theta0,
     bump_coefficients,
     bump_matrix,
-    bump_r_squared_ratio,
     checkpoint_transfer,
     efgp_run,
     efgp_transform,
-    last_simon_indicator,
     min_singular_direction,
-    norm_L,
-    norm_L_script,
     phase_to_pair,
     simon_stolz_profile,
-    simon_stolz_sum,
     solve_u,
     step_matrix,
     subordinate_direction,
-    transfer_product,
 )
 from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree
 
@@ -48,6 +43,27 @@ def circular_gap(a, b):
 
 def small_tree():
     return TreeSpec(branch_levels=(2, 5, 9, 14), branch_factors=(2, 3, 2, 4))
+
+
+def transfer_product(coeffs, energy, j_hi, j_lo=0):
+    """O(L) oracle: the product S(j_hi) ... S(j_lo + 1) of one-step matrices.
+
+    Maps data at j_lo to data at j_hi; with j_lo = 0 it is the full transfer
+    matrix from the boundary, whose determinant is 1 / a(j_hi).
+    """
+    mat = Mat2.identity()
+    for j in range(j_lo + 1, j_hi + 1):
+        mat = step_matrix(coeffs, energy, j) @ mat
+    return mat
+
+
+def bump_r_squared_ratio(k, phi, theta):
+    """Oracle kick: squared radius amplification of one weight-sqrt(k) bump at entry theta."""
+    mat = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi))
+    w0, w1 = mat.apply(phase_to_pair(theta, phi))
+    x = w0 - math.cos(phi) * w1
+    y = math.sin(phi) * w1
+    return x * x + y * y
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +156,7 @@ def test_transfer_determinant_telescopes():
 
 
 def test_bump_matrix_equals_its_two_steps():
-    coeffs = JacobiCoefficients.from_bumps((4, 9), (2.0, math.sqrt(3.0)))
+    coeffs = JacobiCoefficients((4, 9), (2.0, math.sqrt(3.0)))
     for energy in (0.0, 0.7, -1.3):
         for pos, rho in ((4, 2.0), (9, math.sqrt(3.0))):
             direct = full_entries(transfer_product(coeffs, energy, pos + 1, pos - 1))
@@ -247,6 +263,29 @@ def test_bump_kick_matches_direct_ratio_everywhere():
         assert kick.ratio_squared(theta + math.pi) == pytest.approx(
             kick.ratio_squared(theta), rel=1e-10
         )
+
+
+def test_bump_coefficients_match_the_matrix_product_at_50_digits():
+    # Oracle: G = Q B P at 50 digits, from the bump matrix and the two phase
+    # maps written as matrices; r_out^2 / r_in^2 = v^T G^T G v for the unit
+    # vector v at the entry angle.  The closed forms cancel terms of size
+    # up to 2k + 8 near the band edges, a few ulps of a each; a wrong term
+    # misses by O(a).
+    edges = [0.05, 0.051, math.pi - 0.051, math.pi - 0.05]
+    angles = edges + [float(phi) for phi in np.linspace(0.1, math.pi - 0.1, 23)]
+    with mp.workdps(50):
+        for k in range(2, 13):
+            for phi in angles:
+                s, c = mp.sin(mp.mpf(phi)), mp.cos(mp.mpf(phi))
+                bump = bump_matrix(mp.sqrt(k), 2 * c)
+                to_pair = mp.matrix([[1, c / s], [0, 1 / s]])
+                from_pair = mp.matrix([[1, -c], [0, s]])
+                g = from_pair * mp.matrix([[bump.m11, bump.m12], [bump.m21, bump.m22]]) * to_pair
+                gtg = g.T * g
+                exact = ((gtg[0, 0] + gtg[1, 1]) / 2, (gtg[0, 0] - gtg[1, 1]) / 2, gtg[0, 1])
+                kick = bump_coefficients(k, phi)
+                for got, want in zip((kick.a, kick.b, kick.c), exact):
+                    assert abs(got - want) <= 1e-14 * kick.a, (k, phi)
 
 
 def test_bump_coefficients_cache_is_bounded():
@@ -393,41 +432,11 @@ def test_efgp_run_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_norm_L_fractional_window():
-    u = [0.0, 1.0, 2.0, 3.0]
-    assert norm_L(u, 2.0) == pytest.approx(math.sqrt(5.0))
-    assert norm_L(u, 2.5) == pytest.approx(math.sqrt(1.0 + 4.0 + 0.5 * 9.0))
-    with pytest.raises(ValidationError):
-        norm_L(u, 0.0)
-    with pytest.raises(ValidationError):
-        norm_L(u, 3.5)
-
-
-def test_norm_L_script_excludes_post_bump_sites():
-    # One branching at level 3: site 5 is skipped.
-    u = [1.0] * 8
-    assert norm_L_script(u, 5.0, (3,)) == pytest.approx(2.0)
-    assert norm_L(u, 5.0) == pytest.approx(math.sqrt(5.0))
-    # No bump below the window: both norms agree.
-    assert norm_L_script(u, 4.0, (9,)) == pytest.approx(norm_L(u, 4.0))
-    # Fractional site skipped when excluded.
-    assert norm_L_script(u, 4.5, (3,)) == pytest.approx(2.0)
-    assert norm_L_script(u, 5.0, small_tree()) == pytest.approx(2.0)
-
-
-def test_norm_L_script_never_exceeds_norm_L():
-    rng = random.Random(88)
-    for _ in range(20):
-        u = [rng.uniform(-2, 2) for _ in range(30)]
-        window = rng.uniform(1.0, 27.0)
-        assert norm_L_script(u, window, (4, 11, 20)) <= norm_L(u, window) + 1e-12
-
-
 def test_bounded_free_solution_norm_scales_like_sqrt_window():
     phi = 1.2
     u = solve_u(JacobiCoefficients.free(), 2.0 * math.cos(phi), 4000)
-    for window in (500.0, 1500.0, 3500.0):
-        squared = norm_L(u, window) ** 2
+    for window in (500, 1500, 3500):
+        squared = float(np.dot(u[1 : window + 1], u[1 : window + 1]))
         assert 0.2 < squared / window < 2.0
 
 
@@ -450,7 +459,7 @@ def test_checkpoint_transfer_matches_direct_product():
 
 def test_checkpoint_transfer_handles_tight_and_leading_bumps():
     # Gap of exactly 2 between bumps, and a bump at the very first site.
-    coeffs = JacobiCoefficients.from_bumps((1, 3, 9), (2.0, 1.5, 3.0), rho=0.3)
+    coeffs = JacobiCoefficients((1, 3, 9), (2.0, 1.5, 3.0), rho=0.3)
     for energy in (0.4, -0.8):
         for n in (1, 2, 3):
             fast = checkpoint_transfer(coeffs, energy, n)
@@ -514,7 +523,7 @@ def test_free_full_turn_checkpoint_is_isotropic():
 
 
 # ---------------------------------------------------------------------------
-# Subordinacy diagnostics
+# Simon-Stolz sum
 # ---------------------------------------------------------------------------
 
 
@@ -523,13 +532,13 @@ def test_simon_stolz_free_energy_zero_counts_steps():
     profile = simon_stolz_profile(coeffs, 0.0, 64)
     assert profile.indices.tolist() == list(range(1, 65))
     assert profile.total == pytest.approx(64.0, abs=1e-9)
-    assert simon_stolz_sum(coeffs, 0.0, 1) == pytest.approx(1.0)
+    assert simon_stolz_profile(coeffs, 0.0, 1).total == pytest.approx(1.0)
 
 
 def test_simon_stolz_converges_outside_the_band():
     coeffs = JacobiCoefficients.free()
-    early = simon_stolz_sum(coeffs, 3.0, 200)
-    late = simon_stolz_sum(coeffs, 3.0, 400)
+    early = simon_stolz_profile(coeffs, 3.0, 200).total
+    late = simon_stolz_profile(coeffs, 3.0, 400).total
     assert late - early < 1e-6
 
 
@@ -540,30 +549,3 @@ def test_simon_stolz_skips_bump_indices():
     skipped = set(coeffs.positions)
     assert skipped.isdisjoint(profile.indices.tolist())
     assert np.all(np.diff(profile.partial_sums) > 0.0)
-
-
-def test_last_simon_indicator_free_band_is_bounded():
-    coeffs = JacobiCoefficients.free()
-    phi = 1.0
-    value = last_simon_indicator(coeffs, 2.0 * math.cos(phi), [(40, 20), (80, 60), (120, 100)])
-    # Free products are rotations conjugated by the phase-coordinate shear,
-    # so every window norm lies in [1, cond] with cond = (1+|cos phi|)/sin phi.
-    cond = (1.0 + abs(math.cos(phi))) / math.sin(phi)
-    assert 1.0 - 1e-9 <= value <= cond + 1e-9
-
-
-def test_last_simon_indicator_bump_windows_lower_bound():
-    coeffs = JacobiCoefficients.from_bumps((10, 30), (2.0, 2.0))
-    for energy in (0.2, 0.8, 1.1):
-        value = last_simon_indicator(coeffs, energy, [(11, 9), (31, 29)])
-        assert value >= max(1.0, 2.0 - energy * energy) - 1e-9
-
-
-def test_last_simon_indicator_single_window_and_validation():
-    coeffs = JacobiCoefficients.free()
-    single = math.exp(transfer_product(coeffs, 0.5, 7, 2).log_norm())
-    assert last_simon_indicator(coeffs, 0.5, [(7, 2)]) == pytest.approx(single)
-    with pytest.raises(ValidationError):
-        last_simon_indicator(coeffs, 0.5, [])
-    with pytest.raises(ValidationError):
-        last_simon_indicator(coeffs, 0.5, [(2, 2)])
