@@ -171,12 +171,14 @@ def verify_decomposition(
     Both sides go through eigenvalues_sym: the tree side is the assembled
     tree operator, the block side the tridiagonal matrices of the block
     recurrences, so the two eigenvalue lists come from different matrices.
-    Both sides are solved by the same inertia bisection, tridiagonal
-    operators above BISECTION_ROWS rows aside, so the comparison checks the
+    Both sides are solved by the same inertia bisection, on the class
+    count, except that tridiagonal operators above CLASS_COUNT_ROWS rows
+    take the stretch count; either way the comparison checks the
     decomposition, not the eigensolver, which tests/test_operators.py
-    checks against a 40-digit mpmath count.  With rho = 0 and no such long
-    block the report is the same on every platform (a nonzero rho enters
-    through the platform's tan).  Sorted lists are compared entrywise; the
+    checks against a 40-digit mpmath count.  No LAPACK routine is called.
+    With rho = 0 and no such long block the report is the same on every
+    platform (a nonzero rho enters through the platform's tan, a long
+    block through its libm).  Sorted lists are compared entrywise; the
     default tolerance is 1e-9 * (1 + max |eigenvalue|).
     """
     if variant == ADJACENCY:

@@ -7,21 +7,23 @@ adjacency matrix, and adjacency minus the diagonal of vertex degrees
 (degrees counted inside the truncation, so the truncation is a Dirichlet
 cut after generation D).  These and the tridiagonal Jacobi blocks are all
 forests numbered parents first, which is the one form SymOperator
-stores.  Eigenvalues come from bisection of leaf-up inertia counts in
-plain IEEE arithmetic, so their bits are the same on every platform.  A
-count runs over classes of equal subtrees, not over vertices: on a
-spherically homogeneous tree every generation is one class.  Only
-tridiagonal operators above BISECTION_ROWS rows go to LAPACK.
+stores.  Eigenvalues come from bisection of inertia counts on one
+power-of-two grid, with one of two counts.  The class count runs over
+classes of equal subtrees, not over vertices (on a spherically
+homogeneous tree every generation is one class), in plain IEEE
+arithmetic, so its bits are the same on every platform.  The stretch
+count takes tridiagonal operators above CLASS_COUNT_ROWS rows: it crosses
+each run of equal rows, such as a free stretch of a Jacobi block, in
+closed form.  No LAPACK routine is called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GuardError, ValidationError
 from .jacobi import check_rho
@@ -29,16 +31,19 @@ from .trees import TreeSpec, ball_count, generation_size
 
 VERTEX_GUARD = 1_000_000
 
-# Largest tridiagonal operator solved by forest_eigenvalues instead of
-# LAPACK.  A block has one subtree class per row, so its bisection work
-# grows as rows**2: at 500 rows it took 0.13 s of CPU against 7 ms for
-# LAPACK's eigh_tridiagonal (2 cores, Python 3.11, numpy 2.4, OpenBLAS
-# 0.3.31).  Above the cap the eigenvalue bits depend on the LAPACK build.
-BISECTION_ROWS = 500
+# Largest tridiagonal operator solved by the class count (forest_eigenvalues);
+# longer ones take the stretch count.  A block has one subtree class per
+# row, so the class count's work grows as rows**2, and the stretch count's
+# as rows times runs.  On a 500-row block the class count took 0.17 s of
+# CPU and the stretch count 18 ms; the stretch count took 0.29 s on the
+# 10,001-row block of 18 runs in the spectrum-deep benchmark (best of 5,
+# 2 cores, Python 3.11, numpy 2.4).  The cap keeps the bits of shorter
+# blocks the same on every platform; above it they depend on libm.
+CLASS_COUNT_ROWS = 500
 
-# Largest bisection work, rows times class steps (forest_eigenvalues).  A
-# forest has at most 2 * rows - 1 steps, so every forest of up to 4,000
-# rows is accepted.
+# Largest bisection work: rows times class steps (forest_eigenvalues), or
+# rows times runs (the stretch count).  A forest has at most 2 * rows - 1
+# class steps, so every forest of up to 4,000 rows is accepted.
 WORK_GUARD = 32_000_000
 
 # Bisection grid: eigenvalues are located on the integers j in
@@ -205,41 +210,23 @@ def _count_below(classes, mult, last_reader, x) -> np.ndarray:
     return count
 
 
-def forest_eigenvalues(op: SymOperator) -> np.ndarray:
-    """Ascending eigenvalues of a SymOperator (a forest), in plain IEEE arithmetic.
+def _bisect(op: SymOperator, count) -> np.ndarray:
+    """Ascending eigenvalues of op by bisection of count(x), the number below x.
 
-    Every eigenvalue is located by bisection of the inertia count on the
-    grid j*h, with j an integer, |j| <= 2**GRID_BITS, and h = 2**e / 2**GRID_BITS
-    where 2**e is at least twice the Gershgorin bound B (taken with frexp,
-    so exactly).  Each pass splits the bracket [lo, hi) of the k-th
-    eigenvalue into 2**SECTION_BITS equal parts and keeps the part that
-    ends at the first inner point whose count exceeds k (the last part if
-    none does), so the count stays at most k at lo and above k at hi; where
-    the count is monotone in x this is the cell that halving one bit at a
-    time finds.  The eigenvalue is reported as the left end of the final
-    cell [j*h, (j+1)*h), so an eigenvalue on the grid, such as an exact 0,
-    comes back exactly.  Each computed count is the exact count of a
-    matrix whose couplings differ from op's by at most (c + 4)/2 units of
-    roundoff, c the number of children of the coupled parent (Demmel,
-    Dhillon and Ren, Numer. Math. 1995).  Barring underflow, every
-    eigenvalue is therefore within h + (degree + 4) * 2**-53 * B of the
-    exact one, degree the largest vertex degree.
-
-    Only IEEE basic operations and integer counts are used: no LAPACK, no
-    libm call, no BLAS reduction.  The bits are thus the same on every
-    platform, whether or not the floating-point count is monotone in x.
-
-    A count runs over classes of equal subtrees: one pivot per generation
-    on a spherically homogeneous tree.  Its work, rows times steps (class
-    pivots plus child terms), is refused above WORK_GUARD before any count.
+    Every eigenvalue is located on the grid j*h, with j an integer,
+    |j| <= 2**GRID_BITS, and h = 2**e / 2**GRID_BITS where 2**e is at least
+    twice the Gershgorin bound B (taken with frexp, so exactly).  Each pass
+    splits the bracket [lo, hi) of the k-th eigenvalue into
+    2**SECTION_BITS equal parts and keeps the part that ends at the first
+    inner point whose count exceeds k (the last part if none does), so the
+    count stays at most k at lo and above k at hi; where the count is
+    monotone in x this is the cell that halving one bit at a time finds.
+    The eigenvalue is reported as the left end of the final cell
+    [j*h, (j+1)*h), so an eigenvalue on the grid, such as an exact 0, comes
+    back exactly.  If each computed count is the exact count of a matrix
+    within distance E of op, every eigenvalue is within h + E of the exact
+    one.  Repeated eigenvalues share their points: count sees each once.
     """
-    classes, mult = _subtree_classes(op)
-    steps = sum(1 + len(kids) for _, _, kids in classes)
-    if op.size * steps > WORK_GUARD:
-        raise GuardError(
-            f"size: bisection work {op.size} rows x {steps} class steps, guard is {WORK_GUARD}"
-        )
-    last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
     linked = op.parent >= 0
     radius = np.abs(op.diag) + np.abs(op.weight)  # Gershgorin: own coupling, then children's
     np.add.at(radius, op.parent[linked], np.abs(op.weight[linked]))
@@ -254,25 +241,168 @@ def forest_eigenvalues(op: SymOperator) -> np.ndarray:
         while width > 1:
             width //= parts
             x = (lo[:, None] + width * inner) * h
-            points, back = np.unique(x, return_inverse=True)  # repeated eigenvalues share points
-            count = _count_below(classes, mult, last_reader, points)[back]
-            above = count.reshape(x.shape) > target
+            points, back = np.unique(x, return_inverse=True)
+            above = count(points)[back].reshape(x.shape) > target
             first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
             lo += first * width
     return np.sort(lo * h)
 
 
+def forest_eigenvalues(op: SymOperator) -> np.ndarray:
+    """Ascending eigenvalues of a SymOperator (a forest), in plain IEEE arithmetic.
+
+    Bisection (_bisect) of the inertia count, which runs over classes of
+    equal subtrees: one pivot per generation on a spherically homogeneous
+    tree.  Each computed count is the exact count of a matrix whose
+    couplings differ from op's by at most (c + 4)/2 units of roundoff, c the
+    number of children of the coupled parent (Demmel, Dhillon and Ren,
+    Numer. Math. 1995).  Barring underflow, every eigenvalue is therefore
+    within h + (degree + 4) * 2**-53 * B of the exact one, degree the
+    largest vertex degree.
+
+    Only IEEE basic operations and integer counts are used: no LAPACK, no
+    libm call, no BLAS reduction.  The bits are thus the same on every
+    platform, whether or not the floating-point count is monotone in x.
+    The work, rows times steps (class pivots plus child terms), is refused
+    above WORK_GUARD before any count.
+    """
+    classes, mult = _subtree_classes(op)
+    steps = sum(1 + len(kids) for _, _, kids in classes)
+    if op.size * steps > WORK_GUARD:
+        raise GuardError(
+            f"size: bisection work {op.size} rows x {steps} class steps, guard is {WORK_GUARD}"
+        )
+    last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
+    return _bisect(op, partial(_count_below, classes, mult, last_reader))
+
+
+def _runs(op: SymOperator) -> list[tuple[float, float, int]]:
+    """A tridiagonal op as maximal runs (d, w, rows) of rows with equal diag and coupling.
+
+    w is the coupling's magnitude: the signs of the couplings do not change
+    the eigenvalues (a sign flip still starts a run).  A row with w = 0
+    starts a fresh pivot and is a run of its own.  The stretch count's work, rows times runs, is refused above
+    WORK_GUARD before the runs are listed.
+    """
+    diag, weight = op.diag, op.weight
+    start = np.ones(op.size, dtype=bool)
+    start[1:] = (diag[1:] != diag[:-1]) | (weight[1:] != weight[:-1]) | (weight[1:] == 0.0)
+    first = np.flatnonzero(start)
+    if op.size * first.size > WORK_GUARD:
+        raise GuardError(
+            f"size: stretch-count work {op.size} rows x {first.size} runs, guard is {WORK_GUARD}"
+        )
+    d = (diag[first] + 0.0).tolist()  # turns -0.0 into +0.0
+    return list(zip(d, np.abs(weight[first]).tolist(), np.diff(first, append=op.size).tolist()))
+
+
+# Stands in for w/q at a zero pivot q: the limit of a tiny positive pivot.
+_HUGE = 2.0**1000
+
+
+class _Stretch:
+    """One pass's angles for the runs of one (d, w), from c = (d - x)/(2w).
+
+    Inside the band, |c| < 1, c = cos(phi); outside, |c| = cosh(mu) and
+    sign is the sign of c.  Points outside get the dummy angle pi/2 in the
+    band arrays, and their band results are overwritten.
+    """
+
+    def __init__(self, c: np.ndarray) -> None:
+        inside = np.abs(c) < 1.0
+        self.cos = np.where(inside, c, 0.0)
+        self.sin = np.sqrt((1.0 - self.cos) * (1.0 + self.cos))
+        self.phi = np.arctan2(self.sin, self.cos)
+        self.out = np.flatnonzero(~inside)
+        self.sign = np.sign(c[self.out])
+        self.mu = np.arccosh(np.abs(c[self.out]))
+        self.g = np.exp(self.mu)
+        self.sinh2 = self.g - 1.0 / self.g  # 2 sinh(mu)
+
+    def cross(self, q: np.ndarray, w: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Negative pivots of a run of m >= 2 rows entered with pivot q, and its last pivot.
+
+        The run's pivots are w*u_j/u_{j-1}, j = 1..m, where
+        u_{j+1} = 2c*u_j - u_{j-1}, u_0 = 1 and u_{-1} = r = w/q, so its
+        negative pivots are the sign changes of u_0..u_m.  Inside the band
+        u_j is proportional to sin(beta + j*phi) with beta in [0, pi]: the
+        count is the number of positive multiples of pi below
+        theta = beta + m*phi, and the last pivot is w/(cos - sin*cot(theta)).
+        Outside, v_j = sign**j * u_j = g**j * W_j with g = e**mu and
+        W_j = 1 - (sign*r - 1/g) * (1 - g**(-2j)) / (2 sinh(mu)), or
+        W_j = 1 + j*(1 - sign*r) at mu = 0, which changes sign at most
+        once: the count is [W_m < 0] for sign > 0 and m - [W_m <= 0] for
+        sign < 0.  theta is reduced by whole turns before cot is taken, so
+        its sign and the count agree.  q is never -0.0, and the last pivot
+        is returned with -0.0 turned into +0.0: a zero pivot is positive.
+        """
+        r = np.clip(w / q, -_HUGE, _HUGE)
+        beta = np.pi / 2 - np.arctan((self.cos - r) / self.sin)
+        theta = beta + m * self.phi
+        turns = np.floor(theta * (1 / np.pi))
+        rest = theta - turns * np.pi
+        crossed = turns - 1.0 + np.ceil(rest * (1 / np.pi))
+        last = w / (self.cos - self.sin / np.tan(rest))
+        if self.out.size:
+            o, mu, g = self.out, self.mu, self.g
+            t = self.sign * r[o] - 1.0 / g
+            s_prev = np.divide(
+                -np.expm1(-2.0 * (m - 1) * mu), self.sinh2, out=np.full(o.size, m - 1.0), where=mu > 0.0
+            )
+            w_prev = 1.0 - t * s_prev
+            w_last = w_prev - t * np.exp((1 - 2 * m) * mu)
+            crossed[o] = np.where(self.sign > 0.0, w_last < 0.0, m - (w_last <= 0.0))
+            # 0/0 only where g**(1 - 2m) underflows at the repelling fixed point,
+            # sign*r = g: a nearby start ends at the attracting one, ratio 1
+            ratio = np.divide(w_last, w_prev, out=np.ones(o.size), where=(w_prev != 0.0) | (w_last != 0.0))
+            last[o] = self.sign * w * g * ratio
+        return crossed, last + 0.0
+
+
+def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each x (Sylvester), counted run by run.
+
+    Pivots go from row 0 on: q = (d - x) - w**2/q_prev, and q = d - x
+    where w = 0.  A one-row run takes that plain step, the class count's
+    operation; a longer run is crossed in closed form (_Stretch.cross),
+    with its angles computed once per pass for each distinct (d, w).
+    """
+    count = np.zeros(len(x))
+    shift = {d: d - x for d in {d for d, _, _ in runs}}
+    stretches = {}
+    for d, w, m in runs:  # the first run is row 0, with w = 0
+        if w == 0.0:
+            q = shift[d]
+        elif m == 1:
+            q = shift[d] - w * w / q
+        else:
+            if (d, w) not in stretches:
+                stretches[d, w] = _Stretch(shift[d] / (2.0 * w))
+            crossed, q = stretches[d, w].cross(q, w, m)
+            count += crossed
+            continue
+        count += q < 0.0
+    return count.astype(np.int64)
+
+
 def eigenvalues_sym(op: SymOperator) -> np.ndarray:
     """All eigenvalues of a SymOperator (a forest), ascending.
 
-    Tridiagonal operators above BISECTION_ROWS rows (long blocks, and trees
-    that do not branch inside the truncation) go to LAPACK's tridiagonal
-    solver, with bits per LAPACK build; that check comes first.  Every
-    other operator goes through forest_eigenvalues: the same bits on every
-    platform, with work above WORK_GUARD refused.
+    Trees, and tridiagonal operators of up to CLASS_COUNT_ROWS rows, go
+    through forest_eigenvalues: the same bits on every platform, with work
+    above WORK_GUARD refused.  Longer tridiagonal operators (long blocks,
+    and trees that do not branch inside the truncation) are bisected
+    (_bisect) on the stretch count, _count_stretches, whose work, rows
+    times runs, is refused above WORK_GUARD (_runs) before any count.  Its
+    closed forms call libm (arctan, arctan2, tan, arccosh, exp, expm1), so
+    those bits are the platform's.  To first order, with libm within 2
+    units in the last place, each of its counts is the exact count of a
+    matrix whose entries differ from op's by at most about 50 * 2**-53 * B;
+    every eigenvalue is stated to be within h + 2**-46 * B of the exact
+    one, a bound the tests check against 40-digit counts.
     """
     if op.size <= 1:
         return op.diag.copy()
-    if op.size > BISECTION_ROWS and op.is_tridiagonal():
-        return eigh_tridiagonal(op.diag, op.weight[1:], eigvals_only=True)
-    return forest_eigenvalues(op)
+    if op.size <= CLASS_COUNT_ROWS or not op.is_tridiagonal():
+        return forest_eigenvalues(op)
+    return _bisect(op, partial(_count_stretches, _runs(op)))

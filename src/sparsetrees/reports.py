@@ -5,9 +5,10 @@ floats are printed with 17 significant digits (enough to round-trip a
 double exactly), JSON objects keep the key order their payloads were
 built with, CSV tables carry a fixed documented header row, and wall
 clock timing never enters the output stream.  Eigenvalues of trees, and
-of blocks of up to operators.BISECTION_ROWS rows, come from LAPACK-free
-bisection, so those reports are the same bytes on every platform; only
-longer blocks take their last bits, and so their bytes, from LAPACK.
+of blocks of up to operators.CLASS_COUNT_ROWS rows, come from bisection
+in plain IEEE arithmetic, so those reports are the same bytes on every
+platform; only longer blocks, whose stretch count calls libm, take their
+last bits, and so their bytes, from the platform.
 """
 
 import json

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,16 +38,44 @@ def test_fixture_matches_golden_file(subcommand, stem, suffix, tmp_path):
 
 @pytest.mark.parametrize("subcommand,stem", [("spectrum", "spectrum"), ("decompose", "decompose")])
 def test_golden_eigenvalue_bytes_do_not_depend_on_lapack(subcommand, stem, tmp_path, monkeypatch):
-    # Both fixtures sit below the bisection cap, so no LAPACK call may be
-    # made and the golden bytes are those of every platform.
+    # Both fixtures sit below CLASS_COUNT_ROWS, so their eigenvalues come
+    # from the class count alone and the golden bytes are those of every
+    # platform; no LAPACK eigensolver may be called.
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK eigensolver called")
 
-    monkeypatch.setattr("sparsetrees.operators.eigh_tridiagonal", no_lapack)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
     out = tmp_path / "report.json"
     assert run([subcommand, "--config", str(FIXTURES / f"{stem}.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from sparsetrees import cli
+status = cli.run(["spectrum", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(status, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_long_block_spectrum_loads_no_scipy(tmp_path):
+    # A 601-row block takes the stretch count; a fresh process that runs
+    # it must not load scipy at all.
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps({
+        "subcommand": "spectrum",
+        "spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 7},
+        "depth": 600,
+    }))
+    out = tmp_path / "report.json"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(config), str(out)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.split("\n")[-2] == "0 []"
+    assert len(json.loads(out.read_text())["payload"]["eigenvalues"]) == 601
 
 
 @pytest.mark.parametrize("subcommand,stem,suffix", CASES)

@@ -194,11 +194,10 @@ def test_verify_decomposition_random_specs():
 
 def test_verify_decomposition_makes_no_lapack_call_on_large_trees(monkeypatch):
     # An AC1 tree and an 11,112-vertex tree: the class count solves both
-    # trees, and their blocks are short enough for the same bisection.
+    # trees and their blocks, which are short enough for it.
     def no_lapack(*args, **kwargs):
         raise AssertionError("LAPACK eigensolver called")
 
-    monkeypatch.setattr("sparsetrees.operators.eigh_tridiagonal", no_lapack)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
     cases = [(make_gamma_tree(2, "5/2", 9), 150, 2863), (TreeSpec((1, 2, 3, 4), (10,) * 4), 5, 11_112)]
     for spec, depth, size in cases:

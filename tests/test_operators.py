@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.operators import (
+    CLASS_COUNT_ROWS,
     GRID_BITS,
     SECTION_BITS,
     WORK_GUARD,
     SymOperator,
+    _count_stretches,
+    _Stretch,
+    _runs,
     apply_root_boundary,
     assemble_delta,
     assemble_delta_tilde,
@@ -220,8 +224,7 @@ def mp_count_below(op: SymOperator):
     return count
 
 
-def documented_bound(op: SymOperator) -> float:
-    """h + (degree + 4) * 2**-53 * B, as forest_eigenvalues states it."""
+def gershgorin_and_degree(op: SymOperator) -> tuple[float, int]:
     radius = [abs(d) for d in op.diag]
     degree = [0] * op.size
     for j, (i, w) in enumerate(zip(op.parent, op.weight)):
@@ -230,9 +233,23 @@ def documented_bound(op: SymOperator) -> float:
         for v in (i, j):
             radius[v] += abs(w)
             degree[v] += 1
-    gershgorin = max(radius)
-    h = math.ldexp(1.0, math.frexp(gershgorin)[1] + 1 - GRID_BITS)
-    return h + (max(degree) + 4) * 2.0**-53 * gershgorin
+    return max(radius), max(degree)
+
+
+def grid_step(gershgorin: float) -> float:
+    return math.ldexp(1.0, math.frexp(gershgorin)[1] + 1 - GRID_BITS)
+
+
+def documented_bound(op: SymOperator) -> float:
+    """h + (degree + 4) * 2**-53 * B, as forest_eigenvalues states it."""
+    gershgorin, degree = gershgorin_and_degree(op)
+    return grid_step(gershgorin) + (degree + 4) * 2.0**-53 * gershgorin
+
+
+def stretch_bound(op: SymOperator) -> float:
+    """h + 2**-46 * B, as eigenvalues_sym states it for the stretch count."""
+    gershgorin, _ = gershgorin_and_degree(op)
+    return grid_step(gershgorin) + 2.0**-46 * gershgorin
 
 
 def test_forest_eigenvalues_within_documented_bound_of_mpmath():
@@ -369,3 +386,145 @@ def test_class_count_agrees_with_dense_lapack_at_ac1_size():
             got = eigenvalues_sym(op)
             assert op.size == size
             assert np.abs(got - np.linalg.eigvalsh(matrix)).max() <= 1e-12 * (1.0 + gershgorin)
+
+
+def per_row_count(op: SymOperator, x: np.ndarray) -> np.ndarray:
+    """Negative pivots of q = (d - x) - w**2 / q_prev, row by row from row 0."""
+    count = np.zeros(len(x), dtype=np.int64)
+    q = None
+    with np.errstate(divide="ignore", over="ignore"):
+        for d, w in zip((op.diag + 0.0).tolist(), op.weight.tolist()):
+            q = d - x if w == 0.0 else (d - x) - w * w / q
+            count += q < 0.0
+    return count
+
+
+@st.composite
+def run_blocks(draw) -> SymOperator:
+    """Tridiagonal blocks made of runs of 1 to 50 equal rows.
+
+    A run is a diagonal in {0, -1, -2, -3} and a coupling in {1, sqrt 2,
+    sqrt 3}; a zero coupling, drawn now and then, restarts the pivots, and
+    a negative one, which leaves the eigenvalues as they are, is a run of
+    its own magnitude.
+    """
+    diag, off = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(st.sampled_from([0.0, -1.0, -2.0, -3.0]))
+        w = draw(st.sampled_from([1.0, math.sqrt(2.0), math.sqrt(3.0), 1.0, 0.0, -1.0]))
+        m = draw(st.integers(1, 50))
+        diag += [d] * m
+        off += [w] * m
+    return tridiagonal(np.array(diag), np.array(off[1:]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(run_blocks(), st.data())
+@example(tridiagonal([0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), None)  # zero pivot enters a run at x = 0
+@example(tridiagonal([-2.0] * 7, [1.0] * 6), None)  # s = +-2 at x = -4 and x = 0
+@example(tridiagonal([0.0] * 4, [1.0, 1.0, math.sqrt(2.0)]), None)  # a run ends on a zero pivot at x = 0
+def test_stretch_count_is_the_per_row_count(op, data):
+    # Exact special points: s = +-2 on every run, and x = d, which makes a
+    # fresh row's pivot an exact zero entering the next run.
+    special = sorted({d + sign * 2.0 * w for d, w, _ in _runs(op) for sign in (-1.0, 1.0)})
+    special += sorted(set(op.diag.tolist()))
+    x = np.array(special)
+    if data is not None:
+        floats = st.floats(-9.0, 7.0, allow_nan=False)
+        x = np.concatenate((x, data.draw(st.lists(floats, min_size=1, max_size=20))))
+    with np.errstate(divide="ignore", over="ignore"):
+        got = _count_stretches(_runs(op), x)
+    want = per_row_count(op, x)
+    # Where an eigenvalue lies within delta of x, both counts are exact counts
+    # of nearby matrices only; the stretch count must then lie between the
+    # counts at x -+ delta.
+    delta = 1e-9
+    exact = np.linalg.eigvalsh(dense(op))
+    for xi, g, p in zip(x, got, want):
+        near = np.abs(exact - xi).min() <= delta
+        if near:
+            assert np.sum(exact < xi - delta) <= g <= np.sum(exact < xi + delta), (xi, g, p)
+        else:
+            assert g == p, (xi, g, p)
+
+
+def test_stretch_route_agrees_with_the_class_count_on_long_blocks():
+    # Blocks of 501 to 2,000 rows: the stretch count against forest_eigenvalues,
+    # each within its stated bound, so within the sum of the two.
+    cases = [
+        truncated_block(make_gamma_tree(2, 3, 8), 0, CLASS_COUNT_ROWS),
+        truncated_block(make_gamma_tree(3, "5/2", 9), 0, 999, "degree"),
+        truncated_block(make_gamma_tree(2, 3, 8), 0, 1999, rho=0.3),
+    ]
+    for op in cases:
+        assert op.size > CLASS_COUNT_ROWS and op.is_tridiagonal()
+        got = eigenvalues_sym(op)
+        want = forest_eigenvalues(op)
+        assert np.abs(got - want).max() <= stretch_bound(op) + documented_bound(op), op.size
+
+
+def test_stretch_route_within_stated_bound_of_mpmath_on_deep_blocks():
+    # The two blocks of the spectrum-deep benchmark, at a sample of
+    # eigenvalues: both ends (bound states outside the band) and a spread.
+    cases = [
+        truncated_block(make_gamma_tree(2, 3, 10), 0, 10_000),
+        truncated_block(make_gamma_tree(2, "5/2", 12), 0, 6000, "degree"),
+    ]
+    for op in cases:
+        evs = eigenvalues_sym(op)
+        assert evs.shape == (op.size,) and np.all(np.diff(evs) >= 0)
+        sample = sorted({0, 1, op.size - 2, op.size - 1, *np.linspace(0, op.size - 1, 10).astype(int)})
+        with mpmath.workdps(40):
+            bound = mpmath.mpf(stretch_bound(op))
+            count_below = mp_count_below(op)
+            for k in sample:
+                ev = mpmath.mpf(evs[k])
+                assert count_below(ev - bound) <= k < count_below(ev + bound), (op.size, k, evs[k])
+
+
+def test_stretch_work_guard_refuses_before_counting():
+    # 6,000 rows, every one its own run: 36,000,000 steps of work
+    n = 6000
+    op = tridiagonal(np.arange(n) / n, np.ones(n - 1))
+    assert n * n > WORK_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="6000 rows x 6000 runs"):
+            eigenvalues_sym(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below one pass's points, rows x 3 doubles
+    assert peak < 8 * 3 * n
+
+
+def test_run_crossing_matches_per_row_steps():
+    # _Stretch.cross against m plain pivot steps q = 2wc - w**2/q: last
+    # pivots that agree as directions (w, q) up to sign, which stays well
+    # conditioned where q is near 0 or infinite, and equal counts.  Where
+    # the exact last pivot is 0 (c = 0 with q_in 0, +-tiny or infinite),
+    # rounding may put it on either side, so there the counts must agree
+    # on the rows before the last, each with its own last pivot's sign.
+    # (An exact zero one row earlier moves a crossing by one row only.)
+    rng = np.random.default_rng(7)
+    c = np.concatenate(([-1.0, 1.0, 0.0, 1 - 1e-6, -1 + 1e-6, 1 + 1e-6, -1 - 1e-6], rng.uniform(-4, 4, 60)))
+    q_in = np.concatenate(([0.0, np.inf, -np.inf, 1e-300, -1e-300, 2.0, -2.0], rng.normal(0, 2, 8)))
+    c, q_in = (a.ravel() for a in np.meshgrid(c, q_in))
+    # w = 3 with q_in = +-2 at c = +-1 ends two rows on an exact zero pivot
+    for w in (1.0, math.sqrt(2.0), 3.0):
+        angles = _Stretch(c)
+        for m in (2, 3, 17, 50):
+            with np.errstate(divide="ignore", over="ignore"):
+                crossed, last = angles.cross(q_in, w, m)
+                q = q_in
+                count = np.zeros(len(c), dtype=np.int64)
+                for _ in range(m):
+                    q = 2 * w * c - w * w / q
+                    count += q < 0.0
+            gap = np.abs(np.arctan2(last, w) - np.arctan2(q, w)) % math.pi
+            assert np.minimum(gap, math.pi - gap).max() <= 1e-9, (w, m)
+            tie = np.abs(np.arctan2(q, w)) <= 1e-9
+            assert np.array_equal(crossed[~tie], count[~tie]), (w, m)
+            before_last = crossed - (last < 0.0), count - (q < 0.0)
+            assert np.array_equal(before_last[0][tie], before_last[1][tie]), (w, m)
+            assert tie.sum() < len(c) // 20

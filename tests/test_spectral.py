@@ -231,6 +231,10 @@ def test_mc_exponent_exact_right_angle_input():
     for bad in ("1/0", "abc"):
         with pytest.raises(ValidationError, match="^pi_multiple: cannot parse"):
             mc_exponent(2, 3, None, pi_multiple=bad)
+    # a multiple outside (0, 1) is refused under its own name
+    for outside in ("1", "0", "3/2"):
+        with pytest.raises(ValidationError, match="^pi_multiple: the angle must lie"):
+            mc_exponent(2, 3, None, n_bumps=10, trials=2, pi_multiple=outside)
 
 
 def test_mc_exponent_shared_work_changes_nothing():
