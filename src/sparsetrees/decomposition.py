@@ -25,6 +25,7 @@ from .operators import (
     apply_root_boundary,
     assemble_delta,
     assemble_delta_tilde,
+    component_eigenvalues,
     eigenvalues_sym,
     tridiagonal,
 )
@@ -168,18 +169,23 @@ def verify_decomposition(
 ) -> DecompositionReport:
     """Compare the truncated tree operator with its block direct sum.
 
-    Both sides go through eigenvalues_sym: the tree side is the assembled
-    tree operator, the block side the tridiagonal matrices of the block
-    recurrences, so the two eigenvalue lists come from different matrices.
-    Both sides are solved by the same inertia bisection, on the class
-    count, except that tridiagonal operators above CLASS_COUNT_ROWS rows
-    take the stretch count; either way the comparison checks the
-    decomposition, not the eigensolver, which tests/test_operators.py
-    checks against a 40-digit mpmath count.  No LAPACK routine is called.
-    With rho = 0 and no such long block the report is the same on every
-    platform (a nonzero rho enters through the platform's tan, a long
-    block through its libm).  Sorted lists are compared entrywise; the
-    default tolerance is 1e-9 * (1 + max |eigenvalue|).
+    The tree side is the assembled tree operator, solved by
+    eigenvalues_sym; the block side is one operator holding one copy of
+    each block, solved by component_eigenvalues, and each block's
+    eigenvalues are repeated M_n times.  So the two eigenvalue lists come
+    from different matrices.  Each block is solved on its own grid, so its
+    eigenvalues have the bits eigenvalues_sym gives the block alone, but
+    the blocks share one class count: every block's rows are the root
+    block's rows from its start generation down, so they share their
+    subtree classes.  Both sides take the class count, except that chains
+    above CLASS_COUNT_ROWS rows take the stretch count; either way the
+    comparison checks the decomposition, not the eigensolver, which
+    tests/test_operators.py checks against a 40-digit mpmath count.  No
+    LAPACK routine is called.  With rho = 0 and no such long block the
+    report is the same on every platform (a nonzero rho enters through the
+    platform's tan, a long block through its libm).  Sorted lists are
+    compared entrywise; the default tolerance is
+    1e-9 * (1 + max |eigenvalue|).
     """
     if variant == ADJACENCY:
         tree_op = assemble_delta(spec, depth)
@@ -189,16 +195,18 @@ def verify_decomposition(
         raise ValidationError(f"variant: unknown variant {variant!r}")
     if rho != 0.0:
         tree_op = apply_root_boundary(tree_op, rho)
-    tree_eigs = np.sort(eigenvalues_sym(tree_op))
+    tree_eigs = eigenvalues_sym(tree_op)
 
     plan = plan_decomposition(spec, depth)
-    pieces = []
-    for n, mult in zip(range(plan.n_blocks), plan.multiplicities):
-        block_rho = rho if plan.offsets[n] == 0 else 0.0
-        evs = eigenvalues_sym(
-            truncated_block(spec, n, depth, variant, block_rho)
-        )
-        pieces.append(np.tile(evs, mult))
+    blocks = [
+        truncated_block(spec, n, depth, variant, rho if plan.offsets[n] == 0 else 0.0)
+        for n in range(plan.n_blocks)
+    ]
+    # one copy of each block, split from the next by a zero coupling
+    forest = tridiagonal(
+        np.concatenate([b.diag for b in blocks]), np.concatenate([b.weight for b in blocks])[1:]
+    )
+    pieces = [np.tile(evs, m) for evs, m in zip(component_eigenvalues(forest), plan.multiplicities)]
     block_eigs = np.sort(np.concatenate(pieces))
 
     counting_ok = plan.counting_identity_holds()

@@ -7,14 +7,16 @@ adjacency matrix, and adjacency minus the diagonal of vertex degrees
 (degrees counted inside the truncation, so the truncation is a Dirichlet
 cut after generation D).  These and the tridiagonal Jacobi blocks are all
 forests numbered parents first, which is the one form SymOperator
-stores.  Eigenvalues come from bisection of inertia counts on one
-power-of-two grid, with one of two counts.  The class count runs over
-classes of equal subtrees, not over vertices (on a spherically
-homogeneous tree every generation is one class), in plain IEEE
-arithmetic, so its bits are the same on every platform.  The stretch
-count takes tridiagonal operators above CLASS_COUNT_ROWS rows: it crosses
-each run of equal rows, such as a free stretch of a Jacobi block, in
-closed form.  No LAPACK routine is called.
+stores.  Eigenvalues come from bisection of inertia counts, component by
+component, each on a power-of-two grid of its own, with one of two
+counts.  The class count runs over classes of equal subtrees, not over
+vertices (on a spherically homogeneous tree every generation is one
+class, and the Jacobi blocks of one tree share their tails), in plain
+IEEE arithmetic, so its bits are the same on every platform; all
+components but long chains share one sweep of it per pass.  The stretch
+count takes each chain of more than CLASS_COUNT_ROWS rows alone: it
+crosses each run of equal rows, such as a free stretch of a Jacobi
+block, in closed form.  No LAPACK routine is called.
 """
 
 from __future__ import annotations
@@ -31,19 +33,20 @@ from .trees import TreeSpec, ball_count, generation_size
 
 VERTEX_GUARD = 1_000_000
 
-# Largest tridiagonal operator solved by the class count (forest_eigenvalues);
-# longer ones take the stretch count.  A block has one subtree class per
-# row, so the class count's work grows as rows**2, and the stretch count's
-# as rows times runs.  On a 500-row block the class count took 0.17 s of
+# Longest chain component solved by the class count (forest_eigenvalues);
+# longer ones take the stretch count.  A lone block has one subtree class
+# per row, so the class count's work grows as rows**2, and the stretch
+# count's as rows times runs.  On a 500-row block the class count took 0.17 s of
 # CPU and the stretch count 18 ms; the stretch count took 0.29 s on the
 # 10,001-row block of 18 runs in the spectrum-deep benchmark (best of 5,
 # 2 cores, Python 3.11, numpy 2.4).  The cap keeps the bits of shorter
 # blocks the same on every platform; above it they depend on libm.
 CLASS_COUNT_ROWS = 500
 
-# Largest bisection work: rows times class steps (forest_eigenvalues), or
-# rows times runs (the stretch count).  A forest has at most 2 * rows - 1
-# class steps, so every forest of up to 4,000 rows is accepted.
+# Largest bisection work: the rows of the components solved times class
+# steps (forest_eigenvalues), or a chain's rows times its runs (the stretch
+# count).  A forest has at most 2 * rows - 1 class steps, so every forest
+# of up to 4,000 rows is accepted.
 WORK_GUARD = 32_000_000
 
 # Bisection grid: eigenvalues are located on the integers j in
@@ -168,55 +171,80 @@ def apply_root_boundary(op: SymOperator, rho: float) -> SymOperator:
     return SymOperator(diag, op.parent, op.weight)
 
 
-def _subtree_classes(op: SymOperator) -> tuple[list[tuple], dict[int, int]]:
-    """Classes of equal subtrees, numbered children first, and their sizes.
+def _subtree_classes(op: SymOperator, vertices) -> tuple[list[tuple], dict[int, int], list[int], list[float]]:
+    """Classes of equal subtrees among vertices, whole components listed highest first.
 
-    Going from the highest vertex down, a vertex's key is its diagonal, its
-    squared coupling and its children's classes in elimination order; one
-    key means one pivot q(x) and one term w^2/q sent to the parent.
+    Classes are numbered children first.  A vertex's key is its diagonal,
+    the magnitude of its coupling and its children's classes in
+    elimination order; one key means one pivot q(x), one term w^2/q sent to
+    the parent and one subtree, with its rows and its Gershgorin bound (the
+    largest absolute row sum in it, each summed as the rows are numbered).
+    Returns the classes as (d, w^2, kids), the class of each root vertex,
+    highest root first, and the rows and bound of each class.
     """
     diag = (op.diag + 0.0).tolist()  # turns -0.0 into +0.0
-    w2 = (op.weight * op.weight).tolist()
+    coupling = np.abs(op.weight).tolist()
     parent = op.parent.tolist()
-    ids, mult = {}, {}
+    ids, keys, rows, bound, tops = {}, [], [], [], {}
     kids = {}  # classes of the children eliminated so far, by parent
-    for v in range(op.size - 1, -1, -1):
-        c = ids.setdefault((diag[v], w2[v], tuple(kids.pop(v, ()))), len(ids))
-        mult[c] = mult.get(c, 0) + 1
+    for v in vertices:
+        key = (diag[v], coupling[v], tuple(kids.pop(v, ())))
+        c = ids.setdefault(key, len(keys))
+        if c == len(keys):
+            keys.append(key)
+            d, w, below = key
+            radius = abs(d) + w  # own coupling, then the children's, lowest first
+            for k in reversed(below):
+                radius += keys[k][1]
+            rows.append(1 + sum(rows[k] for k in below))
+            bound.append(max([radius, *(bound[k] for k in below)]))
         if parent[v] >= 0:
             kids.setdefault(parent[v], []).append(c)
-    return list(ids), mult
+        else:
+            tops[v] = c
+    return [(d, w * w, below) for d, w, below in keys], tops, rows, bound
 
 
-def _count_below(classes, mult, last_reader, x) -> np.ndarray:
-    """Number of eigenvalues below each x (Sylvester): sum of mult * [q < 0].
+def _count_below(classes, last_reader, picks, points, back) -> np.ndarray:
+    """Eigenvalues of each bracket's component below its points (Sylvester).
 
-    A class's pivot is q = (d - x) - its children's terms, equal terms still
-    added one at a time in elimination order, so q has the bits of the
-    per-vertex elimination.  A zero pivot (always +0.0, as no diagonal is
-    -0.0) sends +inf to its parent: the limit of a tiny positive pivot.  A
-    term is kept until its last reader has added it.
+    points are the pass's distinct points, and back[i] the indices of
+    bracket i's points among them.  A class's pivot is q = (d - x) - its
+    children's terms, equal terms still added one at a time in elimination
+    order, so q has the bits of the per-vertex elimination.  A zero pivot
+    (always +0.0, as no diagonal is -0.0) sends +inf to its parent: the
+    limit of a tiny positive pivot.  The class's subtree count, [q < 0]
+    plus its children's counts, goes up with its term, and at a root class
+    it is the count of that class's components: it goes at once to their
+    brackets, picks[c].  A root class sends no term (w^2/q would be 0/0 at
+    q = 0).  A term and a count are kept until their last reader has added
+    them.
     """
-    count = np.zeros(len(x), dtype=np.int64)
-    terms = {}
+    count = np.empty(back.shape, dtype=np.int64)
+    sent = {}  # class -> (term, subtree count)
     for c, (d, w2, kids) in enumerate(classes):
-        q = d - x
+        q = d - points
         if kids:
-            q -= reduce(np.add, (terms[k] for k in kids))
-        count += mult[c] * (q < 0.0)
-        if c in last_reader:
-            terms[c] = w2 / q
-        terms = {k: t for k, t in terms.items() if last_reader[k] > c}
+            q -= reduce(np.add, (sent[k][0] for k in kids))
+        below = (q < 0.0).astype(np.int64)
+        for k in kids:
+            below += sent[k][1]
+        if c in picks:
+            count[picks[c]] = below[back[picks[c]]]
+        else:
+            sent[c] = (w2 / q, below)
+        sent = {k: s for k, s in sent.items() if last_reader[k] > c}
     return count
 
 
-def _bisect(op: SymOperator, count) -> np.ndarray:
-    """Ascending eigenvalues of op by bisection of count(x), the number below x.
+def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
+    """Ascending eigenvalues of components by bisection of count, the number below x.
 
-    Every eigenvalue is located on the grid j*h, with j an integer,
-    |j| <= 2**GRID_BITS, and h = 2**e / 2**GRID_BITS where 2**e is at least
-    twice the Gershgorin bound B (taken with frexp, so exactly).  Each pass
-    splits the bracket [lo, hi) of the k-th eigenvalue into
+    Component i has sizes[i] rows, and its eigenvalues are located on its
+    own grid j*h, with j an integer, |j| <= 2**GRID_BITS, and
+    h = 2**e / 2**GRID_BITS where 2**e is at least twice its Gershgorin
+    bound bounds[i] (taken with frexp, so exactly).  Each pass splits the
+    bracket [lo, hi) of the component's k-th eigenvalue into
     2**SECTION_BITS equal parts and keeps the part that ends at the first
     inner point whose count exceeds k (the last part if none does), so the
     count stays at most k at lo and above k at hi; where the count is
@@ -224,76 +252,100 @@ def _bisect(op: SymOperator, count) -> np.ndarray:
     The eigenvalue is reported as the left end of the final cell
     [j*h, (j+1)*h), so an eigenvalue on the grid, such as an exact 0, comes
     back exactly.  If each computed count is the exact count of a matrix
-    within distance E of op, every eigenvalue is within h + E of the exact
-    one.  Repeated eigenvalues share their points: count sees each once.
+    within distance E of the component, every eigenvalue is within h + E
+    of the exact one.  count(points, back) gets the pass's distinct points
+    and, for every bracket, the indices back of its inner points among
+    them, and returns the number of the bracket's component's eigenvalues
+    below each, so repeated eigenvalues, and components whose grids meet,
+    share their points.  The bits of a component's eigenvalues are those
+    of solving it alone.
     """
-    linked = op.parent >= 0
-    radius = np.abs(op.diag) + np.abs(op.weight)  # Gershgorin: own coupling, then children's
-    np.add.at(radius, op.parent[linked], np.abs(op.weight[linked]))
-    h = math.ldexp(1.0, math.frexp(float(radius.max()))[1] + 1 - GRID_BITS)
-
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
-    target = np.arange(op.size)[:, None]  # eigenvalue index
-    lo = np.full(op.size, -(1 << GRID_BITS), dtype=np.int64)
+    steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
+    # a grid step per bracket; one component keeps a scalar, as lean as before
+    h = steps[0] if len(sizes) == 1 else np.repeat(steps, sizes)[:, None]
+    target = np.concatenate([np.arange(n) for n in sizes])[:, None]  # index in its component
+    lo = np.full(len(target), -(1 << GRID_BITS), dtype=np.int64)
     width = 1 << (GRID_BITS + 1)
     with np.errstate(divide="ignore", over="ignore"):
         while width > 1:
             width //= parts
             x = (lo[:, None] + width * inner) * h
             points, back = np.unique(x, return_inverse=True)
-            above = count(points)[back].reshape(x.shape) > target
+            above = count(points, back.reshape(x.shape)) > target
             first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
             lo += first * width
-    return np.sort(lo * h)
+    return [np.sort(v) for v in np.split(lo * np.ravel(h), np.cumsum(sizes)[:-1])]
 
 
-def forest_eigenvalues(op: SymOperator) -> np.ndarray:
-    """Ascending eigenvalues of a SymOperator (a forest), in plain IEEE arithmetic.
+def forest_eigenvalues(op: SymOperator, skip=()) -> dict[int, np.ndarray]:
+    """Ascending eigenvalues of each component of a SymOperator (a forest), by root vertex.
 
-    Bisection (_bisect) of the inertia count, which runs over classes of
-    equal subtrees: one pivot per generation on a spherically homogeneous
-    tree.  Each computed count is the exact count of a matrix whose
-    couplings differ from op's by at most (c + 4)/2 units of roundoff, c the
-    number of children of the coupled parent (Demmel, Dhillon and Ren,
+    Components that start at the rows given as (first row, rows) in skip
+    are left out.  Every other component is bisected (_bisect) on its own
+    grid, and all of them share one inertia count per pass, which runs
+    over classes of equal subtrees: one pivot per generation on a
+    spherically homogeneous tree, and, for Jacobi blocks that are tails of
+    one another, one per row of the longest plus one per other block's top
+    row.  Equal components are solved once.  Each computed count is the exact count of a matrix whose
+    couplings differ from op's by at most (c + 4)/2 units of roundoff, c
+    the number of children of the coupled parent (Demmel, Dhillon and Ren,
     Numer. Math. 1995).  Barring underflow, every eigenvalue is therefore
     within h + (degree + 4) * 2**-53 * B of the exact one, degree the
-    largest vertex degree.
+    largest vertex degree and B the Gershgorin bound of its component.
 
     Only IEEE basic operations and integer counts are used: no LAPACK, no
     libm call, no BLAS reduction.  The bits are thus the same on every
-    platform, whether or not the floating-point count is monotone in x.
-    The work, rows times steps (class pivots plus child terms), is refused
-    above WORK_GUARD before any count.
+    platform, whether or not the floating-point count is monotone in x,
+    and a component's bits do not depend on the other components.  The
+    work, the rows of the components solved times the steps (class pivots
+    plus child terms), is refused above WORK_GUARD before any count; a
+    pass holds a few arrays of 3 points per row solved.
     """
-    classes, mult = _subtree_classes(op)
+    if skip:
+        rest = np.ones(op.size, dtype=bool)
+        for first, rows in skip:
+            rest[first : first + rows] = False
+        vertices = np.flatnonzero(rest)[::-1].tolist()
+    else:
+        vertices = range(op.size - 1, -1, -1)
+    classes, tops, rows, bounds = _subtree_classes(op, vertices)
+    solved = list(dict.fromkeys(tops.values()))  # root classes, each solved once
+    sizes = [rows[c] for c in solved]
     steps = sum(1 + len(kids) for _, _, kids in classes)
-    if op.size * steps > WORK_GUARD:
+    if sum(sizes) * steps > WORK_GUARD:
         raise GuardError(
-            f"size: bisection work {op.size} rows x {steps} class steps, guard is {WORK_GUARD}"
+            f"size: bisection work {sum(sizes)} rows x {steps} class steps, guard is {WORK_GUARD}"
         )
+    if not solved:
+        return {}
     last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
-    return _bisect(op, partial(_count_below, classes, mult, last_reader))
+    ends = np.cumsum(sizes).tolist()
+    picks = {c: slice(end - size, end) for c, size, end in zip(solved, sizes, ends)}
+    count = partial(_count_below, classes, last_reader, picks)
+    evs = dict(zip(solved, _bisect(sizes, [bounds[c] for c in solved], count)))
+    return {v: evs[c] for v, c in reversed(tops.items())}
 
 
-def _runs(op: SymOperator) -> list[tuple[float, float, int]]:
-    """A tridiagonal op as maximal runs (d, w, rows) of rows with equal diag and coupling.
+def _runs(diag: np.ndarray, weight: np.ndarray) -> list[tuple[float, float, int]]:
+    """A chain's rows as maximal runs (d, w, rows) of rows with equal diag and coupling.
 
     w is the coupling's magnitude: the signs of the couplings do not change
     the eigenvalues (a sign flip still starts a run).  A row with w = 0
-    starts a fresh pivot and is a run of its own.  The stretch count's work, rows times runs, is refused above
-    WORK_GUARD before the runs are listed.
+    starts a fresh pivot and is a run of its own.  The stretch count's
+    work, rows times runs, is refused above WORK_GUARD before the runs are
+    listed.
     """
-    diag, weight = op.diag, op.weight
-    start = np.ones(op.size, dtype=bool)
+    start = np.ones(len(diag), dtype=bool)
     start[1:] = (diag[1:] != diag[:-1]) | (weight[1:] != weight[:-1]) | (weight[1:] == 0.0)
     first = np.flatnonzero(start)
-    if op.size * first.size > WORK_GUARD:
+    if len(diag) * first.size > WORK_GUARD:
         raise GuardError(
-            f"size: stretch-count work {op.size} rows x {first.size} runs, guard is {WORK_GUARD}"
+            f"size: stretch-count work {len(diag)} rows x {first.size} runs, guard is {WORK_GUARD}"
         )
     d = (diag[first] + 0.0).tolist()  # turns -0.0 into +0.0
-    return list(zip(d, np.abs(weight[first]).tolist(), np.diff(first, append=op.size).tolist()))
+    return list(zip(d, np.abs(weight[first]).tolist(), np.diff(first, append=len(diag)).tolist()))
 
 
 # Stands in for w/q at a zero pivot q: the limit of a tiny positive pivot.
@@ -385,24 +437,64 @@ def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.
     return count.astype(np.int64)
 
 
-def eigenvalues_sym(op: SymOperator) -> np.ndarray:
-    """All eigenvalues of a SymOperator (a forest), ascending.
+def _stretch_count(runs, points, back) -> np.ndarray:
+    """_count_stretches at a chain's brackets, in _bisect's form."""
+    return _count_stretches(runs, points)[back]
 
-    Trees, and tridiagonal operators of up to CLASS_COUNT_ROWS rows, go
-    through forest_eigenvalues: the same bits on every platform, with work
-    above WORK_GUARD refused.  Longer tridiagonal operators (long blocks,
-    and trees that do not branch inside the truncation) are bisected
-    (_bisect) on the stretch count, _count_stretches, whose work, rows
-    times runs, is refused above WORK_GUARD (_runs) before any count.  Its
-    closed forms call libm (arctan, arctan2, tan, arccosh, exp, expm1), so
-    those bits are the platform's.  To first order, with libm within 2
-    units in the last place, each of its counts is the exact count of a
-    matrix whose entries differ from op's by at most about 50 * 2**-53 * B;
-    every eigenvalue is stated to be within h + 2**-46 * B of the exact
-    one, a bound the tests check against 40-digit counts.
+
+def _long_chains(op: SymOperator) -> list[tuple[int, int]]:
+    """(first row, rows) of each component that is a chain of more than CLASS_COUNT_ROWS rows.
+
+    A chain is numbered in order: each row after its first hangs from the
+    row before.  Between two rows that do not hang from the row before
+    lies a run of the forest; a run is such a chain when it starts at a
+    root and no row after it hangs from any of its rows.
+    """
+    if op.size <= CLASS_COUNT_ROWS:
+        return []
+    stop = np.flatnonzero(op.parent != np.arange(-1, op.size - 1))  # row 0 hangs from -1
+    first = np.concatenate(([0], stop))
+    rows = np.diff(first, append=op.size)
+    chain = (op.parent[first] < 0) & (rows > CLASS_COUNT_ROWS)
+    hung = op.parent[stop]
+    chain[np.searchsorted(first, hung[hung >= 0], side="right") - 1] = False
+    return list(zip(first[chain].tolist(), rows[chain].tolist()))
+
+
+def component_eigenvalues(op: SymOperator) -> list[np.ndarray]:
+    """Ascending eigenvalues of each component of a SymOperator (a forest), in the order of their roots.
+
+    A component that is a chain of more than CLASS_COUNT_ROWS rows,
+    numbered in order (a long block, or a tree that does not branch inside
+    the truncation), is bisected (_bisect) alone on the stretch count,
+    _count_stretches, whose work, rows times runs, is refused above
+    WORK_GUARD (_runs).  Its closed forms call libm (arctan, arctan2, tan,
+    arccosh, exp, expm1), so those bits are the platform's.  To first
+    order, with libm within 2 units in the last place, each of its counts
+    is the exact count of a matrix whose entries differ from the chain's
+    by at most about 50 * 2**-53 * B; every eigenvalue is stated to be
+    within h + 2**-46 * B of the exact one, a bound the tests check
+    against 40-digit counts.  Every other component goes through one
+    forest_eigenvalues sweep: the same bits on every platform.  Each
+    component is solved on its own grid, so its bits are those of solving
+    it alone, and all work is refused before any count.  An operator of
+    one row is its own eigenvalue.
     """
     if op.size <= 1:
-        return op.diag.copy()
-    if op.size <= CLASS_COUNT_ROWS or not op.is_tridiagonal():
-        return forest_eigenvalues(op)
-    return _bisect(op, partial(_count_stretches, _runs(op)))
+        return [op.diag.copy()]
+    chains = _long_chains(op)
+    runs = [_runs(op.diag[a : a + n], op.weight[a : a + n]) for a, n in chains]
+    solved = forest_eigenvalues(op, chains)
+    for (a, n), chain_runs in zip(chains, runs):
+        diag, weight = op.diag[a : a + n], op.weight[a : a + n]
+        radius = np.abs(diag) + np.abs(weight)  # Gershgorin: own coupling, then the child's
+        radius[:-1] += np.abs(weight[1:])
+        count = partial(_stretch_count, chain_runs)
+        (solved[a],) = _bisect([n], [float(radius.max())], count)
+    return [solved[root] for root in sorted(solved)]
+
+
+def eigenvalues_sym(op: SymOperator) -> np.ndarray:
+    """All eigenvalues of a SymOperator (a forest), ascending: those of component_eigenvalues."""
+    parts = component_eigenvalues(op)
+    return parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import ValidationError
 
 _TWO_PI = 2.0 * math.pi
@@ -81,10 +79,16 @@ class PhaseReducer:
         return max(_MIN_BITS, ((need + 255) // 256) * 256)
 
     def _fixed(self, bits: int) -> int:
-        """floor(frac(angle / 2pi) * 2**bits), cached per precision."""
+        """floor(frac(angle / 2pi) * 2**bits), cached per precision.
+
+        mpmath is imported here, its only use, so the subcommands that never
+        reduce a phase do not load it.
+        """
         cached = self._fixed_cache.get(bits)
         if cached is not None:
             return cached
+        import mpmath as mp
+
         with mp.workprec(bits + 64):
             if self.circle_fraction is not None:
                 x = mp.mpf(self.circle_fraction.numerator) / self.circle_fraction.denominator

@@ -281,15 +281,20 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
     n_levels = base.n_branchings
     # Level m is safe when its lowest value floor_m - m clears the highest
     # value floor_{m-1} + (m - 1) of the level before by 2, that is when
-    # floor_m - floor_{m-1} > 2m (level 1: when floor_1 > 1): no draw there
-    # needs a repair.  Levels up to the last unsafe one are drawn one by
-    # one; every later level comes from one array draw, which bounds each
+    # gap_m = floor_m - floor_{m-1} > 2m (level 1: when floor_1 > 1): no draw
+    # there needs a repair.  Levels up to the last unsafe one are drawn one
+    # by one; every later level comes from one array draw, which bounds each
     # element like a scalar draw and so reads the same Philox stream.
+    # From level 2 on, the unsafe levels are a prefix, so the scan stops at
+    # the first safe one: with b = gamma**m, gap_m > 2m gives
+    # b - b/gamma > gap_m - 1 >= 2m, and so
+    # gap_{m+1} > (gamma - 1) * b - 1 > 2 * gamma * m - 1 >= 2(m + 1),
+    # as gamma > 2 and m >= 2.
     repairable = 0 if floors[0] > 1 else 1
-    for m in range(n_levels, 1, -1):
-        if floors[m - 1] - floors[m - 2] <= 2 * m:
-            repairable = m
+    for m in range(2, n_levels + 1):
+        if floors[m - 1] - floors[m - 2] > 2 * m:
             break
+        repairable = m
     rng = _trial_rng(seed, trial)
     levels: list[int] = []
     omegas: list[int] = []

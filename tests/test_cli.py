@@ -78,6 +78,27 @@ def test_long_block_spectrum_loads_no_scipy(tmp_path):
     assert len(json.loads(out.read_text())["payload"]["eigenvalues"]) == 601
 
 
+NO_MPMATH_SCRIPT = """
+import sys
+from sparsetrees import cli
+status = [cli.run([sub, "--config", config, "--out", sys.argv[1]]) for sub, config in zip(sys.argv[2::2], sys.argv[3::2])]
+print(status, sorted(name for name in sys.modules if name.split(".")[0] == "mpmath"))
+"""
+
+
+def test_decompose_and_spectrum_load_no_mpmath(tmp_path):
+    # Only phase reduction uses mpmath; a fresh process that decomposes a
+    # tree and solves a spectrum with coverage must not load it.
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ops = ["decompose", str(FIXTURES / "decompose.json"), "spectrum", str(FIXTURES / "spectrum.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MPMATH_SCRIPT, str(tmp_path / "report.json"), *ops],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.split("\n")[-2] == "[0, 0] []"
+
+
 @pytest.mark.parametrize("subcommand,stem,suffix", CASES)
 def test_reruns_are_byte_identical(subcommand, stem, suffix, tmp_path):
     first = tmp_path / "first"

@@ -7,7 +7,9 @@ import random
 
 import numpy as np
 import pytest
+from test_acceptance import _acceptance_specs
 
+from sparsetrees import decomposition
 from sparsetrees.decomposition import (
     multiplicities,
     plan_decomposition,
@@ -16,7 +18,7 @@ from sparsetrees.decomposition import (
 )
 from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import JacobiCoefficients, block_offsets
-from sparsetrees.operators import eigenvalues_sym
+from sparsetrees.operators import component_eigenvalues, eigenvalues_sym
 from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
 
 
@@ -204,3 +206,26 @@ def test_verify_decomposition_makes_no_lapack_call_on_large_trees(monkeypatch):
         for variant in ("adjacency", "degree"):
             rep = verify_decomposition(spec, depth, variant)
             assert rep.passed and rep.tree_size == size, (size, variant, rep.max_deviation)
+
+
+def test_block_side_has_the_bits_of_each_block_alone(monkeypatch):
+    # verify_decomposition solves one copy of every block in one operator;
+    # each block's eigenvalues must be those eigenvalues_sym gives it alone.
+    solved = []
+
+    def recorded(op):
+        solved.append(component_eigenvalues(op))
+        return solved[-1]
+
+    monkeypatch.setattr(decomposition, "component_eigenvalues", recorded)
+    rho = 0.7
+    for spec, depth in _acceptance_specs():
+        for variant in ("adjacency", "degree"):
+            solved.clear()
+            assert verify_decomposition(spec, depth, variant, rho).passed, (spec, depth, variant)
+            (blocks,) = solved
+            assert len(blocks) == plan_decomposition(spec, depth).n_blocks
+            for n, evs in enumerate(blocks):
+                block = truncated_block(spec, n, depth, variant, rho if n == 0 else 0.0)
+                alone = eigenvalues_sym(block)
+                assert np.array_equal(evs.view(np.int64), alone.view(np.int64)), (spec, depth, variant, n)

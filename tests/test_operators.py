@@ -26,6 +26,7 @@ from sparsetrees.operators import (
     apply_root_boundary,
     assemble_delta,
     assemble_delta_tilde,
+    component_eigenvalues,
     enumerate_vertices,
     eigenvalues_sym,
     forest_eigenvalues,
@@ -252,6 +253,11 @@ def stretch_bound(op: SymOperator) -> float:
     return grid_step(gershgorin) + 2.0**-46 * gershgorin
 
 
+def class_count(op: SymOperator) -> np.ndarray:
+    """All eigenvalues of op by the class count (forest_eigenvalues), ascending."""
+    return np.sort(np.concatenate(list(forest_eigenvalues(op).values())))
+
+
 def test_forest_eigenvalues_within_documented_bound_of_mpmath():
     fixture_block = make_gamma_tree(2, 3, 6)  # tests/fixtures/spectrum.json
     fixture_tree = make_gamma_tree(2, "5/2", 5)  # tests/fixtures/decompose.json
@@ -266,7 +272,7 @@ def test_forest_eigenvalues_within_documented_bound_of_mpmath():
     ]
     largest_cluster = 0
     for op in cases:
-        evs = forest_eigenvalues(op)
+        evs = class_count(op)
         assert evs.shape == (op.size,) and np.all(np.diff(evs) >= 0)
         with mpmath.workdps(40):
             bound = mpmath.mpf(documented_bound(op))
@@ -278,19 +284,35 @@ def test_forest_eigenvalues_within_documented_bound_of_mpmath():
                 assert below <= k < upto, (op.size, k, ev)
                 largest_cluster = max(largest_cluster, upto - below)
     # the odd zero-diagonal block has the exact eigenvalue 0, on the grid
-    assert forest_eigenvalues(cases[0])[30] == 0.0
+    assert class_count(cases[0])[30] == 0.0
     # the tree's repeated eigenvalues are each found
     assert largest_cluster >= 2
     assert cases[3].size == 47
 
 
+def components(op: SymOperator) -> list[SymOperator]:
+    """Each component of op as an operator of its own, in the order of their roots."""
+    members = {}  # root -> vertices, in order
+    root = []
+    for v, p in enumerate(op.parent.tolist()):
+        root.append(v if p < 0 else root[p])
+        members.setdefault(root[v], []).append(v)
+    parts = []
+    for vertices in members.values():
+        index = {v: i for i, v in enumerate(vertices)}
+        parent = [index.get(p, -1) for p in op.parent[vertices].tolist()]
+        parts.append(SymOperator(op.diag[vertices], np.array(parent), op.weight[vertices]))
+    return parts
+
+
 def per_vertex_eigenvalues(op: SymOperator) -> np.ndarray:
-    """forest_eigenvalues with one pivot per vertex: the reference for the class count.
+    """A tree's eigenvalues with one pivot per vertex: the reference for the class count.
 
     The same grid and sections; each pass eliminates every vertex from the
     highest number down, q_v = (d_v - x) - sum of w_c^2/q_c over its
     children in elimination order, and counts the negative pivots.
     """
+    assert np.count_nonzero(op.parent < 0) == 1
     diag = op.diag + 0.0
     linked = op.parent >= 0
     radius = np.abs(diag) + np.abs(op.weight)
@@ -364,8 +386,17 @@ def forests_with_repeated_subtrees(draw, max_rows: int = 60) -> SymOperator:
 @example(assemble_delta_tilde(TreeSpec((1, 3), (3, 2)), 6))
 @example(apply_root_boundary(assemble_delta(make_gamma_tree(2, 3, 4), 9), 0.3))
 def test_class_count_is_the_per_vertex_count_bit_for_bit(op):
-    evs = forest_eigenvalues(op)
-    assert np.array_equal(evs.view(np.int64), per_vertex_eigenvalues(op).view(np.int64))
+    # Each component on its own grid: the class count of the whole forest
+    # has the bits of the per-vertex count of each component alone.
+    want = [per_vertex_eigenvalues(part) for part in components(op)]
+    got = forest_eigenvalues(op)
+    assert list(got) == np.flatnonzero(op.parent < 0).tolist()
+    for evs, ref in zip(got.values(), want):
+        assert np.array_equal(evs.view(np.int64), ref.view(np.int64))
+    if op.size > 1:  # no component here is a long chain
+        for evs, ref in zip(component_eigenvalues(op), want, strict=True):
+            assert np.array_equal(evs.view(np.int64), ref.view(np.int64))
+    evs = class_count(op)
     with mpmath.workdps(40):
         bound = mpmath.mpf(documented_bound(op))
         count_below = mp_count_below(op)
@@ -426,14 +457,14 @@ def run_blocks(draw) -> SymOperator:
 def test_stretch_count_is_the_per_row_count(op, data):
     # Exact special points: s = +-2 on every run, and x = d, which makes a
     # fresh row's pivot an exact zero entering the next run.
-    special = sorted({d + sign * 2.0 * w for d, w, _ in _runs(op) for sign in (-1.0, 1.0)})
+    special = sorted({d + sign * 2.0 * w for d, w, _ in _runs(op.diag, op.weight) for sign in (-1.0, 1.0)})
     special += sorted(set(op.diag.tolist()))
     x = np.array(special)
     if data is not None:
         floats = st.floats(-9.0, 7.0, allow_nan=False)
         x = np.concatenate((x, data.draw(st.lists(floats, min_size=1, max_size=20))))
     with np.errstate(divide="ignore", over="ignore"):
-        got = _count_stretches(_runs(op), x)
+        got = _count_stretches(_runs(op.diag, op.weight), x)
     want = per_row_count(op, x)
     # Where an eigenvalue lies within delta of x, both counts are exact counts
     # of nearby matrices only; the stretch count must then lie between the
@@ -459,7 +490,7 @@ def test_stretch_route_agrees_with_the_class_count_on_long_blocks():
     for op in cases:
         assert op.size > CLASS_COUNT_ROWS and op.is_tridiagonal()
         got = eigenvalues_sym(op)
-        want = forest_eigenvalues(op)
+        want = class_count(op)
         assert np.abs(got - want).max() <= stretch_bound(op) + documented_bound(op), op.size
 
 
@@ -480,6 +511,51 @@ def test_stretch_route_within_stated_bound_of_mpmath_on_deep_blocks():
             for k in sample:
                 ev = mpmath.mpf(evs[k])
                 assert count_below(ev - bound) <= k < count_below(ev + bound), (op.size, k, evs[k])
+
+
+def direct_sum(ops: list[SymOperator]) -> SymOperator:
+    """The forest with one component per operator, numbered in order."""
+    offsets = np.cumsum([0] + [op.size for op in ops[:-1]])
+    parent = [np.where(op.parent >= 0, op.parent + off, -1) for op, off in zip(ops, offsets)]
+    return SymOperator(
+        np.concatenate([op.diag for op in ops]), np.concatenate(parent), np.concatenate([op.weight for op in ops])
+    )
+
+
+def test_each_component_gets_the_bits_of_its_own_solve():
+    # Two long blocks take the stretch count; a path of 602 rows with two
+    # leaves on its end, a tree and a lone row share the class count.  Each
+    # component's eigenvalues are those of eigenvalues_sym on it alone.
+    long_block = truncated_block(make_gamma_tree(2, 3, 8), 0, 700, rho=0.3)
+    parts = [
+        assemble_delta(make_gamma_tree(2, 3, 7), 20),
+        long_block,
+        assemble_delta_tilde(TreeSpec((601,), (2,)), 602),
+        tridiagonal([0.5], []),
+        truncated_block(make_gamma_tree(2, 3, 8), 2, 700, "degree"),
+        long_block,
+    ]
+    assert [p.size > CLASS_COUNT_ROWS and p.is_tridiagonal() for p in parts] == [False, True, False, False, True, True]
+    got = component_eigenvalues(direct_sum(parts))
+    assert len(got) == len(parts)
+    for evs, part in zip(got, parts):
+        assert np.array_equal(evs.view(np.int64), eigenvalues_sym(part).view(np.int64)), part.size
+
+
+def test_many_components_take_memory_linear_in_rows():
+    # 1,500 lone rows with distinct diagonals, each on its own grid: one
+    # pass's counts for every component at every point would be
+    # 8 * 3 * n * n bytes, 54 MB.
+    n = 1500
+    op = SymOperator(np.arange(n) / 8.0 - 90.0, np.full(n, -1), np.zeros(n))
+    tracemalloc.start()
+    try:
+        evs = eigenvalues_sym(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(evs, op.diag)  # every diagonal lies on its grid
+    assert peak < 2000 * n
 
 
 def test_stretch_work_guard_refuses_before_counting():
