@@ -14,12 +14,13 @@ by comparing eigenvalue multisets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .jacobi import ADJACENCY, DEGREE, block_offsets
+from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients, block_offsets
 from .operators import (
     SymOperator,
     apply_root_boundary,
@@ -29,7 +30,7 @@ from .operators import (
     eigenvalues_sym,
     tridiagonal,
 )
-from .trees import TreeSpec, ball_count, kappa
+from .trees import TreeSpec, ball_count, generation_size
 
 __all__ = [
     "DecompositionPlan",
@@ -46,17 +47,13 @@ _BLOCK_DEPTH_GUARD = 100_000
 def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
     """Block multiplicities M_0..M_N.
 
-    M_0 = 1; for n >= 1, M_n is the jump in the cumulative branching
-    product, prod(k_1..k_n) - prod(k_1..k_{n-1}), the number of directions
-    that become independent at branching n.
+    M_0 = 1; for n >= 1, M_n is the jump in the generation size across
+    branching n, prod(k_1..k_n) - prod(k_1..k_{n-1}), the number of
+    directions that become independent at branching n.
     """
-    out = [1]
-    prod_prev = 1
-    for k in spec.branch_factors:
-        prod_cur = prod_prev * k
-        out.append(prod_cur - prod_prev)
-        prod_prev = prod_cur
-    return tuple(out)
+    return (1,) + tuple(
+        generation_size(spec, lv + 1) - generation_size(spec, lv) for lv in spec.branch_levels
+    )
 
 
 @dataclass(frozen=True)
@@ -110,39 +107,36 @@ def truncated_block(
 ) -> SymOperator:
     """Finite tridiagonal piece of one block, cut after generation `depth`.
 
-    Site j of block n sits at tree generation g = R_n + j - 1.  The
-    off-diagonal between sites j and j+1 is sqrt(kappa(g)).  For the
-    degree variant the diagonal is minus the vertex degree as seen inside
-    the truncation: interior sites keep the unbounded-tree pattern, but
-    the first site of the root block loses its (missing) parent and the
-    last site loses its cut children.  Without those two boundary
-    corrections the eigenvalue match with the truncated tree fails.
-    Depths above 100,000 are refused before anything is built.
+    Site j of block n sits at tree generation R_n + j - 1.  The rows are
+    the first depth - R_n + 1 sites of JacobiCoefficients.for_tree_block,
+    with one correction at each end in the degree variant: the first site
+    of the root block has no parent, and the last site has its children
+    cut.  Without these corrections the eigenvalue match with the
+    truncated tree fails.  Depths above 100,000 are refused before
+    anything is built.
     """
     if depth > _BLOCK_DEPTH_GUARD:
         raise GuardError(
             f"depth {depth} exceeds the truncated-block solver guard ({_BLOCK_DEPTH_GUARD})"
         )
-    offs = block_offsets(spec)
-    if not 0 <= block < len(offs):
-        raise ValidationError("block: outside 0..n_branchings")
-    start = offs[block]
+    coeffs = JacobiCoefficients.for_tree_block(spec, block, variant)
+    start = block_offsets(spec)[block]
     if start > depth:
         raise ValidationError("depth: block starts beyond the truncation")
     size = depth - start + 1
-    off = np.array(
-        [math.sqrt(kappa(spec, start + j - 1)) for j in range(1, size)]
-    )
+    # bumps past the cut have positions >= size; they may be huge ints
+    cut = bisect_left(coeffs.positions, size)
+    rows = np.array(coeffs.positions[:cut], dtype=np.int64) - 1
+    off = np.ones(size - 1)
+    off[rows] = coeffs.values[:cut]
     if variant == ADJACENCY:
         diag = np.zeros(size)
-    elif variant == DEGREE:
-        diag = np.empty(size)
-        for j in range(1, size + 1):
-            g = start + j - 1
-            deg = (1 if g >= 1 else 0) + (kappa(spec, g) if g < depth else 0)
-            diag[j - 1] = -deg
     else:
-        raise ValidationError(f"variant: unknown variant {variant!r}")
+        diag = np.full(size, -2.0)
+        diag[rows] = coeffs.diag_bumps[:cut]
+        diag[-1] = -1.0
+        if block == 0:
+            diag[0] += 1.0  # a lone root at depth 0 gets -1.0 + 1.0 = +0.0
     block_op = tridiagonal(diag, off)
     return apply_root_boundary(block_op, rho) if rho != 0.0 else block_op
 

@@ -82,9 +82,11 @@ class JacobiCoefficients:
         Block n starts at generation R_n (R_0 = 0, R_n = L_n + 1) and sees
         the branchings above it: bumps sit at j = R_m - R_n for m > n with
         weight sqrt(k_m).  In the degree variant the diagonal is -2 off the
-        bumps and -(k_m + 1) on them, the degree pattern of the untruncated
-        tree; truncation boundary corrections are applied where a finite
-        matrix is actually cut (see decomposition.truncated_block).
+        bumps and -(k_m + 1) on them: minus the degree of a site that has a
+        parent, which every block's first site has except the root block's.
+        The root's missing parent is a property of block 0, and cutting a
+        finite matrix removes the last site's children; both corrections
+        are made where a block is cut (decomposition.truncated_block).
         """
         if not 0 <= block <= spec.n_branchings:
             raise ValidationError("block: outside 0..n_branchings")

@@ -155,16 +155,6 @@ def _prefix_products(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def kappa(spec: TreeSpec, j: int) -> int:
-    """Forward branching number at generation j (k_n at L_n, else 1)."""
-    if j < 0:
-        raise ValidationError("j: generation must be >= 0")
-    pos = bisect_left(spec.branch_levels, j)
-    if pos < len(spec.branch_levels) and spec.branch_levels[pos] == j:
-        return spec.branch_factors[pos]
-    return 1
-
-
 def generation_size(spec: TreeSpec, j: int) -> int:
     """Number of vertices at generation j, the product of k_n over L_n < j."""
     if j < 0:

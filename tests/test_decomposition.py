@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import _acceptance_specs
 
 from sparsetrees import decomposition
@@ -18,7 +22,13 @@ from sparsetrees.decomposition import (
 )
 from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import JacobiCoefficients, block_offsets
-from sparsetrees.operators import component_eigenvalues, eigenvalues_sym
+from sparsetrees.operators import (
+    SymOperator,
+    apply_root_boundary,
+    component_eigenvalues,
+    eigenvalues_sym,
+    tridiagonal,
+)
 from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
 
 
@@ -99,6 +109,74 @@ def test_blocks_nest_as_tails():
             shift = offs[n] - offs[n - 1]
             for j in range(1, offs[-1] - offs[n] + 4):
                 assert degree_blocks[n].b(j) == degree_blocks[n - 1].b(j + shift)
+
+
+def kappa(spec: TreeSpec, j: int) -> int:
+    """Forward branching number at generation j (k_n at L_n, else 1)."""
+    if j < 0:
+        raise ValidationError("j: generation must be >= 0")
+    pos = bisect_left(spec.branch_levels, j)
+    if pos < len(spec.branch_levels) and spec.branch_levels[pos] == j:
+        return spec.branch_factors[pos]
+    return 1
+
+
+def per_row_block(
+    spec: TreeSpec, block: int, depth: int, variant: str = "adjacency", rho: float = 0.0
+) -> SymOperator:
+    """Reference truncated block, built row by row from kappa of each generation."""
+    offs = block_offsets(spec)
+    if not 0 <= block < len(offs):
+        raise ValidationError("block: outside 0..n_branchings")
+    start = offs[block]
+    if start > depth:
+        raise ValidationError("depth: block starts beyond the truncation")
+    size = depth - start + 1
+    off = np.array(
+        [math.sqrt(kappa(spec, start + j - 1)) for j in range(1, size)]
+    )
+    if variant == "adjacency":
+        diag = np.zeros(size)
+    elif variant == "degree":
+        diag = np.empty(size)
+        for j in range(1, size + 1):
+            g = start + j - 1
+            deg = (1 if g >= 1 else 0) + (kappa(spec, g) if g < depth else 0)
+            diag[j - 1] = -deg
+    else:
+        raise ValidationError(f"variant: unknown variant {variant!r}")
+    block_op = tridiagonal(diag, off)
+    return apply_root_boundary(block_op, rho) if rho != 0.0 else block_op
+
+
+@st.composite
+def block_cuts(draw):
+    n = draw(st.integers(0, 5))
+    gaps = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    factors = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    spec = TreeSpec(tuple(accumulate(gaps)), tuple(factors))
+    block = draw(st.integers(0, n))
+    depth = block_offsets(spec)[block] + draw(st.integers(0, 30))
+    return spec, block, depth
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    block_cuts(),
+    st.sampled_from(("adjacency", "degree")),
+    st.sampled_from((0.0, 0.3, -0.3, -1.2)),
+)
+@example((TreeSpec((1,), (2,)), 0, 0), "degree", 0.0)  # the lone root: +0.0, not -0.0
+@example((TreeSpec((1, 3), (2, 3)), 2, 4), "degree", 0.0)  # one row of block n > 0
+@example((TreeSpec((2, 5), (3, 2)), 0, 5), "degree", 0.3)  # the last row on a branching
+@example((TreeSpec((2, 10**30), (3, 2)), 1, 40), "adjacency", 0.0)  # a bump far past the cut
+def test_truncated_block_equals_per_row_reference(cut, variant, rho):
+    spec, block, depth = cut
+    got = truncated_block(spec, block, depth, variant, rho)
+    ref = per_row_block(spec, block, depth, variant, rho)
+    assert np.array_equal(got.diag.view(np.int64), ref.diag.view(np.int64))
+    assert np.array_equal(got.weight.view(np.int64), ref.weight.view(np.int64))
+    assert np.array_equal(got.parent, ref.parent)
 
 
 def test_truncated_block_matrix_example():

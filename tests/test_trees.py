@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_decomposition import kappa
 
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.trees import (
@@ -20,7 +21,6 @@ from sparsetrees.trees import (
     check_floor_bits,
     estimate_dimension,
     generation_size,
-    kappa,
     make_gamma_tree,
     parse_gamma,
     sample_omega_tree,
@@ -41,16 +41,6 @@ def naive_generation_size(spec: TreeSpec, j: int) -> int:
 
 def naive_ball_count(spec: TreeSpec, radius: int) -> int:
     return sum(naive_generation_size(spec, j) for j in range(radius + 1))
-
-
-def test_kappa_at_branching_and_between():
-    spec = TreeSpec((2, 5), (3, 2))
-    assert kappa(spec, 2) == 3
-    assert kappa(spec, 5) == 2
-    assert kappa(spec, 3) == 1
-    assert kappa(spec, 0) == 1
-    with pytest.raises(ValidationError):
-        kappa(spec, -1)
 
 
 def test_generation_size_examples():
