@@ -66,6 +66,9 @@ SUBCOMMANDS = (
     "classify-theorems",
 )
 
+# The subcommands whose handlers return a CsvTable.
+CSV_SUBCOMMANDS = ("spectrum", "efgp-run", "phase-diagram")
+
 
 def _finite(value, name: str) -> float:
     """value as a float; bools, non-numbers, NaN and infinities are refused."""
@@ -181,7 +184,7 @@ def _run_spectrum(cfg: dict, seed: int):
         grid_points = int_field(cov, "grid_points", 1000)
         grid = coverage_grid(eps, grid_points)
     solved = eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))
-    eigenvalues = [float(e) for e in solved]
+    eigenvalues = solved.tolist()
     payload = {
         "spec": spec_to_record(spec),
         "block": block,
@@ -198,10 +201,7 @@ def _run_spectrum(cfg: dict, seed: int):
         else:
             fraction = essential_spectrum_coverage(spec, depth, eps, grid_points)
         payload["coverage"] = {"eps": eps, "grid_points": grid_points, "fraction": fraction}
-    table = CsvTable(
-        SPECTRUM_HEADER, tuple((i, e) for i, e in enumerate(eigenvalues))
-    )
-    return payload, table
+    return payload, CsvTable(SPECTRUM_HEADER, (range(len(eigenvalues)), eigenvalues))
 
 
 def _run_efgp(cfg: dict, seed: int):
@@ -216,14 +216,15 @@ def _run_efgp(cfg: dict, seed: int):
         theta0 = _float_field(cfg, "theta0", 0.0)
     n_bumps = int_field(cfg, "n_bumps", len(spec.branch_levels))
     trajectory = efgp_run(spec, phi, theta0=theta0, n_bumps=n_bumps, reducer=reducer)
-    rows = tuple(
-        zip(
+    table = CsvTable(
+        EFGP_RUN_HEADER,
+        (
             range(n_bumps + 1),
             (0,) + spec.branch_levels[:n_bumps],
             trajectory.log_r,
             trajectory.theta,
             trajectory.y,
-        )
+        ),
     )
     payload = {
         "spec": spec_to_record(spec),
@@ -231,12 +232,9 @@ def _run_efgp(cfg: dict, seed: int):
         "theta0": theta0,
         "n_bumps": n_bumps,
         "mean_y": trajectory.mean_y(),
-        "rows": [
-            {"n": n, "L_n": level, "log_r": log_r, "theta": theta, "Y_n": y}
-            for n, level, log_r, theta, y in rows
-        ],
+        "rows": table,
     }
-    return payload, CsvTable(EFGP_RUN_HEADER, rows)
+    return payload, table
 
 
 def _run_phase_diagram(cfg: dict, seed: int):
@@ -244,16 +242,11 @@ def _run_phase_diagram(cfg: dict, seed: int):
     gamma = parse_gamma(record_field(cfg, "gamma"))
     energies = _energy_grid(cfg)
     points = phase_diagram(k, gamma, energies)
-    payload = {
-        "k": k,
-        "gamma": float(gamma),
-        "points": [p.as_record() for p in points],
-    }
     table = CsvTable(
         PHASE_DIAGRAM_HEADER,
-        tuple((p.energy, p.k, p.gamma, p.label, p.alpha) for p in points),
+        tuple(zip(*((p.energy, p.k, p.gamma, p.label, p.alpha) for p in points))),
     )
-    return payload, table
+    return {"k": k, "gamma": float(gamma), "points": table}, table
 
 
 def _run_mc_exponent(cfg: dict, seed: int):
@@ -340,6 +333,8 @@ def run(argv=None) -> int:
         fmt = args.format or record_field(cfg, "format", "json")
         if fmt not in ("csv", "json"):
             raise ValidationError(f"format: unknown format {fmt!r}")
+        if fmt == "csv" and args.subcommand not in CSV_SUBCOMMANDS:
+            raise ValidationError(f"format: csv output is not defined for {args.subcommand}")
 
         started = time.perf_counter()
         payload, table = _HANDLERS[args.subcommand](cfg, seed)

@@ -4,16 +4,22 @@ Every emitted byte is a pure function of the run configuration and seed:
 floats are printed with 17 significant digits (enough to round-trip a
 double exactly), JSON objects keep the key order their payloads were
 built with, CSV tables carry a fixed documented header row, and wall
-clock timing never enters the output stream.  Eigenvalues of trees, and
-of blocks of up to operators.CLASS_COUNT_ROWS rows, come from bisection
-in plain IEEE arithmetic, so those reports are the same bytes on every
-platform; only longer blocks, whose stretch count calls libm, take their
-last bits, and so their bytes, from the platform.
+clock timing never enters the output stream.  A tabular payload is one
+table of typed columns, and its CSV lines and its JSON records are both
+rendered from it: each column is type-scanned, checked and formatted
+once, so an all-float column takes one finiteness check and one "%.17g"
+pass, an all-int column one str() pass, and only columns of any other
+kind are formatted cell by cell.  Eigenvalues of trees, and of blocks of
+up to operators.CLASS_COUNT_ROWS rows, come from bisection in plain IEEE
+arithmetic, so those reports are the same bytes on every platform; only
+longer blocks, whose stretch count calls libm, take their last bits, and
+so their bytes, from the platform.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +30,13 @@ EFGP_RUN_HEADER = "n,L_n,log_r,theta,Y_n"
 SPECTRUM_HEADER = "i,lambda_i"
 
 
-def format_float(value: float) -> str:
-    if not math.isfinite(value):
+def _require_finite(finite) -> None:
+    if not finite:
         raise ValidationError("value: reports only carry finite numbers")
+
+
+def format_float(value: float) -> str:
+    _require_finite(math.isfinite(value))
     return "%.17g" % value
 
 
@@ -46,6 +56,19 @@ def _scalar(value) -> str:
     raise ValidationError(f"payload: cannot serialize a {type(value).__name__}")
 
 
+def _column_text(values, cell):
+    """One column's cell texts as a lazy map; cell formats any column that
+    is not all-float or all-int (None, str, bool, numpy scalars, mixed).
+    values must be a sequence: it is scanned before the map is made."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        _require_finite(all(map(math.isfinite, values)))
+        return map("%.17g".__mod__, values)
+    if kinds == {int}:
+        return map(str, values)
+    return map(cell, values)
+
+
 def stable_json(obj) -> str:
     """JSON text with deterministic key order and float formatting."""
     if isinstance(obj, dict):
@@ -54,7 +77,9 @@ def stable_json(obj) -> str:
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(stable_json(value) for value in obj) + "]"
+        return "[" + ", ".join(_column_text(obj, stable_json)) + "]"
+    if isinstance(obj, CsvTable):
+        return obj.json_records()
     return _scalar(obj)
 
 
@@ -70,19 +95,34 @@ def _csv_cell(value) -> str:
 
 @dataclass(frozen=True)
 class CsvTable:
-    """Tabular payload view: a pinned header line plus value rows."""
+    """Tabular payload: a pinned header line over typed columns.
+
+    Column i holds the values of header field i, one per row.  The CSV
+    lines come from emit(); inside a JSON payload the table is a list of
+    records keyed by the header fields, in header order.
+    """
 
     header: str
-    rows: tuple[tuple, ...]
+    columns: tuple
+
+    def __post_init__(self):
+        width = len(self.header.split(","))
+        lengths = set(map(len, self.columns))
+        if len(self.columns) != width or len(lengths) > 1:
+            raise ValidationError("payload: CSV row width must match the header")
 
     def emit(self) -> bytes:
-        lines = [self.header]
-        width = len(self.header.split(","))
-        for row in self.rows:
-            if len(row) != width:
-                raise ValidationError("payload: CSV row width must match the header")
-            lines.append(",".join(_csv_cell(cell) for cell in row))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        texts = [_column_text(column, _csv_cell) for column in self.columns]
+        lines = chain((self.header,), map(",".join, zip(*texts)), ("",))
+        return "\n".join(lines).encode("utf-8")
+
+    def json_records(self) -> str:
+        keyed = [
+            map((json.dumps(field) + ": ").__add__, _column_text(column, stable_json))
+            for field, column in zip(self.header.split(","), self.columns)
+        ]
+        records = ("{" + ", ".join(record) + "}" for record in zip(*keyed))
+        return "[" + ", ".join(records) + "]"
 
 
 @dataclass(frozen=True)
@@ -114,12 +154,7 @@ class ReportEnvelope:
 
 
 def emit(envelope: ReportEnvelope, fmt: str, table: CsvTable | None = None) -> bytes:
-    if fmt == "json":
-        return envelope.json_bytes()
+    """The report bytes: table as CSV when fmt is "csv", else the JSON envelope."""
     if fmt == "csv":
-        if table is None:
-            raise ValidationError(
-                f"format: csv output is not defined for {envelope.subcommand}"
-            )
         return table.emit()
-    raise ValidationError(f"format: unknown format {fmt!r}")
+    return envelope.json_bytes()

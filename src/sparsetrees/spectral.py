@@ -134,15 +134,6 @@ class PhasePoint:
     label: str
     alpha: float | None
 
-    def as_record(self) -> dict:
-        return {
-            "E": self.energy,
-            "k": self.k,
-            "gamma": self.gamma,
-            "class": self.label,
-            "alpha": self.alpha,
-        }
-
 
 def classify(energy: float, k: int, gamma) -> PhasePoint:
     """Place one energy in the predicted phase diagram."""

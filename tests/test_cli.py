@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from sparsetrees import cli
 from sparsetrees.cli import run
-from sparsetrees.reports import format_float
+from sparsetrees.reports import EFGP_RUN_HEADER, PHASE_DIAGRAM_HEADER, format_float
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -189,6 +190,44 @@ def test_phase_diagram_csv_alpha_empty_outside_window():
             assert row[4] == ""
         else:
             assert 0.0 < float(row[4]) <= 1.0
+
+
+@pytest.mark.parametrize("subcommand,stem", [
+    ("tree-stats", "tree_stats"),
+    ("decompose", "decompose"),
+    ("mc-exponent", "mc_exponent"),
+    ("classify-theorems", "classify_theorems"),
+])
+def test_csv_is_refused_before_the_handler_runs(subcommand, stem, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, subcommand, no_run)
+    config = str(FIXTURES / f"{stem}.json")
+    assert run([subcommand, "--config", config, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"error: format: csv output is not defined for {subcommand}\n"
+
+
+@pytest.mark.parametrize("subcommand,stem,header", [
+    ("phase-diagram", "phase_diagram", PHASE_DIAGRAM_HEADER),
+    ("efgp-run", "efgp_run", EFGP_RUN_HEADER),
+])
+def test_json_records_and_csv_lines_come_from_one_table(subcommand, stem, header, capsysbinary):
+    config = str(FIXTURES / f"{stem}.json")
+    assert run([subcommand, "--config", config, "--format", "json"]) == 0
+    payload = json.loads(capsysbinary.readouterr().out)["payload"]
+    records = payload["points" if subcommand == "phase-diagram" else "rows"]
+    assert run([subcommand, "--config", config, "--format", "csv"]) == 0
+    lines = capsysbinary.readouterr().out.decode().splitlines()
+    fields = header.split(",")
+    assert lines[0] == header
+    assert len(records) == len(lines) - 1
+    for record, line in zip(records, lines[1:]):
+        assert list(record) == fields
+        values = list(record.values())
+        cells = line.split(",")
+        assert [None if v is None else type(v)(c) for c, v in zip(cells, values)] == values
+        assert all(c == "" for c, v in zip(cells, values) if v is None)
 
 
 def test_validation_errors_exit_2(tmp_path, capsys, monkeypatch):
