@@ -15,9 +15,13 @@ as converting the exact rational, without reducing it by a gcd first.
 A reducer holds no state beyond its angle's fixed-point values, one per
 precision.  Callers whose step counts recur as the same large base plus
 a small offset, like the Monte Carlo trials of one `spectral.mc_exponent`
-op on shared floors, may hand `PhaseReducer.reduce` a memo of the base
-products: a dict the caller owns, for one angle, that never holds more
-than MEMO_ENTRIES products.
+op on shared floors, may hand `PhaseReducer.reduce` a memo: a dict the
+caller owns, for one angle, that never holds more than MEMO_ENTRIES
+entries.  An entry keeps a 128-bit window of the base's product with the
+angle and of the angle itself.  A memo hit rounds the window plus the
+offset's product, with a proven error interval, and takes the exact
+product only when that interval straddles a rounding boundary (Ziv's
+rounding test), so it returns the same double and does no mpmath work.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from .errors import ValidationError
 _TWO_PI = 2.0 * math.pi
 _MIN_BITS = 256
 _GUARD_BITS = 192
+_WINDOW_BITS = 128
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+_WINDOW_SCALE = 2.0**-_WINDOW_BITS
 
-# Most split products (base * fixed) mod 2**bits one memo keeps.  The
-# Monte Carlo trials of one op share a floor gap per bump, so an op of up
-# to this many bumps finds every product after its first trial.  At 2,000
-# bumps of gamma = 3 a memo holds 1.06 MB.
+# Most entries one memo keeps.  The Monte Carlo trials of one op share a
+# floor gap per bump, so an op of up to this many bumps finds every window
+# after its first trial.  At 2,000 bumps of gamma = 3 a memo holds
+# 0.88 MiB, about half of it the keys.
 MEMO_ENTRIES = 4096
 
 
@@ -99,34 +106,22 @@ class PhaseReducer:
         self._fixed_cache[bits] = value
         return value
 
-    def _residue(
-        self, steps: int, use_exact: bool, offset: int = 0, memo: dict[int, int] | None = None
-    ) -> tuple[int, int]:
-        """(numerator, denominator) of the fractional turn of steps * angle.
-
-        With a memo, the fixed-point product of base = steps - offset,
-        reduced at the precision of base, is taken from the memo, or
-        computed and memoised while it has room.  The precision still
-        follows steps: where the offset carries steps to another precision
-        than base's, the product is computed whole.  So the residue is the
-        same integer as without a memo.
-        """
+    def _residue(self, steps: int, use_exact: bool) -> tuple[int, int]:
+        """(numerator, denominator) of the fractional turn of steps * angle."""
         if steps < 0:
             raise ValidationError("steps: must be >= 0")
         if self.circle_fraction is not None and use_exact:
             f = self.circle_fraction
             return (steps * f.numerator) % f.denominator, f.denominator
         bits = self._bits_for(steps)
-        fixed, mask = self._fixed(bits), (1 << bits) - 1
-        base = steps - offset
-        if memo is None or self._bits_for(base) != bits:
-            return (steps * fixed) & mask, 1 << bits
-        head = memo.get(base)
-        if head is None:
-            head = (base * fixed) & mask
-            if len(memo) < MEMO_ENTRIES:
-                memo[base] = head
-        return (head + offset * fixed) & mask, 1 << bits
+        return (steps * self._fixed(bits)) & ((1 << bits) - 1), 1 << bits
+
+    def _window(self, base: int) -> tuple[int, int, int]:
+        """The memo entry (bits, H, G) of base: its precision, and the top
+        128 of those bits of (base * fixed) mod 2**bits and of fixed."""
+        bits = self._bits_for(base)
+        fixed, shift = self._fixed(bits), bits - _WINDOW_BITS
+        return bits, ((base * fixed) >> shift) & _WINDOW_MASK, fixed >> shift
 
     def reduce_fraction(self, steps: int, use_exact: bool = True) -> Fraction:
         """Fractional part of steps * angle / (2*pi) as an exact rational.
@@ -138,7 +133,7 @@ class PhaseReducer:
         """
         return Fraction(*self._residue(steps, use_exact))
 
-    def reduce(self, steps: int, offset: int = 0, memo: dict[int, int] | None = None) -> float:
+    def reduce(self, steps: int, offset: int = 0, memo: dict | None = None) -> float:
         """steps * angle modulo 2*pi, in [0, 2*pi).
 
         The residue's float is its correctly rounded integer division,
@@ -146,14 +141,36 @@ class PhaseReducer:
 
         A memo splits steps as base + offset, for callers whose steps
         recur as the same large base plus a small offset: the gaps of
-        omega trees drawn on the same floors.  The product of base and
-        the fixed-point angle, a multiply of two numbers of thousands of
-        bits, is then kept in the memo per base, and a repeated base costs
-        one small multiply.  The memo belongs to the caller and to this
-        angle; it takes at most MEMO_ENTRIES products.  The result is the
-        same float with or without a memo.  The exact-rational path
-        ignores offset and memo.
+        omega trees drawn on the same floors.  It keeps per base the
+        entry (bits, H, G) of `_window`, so a hit costs the 128-bit sum
+        W = (H + offset * G) mod 2**128 and no mpmath work.  With
+        a = |offset|, the bits below the window put the exact residue at
+        (W + d) * 2**(bits - 128) for some d in (-a, a + 1), provided
+        a <= W and W + a + 1 < 2**128.  int to float is correctly rounded
+        and monotone, and scaling by 2**-128 is exact, so when W - a and
+        W + a + 1 round to the same double, that double is the residue's.
+        Otherwise, or where the offset carries steps to another precision
+        than base's, the exact product is taken.  The result is the same
+        float with or without a memo.  The memo belongs to the caller and
+        to this angle; it takes at most MEMO_ENTRIES entries.  The
+        exact-rational path ignores offset and memo.
         """
-        num, den = self._residue(steps, True, offset, memo)
+        if memo is not None and self.circle_fraction is None and steps >= 0:
+            base = steps - offset
+            entry = memo.get(base)
+            if entry is None:
+                entry = self._window(base)
+                if len(memo) < MEMO_ENTRIES:
+                    memo[base] = entry
+            bits, product_top, angle_top = entry
+            if bits == self._bits_for(steps):
+                a = abs(offset)
+                window = (product_top + offset * angle_top) & _WINDOW_MASK
+                if a <= window and window + a < _WINDOW_MASK:
+                    low = float(window - a)
+                    if low == float(window + a + 1):
+                        value = low * _WINDOW_SCALE * _TWO_PI
+                        return value if value < _TWO_PI else 0.0
+        num, den = self._residue(steps, True)
         value = num / den * _TWO_PI
         return value if value < _TWO_PI else 0.0

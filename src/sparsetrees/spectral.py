@@ -225,7 +225,10 @@ def mc_exponent(
     trial draws its jitter on them), and one memo of phase products
     serves every trial, so a floor gap's product with the fixed-point
     angle is computed once per op (up to phase.MEMO_ENTRIES).  A float
-    phi gets a fresh PhaseReducer per trial, an exact one is shared.
+    phi gets a fresh PhaseReducer per trial, an exact one is shared; the
+    later trials round their phases from the memo's 128-bit windows, so
+    only the first trial's reducer computes fixed-point angles with
+    mpmath (see `PhaseReducer.reduce`).
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD.
     """
@@ -256,7 +259,7 @@ def mc_exponent(
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
-    memo: dict[int, int] = {}
+    memo: dict = {}
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
         trajectory = efgp_run(spec, phi, reducer=reducer, memo=memo)

@@ -393,7 +393,7 @@ def efgp_run(
     theta0: float = 0.0,
     n_bumps: int | None = None,
     reducer: PhaseReducer | None = None,
-    memo: dict[int, int] | None = None,
+    memo: dict | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
 
@@ -411,7 +411,10 @@ def efgp_run(
     memo is for runs at one phi over the same floors (`mc_exponent`'s
     trials): on an omega spec each gap then goes to the reducer split as
     the gap of the floors plus the jitter difference omega_n - omega_{n-1},
-    and the memo keeps each floor gap's phase product (see
+    and the memo keeps a 128-bit window of each floor gap's phase product.
+    A later run rounds its gap's phase from that window, with no mpmath
+    work and the same double as the exact product, which it computes only
+    when the window's error interval straddles a rounding boundary (see
     `PhaseReducer.reduce`).  Without a memo, or on a gamma or explicit
     spec, gaps are reduced whole and nothing is kept.
     """

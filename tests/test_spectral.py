@@ -237,7 +237,7 @@ def test_mc_exponent_exact_right_angle_input():
 
 def test_mc_exponent_shared_work_changes_nothing():
     # At gamma = 3, 400 bumps take the gaps through four precision steps
-    # (256 to 1,024 bits), so memoised products meet every precision.
+    # (256 to 1,024 bits), so memoised windows meet every precision.
     k, phi, n_bumps, trials, seed = 2, 1.0, 400, 3, 11
     report = mc_exponent(k, 3, phi, n_bumps=n_bumps, trials=trials, seed=seed)
 
@@ -297,11 +297,49 @@ def test_mc_exponent_builds_floors_and_memo_once(monkeypatch):
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
     assert len(floors) == 1 and len(memos) == 4
     assert all(memo is memos[0] for memo in memos)
-    # one product per floor gap
+    # one window per floor gap
     assert len(memos[0]) == 50
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
     assert len(floors) == 2
     assert not memos[-1]
+
+
+def test_mc_exponent_computes_angles_in_the_first_trial_only(monkeypatch):
+    # A float phi builds one reducer per trial; the later trials round
+    # every phase from the memo's windows, so no mpmath angle is computed
+    # after trial 0 (400 bumps meet four precisions).
+    built, computing = [], set()
+    init, fixed = PhaseReducer.__init__, PhaseReducer._fixed
+
+    def recording_init(reducer, *args, **kwargs):
+        built.append(reducer)
+        init(reducer, *args, **kwargs)
+
+    def recording_fixed(reducer, bits):
+        if bits not in reducer._fixed_cache:
+            computing.add(id(reducer))
+        return fixed(reducer, bits)
+
+    monkeypatch.setattr(PhaseReducer, "__init__", recording_init)
+    monkeypatch.setattr(PhaseReducer, "_fixed", recording_fixed)
+    mc_exponent(2, 3, 1.0, n_bumps=400, trials=4)
+    assert len(built) == 4
+    assert computing == {id(built[0])}
+
+
+def test_mc_exponent_memo_holds_windows_not_products():
+    spec = sample_omega_tree(make_gamma_tree(2, 3, 2000), 0, 0)
+    efgp_run(spec, 1.0)  # mpmath and the kick caches load outside the trace
+    tracemalloc.start()
+    try:
+        memo = {}
+        efgp_run(spec, 1.0, memo=memo)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == 2000
+    # full products of up to 3,584 bits held 1.06 MiB
+    assert retained < 1.06 * 2**20
 
 
 def test_mc_exponent_guards_n_bumps_before_building():
