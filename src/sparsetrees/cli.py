@@ -25,7 +25,7 @@ from . import __version__
 from .decomposition import truncated_block, verify_decomposition
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE
-from .operators import eigenvalues_sym
+from .operators import GRID_POINTS_GUARD, eigenvalues_sym
 from .phase import PhaseReducer, parse_pi_multiple
 from .reports import (
     CsvTable,
@@ -115,6 +115,8 @@ def _energy_grid(cfg: dict) -> list[float]:
         points = int_field(grid, "points")
         if points < 2:
             raise ValidationError("points: energy grid needs at least 2 points")
+        if points > GRID_POINTS_GUARD:
+            raise GuardError(f"points: {points} points, guard is {GRID_POINTS_GUARD}")
         if not 0.0 < hi - lo < math.inf:
             raise ValidationError("min: energy grid needs min < max, max - min finite")
         return [float(e) for e in np.linspace(lo, hi, points)]

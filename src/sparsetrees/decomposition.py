@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients, block_offsets
+from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients
 from .operators import (
     SymOperator,
     apply_root_boundary,
@@ -42,6 +42,18 @@ __all__ = [
 ]
 
 _BLOCK_DEPTH_GUARD = 100_000
+
+
+def block_start(spec: TreeSpec, block: int) -> int:
+    """Start generation R_n of block n: R_0 = 0 and R_n = L_n + 1."""
+    return spec.branch_levels[block - 1] + 1 if block else 0
+
+
+def _below(spec: TreeSpec, depth: int) -> TreeSpec:
+    """The branchings at L_n < depth: the only ones that couple two rows of
+    the depth-D truncation or start a block inside it."""
+    cut = bisect_left(spec.branch_levels, depth)
+    return TreeSpec(spec.branch_levels[:cut], spec.branch_factors[:cut])
 
 
 def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
@@ -86,15 +98,10 @@ class DecompositionPlan:
 def plan_decomposition(spec: TreeSpec, depth: int) -> DecompositionPlan:
     if depth < 0:
         raise ValidationError("depth: must be >= 0")
-    offs = block_offsets(spec)
-    mult = multiplicities(spec)
-    keep = [n for n in range(len(offs)) if offs[n] <= depth]
+    seen = _below(spec, depth)
+    offsets = tuple(block_start(seen, n) for n in range(seen.n_branchings + 1))
     return DecompositionPlan(
-        spec,
-        depth,
-        tuple(offs[n] for n in keep),
-        tuple(mult[n] for n in keep),
-        tuple(depth - offs[n] + 1 for n in keep),
+        spec, depth, offsets, multiplicities(seen), tuple(depth - r + 1 for r in offsets)
     )
 
 
@@ -107,37 +114,36 @@ def truncated_block(
 ) -> SymOperator:
     """Finite tridiagonal piece of one block, cut after generation `depth`.
 
-    Site j of block n sits at tree generation R_n + j - 1.  The rows are
-    the first depth - R_n + 1 sites of JacobiCoefficients.for_tree_block,
-    with one correction at each end in the degree variant: the first site
-    of the root block has no parent, and the last site has its children
-    cut.  Without these corrections the eigenvalue match with the
-    truncated tree fails.  Depths above 100,000 are refused before
-    anything is built.
+    Block n is the root block's tail from row R_n on, so its site j sits at
+    generation R_n + j - 1.  The root block's rows 0..depth come from
+    JacobiCoefficients.for_tree_block on the branchings below the cut only,
+    so the cost does not grow with the spec's horizon.  In the degree
+    variant row 0 gets +1 (the root has no parent) and the last row -1.0
+    (its children are cut); without these the eigenvalue match with the
+    truncated tree fails.  rho applies to the block's first row.  Depths
+    above 100,000 are refused before anything is built.
     """
     if depth > _BLOCK_DEPTH_GUARD:
         raise GuardError(
             f"depth {depth} exceeds the truncated-block solver guard ({_BLOCK_DEPTH_GUARD})"
         )
-    coeffs = JacobiCoefficients.for_tree_block(spec, block, variant)
-    start = block_offsets(spec)[block]
+    if not 0 <= block <= spec.n_branchings:
+        raise ValidationError("block: outside 0..n_branchings")
+    root = JacobiCoefficients.for_tree_block(_below(spec, depth), variant)
+    start = block_start(spec, block)
     if start > depth:
         raise ValidationError("depth: block starts beyond the truncation")
-    size = depth - start + 1
-    # bumps past the cut have positions >= size; they may be huge ints
-    cut = bisect_left(coeffs.positions, size)
-    rows = np.array(coeffs.positions[:cut], dtype=np.int64) - 1
-    off = np.ones(size - 1)
-    off[rows] = coeffs.values[:cut]
+    rows = np.array(root.positions, dtype=np.int64) - 1
+    off = np.ones(depth)
+    off[rows] = root.values
     if variant == ADJACENCY:
-        diag = np.zeros(size)
+        diag = np.zeros(depth + 1)
     else:
-        diag = np.full(size, -2.0)
-        diag[rows] = coeffs.diag_bumps[:cut]
+        diag = np.full(depth + 1, -2.0)
+        diag[rows] = root.diag_bumps
         diag[-1] = -1.0
-        if block == 0:
-            diag[0] += 1.0  # a lone root at depth 0 gets -1.0 + 1.0 = +0.0
-    block_op = tridiagonal(diag, off)
+        diag[0] += 1.0  # a lone root at depth 0 gets -1.0 + 1.0 = +0.0
+    block_op = tridiagonal(diag[start:], off[start:])
     return apply_root_boundary(block_op, rho) if rho != 0.0 else block_op
 
 
@@ -167,12 +173,13 @@ def verify_decomposition(
     eigenvalues_sym; the block side is one operator holding one copy of
     each block, solved by component_eigenvalues, and each block's
     eigenvalues are repeated M_n times.  So the two eigenvalue lists come
-    from different matrices.  Each block is solved on its own grid, so its
+    from different matrices.  The root block is cut once (truncated_block),
+    and block n is its tail from row R_n on, split from the rows above by
+    a zero coupling.  Each block is solved on its own grid, so its
     eigenvalues have the bits eigenvalues_sym gives the block alone, but
-    the blocks share one class count: every block's rows are the root
-    block's rows from its start generation down, so they share their
-    subtree classes.  Both sides take the class count, except that chains
-    above CLASS_COUNT_ROWS rows take the stretch count; either way the
+    the tails share their subtree classes, and so one class count.  Both
+    sides take the class count, except that chains above CLASS_COUNT_ROWS
+    rows take the stretch count; either way the
     comparison checks the decomposition, not the eigensolver, which
     tests/test_operators.py checks against a 40-digit mpmath count.  No
     LAPACK routine is called.  With rho = 0 and no such long block the
@@ -192,14 +199,11 @@ def verify_decomposition(
     tree_eigs = eigenvalues_sym(tree_op)
 
     plan = plan_decomposition(spec, depth)
-    blocks = [
-        truncated_block(spec, n, depth, variant, rho if plan.offsets[n] == 0 else 0.0)
-        for n in range(plan.n_blocks)
-    ]
-    # one copy of each block, split from the next by a zero coupling
-    forest = tridiagonal(
-        np.concatenate([b.diag for b in blocks]), np.concatenate([b.weight for b in blocks])[1:]
-    )
+    root = truncated_block(spec, 0, depth, variant, rho)
+    diag = np.concatenate([root.diag[r:] for r in plan.offsets])
+    weight = np.concatenate([root.weight[r:] for r in plan.offsets])
+    weight[np.cumsum(plan.sizes) - plan.sizes] = 0.0  # each tail's first row loses its parent
+    forest = tridiagonal(diag, weight[1:])
     pieces = [np.tile(evs, m) for evs, m in zip(component_eigenvalues(forest), plan.multiplicities)]
     block_eigs = np.sort(np.concatenate(pieces))
 

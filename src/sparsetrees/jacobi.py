@@ -73,36 +73,23 @@ class JacobiCoefficients:
     def for_tree_block(
         cls,
         spec: TreeSpec,
-        block: int = 0,
         variant: str = ADJACENCY,
         rho: float = 0.0,
     ) -> JacobiCoefficients:
-        """Coefficients of block number `block` of the tree decomposition.
+        """Coefficients of the root block of the tree decomposition.
 
-        Block n starts at generation R_n (R_0 = 0, R_n = L_n + 1) and sees
-        the branchings above it: bumps sit at j = R_m - R_n for m > n with
-        weight sqrt(k_m).  In the degree variant the diagonal is -2 off the
-        bumps and -(k_m + 1) on them: minus the degree of a site that has a
-        parent, which every block's first site has except the root block's.
-        The root's missing parent is a property of block 0, and cutting a
-        finite matrix removes the last site's children; both corrections
-        are made where a block is cut (decomposition.truncated_block).
+        Site j sits at generation j - 1, so branching m puts a bump at
+        j = L_m + 1 with weight sqrt(k_m).  In the degree variant the
+        diagonal is -2 off the bumps and -(k_m + 1) on them: minus the
+        degree of a site that has a parent.  Every other block is a tail of
+        this one: block n is the root block seen from generation
+        R_n = L_n + 1 on.  The root's missing parent and the children cut
+        off a finite matrix are corrected where a block is cut
+        (decomposition.truncated_block), which also takes the tails.
         """
-        if not 0 <= block <= spec.n_branchings:
-            raise ValidationError("block: outside 0..n_branchings")
-        offsets = block_offsets(spec)
-        start = offsets[block]
-        positions = tuple(offsets[m] - start for m in range(block + 1, len(offsets)))
-        values = tuple(
-            math.sqrt(spec.branch_factors[m - 1])
-            for m in range(block + 1, len(offsets))
-        )
-        diag = ()
-        if variant == DEGREE:
-            diag = tuple(
-                -float(spec.branch_factors[m - 1] + 1)
-                for m in range(block + 1, len(offsets))
-            )
+        positions = tuple(lv + 1 for lv in spec.branch_levels)
+        values = tuple(math.sqrt(k) for k in spec.branch_factors)
+        diag = tuple(-float(k + 1) for k in spec.branch_factors) if variant == DEGREE else ()
         return cls(positions, values, variant, rho, diag)
 
     @property
@@ -139,7 +126,3 @@ class JacobiCoefficients:
     def is_adjacency(self) -> bool:
         return self.variant == ADJACENCY
 
-
-def block_offsets(spec: TreeSpec) -> tuple[int, ...]:
-    """Start generations R_n of the decomposition blocks: 0, L_1+1, L_2+1, ..."""
-    return (0,) + tuple(lv + 1 for lv in spec.branch_levels)

@@ -49,6 +49,10 @@ CLASS_COUNT_ROWS = 500
 # of up to 4,000 rows is accepted.
 WORK_GUARD = 32_000_000
 
+# Most points of an energy grid (the phase-diagram energies) or a coverage
+# grid (spectral.coverage_grid), refused before the grid is allocated.
+GRID_POINTS_GUARD = 1_000_000
+
 # Bisection grid: eigenvalues are located on the integers j in
 # [-2**GRID_BITS, 2**GRID_BITS], all exact doubles, scaled by a power of two.
 GRID_BITS = 53
@@ -233,7 +237,9 @@ def _count_below(classes, last_reader, picks, points, back) -> np.ndarray:
             count[picks[c]] = below[back[picks[c]]]
         else:
             sent[c] = (w2 / q, below)
-        sent = {k: s for k, s in sent.items() if last_reader[k] > c}
+        for k in set(kids):
+            if last_reader[k] == c:
+                del sent[k]
     return count
 
 

@@ -88,15 +88,17 @@ class PhaseReducer:
     def _fixed(self, bits: int) -> int:
         """floor(frac(angle / 2pi) * 2**bits), cached per precision.
 
-        mpmath is imported here, its only use, so the subcommands that never
-        reduce a phase do not load it.
+        The working precision adds the angle's binary exponent, the most
+        bits the integer part of angle / 2pi takes.  mpmath is imported
+        here, its only use, so the subcommands that never reduce a phase do
+        not load it.
         """
         cached = self._fixed_cache.get(bits)
         if cached is not None:
             return cached
         import mpmath as mp
 
-        with mp.workprec(bits + 64):
+        with mp.workprec(bits + 64 + max(0, math.frexp(self.angle)[1])):
             if self.circle_fraction is not None:
                 x = mp.mpf(self.circle_fraction.numerator) / self.circle_fraction.denominator
             else:

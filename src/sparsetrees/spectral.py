@@ -31,15 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import truncated_block
-from .errors import ValidationError
+from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY
-from .operators import eigenvalues_sym
+from .operators import GRID_POINTS_GUARD, eigenvalues_sym
 from .phase import PhaseReducer, parse_pi_multiple
 from .trees import (
     TreeSpec,
     check_floor_bits,
     check_jitter_gamma,
     check_k,
+    growing,
     make_gamma_tree,
     parse_gamma,
     sample_omega_tree,
@@ -336,9 +337,7 @@ def theorem_classifier(spec: TreeSpec) -> TheoremReport:
     """Check the two unbounded-branching conditions over the spec's horizon."""
     levels = spec.branch_levels
     factors = spec.branch_factors
-    unbounded = len(factors) >= 2 and all(
-        factors[i] <= factors[i + 1] for i in range(len(factors) - 1)
-    ) and factors[-1] > factors[0]
+    unbounded = growing(factors)
 
     n_gaps = len(levels) - 1
     if n_gaps == 0:
@@ -374,6 +373,8 @@ def coverage_grid(eps: float, grid_points: int) -> np.ndarray:
         raise ValidationError("eps: must be positive")
     if grid_points < 2:
         raise ValidationError("grid_points: need at least 2")
+    if grid_points > GRID_POINTS_GUARD:
+        raise GuardError(f"grid_points: {grid_points} points, guard is {GRID_POINTS_GUARD}")
     return np.linspace(-2.0, 2.0, grid_points)
 
 

@@ -314,32 +314,30 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
     )
 
 
+def growing(values) -> bool:
+    """Nondecreasing and ending strictly above where it started: the finite
+    witness of a sequence growing without bound."""
+    return (
+        len(values) >= 2
+        and all(b >= a for a, b in zip(values, values[1:]))
+        and values[-1] > values[0]
+    )
+
+
 def validate(spec: TreeSpec) -> dict[str, bool]:
     """Finite-horizon structure flags.
 
     monotone: levels strictly increasing (true by construction, reported
-    for externally built records).  sparse: the gap sequence is
-    nondecreasing and ends strictly above where it started, the finite
-    witness of gaps growing without bound.  normal: if the branching
-    factors trend upward, at least one gap exceeding 1 must exist;
-    bounded factors satisfy the condition vacuously.
+    for externally built records).  sparse: the gap sequence is growing.
+    normal: if the branching factors are growing, at least one gap
+    exceeding 1 must exist; other factors satisfy the condition vacuously.
     """
     levels = spec.branch_levels
     factors = spec.branch_factors
     monotone = all(b > a for a, b in zip(levels, levels[1:]))
     gaps = [b - a for a, b in zip(levels, levels[1:])]
-    sparse = (
-        len(gaps) >= 2
-        and all(b >= a for a, b in zip(gaps, gaps[1:]))
-        and gaps[-1] > gaps[0]
-    )
-    k_growing = (
-        len(factors) >= 2
-        and all(b >= a for a, b in zip(factors, factors[1:]))
-        and factors[-1] > factors[0]
-    )
-    normal = (not k_growing) or any(g > 1 for g in gaps)
-    return {"monotone": monotone, "sparse": sparse, "normal": normal}
+    normal = (not growing(factors)) or any(g > 1 for g in gaps)
+    return {"monotone": monotone, "sparse": growing(gaps), "normal": normal}
 
 
 def _format_gamma(g: Fraction) -> str:

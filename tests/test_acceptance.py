@@ -177,7 +177,7 @@ def test_ac04_monte_carlo_exponent():
 def test_ac05_efgp_cross_validation():
     spec = make_gamma_tree(2, "5/2", 10)  # L_max = 9536 <= 1e4
     length = spec.branch_levels[-1] + 4
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     worst_log_r = 0.0
     worst_theta = 0.0
     for phi in (0.7, 1.3, 2.9):
@@ -201,7 +201,7 @@ def test_ac05_efgp_cross_validation():
 
 def test_ac06_subordinate_reciprocity():
     spec = make_gamma_tree(2, 3, 50)
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     phi = 1.0
     energy = 2.0 * math.cos(phi)
     reducer = PhaseReducer.from_angle(phi)

@@ -12,7 +12,10 @@ import pytest
 
 from sparsetrees import cli
 from sparsetrees.cli import run
+from sparsetrees.decomposition import truncated_block
+from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.reports import EFGP_RUN_HEADER, PHASE_DIAGRAM_HEADER, format_float
+from sparsetrees.trees import spec_from_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -349,6 +352,46 @@ def test_guard_violation_exits_3(tmp_path, capsys):
     long_tree.write_text(json.dumps({"spec": {"family": "explicit", "k": [2], "L": [1]}, "depth": 5000}))
     assert run(["decompose", "--config", str(long_tree)]) == 3
     assert capsys.readouterr().err.startswith("guard:")
+
+
+@pytest.mark.parametrize(
+    "block,depth,error,message,status",
+    [
+        # the guard comes first, even for a block outside the spec
+        (4, 100_001, GuardError, "depth 100001 exceeds the truncated-block solver guard (100000)", 3),
+        # then the block number, even for a depth no block reaches
+        (4, 2, ValidationError, "block: outside 0..n_branchings", 2),
+        (3, 9, ValidationError, "depth: block starts beyond the truncation", 2),
+    ],
+)
+def test_truncated_block_errors_and_spectrum_exit_codes(block, depth, error, message, status, tmp_path, capsys):
+    spec = {"family": "gamma", "k": 2, "gamma": 3, "N": 3}  # levels 3, 9, 27
+    with pytest.raises(error) as raised:
+        truncated_block(spec_from_record(spec), block, depth)
+    assert str(raised.value) == message
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps({"spec": spec, "depth": depth, "block": block}))
+    assert run(["spectrum", "--config", str(config)]) == status
+    prefix = "guard" if status == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
+
+
+def test_grid_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
+    # 10**12 points would be 8 TB of doubles: refused before any grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    tree = {"family": "gamma", "k": 2, "gamma": 3, "N": 3}
+    cases = [
+        ("phase-diagram", {"k": 2, "gamma": 4, "energies": {"min": -1.0, "max": 1.0, "points": 10**12}}, "points"),
+        ("spectrum", {"spec": tree, "depth": 5, "coverage": {"eps": 0.05, "grid_points": 10**12}}, "grid_points"),
+    ]
+    for subcommand, cfg, field in cases:
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(cfg))
+        assert run([subcommand, "--config", str(config)]) == 3, subcommand
+        assert capsys.readouterr().err.startswith(f"guard: {field}: 1000000000000 points"), subcommand
 
 
 def test_floor_guard_exits_3_naming_the_field(tmp_path, capsys):

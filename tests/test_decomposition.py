@@ -15,13 +15,14 @@ from test_acceptance import _acceptance_specs
 
 from sparsetrees import decomposition
 from sparsetrees.decomposition import (
+    block_start,
     multiplicities,
     plan_decomposition,
     truncated_block,
     verify_decomposition,
 )
 from sparsetrees.errors import ValidationError
-from sparsetrees.jacobi import JacobiCoefficients, block_offsets
+from sparsetrees.jacobi import JacobiCoefficients
 from sparsetrees.operators import (
     SymOperator,
     apply_root_boundary,
@@ -64,12 +65,12 @@ def test_multiplicities_sum_to_generation_products():
 
 def test_block_offsets():
     spec = TreeSpec((1, 4), (2, 2))
-    assert block_offsets(spec) == (0, 2, 5)
+    assert [block_start(spec, n) for n in range(3)] == [0, 2, 5]
 
 
 def test_for_tree_block_adjacency():
     spec = TreeSpec((1,), (2,))
-    j0 = JacobiCoefficients.for_tree_block(spec, 0)
+    j0 = JacobiCoefficients.for_tree_block(spec)
     assert j0.a(2) == pytest.approx(math.sqrt(2))
     assert j0.a(1) == 1.0 and j0.a(5) == 1.0 and j0.a(0) == 1.0
     assert j0.b(1) == 0.0 and j0.b(2) == 0.0
@@ -77,7 +78,7 @@ def test_for_tree_block_adjacency():
 
 def test_for_tree_block_degree_variant():
     spec = TreeSpec((1,), (2,))
-    j0 = JacobiCoefficients.for_tree_block(spec, 0, "degree")
+    j0 = JacobiCoefficients.for_tree_block(spec, "degree")
     assert j0.b(2) == -3.0
     assert j0.b(1) == -2.0 and j0.b(3) == -2.0 and j0.b(7) == -2.0
     assert j0.a(2) == pytest.approx(math.sqrt(2))
@@ -85,30 +86,51 @@ def test_for_tree_block_degree_variant():
 
 def test_for_tree_block_boundary_rho():
     spec = TreeSpec((3,), (2,))
-    j = JacobiCoefficients.for_tree_block(spec, 0, rho=math.pi / 4)
+    j = JacobiCoefficients.for_tree_block(spec, rho=math.pi / 4)
     assert j.b(1) == pytest.approx(-1.0)
     assert j.b(2) == 0.0
 
 
 def test_blocks_nest_as_tails():
-    # block n is block n-1 with the first R_n - R_{n-1} sites removed
+    # block n is block n-1 with its first R_n - R_{n-1} rows removed
     rng = random.Random(8)
     for _ in range(10):
         spec = random_small_spec(rng)
-        offs = block_offsets(spec)
-        for n in range(1, len(offs)):
-            shift = offs[n] - offs[n - 1]
-            younger = JacobiCoefficients.for_tree_block(spec, n)
-            older = JacobiCoefficients.for_tree_block(spec, n - 1)
-            for j in range(1, offs[-1] - offs[n] + 4):
-                assert younger.a(j) == older.a(j + shift)
-        degree_blocks = [
-            JacobiCoefficients.for_tree_block(spec, n, "degree") for n in range(len(offs))
-        ]
-        for n in range(1, len(offs)):
-            shift = offs[n] - offs[n - 1]
-            for j in range(1, offs[-1] - offs[n] + 4):
-                assert degree_blocks[n].b(j) == degree_blocks[n - 1].b(j + shift)
+        depth = max(0, spec.branch_levels[-1] + rng.randint(-2, 3))
+        blocks = plan_decomposition(spec, depth).n_blocks
+        for variant in ("adjacency", "degree"):
+            for n in range(1, blocks):
+                shift = block_start(spec, n) - block_start(spec, n - 1)
+                younger = truncated_block(spec, n, depth, variant)
+                older = truncated_block(spec, n - 1, depth, variant)
+                assert np.array_equal(younger.diag.view(np.int64), older.diag[shift:].view(np.int64))
+                assert np.array_equal(
+                    younger.weight[1:].view(np.int64), older.weight[shift + 1 :].view(np.int64)
+                )
+
+
+def test_cut_reads_no_branching_past_it(monkeypatch):
+    # a cut at depth 10,000 keeps the 8 branchings of gamma = 3 below it,
+    # however many lie beyond
+    long_plan = plan_decomposition(make_gamma_tree(2, 3, 8000), 10_000)
+    short_plan = plan_decomposition(make_gamma_tree(2, 3, 9), 10_000)
+    assert long_plan.n_blocks == 9
+    assert long_plan.offsets == short_plan.offsets and long_plan.sizes == short_plan.sizes
+    assert long_plan.multiplicities == short_plan.multiplicities
+    seen = []
+    build = JacobiCoefficients.for_tree_block.__func__
+
+    def recorded(cls, spec, *args, **kwargs):
+        seen.append(spec.n_branchings)
+        return build(cls, spec, *args, **kwargs)
+
+    monkeypatch.setattr(JacobiCoefficients, "for_tree_block", classmethod(recorded))
+    deep = truncated_block(make_gamma_tree(2, 3, 8000), 0, 10_000, "degree")
+    short = truncated_block(make_gamma_tree(2, 3, 9), 0, 10_000, "degree")
+    assert seen == [8, 8]
+    assert np.array_equal(deep.diag.view(np.int64), short.diag.view(np.int64))
+    assert np.array_equal(deep.weight.view(np.int64), short.weight.view(np.int64))
+    assert np.array_equal(deep.parent, short.parent)
 
 
 def kappa(spec: TreeSpec, j: int) -> int:
@@ -125,7 +147,7 @@ def per_row_block(
     spec: TreeSpec, block: int, depth: int, variant: str = "adjacency", rho: float = 0.0
 ) -> SymOperator:
     """Reference truncated block, built row by row from kappa of each generation."""
-    offs = block_offsets(spec)
+    offs = (0,) + tuple(lv + 1 for lv in spec.branch_levels)
     if not 0 <= block < len(offs):
         raise ValidationError("block: outside 0..n_branchings")
     start = offs[block]
@@ -156,7 +178,7 @@ def block_cuts(draw):
     factors = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
     spec = TreeSpec(tuple(accumulate(gaps)), tuple(factors))
     block = draw(st.integers(0, n))
-    depth = block_offsets(spec)[block] + draw(st.integers(0, 30))
+    depth = block_start(spec, block) + draw(st.integers(0, 30))
     return spec, block, depth
 
 

@@ -110,6 +110,29 @@ def test_parse_pi_multiple_names_the_field():
         PhaseReducer.from_pi_multiple("1/0")
 
 
+def test_fixed_point_bound_holds_for_huge_angles():
+    # The integer part of angle / 2pi, up to about 1,000 bits at 1e300,
+    # must not eat the working precision of the fixed-point angle: the
+    # residue stays within the documented 2**-180 of a turn of mpmath's
+    # at 5,000 bits.
+    import mpmath as mp
+
+    rng = random.Random(5)
+    angles = [3.0, -3.0, 1e10, 1e60, -1e60, 1e100, -1e100, 1e300, -1e300]
+    angles += [rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(0.5, 1.0), rng.randrange(2, 997)) for _ in range(20)]
+    cases = []
+    with mp.workprec(5000):
+        for angle in angles:
+            cases.append((PhaseReducer.from_angle(angle), mp.mpf(angle) / (2 * mp.pi)))
+        for multiple in (Fraction(10**80 + 1, 3), Fraction(-(10**200) - 7, 11)):
+            cases.append((PhaseReducer.from_pi_multiple(multiple), mp.mpf(multiple.numerator) / (2 * multiple.denominator)))
+        for reducer, turn in cases:
+            for steps in (1, 12345, 3**100):
+                got = reducer.reduce_fraction(steps, use_exact=False)
+                gap = mp.mpf(got.numerator) / got.denominator - steps * turn
+                assert abs(gap - mp.nint(gap)) < mp.mpf(2) ** -180, (reducer.angle, steps)
+
+
 # ---------------------------------------------------------------------------
 # reduce is bit for bit the float of the exact residue
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_isotropic_matrix_is_flagged():
 
 
 def test_transfer_product_columns_are_solutions():
-    coeffs = JacobiCoefficients.for_tree_block(small_tree(), 0)
+    coeffs = JacobiCoefficients.for_tree_block(small_tree())
     energy = 0.8
     u_first = solve_u(coeffs, energy, 20, init=(0.0, 1.0))
     u_second = solve_u(coeffs, energy, 20, init=(1.0, 0.0))
@@ -149,7 +149,7 @@ def test_transfer_product_columns_are_solutions():
 
 
 def test_transfer_determinant_telescopes():
-    coeffs = JacobiCoefficients.for_tree_block(small_tree(), 0)
+    coeffs = JacobiCoefficients.for_tree_block(small_tree())
     for j in range(1, 18):
         mat = transfer_product(coeffs, 0.4, j)
         assert mat.det == pytest.approx(1.0 / coeffs.a(j), rel=1e-10)
@@ -310,7 +310,7 @@ def test_bump_coefficients_validation():
 
 def run_sitewise_oracle(spec, phi, rho=0.0):
     """Slow reference: solve the recursion and read phases at checkpoints."""
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0, rho=rho)
+    coeffs = JacobiCoefficients.for_tree_block(spec, rho=rho)
     length = spec.branch_levels[-1] + 4
     u = solve_u(coeffs, 2.0 * math.cos(phi), length)
     radius, angle = efgp_transform(u, phi)
@@ -448,7 +448,7 @@ def test_bounded_free_solution_norm_scales_like_sqrt_window():
 def test_checkpoint_transfer_matches_direct_product():
     spec = small_tree()
     for rho in (0.0, 0.5):
-        coeffs = JacobiCoefficients.for_tree_block(spec, 0, rho=rho)
+        coeffs = JacobiCoefficients.for_tree_block(spec, rho=rho)
         for energy in (0.0, 0.9, -1.2):
             for n in (1, 2, 4):
                 fast = checkpoint_transfer(coeffs, energy, n)
@@ -469,8 +469,8 @@ def test_checkpoint_transfer_handles_tight_and_leading_bumps():
 
 def test_checkpoint_transfer_validation():
     spec = small_tree()
-    degree = JacobiCoefficients.for_tree_block(spec, 0, variant=DEGREE)
-    adjacency = JacobiCoefficients.for_tree_block(spec, 0)
+    degree = JacobiCoefficients.for_tree_block(spec, variant=DEGREE)
+    adjacency = JacobiCoefficients.for_tree_block(spec)
     with pytest.raises(ValidationError):
         checkpoint_transfer(degree, 0.5, 1)
     with pytest.raises(ValidationError):
@@ -482,7 +482,7 @@ def test_checkpoint_transfer_validation():
 def test_checkpoint_transfer_geometric_depth_runs_fast():
     levels = tuple(3**n for n in range(1, 41))
     spec = TreeSpec(branch_levels=levels, branch_factors=(2,) * 40)
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     mat = checkpoint_transfer(coeffs, 2.0 * math.cos(1.0), 40)
     assert mat.det == pytest.approx(1.0, abs=1e-9)
     log_max, log_min = mat.log_singular_values()
@@ -492,7 +492,7 @@ def test_checkpoint_transfer_geometric_depth_runs_fast():
 
 def test_subordinate_direction_reciprocal_sigmas():
     spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     energy = 0.9
     for n in (1, 2, 3, 4):
         report = subordinate_direction(coeffs, energy, n)
@@ -502,7 +502,7 @@ def test_subordinate_direction_reciprocal_sigmas():
 
 def test_subordinate_direction_matches_numpy_on_small_case():
     spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     energy = 0.9
     n = 3
     report = subordinate_direction(coeffs, energy, n)
@@ -544,7 +544,7 @@ def test_simon_stolz_converges_outside_the_band():
 
 def test_simon_stolz_skips_bump_indices():
     spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec, 0)
+    coeffs = JacobiCoefficients.for_tree_block(spec)
     profile = simon_stolz_profile(coeffs, 0.5, 17)
     skipped = set(coeffs.positions)
     assert skipped.isdisjoint(profile.indices.tolist())

@@ -21,6 +21,7 @@ from sparsetrees.trees import (
     check_floor_bits,
     estimate_dimension,
     generation_size,
+    growing,
     make_gamma_tree,
     parse_gamma,
     sample_omega_tree,
@@ -248,6 +249,15 @@ def test_omega_marginal_is_uniform():
         assert abs(c - expect) < 3.5 * sigma, (w, c)
 
 
+@pytest.mark.parametrize(
+    "values,expected",
+    [((), False), ((3,), False), ((2, 2, 2), False), ((2, 3), True), ((1, 3, 2, 4), False), ((1, 1, 2), True)],
+)
+def test_growing_is_nondecreasing_and_ends_higher(values, expected):
+    assert growing(values) is expected
+    assert growing(list(values)) is expected
+
+
 def test_validate_flags():
     assert validate(make_gamma_tree(2, 3, 10)) == {
         "monotone": True,
@@ -258,8 +268,8 @@ def test_validate_flags():
     assert validate(linear)["sparse"] is False
     two = TreeSpec((1, 2), (2, 2))
     assert validate(two)["normal"] is True
-    growing = TreeSpec((2, 6, 18, 60), (2, 3, 4, 5))
-    flags = validate(growing)
+    rising = TreeSpec((2, 6, 18, 60), (2, 3, 4, 5))
+    flags = validate(rising)
     assert flags["normal"] is True and flags["sparse"] is True
 
 
