@@ -5,10 +5,12 @@ equivalent to a direct sum of half-line Jacobi matrices: one copy of the
 block that starts at the root, and for every branching generation L_n a
 batch of identical blocks starting at generation L_n + 1, with
 multiplicity M_n counting the newly independent directions created by the
-branching.  The degree variant decomposes the same way with the degree
-diagonal carried along.  Everything here is about building those blocks,
-their multiplicities, and verifying the equivalence on finite truncations
-by comparing eigenvalue multisets.
+branching.  M_n is the jump across branching n in the spec's one table
+of generation sizes (TreeSpec.prefix_products).  The degree variant
+decomposes the same way with the degree diagonal carried along.
+Everything here is about building those blocks, their multiplicities, and
+verifying the equivalence on finite truncations by comparing eigenvalue
+multisets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .operators import (
     eigenvalues_sym,
     tridiagonal,
 )
-from .trees import TreeSpec, ball_count, generation_size
+from .trees import TreeSpec, ball_count
 
 __all__ = [
     "DecompositionPlan",
@@ -61,11 +63,11 @@ def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
 
     M_0 = 1; for n >= 1, M_n is the jump in the generation size across
     branching n, prod(k_1..k_n) - prod(k_1..k_{n-1}), the number of
-    directions that become independent at branching n.
+    directions that become independent at branching n: the successive
+    differences of spec.prefix_products.
     """
-    return (1,) + tuple(
-        generation_size(spec, lv + 1) - generation_size(spec, lv) for lv in spec.branch_levels
-    )
+    products = spec.prefix_products
+    return (1,) + tuple(b - a for a, b in zip(products, products[1:]))
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class DecompositionPlan:
     offsets: tuple[int, ...]
     multiplicities: tuple[int, ...]
     sizes: tuple[int, ...]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.offsets)
 
     def total_sites(self) -> int:
         return sum(m * s for m, s in zip(self.multiplicities, self.sizes))

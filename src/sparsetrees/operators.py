@@ -2,8 +2,9 @@
 
 Vertices of the ball of radius D around the root are indexed breadth
 first, generation by generation, so parent indices are pure arithmetic on
-generation offsets.  Two tree operators are assembled: the plain
-adjacency matrix, and adjacency minus the diagonal of vertex degrees
+generation offsets, summed from the generation sizes in the spec's one
+table (TreeSpec.prefix_products).  Two tree operators are assembled: the
+plain adjacency matrix, and adjacency minus the diagonal of vertex degrees
 (degrees counted inside the truncation, so the truncation is a Dirichlet
 cut after generation D).  These and the tridiagonal Jacobi blocks are all
 forests numbered parents first, which is the one form SymOperator
@@ -22,6 +23,7 @@ block, in closed form.  No LAPACK routine is called.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from .jacobi import check_rho
-from .trees import TreeSpec, ball_count, generation_size
+from .trees import TreeSpec, ball_count
 
 VERTEX_GUARD = 1_000_000
 
@@ -63,34 +65,6 @@ GRID_BITS = 53
 # at 500 rows; three bits were slower than one at 500 rows.  Must divide
 # GRID_BITS + 1.
 SECTION_BITS = 2
-
-
-@dataclass(frozen=True)
-class VertexIndexing:
-    """Breadth-first vertex numbering of the depth-D truncation."""
-
-    offsets: tuple[int, ...]  # offsets[j] = index of first vertex in generation j
-    sizes: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.offsets[-1] + self.sizes[-1]
-
-
-def enumerate_vertices(spec: TreeSpec, depth: int) -> VertexIndexing:
-    """Index the ball of radius depth; refuses more than a million vertices."""
-    if depth < 0:
-        raise ValidationError("depth: must be >= 0")
-    if ball_count(spec, depth) > VERTEX_GUARD:
-        raise GuardError(
-            f"depth: truncation holds {ball_count(spec, depth)} vertices, "
-            f"guard is {VERTEX_GUARD}"
-        )
-    sizes = [generation_size(spec, j) for j in range(depth + 1)]
-    offsets = [0]
-    for s in sizes[:-1]:
-        offsets.append(offsets[-1] + s)
-    return VertexIndexing(tuple(offsets), tuple(sizes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +105,21 @@ def tridiagonal(diag, off) -> SymOperator:
 def _tree_parents(spec: TreeSpec, depth: int) -> np.ndarray:
     """Parent of every vertex of the depth-D truncation, -1 for the root.
 
-    The child at position i of generation g + 1 has parent
-    offsets[g] + i // kappa(g), where kappa(g) = sizes[g + 1] // sizes[g].
+    Generation j has sizes[j] = prefix_products[number of L_n < j]
+    vertices, numbered from offsets[j].  The child at position i of
+    generation g + 1 has parent offsets[g] + i // kappa(g), where
+    kappa(g) = sizes[g + 1] // sizes[g].  More than VERTEX_GUARD vertices
+    are refused before anything is allocated.
     """
-    indexing = enumerate_vertices(spec, depth)
-    offsets = np.array(indexing.offsets)
-    sizes = np.array(indexing.sizes)
+    total = ball_count(spec, depth)
+    if total > VERTEX_GUARD:
+        raise GuardError(f"depth: truncation holds {total} vertices, guard is {VERTEX_GUARD}")
+    cut = bisect_left(spec.branch_levels, depth)  # branchings below generation depth
+    below = np.searchsorted(spec.branch_levels[:cut], np.arange(depth + 1))
+    sizes = np.array(spec.prefix_products[: cut + 1])[below]
+    offsets = np.cumsum(sizes) - sizes
     g = np.repeat(np.arange(depth), sizes[1:])  # generation of each parent
-    position = np.arange(1, indexing.total) - offsets[g + 1]
+    position = np.arange(1, total) - offsets[g + 1]
     return np.concatenate(([-1], offsets[g] + position // (sizes[g + 1] // sizes[g])))
 
 

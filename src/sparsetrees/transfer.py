@@ -377,14 +377,9 @@ class EFGPTrajectory:
     y: tuple[float, ...]
     theta_entry: tuple[float, ...]
 
-    def mean_y(self, burn_in: int = 0) -> float:
-        """Average radial kick per bump, dropping the first burn_in bumps."""
-        if burn_in < 0:
-            raise ValidationError("burn_in: must be >= 0")
-        ys = self.y[1 + burn_in :]
-        if not ys:
-            raise ValidationError("burn_in: no bumps left to average")
-        return float(np.mean(ys))
+    def mean_y(self) -> float:
+        """Average radial kick per bump."""
+        return float(np.mean(self.y[1:]))
 
 
 def efgp_run(
@@ -406,7 +401,8 @@ def efgp_run(
     The wall-clock cost is O(n_bumps) regardless of how deep the branching
     levels sit, so geometric trees with thousands of branchings are cheap.
     theta0 is the phase at site 1; use `boundary_theta0` to encode a
-    boundary coupling.
+    boundary coupling.  A reducer, such as an exact one from
+    `PhaseReducer.from_pi_multiple`, must hold the angle phi itself.
 
     memo is for runs at one phi over the same floors (`mc_exponent`'s
     trials): on an omega spec each gap then goes to the reducer split as
@@ -432,6 +428,8 @@ def efgp_run(
             )
     if reducer is None:
         reducer = PhaseReducer.from_angle(phi)
+    elif reducer.angle != phi:
+        raise ValidationError(f"reducer: its angle {reducer.angle!r} is not phi = {phi!r}")
 
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)

@@ -8,9 +8,14 @@ just the pair of sequences (L_n, k_n) up to a finite horizon, plus the
 recipe that produced them (explicit lists, a geometric family with ratio
 gamma, or the randomly jittered variant of that family).
 
-All counts are exact arbitrary-precision integers; generation levels may
-exceed 64-bit range (the geometric family reaches gamma**n for n in the
-thousands), so nothing here assumes levels fit machine words.
+Every generation size is a prefix product k_1 * ... * k_m, the size of
+each generation past m branchings: a spec computes the table of these
+products once, when it is first read (TreeSpec.prefix_products), and
+generation sizes, ball counts and the block multiplicities of
+decomposition.py are all read from it.  All counts are exact
+arbitrary-precision integers; generation levels may exceed 64-bit range
+(the geometric family reaches gamma**n for n in the thousands), so nothing
+here assumes levels fit machine words.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -145,22 +152,18 @@ class TreeSpec:
         """Largest generation about which the spec carries information."""
         return self.branch_levels[-1] if self.branch_levels else 0
 
-
-@lru_cache(maxsize=256)
-def _prefix_products(factors: tuple[int, ...]) -> tuple[int, ...]:
-    # products[m] = k_1 * ... * k_m, products[0] = 1
-    out = [1]
-    for k in factors:
-        out.append(out[-1] * k)
-    return tuple(out)
+    @cached_property
+    def prefix_products(self) -> tuple[int, ...]:
+        """products[m] = k_1 * ... * k_m (products[0] = 1): the size of every
+        generation past m branchings, computed on first read."""
+        return tuple(accumulate(self.branch_factors, mul, initial=1))
 
 
 def generation_size(spec: TreeSpec, j: int) -> int:
     """Number of vertices at generation j, the product of k_n over L_n < j."""
     if j < 0:
         raise ValidationError("j: generation must be >= 0")
-    n_below = bisect_left(spec.branch_levels, j)
-    return _prefix_products(spec.branch_factors)[n_below]
+    return spec.prefix_products[bisect_left(spec.branch_levels, j)]
 
 
 def ball_count(spec: TreeSpec, depth: int) -> int:
@@ -173,7 +176,7 @@ def ball_count(spec: TreeSpec, depth: int) -> int:
     if depth < 0:
         raise ValidationError("depth: must be >= 0")
     levels = spec.branch_levels
-    products = _prefix_products(spec.branch_factors)
+    products = spec.prefix_products
     first = levels[0] if levels else depth
     total = min(first, depth) + 1  # generations 0..min(L_1, depth), size 1
     for m in range(len(levels)):

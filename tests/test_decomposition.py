@@ -26,11 +26,12 @@ from sparsetrees.jacobi import JacobiCoefficients
 from sparsetrees.operators import (
     SymOperator,
     apply_root_boundary,
+    assemble_delta,
     component_eigenvalues,
     eigenvalues_sym,
     tridiagonal,
 )
-from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
+from sparsetrees.trees import TreeSpec, ball_count, generation_size, make_gamma_tree
 
 
 def random_small_spec(rng: random.Random, max_branchings: int = 4) -> TreeSpec:
@@ -46,6 +47,24 @@ def test_multiplicities_examples():
     assert multiplicities(TreeSpec((1, 2, 3, 4), (2, 2, 2, 2))) == (1, 1, 2, 4, 8)
     assert multiplicities(TreeSpec((1, 3), (3, 2))) == (1, 2, 3)
     assert multiplicities(TreeSpec((5,), (4,))) == (1, 3)
+
+
+def test_generation_sizes_never_hash_the_factors():
+    # the spec holds its one table of generation sizes: no lookup keyed by
+    # the factor tuple, which would hash all 40 factors each time
+    class CountedHashes(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            CountedHashes.hashes += 1
+            return super().__hash__()
+
+    spec = TreeSpec(tuple(range(1, 80, 2)), CountedHashes((2,) * 40))
+    assert multiplicities(spec) == (1,) + tuple(2 ** (n - 1) for n in range(1, 41))
+    assert generation_size(spec, 20) == 2**10
+    assert ball_count(spec, 20) == 2 * (2**10 - 1) + 2**10
+    assert assemble_delta(spec, 20).size == ball_count(spec, 20)
+    assert CountedHashes.hashes == 0
 
 
 def test_multiplicities_sum_to_generation_products():
@@ -97,7 +116,7 @@ def test_blocks_nest_as_tails():
     for _ in range(10):
         spec = random_small_spec(rng)
         depth = max(0, spec.branch_levels[-1] + rng.randint(-2, 3))
-        blocks = plan_decomposition(spec, depth).n_blocks
+        blocks = len(plan_decomposition(spec, depth).offsets)
         for variant in ("adjacency", "degree"):
             for n in range(1, blocks):
                 shift = block_start(spec, n) - block_start(spec, n - 1)
@@ -114,7 +133,7 @@ def test_cut_reads_no_branching_past_it(monkeypatch):
     # however many lie beyond
     long_plan = plan_decomposition(make_gamma_tree(2, 3, 8000), 10_000)
     short_plan = plan_decomposition(make_gamma_tree(2, 3, 9), 10_000)
-    assert long_plan.n_blocks == 9
+    assert len(long_plan.offsets) == 9
     assert long_plan.offsets == short_plan.offsets and long_plan.sizes == short_plan.sizes
     assert long_plan.multiplicities == short_plan.multiplicities
     seen = []
@@ -241,6 +260,7 @@ def test_plan_counting_identity_exact():
             plan = plan_decomposition(spec, depth)
             assert plan.counting_identity_holds()
             assert plan.total_sites() == ball_count(spec, depth)
+            assert assemble_delta(spec, depth).size == ball_count(spec, depth)
 
 
 def test_plan_example():
@@ -324,7 +344,7 @@ def test_block_side_has_the_bits_of_each_block_alone(monkeypatch):
             solved.clear()
             assert verify_decomposition(spec, depth, variant, rho).passed, (spec, depth, variant)
             (blocks,) = solved
-            assert len(blocks) == plan_decomposition(spec, depth).n_blocks
+            assert len(blocks) == len(plan_decomposition(spec, depth).offsets)
             for n, evs in enumerate(blocks):
                 block = truncated_block(spec, n, depth, variant, rho if n == 0 else 0.0)
                 alone = eigenvalues_sym(block)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsetrees import operators
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.operators import (
@@ -27,7 +28,6 @@ from sparsetrees.operators import (
     assemble_delta,
     assemble_delta_tilde,
     component_eigenvalues,
-    enumerate_vertices,
     eigenvalues_sym,
     forest_eigenvalues,
     tridiagonal,
@@ -62,18 +62,24 @@ def char_poly_roots_free(m: int) -> np.ndarray:
     return np.sort(np.roots(d_cur).real)
 
 
-def test_enumerate_vertices_counts_and_offsets():
+def test_assemble_delta_numbers_generations_breadth_first():
+    # generation sizes (1, 1, 2, 2, 6), first vertices (0, 1, 2, 4, 6)
     spec = TreeSpec((1, 3), (2, 3))
-    idx = enumerate_vertices(spec, 4)
-    assert idx.total == ball_count(spec, 4)
-    assert idx.sizes == (1, 1, 2, 2, 6)
-    assert idx.offsets == (0, 1, 2, 4, 6)
+    op = assemble_delta(spec, 4)
+    assert op.size == ball_count(spec, 4)
+    assert op.parent.tolist() == [-1, 0, 1, 1, 2, 3, 4, 4, 4, 5, 5, 5]
 
 
-def test_enumerate_vertices_guard():
+def test_assemble_delta_guard_refuses_before_allocating(monkeypatch):
     spec = make_gamma_tree(5, "3/2", 12)
-    with pytest.raises(GuardError):
-        enumerate_vertices(spec, spec.branch_levels[-1])
+    counted = []
+    monkeypatch.setattr(operators, "ball_count", lambda *args: counted.append(args) or ball_count(*args))
+    # any array built before the guard fails with AttributeError instead
+    monkeypatch.setattr(operators, "np", None)
+    for assemble in (assemble_delta, assemble_delta_tilde):
+        with pytest.raises(GuardError, match="guard is 1000000"):
+            assemble(spec, spec.branch_levels[-1])
+    assert len(counted) == 2  # one vertex count per call
 
 
 def test_delta_star_eigenvalues():

@@ -327,6 +327,19 @@ def test_mc_exponent_computes_angles_in_the_first_trial_only(monkeypatch):
     assert computing == {id(built[0])}
 
 
+def test_mc_exponent_builds_no_generation_size_table(monkeypatch):
+    # the phase flow reads levels and factors only, so the per-trial omega
+    # specs never pay for the table of generation sizes
+    built = []
+    products = TreeSpec.prefix_products.func
+    monkeypatch.setattr(
+        TreeSpec, "prefix_products", property(lambda spec: built.append(spec) or products(spec))
+    )
+    mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
+    mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
+    assert not built
+
+
 def test_mc_exponent_memo_holds_windows_not_products():
     spec = sample_omega_tree(make_gamma_tree(2, 3, 2000), 0, 0)
     efgp_run(spec, 1.0)  # mpmath and the kick caches load outside the trace

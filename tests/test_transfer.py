@@ -392,14 +392,23 @@ def test_efgp_run_row_zero_and_levels():
             assert trajectory.log_r[n] == trajectory.log_r[n - 1] + trajectory.y[n]
 
 
-def test_mean_y_burn_in_drops_leading_bumps_and_rejects_negatives():
+def test_mean_y_averages_every_bump():
     trajectory = efgp_run(make_gamma_tree(2, 3, 50), 1.0)
     assert trajectory.mean_y() == float(np.mean(trajectory.y[1:]))
-    assert trajectory.mean_y(burn_in=10) == float(np.mean(trajectory.y[11:]))
-    with pytest.raises(ValidationError, match="burn_in"):
-        trajectory.mean_y(burn_in=-1)
-    with pytest.raises(ValidationError, match="burn_in"):
-        trajectory.mean_y(burn_in=50)
+
+
+def test_efgp_run_refuses_a_reducer_at_another_angle():
+    spec = make_gamma_tree(2, 3, 20)
+    with pytest.raises(ValidationError, match="reducer"):
+        efgp_run(spec, 1.0, reducer=PhaseReducer.from_angle(2.0))
+    assert efgp_run(spec, 1.0, reducer=PhaseReducer.from_angle(1.0)) == efgp_run(spec, 1.0)
+    # an exact multiple m of pi holds the angle float(m) * pi bit for bit,
+    # the phi the CLI and mc_exponent pass with it
+    for q in range(2, 100):
+        for p in range(1, q):
+            assert PhaseReducer.from_pi_multiple(Fraction(p, q)).angle == p / q * math.pi
+    multiple = Fraction(2, 7)
+    efgp_run(spec, float(multiple) * math.pi, reducer=PhaseReducer.from_pi_multiple(multiple))
 
 
 def test_efgp_run_splits_only_jittered_gaps_given_a_memo():
