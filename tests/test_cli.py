@@ -26,6 +26,7 @@ CASES = [
     ("spectrum", "spectrum", "json"),
     ("efgp-run", "efgp_run", "csv"),
     ("efgp-run", "efgp_run", "json"),
+    ("efgp-run", "efgp_run_gamma", "csv"),
     ("phase-diagram", "phase_diagram", "csv"),
     ("mc-exponent", "mc_exponent", "json"),
     ("classify-theorems", "classify_theorems", "json"),
