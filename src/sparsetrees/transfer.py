@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -411,8 +413,15 @@ def efgp_run(
     A later run rounds its gap's phase from that window, with no mpmath
     work and the same double as the exact product, which it computes only
     when the window's error interval straddles a rounding boundary (see
-    `PhaseReducer.reduce`).  Without a memo, or on a gamma or explicit
-    spec, gaps are reduced whole and nothing is kept.
+    `PhaseReducer.reduce`).
+
+    Without a memo, a gamma or omega spec whose ratio p/q has an odd q,
+    run at a float phi, has its gaps reduced together by
+    `PhaseReducer.reduce_gaps`: a recurrence walks their phase residues
+    at one precision and rounds each from a 128-bit window, with the same
+    doubles as reducing each gap whole, which it does where the rounding
+    test is unsure.  Every other run (explicit specs, an even q, an exact
+    reducer) reduces each gap whole, and nothing is kept.
     """
     check_phi(phi)
     levels = spec.branch_levels
@@ -441,20 +450,24 @@ def efgp_run(
     reduce = reducer.reduce
     log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
 
-    omega = spec.omega
+    # The free stretch before each bump, L_1 sites and then L_n - L_(n-1) - 2,
+    # made one at a time: a list of them would hold as many bits as the floors.
+    gaps = chain(levels[:1], (b - a - 2 for a, b in zip(levels, levels[1:n_bumps])))
+    gamma, omega = spec.gamma, spec.omega
+    odd_ratio = gamma is not None and gamma.denominator % 2 == 1
     if memo is not None and omega:
-        offsets = [w - v for v, w in zip((0,) + omega, omega[:n_bumps])]
+        offsets = map(sub, omega[:n_bumps], (0,) + omega)
+        phases = [reduce(gap, offset, memo) for gap, offset in zip(gaps, offsets)]
+    elif memo is None and reducer.circle_fraction is None and odd_ratio:
+        phases = reducer.reduce_gaps(gaps, gamma, levels[n_bumps - 1])
     else:
-        offsets, memo = [0] * n_bumps, None
+        phases = map(reduce, gaps)
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
     log_rs, thetas, ys, entries = [log_r], [theta], [0.0], [theta]
-    previous = None
-    for level, k, offset in zip(levels[:n_bumps], factors, offsets):
-        gap = level if previous is None else level - previous - 2
-        previous = level
-        theta_entry = (theta + reduce(gap, offset, memo)) % _TWO_PI
+    for phase, k in zip(phases, factors):
+        theta_entry = (theta + phase) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
             kick = bump_coefficients(k, phi)
@@ -508,6 +521,8 @@ def checkpoint_transfer(
     unimodular matrix whose least-stretched direction is the subordinacy
     candidate.  Agrees with the site-by-site product of `step_matrix`
     factors (the O(L) oracle in the tests) wherever that is affordable.
+    The free stretches rotate by phi = acos(E / 2), or by a given
+    reducer's angle, which must then give energy = 2 cos(phi) exactly.
     """
     if not coeffs.is_adjacency:
         raise ValidationError("variant: checkpoint transfer needs the adjacency variant")
@@ -519,9 +534,16 @@ def checkpoint_transfer(
     for i in range(1, len(positions)):
         if positions[i] - positions[i - 1] < 2:
             raise ValidationError("positions: bumps must sit at least 2 sites apart")
-    phi = math.acos(energy / 2.0)
     if reducer is None:
+        phi = math.acos(energy / 2.0)
         reducer = PhaseReducer.from_angle(phi)
+    else:
+        phi = reducer.angle
+        if energy != 2.0 * math.cos(phi):
+            raise ValidationError(
+                f"reducer: its angle {phi!r} gives 2 cos(phi) = {2.0 * math.cos(phi)!r}, "
+                f"not energy = {energy!r}"
+            )
     sin_phi = math.sin(phi)
 
     mat = Mat2.identity()

@@ -197,6 +197,21 @@ def theoretical_dimension(k: int, gamma: Fraction | float) -> float:
     return 1.0 + math.log(k) / math.log(g)
 
 
+def ball_constant(k: int, gamma: Fraction | int) -> float:
+    """C = (gamma - 1) / (k gamma - 1): the ball of radius r grows like C * r**d.
+
+    For integer gamma and r = gamma**n, the geometric family's ball holds
+    exactly C (k gamma)**n + (gamma + 1 - C k gamma) vertices, so
+    estimate_dimension(spec, r) = d + log C / log r, up to a term of order
+    (k gamma)**-n: the finite-radius bias of acceptance criterion 8.
+    """
+    g = Fraction(gamma)
+    if g <= 1:
+        raise ValidationError("gamma: the ball constant is defined for gamma > 1")
+    check_k(k)
+    return float((g - 1) / (k * g - 1))
+
+
 def estimate_dimension(spec: TreeSpec, depth: int) -> float:
     """Empirical dimension log(ball_count)/log(depth) of the ball of radius depth."""
     if depth < 2:

@@ -39,7 +39,13 @@ from sparsetrees.transfer import (
     solve_u,
     subordinate_direction,
 )
-from sparsetrees.trees import TreeSpec, ball_count, estimate_dimension, make_gamma_tree
+from sparsetrees.trees import (
+    TreeSpec,
+    ball_constant,
+    ball_count,
+    estimate_dimension,
+    make_gamma_tree,
+)
 
 TWO_PI = 2.0 * math.pi
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -283,6 +289,35 @@ def test_ac08_dimension_estimates():
         f"radius gamma^12, {'; '.join(parts)}, {elapsed * 1000:.0f}ms",
     )
     assert ok, "finite-radius bias at gamma^12; see the dimension notes in README"
+
+
+def test_ac12_dimension_bias_law():
+    # Criterion 8's miss as a law: at r = gamma**n, integer gamma, the ball
+    # holds C (k gamma)**n + delta vertices with C = ball_constant(k, gamma)
+    # and delta = gamma + 1 - C k gamma, so
+    #   estimate_dimension = d + log C / log r + log(1 + x) / log r,
+    #   x = (delta / C) (k gamma)**-n > 0.
+    # The last term lies in (0, x / log r), and (delta / C) / log r is
+    # 0.60, 0.22 and 0.53 for the three families at n = 12, so it stays
+    # below (k gamma)**-n: 6.0e-8, 1.5e-11 and 3.5e-12.  The floats of both
+    # sides are off by a few ulps of about 2, near 1e-15, so the tolerance
+    # (k gamma)**-n keeps a margin of 1e-12 over both.
+    n = 12
+    parts = []
+    ok = True
+    for k, gamma in ((2, 2), (2, 4), (3, 3)):
+        radius = gamma**n
+        estimate = estimate_dimension(make_gamma_tree(k, gamma, n), radius)
+        law = theoretical_dimension(k, gamma) + math.log(ball_constant(k, gamma)) / math.log(radius)
+        tolerance = float(k * gamma) ** -n
+        case_ok = abs(estimate - law) <= tolerance
+        ok = ok and case_ok
+        parts.append(
+            f"(k={k},gamma={gamma}): |estimate - law| {abs(estimate - law):.2e} "
+            f"{'<=' if case_ok else '>'} {tolerance:.2e}"
+        )
+    _verdict("AC12 dimension bias law", ok, f"radius gamma^{n}, {'; '.join(parts)}")
+    assert ok
 
 
 def test_ac09_corollary_grid():

@@ -8,10 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetrees import phase
 from sparsetrees.errors import ValidationError
 from sparsetrees.phase import MEMO_ENTRIES, PhaseReducer, parse_pi_multiple
+from sparsetrees.trees import make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
+
+
+def fixed_point_residue(reducer, steps):
+    """(numerator, 2**bits) of the fractional turn of steps * angle from the
+    fixed-point angle at reduce's precision, also for a rational angle."""
+    bits = reducer._bits_for(steps)
+    return (steps * reducer._fixed(bits)) % (1 << bits), 1 << bits
+
+
+def residue_fraction(reducer, steps, use_exact=True):
+    """Fractional part of steps * angle / (2*pi) as an exact rational.
+
+    Exact when the angle is a rational multiple of pi; otherwise, or with
+    use_exact=False, the fixed-point value, within 2**-(bits -
+    steps.bit_length()) of the truth.  The reference that reduce's float
+    and its error bound are checked against.
+    """
+    if reducer.circle_fraction is not None and use_exact:
+        return steps * reducer.circle_fraction % 1
+    return Fraction(*fixed_point_residue(reducer, steps))
 
 
 def circular_gap(a, b):
@@ -42,7 +64,7 @@ def test_rational_multiple_is_exact():
     assert reducer.reduce(3) == pytest.approx(3 * math.pi / 2, abs=0.0)
     # 10**30 is divisible by 4, so one extra quarter turn remains.
     assert reducer.reduce(10**30 + 1) == pytest.approx(math.pi / 2, abs=0.0)
-    assert reducer.reduce_fraction(10**30 + 2) == Fraction(1, 2)
+    assert residue_fraction(reducer, 10**30 + 2) == Fraction(1, 2)
 
 
 def test_fixed_point_engine_matches_exact_rationals():
@@ -55,8 +77,8 @@ def test_fixed_point_engine_matches_exact_rationals():
         q = rng.randrange(p + 1, 128)
         reducer = PhaseReducer.from_pi_multiple(Fraction(p, q))
         steps = rng.randrange(10**29, 10**30)
-        exact = reducer.reduce_fraction(steps)
-        fixed = reducer.reduce_fraction(steps, use_exact=False)
+        exact = residue_fraction(reducer, steps)
+        fixed = residue_fraction(reducer, steps, use_exact=False)
         difference = abs(fixed - exact)
         # Wrap-around: the two representations may sit on opposite sides of 0.
         difference = min(difference, 1 - difference)
@@ -68,8 +90,8 @@ def test_adaptive_precision_handles_geometric_step_counts():
     reducer = PhaseReducer.from_pi_multiple(Fraction(1, 3))
     # 3**2000 * (1/3) pi mod 2 pi: the multiplier mod 6 is 3, giving pi.
     assert reducer.reduce(steps) == pytest.approx(math.pi, abs=0.0)
-    fixed = reducer.reduce_fraction(steps, use_exact=False)
-    exact = reducer.reduce_fraction(steps)
+    fixed = residue_fraction(reducer, steps, use_exact=False)
+    exact = residue_fraction(reducer, steps)
     difference = abs(fixed - exact)
     difference = min(difference, 1 - difference)
     assert float(difference) * TWO_PI < 1e-30
@@ -128,7 +150,7 @@ def test_fixed_point_bound_holds_for_huge_angles():
             cases.append((PhaseReducer.from_pi_multiple(multiple), mp.mpf(multiple.numerator) / (2 * multiple.denominator)))
         for reducer, turn in cases:
             for steps in (1, 12345, 3**100):
-                got = reducer.reduce_fraction(steps, use_exact=False)
+                got = residue_fraction(reducer, steps, use_exact=False)
                 gap = mp.mpf(got.numerator) / got.denominator - steps * turn
                 assert abs(gap - mp.nint(gap)) < mp.mpf(2) ** -180, (reducer.angle, steps)
 
@@ -152,7 +174,7 @@ _reducers = st.one_of(
 
 def fraction_reduce(reducer, steps):
     """reduce as the float of the gcd-reduced Fraction, folded to 0 at 2*pi."""
-    value = float(reducer.reduce_fraction(steps)) * TWO_PI
+    value = float(residue_fraction(reducer, steps)) * TWO_PI
     return value if value < TWO_PI else 0.0
 
 
@@ -168,9 +190,9 @@ def test_fixed_point_residue_division_is_the_fraction_float(multiple, steps):
     # The fixed-point engine of a rational angle: its correctly rounded
     # integer division gives the float of the reduced Fraction.
     reducer = PhaseReducer.from_pi_multiple(multiple)
-    num, den = reducer._residue(steps, use_exact=False)
+    num, den = fixed_point_residue(reducer, steps)
     assert den & (den - 1) == 0
-    assert (num / den).hex() == float(reducer.reduce_fraction(steps, use_exact=False)).hex()
+    assert (num / den).hex() == float(residue_fraction(reducer, steps, use_exact=False)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +259,79 @@ def test_split_memo_is_bounded():
     exact, memo = PhaseReducer.from_pi_multiple("1/3"), {}
     exact.reduce(10**40 + 1, 1, memo)
     assert not memo
+
+
+# ---------------------------------------------------------------------------
+# reduce_gaps: the gaps of geometric floors by their exact recurrence
+# ---------------------------------------------------------------------------
+
+
+def floor_gaps(levels):
+    """efgp_run's free stretches: L_1, then L_n - L_(n-1) - 2."""
+    return [levels[0]] + [b - a - 2 for a, b in zip(levels, levels[1:])]
+
+
+@st.composite
+def _gap_runs(draw):
+    """(reducer, gaps, ratio, largest): a prefix of a gamma or omega spec's
+    gaps, gamma = p/q > 2 with q odd, at an angle up to 1e300 in size."""
+    q = draw(st.sampled_from((1, 1, 3, 5, 7, 9)))
+    p = draw(st.integers(2 * q + 1, 12 * q))
+    n_levels = draw(st.integers(1, 400))
+    spec = make_gamma_tree(2, Fraction(p, q), n_levels)
+    if draw(st.booleans()):
+        spec = sample_omega_tree(spec, draw(st.integers(0, 2**64 - 1)))
+    prefix = draw(st.integers(1, n_levels))
+    angle = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)).filter(math.isfinite))
+    gaps = floor_gaps(spec.branch_levels[:prefix])
+    # a bound below some gaps leaves them past the precision's range
+    largest = draw(st.one_of(st.just(gaps[-1]), st.sampled_from(gaps)))
+    return PhaseReducer.from_angle(angle), gaps, spec.gamma, largest
+
+
+@_PROPERTY
+@given(run=_gap_runs())
+def test_reduce_gaps_is_reduce_of_every_gap(run):
+    reducer, gaps, ratio, largest = run
+    got = PhaseReducer.from_angle(reducer.angle).reduce_gaps(gaps, ratio, largest)
+    assert [x.hex() for x in got] == [reducer.reduce(g).hex() for g in gaps]
+
+
+def test_reduce_gaps_falls_back_to_reduce(monkeypatch):
+    # gamma = 11/5: floors 2, 4, 10, ..., so the second gap 4 - 2 - 2 is 0
+    # and takes reduce; the others are rounded from their windows.
+    gaps = floor_gaps(make_gamma_tree(2, "11/5", 40).branch_levels)
+    assert gaps[1] == 0 and min(gaps[2:]) > 0
+    expected = [PhaseReducer.from_angle(1.0).reduce(g) for g in gaps]
+    reduced = []
+    reduce = PhaseReducer.reduce
+
+    def recorded(self, steps, *args):
+        reduced.append(steps)
+        return reduce(self, steps, *args)
+
+    monkeypatch.setattr(PhaseReducer, "reduce", recorded)
+    assert PhaseReducer.from_angle(1.0).reduce_gaps(gaps, Fraction(11, 5), gaps[-1]) == expected
+    assert reduced == [0]
+    # an unsure rounding test sends every gap to reduce, with the same values
+    monkeypatch.setattr(phase, "_round_window", lambda window, a: None)
+    reduced.clear()
+    assert PhaseReducer.from_angle(1.0).reduce_gaps(gaps, Fraction(11, 5), gaps[-1]) == expected
+    assert reduced == gaps
+
+
+def test_round_window_refuses_wraps_and_rounding_boundaries():
+    top = 1 << 127
+    assert phase._round_window(top, 1) == 0.5 * TWO_PI
+    # near 0 and near a full turn the interval may wrap around the circle
+    assert phase._round_window(0, 1) is None
+    assert phase._round_window(phase._WINDOW_MASK - 1, 1) is None
+    # doubles near 2**127 lie 2**75 apart: 2**127 + 2**74 sits on a tie
+    assert phase._round_window(top + (1 << 74), 1) is None
+    assert phase._round_window(top + (1 << 74), 0) is None
+    assert phase._round_window(top + (1 << 73), 1) == 0.5 * TWO_PI
+
+
+def test_reduce_gaps_needs_an_odd_denominator():
+    with pytest.raises(ValidationError, match="^gamma: "):
+        PhaseReducer.from_angle(1.0).reduce_gaps([2, 3, 9], Fraction(5, 2), 9)

@@ -426,6 +426,30 @@ def test_efgp_run_splits_only_jittered_gaps_given_a_memo():
     assert efgp_run(spec, 1.0, n_bumps=20, memo=memo) == efgp_run(spec, 1.0, n_bumps=20)
 
 
+def test_efgp_run_walks_the_gap_recurrence_only_for_odd_ratios_at_a_float_angle(monkeypatch):
+    walked = []
+    reduce_gaps = PhaseReducer.reduce_gaps
+
+    def recorded(self, gaps, ratio, largest):
+        walked.append(ratio)
+        return reduce_gaps(self, gaps, ratio, largest)
+
+    monkeypatch.setattr(PhaseReducer, "reduce_gaps", recorded)
+    gamma = make_gamma_tree(2, 3, 60)
+    omega = sample_omega_tree(make_gamma_tree(2, "7/3", 60), seed=9)
+    for spec in (gamma, omega):
+        # the same levels as an explicit spec reduce every gap whole
+        explicit = TreeSpec(spec.branch_levels, spec.branch_factors)
+        assert efgp_run(spec, 1.0, n_bumps=40) == efgp_run(explicit, 1.0, n_bumps=40)
+    assert walked == [3, Fraction(7, 3)]
+    walked.clear()
+    efgp_run(make_gamma_tree(2, "5/2", 30), 1.0)
+    efgp_run(gamma, 1 / 3 * math.pi, reducer=PhaseReducer.from_pi_multiple("1/3"))
+    efgp_run(omega, 1.0, memo={})
+    efgp_run(gamma, 1.0, memo={})
+    assert walked == []
+
+
 def test_efgp_run_validation():
     spec = small_tree()
     with pytest.raises(ValidationError):
@@ -486,6 +510,23 @@ def test_checkpoint_transfer_validation():
         checkpoint_transfer(adjacency, 2.0, 1)
     with pytest.raises(ValidationError):
         checkpoint_transfer(adjacency, 0.5, 5)
+
+
+def test_checkpoint_transfer_rotates_by_the_reducers_angle():
+    coeffs = JacobiCoefficients.for_tree_block(small_tree())
+    # acos(cos(1.0)) is 1 ulp below 1.0; a reducer at 1.0 is its one angle
+    energy = 2.0 * math.cos(1.0)
+    assert math.acos(energy / 2.0) != 1.0
+    fast = checkpoint_transfer(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
+    slow = transfer_product(coeffs, energy, coeffs.positions[3] + 1)
+    assert np.allclose(full_entries(fast), full_entries(slow), atol=1e-10)
+    exact = PhaseReducer.from_pi_multiple("2/7")
+    checkpoint_transfer(coeffs, 2.0 * math.cos(exact.angle), 4, reducer=exact)
+    for energy in (0.5, 2.0 * math.cos(1.0 + 2**-52)):
+        with pytest.raises(ValidationError, match="^reducer: its angle 1.0 gives"):
+            checkpoint_transfer(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
+        with pytest.raises(ValidationError, match="^reducer: "):
+            subordinate_direction(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
 
 
 def test_checkpoint_transfer_geometric_depth_runs_fast():
