@@ -27,6 +27,7 @@ CASES = [
     ("efgp-run", "efgp_run", "csv"),
     ("efgp-run", "efgp_run", "json"),
     ("efgp-run", "efgp_run_gamma", "csv"),
+    ("efgp-run", "efgp_run_gamma", "json"),
     ("phase-diagram", "phase_diagram", "csv"),
     ("mc-exponent", "mc_exponent", "json"),
     ("classify-theorems", "classify_theorems", "json"),
