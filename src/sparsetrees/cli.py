@@ -33,6 +33,7 @@ from .reports import (
     PHASE_DIAGRAM_HEADER,
     SPECTRUM_HEADER,
     ReportEnvelope,
+    decimal_levels,
     emit,
 )
 from .spectral import (
@@ -218,11 +219,12 @@ def _run_efgp(cfg: dict, seed: int):
         theta0 = _float_field(cfg, "theta0", 0.0)
     n_bumps = int_field(cfg, "n_bumps", len(spec.branch_levels))
     trajectory = efgp_run(spec, phi, theta0=theta0, n_bumps=n_bumps, reducer=reducer)
+    levels = (0,) + spec.branch_levels[:n_bumps]
     table = CsvTable(
         EFGP_RUN_HEADER,
         (
             range(n_bumps + 1),
-            (0,) + spec.branch_levels[:n_bumps],
+            levels if spec.gamma is None else decimal_levels(levels, spec.gamma),
             trajectory.log_r,
             trajectory.theta,
             trajectory.y,

@@ -177,8 +177,8 @@ class PhaseReducer:
         """[reduce(gap) for gap in gaps], bit for bit, for gaps that grow
         about geometrically with ratio p/q, q odd, up to about `largest`.
 
-        The floors L_n = floor(ratio**n) obey q * L_n = p * L_(n-1) + e_n
-        with e_n in (-q, p), so their gaps g_n = L_n - L_(n-1) - 2 obey
+        By the floors' recurrence q * L_n = p * L_(n-1) + e_n, stated at
+        `trees.make_gamma_tree`, their gaps g_n = L_n - L_(n-1) - 2 obey
         q * g_n = p * g_(n-1) + f_n with f_n = 2(p - q) + e_n - e_(n-1),
         and jitter of n sites keeps f_n small.  With the fixed-point angle F
         at the one precision P of `largest`, the residues

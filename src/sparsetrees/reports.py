@@ -8,18 +8,26 @@ clock timing never enters the output stream.  A tabular payload is one
 table of typed columns, and its CSV lines and its JSON records are both
 rendered from it: each column is type-scanned, checked and formatted
 once, so an all-float column takes one finiteness check and one "%.17g"
-pass, an all-int column one str() pass, and only columns of any other
-kind are formatted cell by cell.  Eigenvalues of trees, and of blocks of
-up to operators.CLASS_COUNT_ROWS rows, come from bisection in plain IEEE
-arithmetic, so those reports are the same bytes on every platform; only
-longer blocks, whose stretch count calls libm, take their last bits, and
-so their bytes, from the platform.
+pass, an all-int column one str() pass, an all-Decimal column one check
+that its cells are plain integers and one str() pass, and only columns
+of any other kind are formatted cell by cell.  CPython's int -> str
+takes time quadratic in the digits, a Decimal's str() linear time, so
+huge integers are best handed over as Decimals: `decimal_levels` makes
+them for the geometric floors from the floors' own recurrence, a few
+linear-time decimal steps per level.  Eigenvalues of trees, and of
+blocks of up to operators.CLASS_COUNT_ROWS rows, come from bisection in
+plain IEEE arithmetic, so those reports are the same bytes on every
+platform; only longer blocks, whose stretch count calls libm, take their
+last bits, and so their bytes, from the platform.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
+from fractions import Fraction
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -29,15 +37,55 @@ PHASE_DIAGRAM_HEADER = "E,k,gamma,class,alpha"
 EFGP_RUN_HEADER = "n,L_n,log_r,theta,Y_n"
 SPECTRUM_HEADER = "i,lambda_i"
 
+_LOG10_2 = math.log10(2)
+_ONE = Decimal(1)
+
 
 def _require_finite(finite) -> None:
     if not finite:
         raise ValidationError("value: reports only carry finite numbers")
 
 
+def _require_plain_integers(decimals) -> None:
+    """Refuse Decimals other than finite integers of exponent 0: only
+    theirs is the str() of the int they hold."""
+    _require_finite(all(map(Decimal.is_finite, decimals)))
+    if not all(map(_ONE.same_quantum, decimals)):
+        raise ValidationError("payload: cannot serialize a Decimal")
+
+
 def format_float(value: float) -> str:
     _require_finite(math.isfinite(value))
     return "%.17g" % value
+
+
+def decimal_levels(levels: Sequence[int], ratio: Fraction) -> list[Decimal]:
+    """The ints `levels` as Decimal integers, whose str() takes linear time.
+
+    Each comes from the one before it by the floors' recurrence of ratio
+    p/q (stated at `trees.make_gamma_tree`), from 0 before the first:
+    e_n = q * L_n - p * L_(n-1) is taken exactly from the ints and
+    D_n = (p * D_(n-1) + e_n) / q in decimal, a few steps linear in the
+    digits.  The context holds the last level's digits, times q, with a
+    margin, and traps every rounding, so each step is exact or raises a
+    decimal signal: the walk never gives a wrong digit, for any ints and
+    any ratio.  The ratio only decides how small e_n stays, and so the speed.
+    """
+    p, q = ratio.numerator, ratio.denominator
+    last = abs(levels[-1]) if levels else 0
+    context = Context(
+        prec=int((q * last).bit_length() * _LOG10_2) + 2,
+        Emax=MAX_EMAX,
+        traps=[Inexact, Rounded, InvalidOperation],
+    )
+    p_dec, q_dec = Decimal(p), Decimal(q)
+    walked, previous, value = [], 0, Decimal(0)
+    with localcontext(context):
+        for level in levels:
+            value = (p_dec * value + (q * level - p * previous)) // q_dec
+            previous = level
+            walked.append(value)
+    return walked
 
 
 def _scalar(value) -> str:
@@ -49,6 +97,9 @@ def _scalar(value) -> str:
         value = int(value)
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, Decimal):
+        _require_plain_integers((value,))
+        return str(value)
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
@@ -58,12 +109,16 @@ def _scalar(value) -> str:
 
 def _column_text(values, cell):
     """One column's cell texts as a lazy map; cell formats any column that
-    is not all-float or all-int (None, str, bool, numpy scalars, mixed).
-    values must be a sequence: it is scanned before the map is made."""
+    is not all-float, all-int or all-Decimal (None, str, bool, numpy
+    scalars, mixed).  values must be a sequence: it is scanned before the
+    map is made."""
     kinds = set(map(type, values))
     if kinds == {float}:
         _require_finite(all(map(math.isfinite, values)))
         return map("%.17g".__mod__, values)
+    if kinds == {Decimal}:
+        _require_plain_integers(values)
+        return map(str, values)
     if kinds == {int}:
         return map(str, values)
     return map(cell, values)

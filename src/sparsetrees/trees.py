@@ -226,6 +226,12 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
     gamma is parsed to an exact rational so the floor is computed by integer
     division; no floating-point rounding is involved at any size.
 
+    The floors' recurrence: for gamma = p/q in lowest terms, with
+    gamma**(n-1) = L_(n-1) + b and gamma**n = L_n + a, a and b in [0, 1),
+    q * L_n = p * L_(n-1) + e_n with e_n = p*b - q*a in (-q, p).
+    A jittered level L_n + omega_n obeys it with e_n + q*omega_n -
+    p*omega_(n-1) in place of e_n.
+
     Parameters
     ----------
     k : constant branching factor, >= 2

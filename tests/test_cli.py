@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_reruns_are_byte_identical(subcommand, stem, suffix, tmp_path):
     assert run([subcommand, "--config", config, "--format", suffix, "--out", str(first)]) == 0
     assert run([subcommand, "--config", config, "--format", suffix, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_efgp_run_prints_floors_past_the_int_to_str_digit_limit(tmp_path):
+    # floor(3**9100) has 4,342 digits, past the 4,300 that CPython's
+    # int -> str allows by default; a gamma spec's levels print through
+    # decimal, so the run reports them.
+    config = tmp_path / "efgp.json"
+    config.write_text(json.dumps({
+        "subcommand": "efgp-run",
+        "spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 9100},
+        "phi": 1.0,
+    }))
+    out = tmp_path / "report.csv"
+    assert run(["efgp-run", "--config", str(config), "--format", "csv", "--out", str(out)]) == 0
+    last_row = out.read_text().splitlines()[-1].split(",")
+    assert last_row[:2] == ["9100", str(Decimal(3**9100))]
 
 
 def test_stdout_equals_file_output(capsysbinary, tmp_path):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,15 +20,22 @@ from sparsetrees.reports import (
     CsvTable,
     _csv_cell,
     _scalar,
+    decimal_levels,
     stable_json,
 )
 from sparsetrees.transfer import efgp_run
-from sparsetrees.trees import make_gamma_tree
+from sparsetrees.trees import make_gamma_tree, sample_omega_tree
 
 
 # ---------------------------------------------------------------------------
 # Reference: the row-by-row CSV emit and the per-element JSON list path
 # ---------------------------------------------------------------------------
+
+
+def as_int(cell):
+    """A finite Decimal cell as the int it holds, so the reference prints
+    the digits an int column would; any other cell as it is."""
+    return int(cell) if isinstance(cell, Decimal) and cell.is_finite() else cell
 
 
 def reference_csv(header: str, rows) -> bytes:
@@ -35,7 +45,7 @@ def reference_csv(header: str, rows) -> bytes:
     for row in rows:
         if len(row) != width:
             raise ValidationError("payload: CSV row width must match the header")
-        lines.append(",".join(_csv_cell(cell) for cell in row))
+        lines.append(",".join(_csv_cell(as_int(cell)) for cell in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -51,7 +61,7 @@ def reference_json(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(reference_json(value) for value in obj) + "]"
-    return _scalar(obj)
+    return _scalar(as_int(obj))
 
 
 def rows_of(table: CsvTable) -> tuple[tuple, ...]:
@@ -70,6 +80,7 @@ INTS = (
     | st.integers(min_value=HUGE, max_value=HUGE * 10**60)
     | st.integers(min_value=-HUGE * 10**60, max_value=-HUGE)
 )
+DECIMALS = INTS.map(Decimal)
 PLAIN_TEXT = st.text(
     alphabet=st.characters(blacklist_characters=',\n"', blacklist_categories=("Cs",)),
     max_size=8,
@@ -79,6 +90,7 @@ CELLS = (
     | st.booleans()
     | FLOATS
     | INTS
+    | DECIMALS
     | FLOATS.map(np.float64)
     | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
     | PLAIN_TEXT
@@ -93,7 +105,7 @@ def tables(draw) -> CsvTable:
     for _ in range(width):
         # A typed column takes the one-pass route, any other column the
         # per-cell one; a column of one kind drawn from CELLS may be either.
-        kind = draw(st.sampled_from((FLOATS, INTS, CELLS, PLAIN_TEXT)))
+        kind = draw(st.sampled_from((FLOATS, INTS, DECIMALS, CELLS, PLAIN_TEXT)))
         column = draw(st.lists(kind, min_size=rows, max_size=rows))
         columns.append(tuple(column) if draw(st.booleans()) else column)
     header = ",".join(f"c{i}" for i in range(width))
@@ -115,24 +127,25 @@ def test_json_columns_give_the_per_element_bytes(table):
         assert stable_json(column) == reference_json(column)
 
 
+def efgp_run_columns(spec):
+    """The columns `efgp-run` reports for a gamma spec, its levels as Decimals."""
+    trajectory = efgp_run(spec, 1.0)
+    levels = decimal_levels((0,) + spec.branch_levels, spec.gamma)
+    return (range(len(levels)), levels, trajectory.log_r, trajectory.theta, trajectory.y)
+
+
 def test_efgp_run_table_gives_the_per_cell_bytes():
     # 955-digit floors beside three float columns: the case the column
     # route is for.
     spec = make_gamma_tree(2, 3, 2000)
-    trajectory = efgp_run(spec, 1.0)
-    table = CsvTable(
-        EFGP_RUN_HEADER,
-        (range(2001), (0,) + spec.branch_levels, trajectory.log_r, trajectory.theta, trajectory.y),
-    )
-    assert len(str(spec.branch_levels[-1])) == 955
+    table = CsvTable(EFGP_RUN_HEADER, efgp_run_columns(spec))
+    assert len(str(table.columns[1][-1])) == 955
     assert table.emit() == reference_csv(table.header, rows_of(table))
     assert stable_json(table) == reference_json(table)
 
 
 def test_lazy_columns_peak_no_higher_than_the_per_cell_reference():
-    spec = make_gamma_tree(2, 3, 2000)
-    trajectory = efgp_run(spec, 1.0)
-    columns = (range(2001), (0,) + spec.branch_levels, trajectory.log_r, trajectory.theta, trajectory.y)
+    columns = efgp_run_columns(make_gamma_tree(2, 3, 2000))
     table = CsvTable(EFGP_RUN_HEADER, columns)
     rows = tuple(zip(*columns))
     assert len(rows) == 2001
@@ -154,13 +167,14 @@ def test_lazy_columns_peak_no_higher_than_the_per_cell_reference():
 
 NOT_FINITE = "value: reports only carry finite numbers"
 NEEDS_QUOTING = "payload: CSV cells must not need quoting"
+NOT_A_PLAIN_INTEGER = "payload: cannot serialize a Decimal"
 WIDTH = "payload: CSV row width must match the header"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("wrap", [float, np.float64])
+@pytest.mark.parametrize("wrap", [float, np.float64, Decimal])
 def test_non_finite_values_are_refused_in_csv_and_json(bad, wrap):
-    column = [1.0, wrap(bad), 2.0]
+    column = [wrap(1.0), wrap(bad), wrap(2.0)]
     table = CsvTable("i,x", (range(3), column))
     with pytest.raises(ValidationError) as csv_error:
         table.emit()
@@ -172,6 +186,17 @@ def test_non_finite_values_are_refused_in_csv_and_json(bad, wrap):
         reference_csv(table.header, rows_of(table))
     for error in (csv_error, records_error, list_error, reference_error):
         assert str(error.value) == NOT_FINITE
+
+
+@pytest.mark.parametrize("text", ["1.5", "2.0", "1E+3"])
+def test_decimals_other_than_plain_integers_are_refused(text):
+    # Their str() is not the digits of an int, on either route.
+    column = [Decimal(1), Decimal(text)]
+    table = CsvTable("i,x", (range(2), column))
+    renders = (table.emit, lambda: stable_json({"rows": table}), lambda: stable_json(column))
+    for render in renders + (lambda: _scalar(Decimal(text)),):
+        with pytest.raises(ValidationError, match=f"^{NOT_A_PLAIN_INTEGER}$"):
+            render()
 
 
 @pytest.mark.parametrize("text", ["a,b", "two\nlines", 'say "hi"'])
@@ -196,3 +221,52 @@ def test_csv_strings_that_need_quoting_are_refused(text):
 def test_table_shape_must_match_the_header(header, columns):
     with pytest.raises(ValidationError, match=f"^{WIDTH}$"):
         CsvTable(header, columns)
+
+
+# ---------------------------------------------------------------------------
+# The digit walk: the levels' own str() texts, or a decimal signal
+# ---------------------------------------------------------------------------
+
+RATIOS = st.sampled_from((Fraction(3), Fraction(7, 3), Fraction(11, 5), Fraction(5, 2)))
+
+
+@st.composite
+def level_columns(draw) -> tuple[tuple[int, ...], Fraction]:
+    """The L_n column of an efgp-run on a gamma or omega spec, a prefix of
+    it included: 0 and then the first n_bumps levels."""
+    gamma = draw(RATIOS | st.integers(min_value=2, max_value=9).map(Fraction))
+    n_levels = draw(st.integers(min_value=1, max_value=400))
+    spec = make_gamma_tree(draw(st.integers(min_value=2, max_value=4)), gamma, n_levels)
+    if gamma > 2 and draw(st.booleans()):
+        spec = sample_omega_tree(spec, draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    n_bumps = draw(st.integers(min_value=1, max_value=n_levels))
+    return (0,) + spec.branch_levels[:n_bumps], gamma
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(level_columns())
+def test_digit_walk_prints_every_level_of_a_spec(column):
+    levels, gamma = column
+    assert list(map(str, decimal_levels(levels, gamma))) == list(map(str, levels))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(INTS, max_size=12), RATIOS | st.fractions())
+def test_digit_walk_is_exact_or_raises_a_decimal_signal(levels, ratio):
+    # The precision follows the last level, so a step whose product p * L
+    # or sum q * L is far longer than that leaves the walk too few digits:
+    # it must refuse, never print a wrong digit.
+    p, q = ratio.numerator, ratio.denominator
+    try:
+        walked = decimal_levels(levels, ratio)
+    except decimal.DecimalException:
+        steps = zip([0] + levels, levels)
+        need = max(max(abs(p * before), q * abs(level)) for before, level in steps)
+        assert need > 10 * q * abs(levels[-1])
+    else:
+        assert list(map(str, walked)) == list(map(str, levels))
+
+
+def test_digit_walk_refuses_a_precision_too_small():
+    with pytest.raises(decimal.DecimalException):
+        decimal_levels((10**40, 7), Fraction(3))
