@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -144,7 +145,8 @@ def _run_tree_stats(cfg: dict, seed: int):
         "spec": spec_to_record(spec),
         "n_branchings": len(spec.branch_levels),
         "depth": depth,
-        "vertex_count": ball_count(spec, depth),
+        # a Decimal integer: str() of an int past 4,300 digits is refused
+        "vertex_count": Decimal(ball_count(spec, depth)),
         "estimated_dimension": estimate_dimension(spec, depth),
         "structure": validate(spec),
     }

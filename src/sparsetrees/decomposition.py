@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _BLOCK_DEPTH_GUARD = 100_000
+# The two sorted eigenvalue lists may differ by this much relative to
+# 1 + max |eigenvalue| before a decomposition check fails.
+DECOMPOSITION_RTOL = 1e-9
 
 
 def block_start(spec: TreeSpec, block: int) -> int:
@@ -163,7 +166,6 @@ def verify_decomposition(
     depth: int,
     variant: str = ADJACENCY,
     rho: float = 0.0,
-    tol: float | None = None,
 ) -> DecompositionReport:
     """Compare the truncated tree operator with its block direct sum.
 
@@ -183,8 +185,7 @@ def verify_decomposition(
     LAPACK routine is called.  With rho = 0 and no such long block the
     report is the same on every platform (a nonzero rho enters through the
     platform's tan, a long block through its libm).  Sorted lists are
-    compared entrywise; the default tolerance is
-    1e-9 * (1 + max |eigenvalue|).
+    compared entrywise, within DECOMPOSITION_RTOL * (1 + max |eigenvalue|).
     """
     if variant == ADJACENCY:
         tree_op = assemble_delta(spec, depth)
@@ -212,7 +213,7 @@ def verify_decomposition(
             plan.sizes, plan.multiplicities,
         )
     scale = float(np.abs(tree_eigs).max()) if len(tree_eigs) else 0.0
-    tolerance = tol if tol is not None else 1e-9 * (1.0 + scale)
+    tolerance = DECOMPOSITION_RTOL * (1.0 + scale)
     max_dev = float(np.abs(tree_eigs - block_eigs).max()) if len(tree_eigs) else 0.0
     return DecompositionReport(
         passed=(max_dev <= tolerance) and counting_ok,

@@ -13,31 +13,24 @@ comes from Python's correctly rounded int/int division: the same double
 as converting the exact rational, without reducing it by a gcd first.
 
 A reducer holds no state beyond its angle's fixed-point values, one per
-precision.  Callers whose step counts recur as the same large base plus
-a small offset, like the Monte Carlo trials of one `spectral.mc_exponent`
-op on shared floors, may hand `PhaseReducer.reduce` a memo: a dict the
-caller owns, for one angle, that never holds more than MEMO_ENTRIES
-entries.  An entry keeps a 128-bit window of the base's product with the
-angle and of the angle itself.  A memo hit rounds the window plus the
-offset's product, with a proven error interval, and takes the exact
-product only when that interval straddles a rounding boundary (Ziv's
-rounding test), so it returns the same double and does no mpmath work.
-
-The gaps between the geometric family's floors grow by a ratio p/q, and
-when q is odd `PhaseReducer.reduce_gaps` walks their residues at one
-precision by an exact recurrence, a few linear-time steps per gap
-instead of one product of thousands of bits.  It rounds each gap from a
-128-bit window of its residue with the same test, `_round_window`, and
-reduces the gap whole where the test is unsure, so it returns the very
-doubles of `reduce`.  `transfer.efgp_run` takes it for gamma and omega
-specs with an odd q at a float angle when no memo is given.
+precision.  The gaps between the geometric family's floors, jittered or
+not, grow by a ratio p/q, and when q is odd a run's `PhaseReducer.walk`
+lets `PhaseReducer.reduce` step their residues at one precision by an
+exact recurrence, a few linear-time operations per gap instead of one
+product of thousands of bits.  reduce rounds each gap from a 128-bit
+window of its residue with a proven error interval, and takes the exact
+residue only where that interval straddles a rounding boundary (Ziv's
+rounding test, `_round_window`), so a walk returns the very doubles of
+reduce without one.  A walk lives for one run; nothing is kept across
+runs.  `transfer.efgp_run` walks every gamma or omega spec with an odd q
+at a float angle.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ValidationError
 
@@ -47,12 +40,6 @@ _GUARD_BITS = 192
 _WINDOW_BITS = 128
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 _WINDOW_SCALE = 2.0**-_WINDOW_BITS
-
-# Most entries one memo keeps.  The Monte Carlo trials of one op share a
-# floor gap per bump, so an op of up to this many bumps finds every window
-# after its first trial.  At 2,000 bumps of gamma = 3 a memo holds
-# 0.88 MiB, about half of it the keys.
-MEMO_ENTRIES = 4096
 
 
 def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
@@ -128,54 +115,10 @@ class PhaseReducer:
         bits = self._bits_for(steps)
         return (steps * self._fixed(bits)) & ((1 << bits) - 1), 1 << bits
 
-    def _window(self, base: int) -> tuple[int, int, int]:
-        """The memo entry (bits, H, G) of base: its precision, and the top
-        128 of those bits of (base * fixed) mod 2**bits and of fixed."""
-        bits = self._bits_for(base)
-        fixed, shift = self._fixed(bits), bits - _WINDOW_BITS
-        return bits, ((base * fixed) >> shift) & _WINDOW_MASK, fixed >> shift
-
-    def reduce(self, steps: int, offset: int = 0, memo: dict | None = None) -> float:
-        """steps * angle modulo 2*pi, in [0, 2*pi).
-
-        The residue's float is its correctly rounded integer division,
-        bit for bit the float of the residue as a reduced Fraction, with
-        no gcd taken.
-
-        A memo splits steps as base + offset, for callers whose steps
-        recur as the same large base plus a small offset: the gaps of
-        omega trees drawn on the same floors.  It keeps per base the
-        entry (bits, H, G) of `_window`, so a hit costs the 128-bit sum
-        W = (H + offset * G) mod 2**128 and no mpmath work.  With
-        a = |offset|, the bits below the window put the exact residue at
-        (W + d) * 2**(bits - 128) for some d in (-a, a + 1), and
-        `_round_window` rounds it.  When that is unsure, or where the
-        offset carries steps to another precision than base's, the exact
-        product is taken.  The result is the same float with or without
-        a memo.  The memo belongs to the caller and to this angle; it
-        takes at most MEMO_ENTRIES entries.  The exact-rational path
-        ignores offset and memo.
-        """
-        if memo is not None and self.circle_fraction is None and steps >= 0:
-            base = steps - offset
-            entry = memo.get(base)
-            if entry is None:
-                entry = self._window(base)
-                if len(memo) < MEMO_ENTRIES:
-                    memo[base] = entry
-            bits, product_top, angle_top = entry
-            if bits == self._bits_for(steps):
-                a = abs(offset)
-                value = _round_window((product_top + offset * angle_top) & _WINDOW_MASK, a)
-                if value is not None:
-                    return value
-        num, den = self._residue(steps)
-        value = num / den * _TWO_PI
-        return value if value < _TWO_PI else 0.0
-
-    def reduce_gaps(self, gaps: Iterable[int], ratio: Fraction, largest: int) -> list[float]:
-        """[reduce(gap) for gap in gaps], bit for bit, for gaps that grow
-        about geometrically with ratio p/q, q odd, up to about `largest`.
+    def walk(self, ratio: Fraction, largest: int) -> GapWalk | None:
+        """A walk for `reduce` over gaps that grow about geometrically with
+        ratio p/q, up to about `largest`; None for an exact angle or an
+        even q.
 
         By the floors' recurrence q * L_n = p * L_(n-1) + e_n, stated at
         `trees.make_gamma_tree`, their gaps g_n = L_n - L_(n-1) - 2 obey
@@ -186,8 +129,10 @@ class PhaseReducer:
         q * R_n = p * R_(n-1) + f_n * F (mod 2**P), and q is odd, so
         dividing by it is exact once the multiple j * 2**P, j < q, that
         makes the right side divisible by q is added.  A step costs a few
-        operations linear in P, where `reduce` multiplies two numbers of
-        P bits at a precision of their own.
+        operations linear in P, where the exact residue multiplies two
+        numbers of P bits at a precision of their own.  This is modular
+        arithmetic, exact for any ints g_n, so a walk gives `reduce`'s own
+        doubles for any gap sequence; the ratio only decides the speed.
 
         Each positive gap g up to P's range is rounded from the top 128
         bits W of R_n.  reduce(g) works at its own precision b <= P, where
@@ -197,27 +142,55 @@ class PhaseReducer:
         window units.  reduce(g)'s residue thus lies in (W - 1, W + 2) window
         units, and `_round_window` rounds it with a = 1.  Where that is
         unsure, and for any other gap (zero, negative, or past P's range),
-        reduce(g) is called.
+        reduce takes the exact residue.
         """
         p, q = ratio.numerator, ratio.denominator
-        if q % 2 == 0:
-            raise ValidationError(f"gamma: the gap recurrence needs an odd denominator, got {ratio}")
+        if self.circle_fraction is not None or q % 2 == 0:
+            return None
         bits = self._bits_for(largest)
-        fixed, mask, shift = self._fixed(bits), (1 << bits) - 1, bits - _WINDOW_BITS
         # (2**bits)**-1 mod q: j = -y * inverse mod q makes y + j * 2**bits divisible by q
-        inverse = pow(1 << bits, -1, q)
-        values = []
-        previous, residue = 0, 0
-        for gap in gaps:
-            y = p * residue + (q * gap - p * previous) * fixed
+        return GapWalk(p, q, bits, self._fixed(bits), pow(1 << bits, -1, q), (1 << bits) - 1)
+
+    def reduce(self, steps: int, walk: GapWalk | None = None) -> float:
+        """steps * angle modulo 2*pi, in [0, 2*pi).
+
+        The residue's float is its correctly rounded integer division,
+        bit for bit the float of the residue as a reduced Fraction, with
+        no gcd taken.  Given a run's walk (`walk`), steps is the walk's
+        next gap: the walk steps its residue by the recurrence and the gap
+        is rounded from it, which gives the same double.
+        """
+        if walk is not None:
+            p, q, bits = walk.p, walk.q, walk.bits
+            y = p * walk.residue + (q * steps - p * walk.previous) * walk.fixed
             if q != 1:
-                y = (y + ((-(y % q) * inverse) % q << bits)) // q
-            previous, residue = gap, y & mask
-            value = None
-            if 0 < gap and gap.bit_length() + _GUARD_BITS <= bits:
-                value = _round_window(residue >> shift, 1)
-            values.append(self.reduce(gap) if value is None else value)
-        return values
+                y = (y + ((-(y % q) * walk.inverse) % q << bits)) // q
+            residue = y & walk.mask
+            walk.previous, walk.residue = steps, residue
+            if 0 < steps and steps.bit_length() + _GUARD_BITS <= bits:
+                value = _round_window(residue >> (bits - _WINDOW_BITS), 1)
+                if value is not None:
+                    return value
+        num, den = self._residue(steps)
+        value = num / den * _TWO_PI
+        return value if value < _TWO_PI else 0.0
+
+
+@dataclass(slots=True)
+class GapWalk:
+    """The state of one run's walk (`PhaseReducer.walk`): the ratio p/q,
+    the precision `bits`, the fixed-point angle there, 2**-bits mod q,
+    the mask 2**bits - 1, and the previous gap with its residue, both 0
+    before the first gap."""
+
+    p: int
+    q: int
+    bits: int
+    fixed: int
+    inverse: int
+    mask: int
+    previous: int = 0
+    residue: int = 0
 
 
 def _round_window(window: int, a: int) -> float | None:

@@ -222,14 +222,12 @@ def mc_exponent(
     angle would wash out at geometric depths.
 
     The trials share what does not depend on the jitter: gamma is parsed
-    and checked once, the floors floor(gamma**n) are built once (each
-    trial draws its jitter on them), and one memo of phase products
-    serves every trial, so a floor gap's product with the fixed-point
-    angle is computed once per op (up to phase.MEMO_ENTRIES).  A float
-    phi gets a fresh PhaseReducer per trial, an exact one is shared; the
-    later trials round their phases from the memo's 128-bit windows, so
-    only the first trial's reducer computes fixed-point angles with
-    mpmath (see `PhaseReducer.reduce`).
+    and checked once, and the floors floor(gamma**n) are built once (each
+    trial draws its jitter on them).  A float phi gets a fresh
+    PhaseReducer per trial, an exact one is shared.  Each trial's
+    `efgp_run` walks its own omega spec's gaps when gamma's q is odd (see
+    `PhaseReducer.walk`), so a float trial's reducer computes one
+    fixed-point angle with mpmath, at the precision of the last level.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD.
     """
@@ -260,10 +258,9 @@ def mc_exponent(
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
-    memo: dict = {}
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
-        trajectory = efgp_run(spec, phi, reducer=reducer, memo=memo)
+        trajectory = efgp_run(spec, phi, reducer=reducer)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +36,9 @@ from .trees import check_k
 
 _TWO_PI = 2.0 * math.pi
 _RENORM_LIMIT = 1e100
+# A matrix whose QR split has r <= ISOTROPY_TOL * q has singular values too
+# close together for a least-stretched direction to mean anything.
+ISOTROPY_TOL = 1e-8
 
 
 def check_phi(phi: float, field: str = "phi") -> None:
@@ -145,7 +147,8 @@ class MinSingularDirection:
     `vector` is the unit right singular vector for the smallest singular
     value, i.e. the initial datum (u(1), u(0)) whose solution the matrix
     amplifies least.  When the two singular values coincide to within the
-    isotropy tolerance the direction is meaningless and `isotropic` is set.
+    isotropy tolerance (ISOTROPY_TOL) the direction is meaningless and
+    `isotropic` is set.
     """
 
     vector: tuple[float, float]
@@ -160,7 +163,7 @@ class MinSingularDirection:
         return math.exp(self.log_sigma_max + self.log_sigma_min)
 
 
-def min_singular_direction(mat: Mat2, isotropy_tol: float = 1e-8) -> MinSingularDirection:
+def min_singular_direction(mat: Mat2) -> MinSingularDirection:
     """Smallest-singular-value right direction of `mat`, with both sigmas.
 
     The direction is taken perpendicular to the dominant right singular
@@ -194,7 +197,7 @@ def min_singular_direction(mat: Mat2, isotropy_tol: float = 1e-8) -> MinSingular
         sigma_min=math.exp(log_min),
         log_sigma_max=log_max,
         log_sigma_min=log_min,
-        isotropic=r <= isotropy_tol * q,
+        isotropic=r <= ISOTROPY_TOL * q,
     )
 
 
@@ -390,7 +393,6 @@ def efgp_run(
     theta0: float = 0.0,
     n_bumps: int | None = None,
     reducer: PhaseReducer | None = None,
-    memo: dict | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
 
@@ -406,22 +408,13 @@ def efgp_run(
     boundary coupling.  A reducer, such as an exact one from
     `PhaseReducer.from_pi_multiple`, must hold the angle phi itself.
 
-    memo is for runs at one phi over the same floors (`mc_exponent`'s
-    trials): on an omega spec each gap then goes to the reducer split as
-    the gap of the floors plus the jitter difference omega_n - omega_{n-1},
-    and the memo keeps a 128-bit window of each floor gap's phase product.
-    A later run rounds its gap's phase from that window, with no mpmath
-    work and the same double as the exact product, which it computes only
-    when the window's error interval straddles a rounding boundary (see
-    `PhaseReducer.reduce`).
-
-    Without a memo, a gamma or omega spec whose ratio p/q has an odd q,
-    run at a float phi, has its gaps reduced together by
-    `PhaseReducer.reduce_gaps`: a recurrence walks their phase residues
-    at one precision and rounds each from a 128-bit window, with the same
-    doubles as reducing each gap whole, which it does where the rounding
-    test is unsure.  Every other run (explicit specs, an even q, an exact
-    reducer) reduces each gap whole, and nothing is kept.
+    A gamma or omega spec hands its ratio to `PhaseReducer.walk`, and each
+    gap goes to `PhaseReducer.reduce` with the run's walk: when the ratio
+    has an odd q and phi is a float angle, a recurrence walks the gaps'
+    phase residues at one precision, with the same doubles as reducing
+    each gap whole.  Every other run (explicit specs, an even q, an exact
+    reducer) has no walk and reduces each gap whole.  The walk ends with
+    the run.
     """
     check_phi(phi)
     levels = spec.branch_levels
@@ -453,21 +446,13 @@ def efgp_run(
     # The free stretch before each bump, L_1 sites and then L_n - L_(n-1) - 2,
     # made one at a time: a list of them would hold as many bits as the floors.
     gaps = chain(levels[:1], (b - a - 2 for a, b in zip(levels, levels[1:n_bumps])))
-    gamma, omega = spec.gamma, spec.omega
-    odd_ratio = gamma is not None and gamma.denominator % 2 == 1
-    if memo is not None and omega:
-        offsets = map(sub, omega[:n_bumps], (0,) + omega)
-        phases = [reduce(gap, offset, memo) for gap, offset in zip(gaps, offsets)]
-    elif memo is None and reducer.circle_fraction is None and odd_ratio:
-        phases = reducer.reduce_gaps(gaps, gamma, levels[n_bumps - 1])
-    else:
-        phases = map(reduce, gaps)
+    walk = None if spec.gamma is None else reducer.walk(spec.gamma, levels[n_bumps - 1])
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
     log_rs, thetas, ys, entries = [log_r], [theta], [0.0], [theta]
-    for phase, k in zip(phases, factors):
-        theta_entry = (theta + phase) % _TWO_PI
+    for gap, k in zip(gaps, factors):
+        theta_entry = (theta + reduce(gap, walk)) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
             kick = bump_coefficients(k, phi)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -113,8 +113,9 @@ class TreeSpec:
     branch_levels holds the generations L_n at which branching happens
     (strictly increasing, starting at 1 or later) and branch_factors the
     corresponding k_n >= 2.  family records how the spec was produced;
-    gamma is only set for the generated families, and seed, trial and
-    omega only for the jittered one.
+    gamma is only set for the generated families, and seed and trial only
+    for the jittered one, whose offsets omega_n are its levels less the
+    floors floor(gamma**n).
     """
 
     branch_levels: tuple[int, ...]
@@ -123,7 +124,6 @@ class TreeSpec:
     gamma: Fraction | None = None
     seed: int | None = None
     trial: int | None = None
-    omega: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.family not in ("explicit", "gamma", "omega"):
@@ -284,8 +284,7 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
     omega_n is uniform on {-n, ..., n}.  When a draw would break the tree
     (level below 1, or a gap smaller than 2) only that omega_n is redrawn;
     for gamma > 2 a valid value always exists, so the repair terminates.
-    Identical (seed, trial) pairs reproduce the sample exactly; the drawn
-    offsets are kept in the spec's omega field.
+    Identical (seed, trial) pairs reproduce the sample exactly.
     """
     if base.family != "gamma":
         raise ValidationError("family: omega trees are drawn on a gamma-family spec")
@@ -311,7 +310,6 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
         repairable = m
     rng = _trial_rng(seed, trial)
     levels: list[int] = []
-    omegas: list[int] = []
     for n in range(1, repairable + 1):
         floor_n = floors[n - 1]
         lower = 1 if n == 1 else levels[-1] + 2
@@ -322,11 +320,9 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
         else:  # pragma: no cover - unreachable for gamma > 2
             raise ValidationError(f"gamma: repair failed at level {n}")
         levels.append(floor_n + w)
-        omegas.append(w)
     n = np.arange(repairable + 1, n_levels + 1)
     tail = rng.integers(-n, n + 1).tolist()
     levels.extend(f + w for f, w in zip(floors[repairable:], tail))
-    omegas.extend(tail)
     return TreeSpec(
         tuple(levels),
         base.branch_factors,
@@ -334,7 +330,6 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
         gamma=g,
         seed=seed,
         trial=trial,
-        omega=tuple(omegas),
     )
 
 

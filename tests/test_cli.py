@@ -16,7 +16,7 @@ from sparsetrees.cli import run
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.reports import EFGP_RUN_HEADER, PHASE_DIAGRAM_HEADER, format_float
-from sparsetrees.trees import spec_from_record
+from sparsetrees.trees import ball_count, spec_from_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -147,6 +147,16 @@ def test_config_echo_recovers_the_input_bytes():
     assert report["config"].encode() == (FIXTURES / "tree_stats.json").read_bytes()
     reparsed = json.loads(report["config"])
     assert reparsed["depth"] == 40
+
+
+def test_tree_stats_prints_a_vertex_count_past_4300_digits(tmp_path):
+    spec = {"family": "gamma", "k": 10**100, "gamma": 3, "N": 44}
+    config, out = tmp_path / "big.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"spec": spec, "depth": 10**22}))
+    assert run(["tree-stats", "--config", str(config), "--out", str(out)]) == 0
+    count = json.loads(out.read_text(), parse_int=Decimal)["payload"]["vertex_count"]
+    assert len(str(count)) > 4400
+    assert count == Decimal(ball_count(spec_from_record(spec), 10**22))
 
 
 def test_json_floats_round_trip_exactly():

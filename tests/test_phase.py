@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sparsetrees import phase
 from sparsetrees.errors import ValidationError
-from sparsetrees.phase import MEMO_ENTRIES, PhaseReducer, parse_pi_multiple
+from sparsetrees.phase import PhaseReducer, parse_pi_multiple
 from sparsetrees.trees import make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
@@ -196,73 +196,7 @@ def test_fixed_point_residue_division_is_the_fraction_float(multiple, steps):
 
 
 # ---------------------------------------------------------------------------
-# reduce with a split base + offset, memoised per (base, precision)
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def _splits(draw):
-    """(base, offset) with base + offset >= 0, clustered where it matters.
-
-    Offsets up to 300 take the memo's 128-bit window; offsets of 2**80 to
-    2**90 are wider than a double's rounding cell in the window (2**75
-    near its top) and force the exact product.
-    """
-    huge = st.integers(2**80, 2**90)
-    offset = draw(st.one_of(st.integers(-300, 300), huge, huge.map(int.__neg__)))
-    base = draw(
-        st.one_of(
-            st.integers(0, 3**2500),
-            st.integers(0, 2500).map(lambda n: 3**n),
-            # steps across bit-length 64 + 256 j, where the precision steps up
-            st.tuples(st.integers(0, 12), st.integers(-300, 300)).map(
-                lambda jd: 2 ** (64 + 256 * jd[0]) + jd[1]
-            ),
-            st.just(-offset),
-        )
-    )
-    return max(base, -offset), offset
-
-
-@_PROPERTY
-@given(reducer=_reducers, split=_splits(), second=st.integers(-300, 300))
-def test_split_reduce_is_the_float_of_the_exact_fraction(reducer, split, second):
-    base, offset = split
-    steps = base + offset
-    expected = fraction_reduce(reducer, steps).hex()
-    memo = {}
-    assert reducer.reduce(steps, offset, memo).hex() == expected
-    # once more from the memo, and with another offset on the same base
-    assert reducer.reduce(steps, offset, memo).hex() == expected
-    if base + second >= 0:
-        again = reducer.reduce(base + second, second, memo).hex()
-        assert again == fraction_reduce(reducer, base + second).hex()
-
-
-def test_split_reduce_refuses_negative_steps():
-    reducer = PhaseReducer.from_angle(1.0)
-    with pytest.raises(ValidationError, match="^steps: "):
-        reducer.reduce(-1, 3, {})
-    with pytest.raises(ValidationError, match="^steps: "):
-        PhaseReducer.from_pi_multiple("1/3").reduce(-2, -2, {})
-
-
-def test_split_memo_is_bounded():
-    reducer = PhaseReducer.from_angle(1.0)
-    memo = {}
-    for base in range(MEMO_ENTRIES + 100):
-        reducer.reduce(base + 1, 1, memo)
-    assert len(memo) == MEMO_ENTRIES
-    # past the cap a new base is computed, not stored, and still exact
-    assert reducer.reduce(10**40 + 1, 1, memo).hex() == fraction_reduce(reducer, 10**40 + 1).hex()
-    assert len(memo) == MEMO_ENTRIES
-    exact, memo = PhaseReducer.from_pi_multiple("1/3"), {}
-    exact.reduce(10**40 + 1, 1, memo)
-    assert not memo
-
-
-# ---------------------------------------------------------------------------
-# reduce_gaps: the gaps of geometric floors by their exact recurrence
+# reduce with a walk: gaps by the floors' exact recurrence
 # ---------------------------------------------------------------------------
 
 
@@ -271,53 +205,87 @@ def floor_gaps(levels):
     return [levels[0]] + [b - a - 2 for a, b in zip(levels, levels[1:])]
 
 
+_odd_ratios = st.tuples(st.sampled_from((1, 1, 3, 5, 7, 9)), st.integers(1, 12)).map(
+    lambda qm: Fraction(2 * qm[0] + qm[1], qm[0])
+)
+_gap_ints = st.one_of(
+    st.just(0),
+    st.integers(0, 2**64),
+    st.integers(0, 3**1500),
+    st.integers(0, 1500).map(lambda n: 3**n),
+)
+
+
 @st.composite
-def _gap_runs(draw):
-    """(reducer, gaps, ratio, largest): a prefix of a gamma or omega spec's
-    gaps, gamma = p/q > 2 with q odd, at an angle up to 1e300 in size."""
-    q = draw(st.sampled_from((1, 1, 3, 5, 7, 9)))
-    p = draw(st.integers(2 * q + 1, 12 * q))
-    n_levels = draw(st.integers(1, 400))
-    spec = make_gamma_tree(2, Fraction(p, q), n_levels)
+def _walk_runs(draw):
+    """(angle, gaps, ratio, largest): a prefix of a gamma or omega spec's
+    gaps, gamma = p/q > 2 with q odd, or any non-negative ints with zeros
+    and huge ones, walked by the spec's ratio or another odd-q one, at an
+    angle up to 1e300 in size."""
+    ratio = draw(_odd_ratios)
     if draw(st.booleans()):
-        spec = sample_omega_tree(spec, draw(st.integers(0, 2**64 - 1)))
-    prefix = draw(st.integers(1, n_levels))
+        n_levels = draw(st.integers(1, 400))
+        spec = make_gamma_tree(2, ratio, n_levels)
+        if draw(st.booleans()):
+            spec = sample_omega_tree(spec, draw(st.integers(0, 2**64 - 1)))
+        gaps = floor_gaps(spec.branch_levels[: draw(st.integers(1, n_levels))])
+        ratio = draw(st.one_of(st.just(ratio), _odd_ratios))
+    else:
+        gaps = draw(st.lists(_gap_ints, min_size=1, max_size=30))
     angle = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)).filter(math.isfinite))
-    gaps = floor_gaps(spec.branch_levels[:prefix])
     # a bound below some gaps leaves them past the precision's range
-    largest = draw(st.one_of(st.just(gaps[-1]), st.sampled_from(gaps)))
-    return PhaseReducer.from_angle(angle), gaps, spec.gamma, largest
+    largest = draw(st.one_of(st.just(max(gaps)), st.sampled_from(gaps), st.integers(0, 2**300)))
+    return angle, gaps, ratio, largest
 
 
 @_PROPERTY
-@given(run=_gap_runs())
-def test_reduce_gaps_is_reduce_of_every_gap(run):
-    reducer, gaps, ratio, largest = run
-    got = PhaseReducer.from_angle(reducer.angle).reduce_gaps(gaps, ratio, largest)
-    assert [x.hex() for x in got] == [reducer.reduce(g).hex() for g in gaps]
+@given(run=_walk_runs())
+def test_walk_is_reduce_of_every_gap(run):
+    angle, gaps, ratio, largest = run
+    reducer = PhaseReducer.from_angle(angle)
+    walk = reducer.walk(ratio, largest)
+    assert walk is not None
+    got = [reducer.reduce(g, walk).hex() for g in gaps]
+    assert got == [PhaseReducer.from_angle(angle).reduce(g).hex() for g in gaps]
 
 
-def test_reduce_gaps_falls_back_to_reduce(monkeypatch):
+def test_walk_falls_back_to_the_exact_residue(monkeypatch):
     # gamma = 11/5: floors 2, 4, 10, ..., so the second gap 4 - 2 - 2 is 0
-    # and takes reduce; the others are rounded from their windows.
+    # and takes the exact residue; the others are rounded from their windows.
     gaps = floor_gaps(make_gamma_tree(2, "11/5", 40).branch_levels)
     assert gaps[1] == 0 and min(gaps[2:]) > 0
     expected = [PhaseReducer.from_angle(1.0).reduce(g) for g in gaps]
-    reduced = []
-    reduce = PhaseReducer.reduce
+    exact = []
+    residue = PhaseReducer._residue
 
-    def recorded(self, steps, *args):
-        reduced.append(steps)
-        return reduce(self, steps, *args)
+    def recorded(self, steps):
+        exact.append(steps)
+        return residue(self, steps)
 
-    monkeypatch.setattr(PhaseReducer, "reduce", recorded)
-    assert PhaseReducer.from_angle(1.0).reduce_gaps(gaps, Fraction(11, 5), gaps[-1]) == expected
-    assert reduced == [0]
-    # an unsure rounding test sends every gap to reduce, with the same values
+    def walked():
+        reducer = PhaseReducer.from_angle(1.0)
+        walk = reducer.walk(Fraction(11, 5), gaps[-1])
+        return [reducer.reduce(g, walk) for g in gaps]
+
+    monkeypatch.setattr(PhaseReducer, "_residue", recorded)
+    assert walked() == expected
+    assert exact == [0]
+    # an unsure rounding test sends every gap to the exact residue, with the same values
     monkeypatch.setattr(phase, "_round_window", lambda window, a: None)
-    reduced.clear()
-    assert PhaseReducer.from_angle(1.0).reduce_gaps(gaps, Fraction(11, 5), gaps[-1]) == expected
-    assert reduced == gaps
+    exact.clear()
+    assert walked() == expected
+    assert exact == gaps
+
+
+def test_split_reduce_refuses_negative_steps():
+    reducer = PhaseReducer.from_angle(1.0)
+    walk = reducer.walk(Fraction(3), 10**6)
+    reducer.reduce(5, walk)
+    with pytest.raises(ValidationError, match="^steps: "):
+        reducer.reduce(-1, walk)
+    exact = PhaseReducer.from_pi_multiple("1/3")
+    with pytest.raises(ValidationError, match="^steps: "):
+        exact.reduce(-2, exact.walk(Fraction(3), 10**6))
 
 
 def test_round_window_refuses_wraps_and_rounding_boundaries():
@@ -332,6 +300,7 @@ def test_round_window_refuses_wraps_and_rounding_boundaries():
     assert phase._round_window(top + (1 << 73), 1) == 0.5 * TWO_PI
 
 
-def test_reduce_gaps_needs_an_odd_denominator():
-    with pytest.raises(ValidationError, match="^gamma: "):
-        PhaseReducer.from_angle(1.0).reduce_gaps([2, 3, 9], Fraction(5, 2), 9)
+def test_walk_is_none_for_an_even_ratio_or_an_exact_angle():
+    assert PhaseReducer.from_angle(1.0).walk(Fraction(5, 2), 9) is None
+    assert PhaseReducer.from_pi_multiple("1/3").walk(Fraction(3), 9) is None
+    assert PhaseReducer.from_angle(1.0).walk(Fraction(7, 3), 9) is not None

@@ -237,7 +237,8 @@ def test_mc_exponent_exact_right_angle_input():
 
 def test_mc_exponent_shared_work_changes_nothing():
     # At gamma = 3, 400 bumps take the gaps through four precision steps
-    # (256 to 1,024 bits), so memoised windows meet every precision.
+    # (256 to 1,024 bits), so each trial's walk at the top precision rounds
+    # gaps of every lower one.
     k, phi, n_bumps, trials, seed = 2, 1.0, 400, 3, 11
     report = mc_exponent(k, 3, phi, n_bumps=n_bumps, trials=trials, seed=seed)
 
@@ -282,33 +283,34 @@ def test_mc_exponent_shared_work_changes_nothing():
     )
 
 
-def test_mc_exponent_builds_floors_and_memo_once(monkeypatch):
-    floors, memos = [], []
+def test_mc_exponent_builds_floors_once_and_every_float_trial_walks(monkeypatch):
+    floors, walks = [], []
     monkeypatch.setattr(
         "sparsetrees.spectral.make_gamma_tree",
         lambda *args: floors.append(args) or make_gamma_tree(*args),
     )
+    walk = PhaseReducer.walk
 
-    def recording_run(spec, phi, reducer=None, memo=None):
-        memos.append(memo)
-        return efgp_run(spec, phi, reducer=reducer, memo=memo)
+    def recording_walk(reducer, ratio, largest):
+        walks.append(walk(reducer, ratio, largest))
+        return walks[-1]
 
-    monkeypatch.setattr("sparsetrees.spectral.efgp_run", recording_run)
+    monkeypatch.setattr(PhaseReducer, "walk", recording_walk)
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
-    assert len(floors) == 1 and len(memos) == 4
-    assert all(memo is memos[0] for memo in memos)
-    # one window per floor gap
-    assert len(memos[0]) == 50
+    assert len(floors) == 1 and len(walks) == 4
+    # a walk of its own per trial, which reached the trial's last gap
+    assert None not in walks and len(set(map(id, walks))) == 4
+    assert all(w.previous > 0 for w in walks)
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
     assert len(floors) == 2
-    assert not memos[-1]
+    assert walks[4:] == [None] * 4
 
 
-def test_mc_exponent_computes_angles_in_the_first_trial_only(monkeypatch):
-    # A float phi builds one reducer per trial; the later trials round
-    # every phase from the memo's windows, so no mpmath angle is computed
-    # after trial 0 (400 bumps meet four precisions).
-    built, computing = [], set()
+def test_mc_exponent_trial_reducers_compute_one_fixed_point_angle_each(monkeypatch):
+    # A float phi builds one reducer per trial, and each trial's walk
+    # rounds every phase at the precision of its last level, so each
+    # reducer computes one mpmath angle (400 bumps meet four precisions).
+    built, computing = [], []
     init, fixed = PhaseReducer.__init__, PhaseReducer._fixed
 
     def recording_init(reducer, *args, **kwargs):
@@ -317,14 +319,14 @@ def test_mc_exponent_computes_angles_in_the_first_trial_only(monkeypatch):
 
     def recording_fixed(reducer, bits):
         if bits not in reducer._fixed_cache:
-            computing.add(id(reducer))
+            computing.append(id(reducer))
         return fixed(reducer, bits)
 
     monkeypatch.setattr(PhaseReducer, "__init__", recording_init)
     monkeypatch.setattr(PhaseReducer, "_fixed", recording_fixed)
     mc_exponent(2, 3, 1.0, n_bumps=400, trials=4)
     assert len(built) == 4
-    assert computing == {id(built[0])}
+    assert sorted(computing) == sorted(map(id, built))
 
 
 def test_mc_exponent_builds_no_generation_size_table(monkeypatch):
@@ -338,21 +340,6 @@ def test_mc_exponent_builds_no_generation_size_table(monkeypatch):
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
     assert not built
-
-
-def test_mc_exponent_memo_holds_windows_not_products():
-    spec = sample_omega_tree(make_gamma_tree(2, 3, 2000), 0, 0)
-    efgp_run(spec, 1.0)  # mpmath and the kick caches load outside the trace
-    tracemalloc.start()
-    try:
-        memo = {}
-        efgp_run(spec, 1.0, memo=memo)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(memo) == 2000
-    # full products of up to 3,584 bits held 1.06 MiB
-    assert retained < 1.06 * 2**20
 
 
 def test_mc_exponent_guards_n_bumps_before_building():

@@ -11,6 +11,7 @@ import pytest
 from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import DEGREE, JacobiCoefficients
 from sparsetrees.phase import PhaseReducer
+from sparsetrees.spectral import mc_exponent
 from sparsetrees.transfer import (
     Mat2,
     boundary_theta0,
@@ -411,42 +412,34 @@ def test_efgp_run_refuses_a_reducer_at_another_angle():
     efgp_run(spec, float(multiple) * math.pi, reducer=PhaseReducer.from_pi_multiple(multiple))
 
 
-def test_efgp_run_splits_only_jittered_gaps_given_a_memo():
-    base = make_gamma_tree(2, 3, 60)
-    memo = {}
-    assert efgp_run(base, 1.0, memo=memo) == efgp_run(base, 1.0)
-    assert efgp_run(small_tree(), 1.0, memo=memo) == efgp_run(small_tree(), 1.0)
-    assert not memo
-    for trial in range(3):
-        spec = sample_omega_tree(base, seed=9, trial=trial)
-        assert efgp_run(spec, 1.0, memo=memo) == efgp_run(spec, 1.0)
-    # one product per floor gap
-    assert len(memo) == 60
-    spec = sample_omega_tree(base, seed=9, trial=3)
-    assert efgp_run(spec, 1.0, n_bumps=20, memo=memo) == efgp_run(spec, 1.0, n_bumps=20)
-
-
 def test_efgp_run_walks_the_gap_recurrence_only_for_odd_ratios_at_a_float_angle(monkeypatch):
     walked = []
-    reduce_gaps = PhaseReducer.reduce_gaps
+    reduce = PhaseReducer.reduce
 
-    def recorded(self, gaps, ratio, largest):
-        walked.append(ratio)
-        return reduce_gaps(self, gaps, ratio, largest)
+    def recorded(self, steps, walk=None):
+        if walk is not None:
+            walked.append(Fraction(walk.p, walk.q))
+        return reduce(self, steps, walk)
 
-    monkeypatch.setattr(PhaseReducer, "reduce_gaps", recorded)
+    monkeypatch.setattr(PhaseReducer, "reduce", recorded)
     gamma = make_gamma_tree(2, 3, 60)
     omega = sample_omega_tree(make_gamma_tree(2, "7/3", 60), seed=9)
     for spec in (gamma, omega):
         # the same levels as an explicit spec reduce every gap whole
         explicit = TreeSpec(spec.branch_levels, spec.branch_factors)
         assert efgp_run(spec, 1.0, n_bumps=40) == efgp_run(explicit, 1.0, n_bumps=40)
-    assert walked == [3, Fraction(7, 3)]
+    # one walked reduce per gap
+    assert walked == [3] * 40 + [Fraction(7, 3)] * 40
     walked.clear()
     efgp_run(make_gamma_tree(2, "5/2", 30), 1.0)
     efgp_run(gamma, 1 / 3 * math.pi, reducer=PhaseReducer.from_pi_multiple("1/3"))
-    efgp_run(omega, 1.0, memo={})
-    efgp_run(gamma, 1.0, memo={})
+    assert walked == []
+    # mc_exponent's float trials walk their own omega specs
+    mc_exponent(2, "7/3", 1.0, n_bumps=30, trials=2, seed=4)
+    assert walked == [Fraction(7, 3)] * 60
+    walked.clear()
+    mc_exponent(2, "5/2", 1.0, n_bumps=30, trials=2, seed=4)
+    mc_exponent(2, 3, None, n_bumps=30, trials=2, seed=4, pi_multiple="1/3")
     assert walked == []
 
 

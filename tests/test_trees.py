@@ -163,13 +163,17 @@ def test_parse_gamma_forms():
         parse_gamma("abc")
 
 
+def omega_offsets(spec, base):
+    """omega_n = L_n - floor(gamma**n) of an omega spec drawn on base."""
+    return tuple(level - floor for level, floor in zip(spec.branch_levels, base.branch_levels))
+
+
 def test_sample_omega_tree_deterministic_and_valid():
     base = make_gamma_tree(2, 3, 10)
     spec1 = sample_omega_tree(base, seed=42)
     spec2 = sample_omega_tree(base, seed=42)
     assert spec1 == spec2
-    assert spec1.omega == spec2.omega
-    assert all(abs(w) <= n + 1 for n, w in enumerate(spec1.omega))
+    assert all(abs(w) <= n + 1 for n, w in enumerate(omega_offsets(spec1, base)))
     gaps = [b - a for a, b in zip(spec1.branch_levels, spec1.branch_levels[1:])]
     assert all(g >= 2 for g in gaps)
     spec3 = sample_omega_tree(base, seed=43)
@@ -179,9 +183,10 @@ def test_sample_omega_tree_deterministic_and_valid():
 def test_sample_omega_tree_offsets_within_range():
     base = make_gamma_tree(2, 3, 12)
     spec = sample_omega_tree(base, seed=7)
+    omega = omega_offsets(spec, base)
+    assert len(omega) == 12
     for n in range(12):
-        assert spec.branch_levels[n] == base.branch_levels[n] + spec.omega[n]
-        assert -(n + 1) <= spec.omega[n] <= n + 1
+        assert -(n + 1) <= omega[n] <= n + 1
 
 
 def test_sample_omega_tree_rejects_small_gamma():
@@ -218,10 +223,11 @@ _OMEGA_GAMMAS = ("2.01", "21/10", "5/2", "3", "7")
 )
 @example(gamma="2.01", n_levels=60, seed=0, trial=0)
 def test_sample_omega_tree_matches_scalar_draws(gamma, n_levels, seed, trial):
-    spec = sample_omega_tree(make_gamma_tree(2, gamma, n_levels), seed=seed, trial=trial)
+    base = make_gamma_tree(2, gamma, n_levels)
+    spec = sample_omega_tree(base, seed=seed, trial=trial)
     levels, omegas, _ = scalar_omega_sample(2, gamma, n_levels, seed, trial)
     assert spec.branch_levels == levels
-    assert spec.omega == omegas
+    assert omega_offsets(spec, base) == omegas
 
 
 def test_sample_omega_tree_matches_scalar_draws_through_repairs():
@@ -229,8 +235,9 @@ def test_sample_omega_tree_matches_scalar_draws_through_repairs():
     for gamma in ("2.01", "21/10"):
         for seed in range(8):
             levels, omegas, fired = scalar_omega_sample(3, gamma, 60, seed, 1)
-            spec = sample_omega_tree(make_gamma_tree(3, gamma, 60), seed=seed, trial=1)
-            assert (spec.branch_levels, spec.omega) == (levels, omegas)
+            base = make_gamma_tree(3, gamma, 60)
+            spec = sample_omega_tree(base, seed=seed, trial=1)
+            assert (spec.branch_levels, omega_offsets(spec, base)) == (levels, omegas)
             redraws += fired
     assert redraws > 0
 
@@ -242,7 +249,7 @@ def test_omega_marginal_is_uniform():
     base = make_gamma_tree(2, 3, 4)
     for t in range(trials):
         spec = sample_omega_tree(base, seed=2024, trial=t)
-        counts[spec.omega[2]] += 1
+        counts[spec.branch_levels[2] - base.branch_levels[2]] += 1
     expect = trials / 7
     sigma = math.sqrt(trials * (1 / 7) * (6 / 7))
     for w, c in counts.items():
@@ -290,11 +297,12 @@ def test_spec_record_round_trip():
 
 
 def test_omega_record_round_trips_its_trial():
-    spec = sample_omega_tree(make_gamma_tree(2, 3, 30), seed=5, trial=3)
+    base = make_gamma_tree(2, 3, 30)
+    spec = sample_omega_tree(base, seed=5, trial=3)
     record = spec_to_record(spec)
     assert record["trial"] == 3
     assert spec_from_record(record) == spec
-    assert spec_from_record(record).omega[:3] == (0, -2, 0)
+    assert omega_offsets(spec_from_record(record), base)[:3] == (0, -2, 0)
     # trial 0 writes no trial field, so reports of earlier versions keep their bytes
     first = spec_to_record(sample_omega_tree(make_gamma_tree(2, 3, 30), seed=5))
     assert "trial" not in first
