@@ -2,9 +2,10 @@
 
 The package builds rooted trees whose branching happens only at a sparse
 set of generations, assembles the associated graph operators, reduces them
-to direct sums of one-dimensional Jacobi matrices, and runs transfer-matrix
-and Pruefer-phase computations that classify the spectrum (singular
-continuous interval, dense point complement, local scaling exponents).
+to direct sums of one-dimensional Jacobi matrices, and runs the Pruefer
+phase flow, whose runs also give the transfer matrices, to classify the
+spectrum (singular continuous interval, dense point complement, local
+scaling exponents).
 """
 
 __version__ = "0.1.0"
@@ -25,14 +26,7 @@ from .spectral import (
     phase_diagram,
     theorem_classifier,
 )
-from .transfer import (
-    bump_coefficients,
-    checkpoint_transfer,
-    efgp_run,
-    efgp_transform,
-    solve_u,
-    subordinate_direction,
-)
+from .transfer import bump_coefficients, efgp_run
 from .trees import (
     TreeSpec,
     ball_count,
@@ -58,11 +52,9 @@ __all__ = [
     "__version__",
     "ball_count",
     "bump_coefficients",
-    "checkpoint_transfer",
     "classify",
     "corollary_check",
     "efgp_run",
-    "efgp_transform",
     "essential_spectrum_coverage",
     "estimate_dimension",
     "interval_I",
@@ -73,10 +65,8 @@ __all__ = [
     "phase_diagram",
     "plan_decomposition",
     "sample_omega_tree",
-    "solve_u",
     "spec_from_record",
     "spec_to_record",
-    "subordinate_direction",
     "theorem_classifier",
     "theoretical_dimension",
     "truncated_block",

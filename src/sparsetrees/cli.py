@@ -362,8 +362,12 @@ def run(argv=None) -> int:
         return 3
 
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
+        try:
+            with open(args.out, "wb") as handle:
+                handle.write(data)
+        except OSError as exc:
+            print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

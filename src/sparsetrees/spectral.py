@@ -46,7 +46,7 @@ from .trees import (
     sample_omega_tree,
     theoretical_dimension,
 )
-from .transfer import bump_coefficients, check_phi, efgp_run, mean_kick
+from .transfer import check_phi, efgp_run, mean_kick
 
 
 def _as_float_gamma(gamma) -> float:
@@ -64,18 +64,11 @@ def V(k: int) -> float:
 def Z(phi: float, k: int) -> float:
     """Phase-averaged log amplification per bump at phase step phi.
 
-    Equals the average of f_theta over a uniform angle, which is the
-    growth exponent the Monte Carlo trajectories realize per bump.
+    Equals the average of the log kick 0.5 log(r_out^2 / r_in^2) over a
+    uniform entry angle, which is the growth exponent the Monte Carlo
+    trajectories realize per bump.
     """
     return 0.5 * math.log((mean_kick(k, phi) + 1.0) / 2.0)
-
-
-def f_theta(theta: float, k: int, phi: float) -> float:
-    """Log amplification of one bump at entry angle theta (before averaging)."""
-    kick = bump_coefficients(k, phi)
-    arg = kick.ratio_squared(theta)
-    assert arg > 0.0, "amplification argument must be positive by unimodularity"
-    return 0.5 * math.log(arg)
 
 
 @dataclass(frozen=True)

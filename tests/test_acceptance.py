@@ -17,10 +17,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    Mat2,
+    SiteCoefficients,
+    checkpoint_transfers,
+    efgp_transform,
+    min_singular_direction,
+    simon_stolz_profile,
+    solve_u,
+    unimodularity_residual,
+)
+
 from sparsetrees.cli import run as cli_run
 from sparsetrees.decomposition import plan_decomposition, verify_decomposition
-from sparsetrees.jacobi import JacobiCoefficients
-from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import (
     Z,
     essential_spectrum_coverage,
@@ -29,16 +38,7 @@ from sparsetrees.spectral import (
     mc_exponent,
     theoretical_dimension,
 )
-from sparsetrees.transfer import (
-    bump_coefficients,
-    bump_matrix,
-    checkpoint_transfer,
-    efgp_run,
-    efgp_transform,
-    simon_stolz_profile,
-    solve_u,
-    subordinate_direction,
-)
+from sparsetrees.transfer import bump_coefficients, bump_matrix, efgp_run
 from sparsetrees.trees import (
     TreeSpec,
     ball_constant,
@@ -140,7 +140,7 @@ def test_ac03_closed_form_consistency():
     for k in range(2, 12):
         for phi in np.linspace(0.3, math.pi - 0.3, 10):
             kick = bump_coefficients(k, float(phi))
-            identity_worst = max(identity_worst, kick.unimodularity_residual())
+            identity_worst = max(identity_worst, unimodularity_residual(kick))
 
     ok = alpha_worst <= 1e-10 and boundary_worst <= 1e-12 and identity_worst <= 1e-10
     _verdict(
@@ -183,7 +183,7 @@ def test_ac04_monte_carlo_exponent():
 def test_ac05_efgp_cross_validation():
     spec = make_gamma_tree(2, "5/2", 10)  # L_max = 9536 <= 1e4
     length = spec.branch_levels[-1] + 4
-    coeffs = JacobiCoefficients.for_tree_block(spec)
+    coeffs = SiteCoefficients.for_tree_block(spec)
     worst_log_r = 0.0
     worst_theta = 0.0
     for phi in (0.7, 1.3, 2.9):
@@ -207,10 +207,7 @@ def test_ac05_efgp_cross_validation():
 
 def test_ac06_subordinate_reciprocity():
     spec = make_gamma_tree(2, 3, 50)
-    coeffs = JacobiCoefficients.for_tree_block(spec)
     phi = 1.0
-    energy = 2.0 * math.cos(phi)
-    reducer = PhaseReducer.from_angle(phi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     c = ((1.0 + abs(cos_phi)) / sin_phi) ** 2
 
@@ -222,10 +219,10 @@ def test_ac06_subordinate_reciprocity():
 
     sigma_worst = 0.0
     product_worst = 0.0
-    for n in range(1, 51):
-        direction = subordinate_direction(coeffs, energy, n, reducer=reducer)
+    # all 50 checkpoints from two efgp_run runs, at theta0 = 0 and pi/2
+    for mat in checkpoint_transfers(spec, phi):
+        direction = min_singular_direction(mat)
         sigma_worst = max(sigma_worst, abs(direction.sigma_product - 1.0))
-        mat = checkpoint_transfer(coeffs, energy, n, reducer=reducer)
         v_min = direction.vector
         v_max = (-v_min[1], v_min[0])
         log_pr = log_efgp_radius(mat, v_min) + log_efgp_radius(mat, v_max)
@@ -244,11 +241,11 @@ def test_ac07_transfer_bounds():
     bound_margin = math.inf
     for rho in np.linspace(0.5, 10.0, 50):
         for energy in np.linspace(-1.96, 1.96, 50):
-            smax, _ = bump_matrix(float(rho), float(energy)).singular_values()
+            smax, _ = Mat2(*bump_matrix(float(rho), float(energy))).singular_values()
             bound_margin = min(bound_margin, smax - max(1.0, float(rho) - float(energy) ** 2))
     bound_ok = bound_margin >= -1e-12
 
-    coeffs = JacobiCoefficients.free()
+    coeffs = SiteCoefficients.free()
     slope_min = math.inf
     for energy in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5):
         profile = simon_stolz_profile(coeffs, energy, 2000)

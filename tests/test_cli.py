@@ -142,6 +142,14 @@ def test_stdout_equals_file_output(capsysbinary, tmp_path):
     assert captured.out == out.read_bytes()
 
 
+def test_unwritable_out_exits_2_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["efgp-run", "--config", str(FIXTURES / "efgp_run.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {out}: ")
+    assert err.count("\n") == 1 and not out.parent.exists()
+
+
 def test_config_echo_recovers_the_input_bytes():
     report = json.loads((GOLDEN / "tree_stats.json").read_text())
     assert report["config"].encode() == (FIXTURES / "tree_stats.json").read_bytes()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import SiteCoefficients
 from test_acceptance import _acceptance_specs
 
 from sparsetrees import decomposition
@@ -89,7 +90,7 @@ def test_block_offsets():
 
 def test_for_tree_block_adjacency():
     spec = TreeSpec((1,), (2,))
-    j0 = JacobiCoefficients.for_tree_block(spec)
+    j0 = SiteCoefficients.for_tree_block(spec)
     assert j0.a(2) == pytest.approx(math.sqrt(2))
     assert j0.a(1) == 1.0 and j0.a(5) == 1.0 and j0.a(0) == 1.0
     assert j0.b(1) == 0.0 and j0.b(2) == 0.0
@@ -97,7 +98,7 @@ def test_for_tree_block_adjacency():
 
 def test_for_tree_block_degree_variant():
     spec = TreeSpec((1,), (2,))
-    j0 = JacobiCoefficients.for_tree_block(spec, "degree")
+    j0 = SiteCoefficients.for_tree_block(spec, "degree")
     assert j0.b(2) == -3.0
     assert j0.b(1) == -2.0 and j0.b(3) == -2.0 and j0.b(7) == -2.0
     assert j0.a(2) == pytest.approx(math.sqrt(2))
@@ -105,7 +106,7 @@ def test_for_tree_block_degree_variant():
 
 def test_for_tree_block_boundary_rho():
     spec = TreeSpec((3,), (2,))
-    j = JacobiCoefficients.for_tree_block(spec, rho=math.pi / 4)
+    j = SiteCoefficients.for_tree_block(spec, rho=math.pi / 4)
     assert j.b(1) == pytest.approx(-1.0)
     assert j.b(2) == 0.0
 

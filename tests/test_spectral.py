@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import f_theta
 
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.phase import PhaseReducer
@@ -19,7 +20,6 @@ from sparsetrees.spectral import (
     ExponentReport,
     corollary_check,
     essential_spectrum_coverage,
-    f_theta,
     interval_I,
     local_dimension,
     mc_exponent,

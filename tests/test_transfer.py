@@ -1,32 +1,34 @@
-"""Tests for transfer matrices, the phase flow, and the Simon-Stolz sum."""
+"""Tests for the bump step, the phase flow and the transfer matrices it gives."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 import pytest
-
-from sparsetrees.errors import ValidationError
-from sparsetrees.jacobi import DEGREE, JacobiCoefficients
-from sparsetrees.phase import PhaseReducer
-from sparsetrees.spectral import mc_exponent
-from sparsetrees.transfer import (
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
     Mat2,
-    boundary_theta0,
-    bump_coefficients,
-    bump_matrix,
-    checkpoint_transfer,
-    efgp_run,
+    SiteCoefficients,
+    bump_r_squared_ratio,
+    checkpoint_transfers,
     efgp_transform,
     min_singular_direction,
     phase_to_pair,
+    ratio_squared,
     simon_stolz_profile,
     solve_u,
-    step_matrix,
-    subordinate_direction,
+    transfer_product,
+    unimodularity_residual,
 )
+
+from sparsetrees.errors import ValidationError
+from sparsetrees.phase import PhaseReducer
+from sparsetrees.spectral import mc_exponent
+from sparsetrees.transfer import boundary_theta0, bump_coefficients, bump_matrix, efgp_run
 from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
@@ -44,27 +46,6 @@ def circular_gap(a, b):
 
 def small_tree():
     return TreeSpec(branch_levels=(2, 5, 9, 14), branch_factors=(2, 3, 2, 4))
-
-
-def transfer_product(coeffs, energy, j_hi, j_lo=0):
-    """O(L) oracle: the product S(j_hi) ... S(j_lo + 1) of one-step matrices.
-
-    Maps data at j_lo to data at j_hi; with j_lo = 0 it is the full transfer
-    matrix from the boundary, whose determinant is 1 / a(j_hi).
-    """
-    mat = Mat2.identity()
-    for j in range(j_lo + 1, j_hi + 1):
-        mat = step_matrix(coeffs, energy, j) @ mat
-    return mat
-
-
-def bump_r_squared_ratio(k, phi, theta):
-    """Oracle kick: squared radius amplification of one weight-sqrt(k) bump at entry theta."""
-    mat = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi))
-    w0, w1 = mat.apply(phase_to_pair(theta, phi))
-    x = w0 - math.cos(phi) * w1
-    y = math.sin(phi) * w1
-    return x * x + y * y
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +70,7 @@ def test_tracked_det_matches_numpy_for_random_products():
 
 
 def test_log_scale_renormalization_keeps_growth_finite():
-    coeffs = JacobiCoefficients.free()
+    coeffs = SiteCoefficients.free()
     energy = 3.0
     mat = transfer_product(coeffs, energy, 500)
     # Outside [-2, 2] the free product grows like the larger root of
@@ -137,7 +118,7 @@ def test_isotropic_matrix_is_flagged():
 
 
 def test_transfer_product_columns_are_solutions():
-    coeffs = JacobiCoefficients.for_tree_block(small_tree())
+    coeffs = SiteCoefficients.for_tree_block(small_tree())
     energy = 0.8
     u_first = solve_u(coeffs, energy, 20, init=(0.0, 1.0))
     u_second = solve_u(coeffs, energy, 20, init=(1.0, 0.0))
@@ -150,25 +131,24 @@ def test_transfer_product_columns_are_solutions():
 
 
 def test_transfer_determinant_telescopes():
-    coeffs = JacobiCoefficients.for_tree_block(small_tree())
+    coeffs = SiteCoefficients.for_tree_block(small_tree())
     for j in range(1, 18):
         mat = transfer_product(coeffs, 0.4, j)
         assert mat.det == pytest.approx(1.0 / coeffs.a(j), rel=1e-10)
 
 
 def test_bump_matrix_equals_its_two_steps():
-    coeffs = JacobiCoefficients((4, 9), (2.0, math.sqrt(3.0)))
+    coeffs = SiteCoefficients((4, 9), (2.0, math.sqrt(3.0)))
     for energy in (0.0, 0.7, -1.3):
         for pos, rho in ((4, 2.0), (9, math.sqrt(3.0))):
             direct = full_entries(transfer_product(coeffs, energy, pos + 1, pos - 1))
-            closed = bump_matrix(rho, energy)
+            closed = Mat2(*bump_matrix(rho, energy))
             assert np.allclose(direct, closed.entries, atol=1e-12)
             assert closed.det == pytest.approx(1.0)
 
 
 def test_bump_matrix_pinned_entries():
-    mat = bump_matrix(2.0, 1.0)
-    assert np.allclose(mat.entries, [[-1.5, -0.5], [0.5, -0.5]])
+    assert bump_matrix(2.0, 1.0) == (-1.5, -0.5, 0.5, -0.5)
 
 
 def test_bump_inverse_norm_lower_bound():
@@ -176,12 +156,12 @@ def test_bump_inverse_norm_lower_bound():
     # equals its own norm, bounded below by max(1, rho - E^2).
     for rho in np.linspace(1.2, 6.0, 12):
         for energy in np.linspace(-1.9, 1.9, 13):
-            smax, _ = bump_matrix(float(rho), float(energy)).singular_values()
+            smax, _ = Mat2(*bump_matrix(float(rho), float(energy))).singular_values()
             assert smax >= max(1.0, rho - energy * energy) - 1e-9
 
 
 def test_free_solution_is_chebyshev():
-    coeffs = JacobiCoefficients.free()
+    coeffs = SiteCoefficients.free()
     phi = 1.1
     u = solve_u(coeffs, 2.0 * math.cos(phi), 30)
     for j in range(31):
@@ -207,7 +187,7 @@ def test_phase_pair_roundtrip():
 
 def test_free_propagation_is_a_rotation():
     phi = 0.9
-    u = solve_u(JacobiCoefficients.free(), 2.0 * math.cos(phi), 40)
+    u = solve_u(SiteCoefficients.free(), 2.0 * math.cos(phi), 40)
     radius, angle = efgp_transform(u, phi)
     assert np.allclose(radius, radius[0], atol=1e-12)
     for i in range(1, radius.size):
@@ -247,7 +227,7 @@ def test_bump_coefficients_unimodularity_grid():
         assert kick.a >= 1.0
         # Forming A^2 - B^2 - C^2 cancels at magnitude A^2, which blows up
         # like 1/sin^4(phi) near the band edges, so scale the tolerance.
-        assert kick.unimodularity_residual() < 1e-10 * max(1.0, kick.a**2)
+        assert unimodularity_residual(kick) < 1e-10 * max(1.0, kick.a**2)
 
 
 def test_bump_kick_matches_direct_ratio_everywhere():
@@ -257,12 +237,12 @@ def test_bump_kick_matches_direct_ratio_everywhere():
         phi = rng.uniform(0.2, math.pi - 0.2)
         theta = rng.uniform(0.0, TWO_PI)
         kick = bump_coefficients(k, phi)
-        assert kick.ratio_squared(theta) == pytest.approx(
+        assert ratio_squared(kick, theta) == pytest.approx(
             bump_r_squared_ratio(k, phi, theta), rel=1e-10
         )
         # Period pi in theta.
-        assert kick.ratio_squared(theta + math.pi) == pytest.approx(
-            kick.ratio_squared(theta), rel=1e-10
+        assert ratio_squared(kick, theta + math.pi) == pytest.approx(
+            ratio_squared(kick, theta), rel=1e-10
         )
 
 
@@ -278,10 +258,10 @@ def test_bump_coefficients_match_the_matrix_product_at_50_digits():
         for k in range(2, 13):
             for phi in angles:
                 s, c = mp.sin(mp.mpf(phi)), mp.cos(mp.mpf(phi))
-                bump = bump_matrix(mp.sqrt(k), 2 * c)
+                m11, m12, m21, m22 = bump_matrix(mp.sqrt(k), 2 * c)
                 to_pair = mp.matrix([[1, c / s], [0, 1 / s]])
                 from_pair = mp.matrix([[1, -c], [0, s]])
-                g = from_pair * mp.matrix([[bump.m11, bump.m12], [bump.m21, bump.m22]]) * to_pair
+                g = from_pair * mp.matrix([[m11, m12], [m21, m22]]) * to_pair
                 gtg = g.T * g
                 exact = ((gtg[0, 0] + gtg[1, 1]) / 2, (gtg[0, 0] - gtg[1, 1]) / 2, gtg[0, 1])
                 kick = bump_coefficients(k, phi)
@@ -311,7 +291,7 @@ def test_bump_coefficients_validation():
 
 def run_sitewise_oracle(spec, phi, rho=0.0):
     """Slow reference: solve the recursion and read phases at checkpoints."""
-    coeffs = JacobiCoefficients.for_tree_block(spec, rho=rho)
+    coeffs = SiteCoefficients.for_tree_block(spec, rho=rho)
     length = spec.branch_levels[-1] + 4
     u = solve_u(coeffs, 2.0 * math.cos(phi), length)
     radius, angle = efgp_transform(u, phi)
@@ -356,8 +336,8 @@ def test_efgp_run_with_boundary_coupling_matches_oracle():
 
 
 def test_efgp_run_is_bit_identical_to_the_helper_composition():
-    # The per-bump body inlines ratio_squared, phase_to_pair and Mat2.apply;
-    # composing the helpers themselves must give the same bits.
+    # The per-bump body inlines the kick, the phase map and the bump matrix;
+    # composing the oracle helpers must give the same bits.
     spec = TreeSpec(branch_levels=(3, 7, 40, 95, 10**30), branch_factors=(2, 5, 3, 2, 7))
     for phi, theta0 in ((0.37, 0.0), (1.0, 2.5), (2.9, 6.0)):
         reducer = PhaseReducer.from_angle(phi)
@@ -369,8 +349,9 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
             gap = level if previous is None else level - previous - 2
             previous = level
             entry = (theta + reducer.reduce(gap)) % TWO_PI
-            y = 0.5 * math.log(bump_coefficients(k, phi).ratio_squared(entry))
-            w0, w1 = bump_matrix(math.sqrt(k), 2.0 * math.cos(phi)).apply(phase_to_pair(entry, phi))
+            y = 0.5 * math.log(ratio_squared(bump_coefficients(k, phi), entry))
+            bump = Mat2(*bump_matrix(math.sqrt(k), 2.0 * math.cos(phi)))
+            w0, w1 = bump.apply(phase_to_pair(entry, phi))
             theta = math.atan2(math.sin(phi) * w1, w0 - math.cos(phi) * w1) % TWO_PI
             log_r += y
             expected.append((log_r, theta, y, entry))
@@ -460,73 +441,51 @@ def test_efgp_run_validation():
 
 def test_bounded_free_solution_norm_scales_like_sqrt_window():
     phi = 1.2
-    u = solve_u(JacobiCoefficients.free(), 2.0 * math.cos(phi), 4000)
+    u = solve_u(SiteCoefficients.free(), 2.0 * math.cos(phi), 4000)
     for window in (500, 1500, 3500):
         squared = float(np.dot(u[1 : window + 1], u[1 : window + 1]))
         assert 0.2 < squared / window < 2.0
 
 
 # ---------------------------------------------------------------------------
-# Fast checkpoint transfer and the subordinate direction
+# Transfer matrices from two phase-flow runs, and the subordinate direction
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_transfer_matches_direct_product():
-    spec = small_tree()
-    for rho in (0.0, 0.5):
-        coeffs = JacobiCoefficients.for_tree_block(spec, rho=rho)
-        for energy in (0.0, 0.9, -1.2):
-            for n in (1, 2, 4):
-                fast = checkpoint_transfer(coeffs, energy, n)
-                slow = transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1)
-                assert np.allclose(full_entries(fast), full_entries(slow), atol=1e-10)
-                assert fast.det == pytest.approx(1.0, abs=1e-12)
+@st.composite
+def bump_specs(draw):
+    """Explicit specs: levels from 1, gaps from 2 (no free site between bumps), k in 2..6."""
+    n = draw(st.integers(1, 4))
+    first = draw(st.integers(1, 24))
+    gaps = draw(st.lists(st.integers(2, 24), min_size=n - 1, max_size=n - 1))
+    factors = draw(st.lists(st.integers(2, 6), min_size=n, max_size=n))
+    return TreeSpec(tuple(accumulate([first, *gaps])), tuple(factors))
 
 
-def test_checkpoint_transfer_handles_tight_and_leading_bumps():
-    # Gap of exactly 2 between bumps, and a bump at the very first site.
-    coeffs = JacobiCoefficients((1, 3, 9), (2.0, 1.5, 3.0), rho=0.3)
-    for energy in (0.4, -0.8):
-        for n in (1, 2, 3):
-            fast = checkpoint_transfer(coeffs, energy, n)
-            slow = transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1)
-            assert np.allclose(full_entries(fast), full_entries(slow), atol=1e-10)
-
-
-def test_checkpoint_transfer_validation():
-    spec = small_tree()
-    degree = JacobiCoefficients.for_tree_block(spec, variant=DEGREE)
-    adjacency = JacobiCoefficients.for_tree_block(spec)
-    with pytest.raises(ValidationError):
-        checkpoint_transfer(degree, 0.5, 1)
-    with pytest.raises(ValidationError):
-        checkpoint_transfer(adjacency, 2.0, 1)
-    with pytest.raises(ValidationError):
-        checkpoint_transfer(adjacency, 0.5, 5)
-
-
-def test_checkpoint_transfer_rotates_by_the_reducers_angle():
-    coeffs = JacobiCoefficients.for_tree_block(small_tree())
-    # acos(cos(1.0)) is 1 ulp below 1.0; a reducer at 1.0 is its one angle
-    energy = 2.0 * math.cos(1.0)
-    assert math.acos(energy / 2.0) != 1.0
-    fast = checkpoint_transfer(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
-    slow = transfer_product(coeffs, energy, coeffs.positions[3] + 1)
-    assert np.allclose(full_entries(fast), full_entries(slow), atol=1e-10)
-    exact = PhaseReducer.from_pi_multiple("2/7")
-    checkpoint_transfer(coeffs, 2.0 * math.cos(exact.angle), 4, reducer=exact)
-    for energy in (0.5, 2.0 * math.cos(1.0 + 2**-52)):
-        with pytest.raises(ValidationError, match="^reducer: its angle 1.0 gives"):
-            checkpoint_transfer(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
-        with pytest.raises(ValidationError, match="^reducer: "):
-            subordinate_direction(coeffs, energy, 4, reducer=PhaseReducer.from_angle(1.0))
+# The tolerance was fixed before the first run.  The site-by-site product
+# turns each free site by the angle of the rounded energy 2 cos(phi), which
+# differs from phi by up to about 1e-16 / sin(phi) <= 2.2e-15 here; over at
+# most 100 sites that is a phase error below 3e-13.  A bump stretches a
+# phase error by at most its largest kick r_out^2 / r_in^2 < 2a, below 1700
+# at sin(phi) >= 0.05 and k <= 6, so two such bumps in a row keep it under
+# 1e-6 of the largest entry.  A misplaced site or a swapped column turns a
+# column by phi >= 0.05 and misses by 1e-2 or more.
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(bump_specs(), st.floats(0.05, math.pi - 0.05, exclude_min=True, exclude_max=True))
+@example(TreeSpec((1, 3, 5), (2, 6, 3)), 0.4)  # a bump at site 2, then no free sites between bumps
+@example(TreeSpec((2, 5, 9, 14), (2, 3, 2, 4)), math.acos(-0.6))
+def test_two_run_transfer_matches_the_site_by_site_product(spec, phi):
+    coeffs = SiteCoefficients.for_tree_block(spec)
+    energy = 2.0 * math.cos(phi)
+    for n, fast in enumerate(checkpoint_transfers(spec, phi), 1):
+        slow = full_entries(transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1))
+        assert np.max(np.abs(full_entries(fast) - slow)) <= 1e-6 * np.max(np.abs(slow)), n
 
 
 def test_checkpoint_transfer_geometric_depth_runs_fast():
     levels = tuple(3**n for n in range(1, 41))
     spec = TreeSpec(branch_levels=levels, branch_factors=(2,) * 40)
-    coeffs = JacobiCoefficients.for_tree_block(spec)
-    mat = checkpoint_transfer(coeffs, 2.0 * math.cos(1.0), 40)
+    mat = checkpoint_transfers(spec, 1.0)[-1]
     assert mat.det == pytest.approx(1.0, abs=1e-9)
     log_max, log_min = mat.log_singular_values()
     assert log_max > 0.0
@@ -534,21 +493,18 @@ def test_checkpoint_transfer_geometric_depth_runs_fast():
 
 
 def test_subordinate_direction_reciprocal_sigmas():
-    spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec)
-    energy = 0.9
-    for n in (1, 2, 3, 4):
-        report = subordinate_direction(coeffs, energy, n)
+    for mat in checkpoint_transfers(small_tree(), math.acos(0.45)):
+        report = min_singular_direction(mat)
         assert report.sigma_product == pytest.approx(1.0, abs=1e-9)
         assert math.hypot(*report.vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subordinate_direction_matches_numpy_on_small_case():
     spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec)
+    coeffs = SiteCoefficients.for_tree_block(spec)
     energy = 0.9
     n = 3
-    report = subordinate_direction(coeffs, energy, n)
+    report = min_singular_direction(checkpoint_transfers(spec, math.acos(energy / 2.0), n)[n - 1])
     slow = full_entries(transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1))
     _, _, vh = np.linalg.svd(slow)
     alignment = abs(report.vector[0] * vh[-1, 0] + report.vector[1] * vh[-1, 1])
@@ -559,7 +515,7 @@ def test_free_full_turn_checkpoint_is_isotropic():
     # At E = 0 four free steps make a full turn: the transfer matrix is a
     # rotation and no subordinate direction is distinguished.
     reducer = PhaseReducer.from_pi_multiple(Fraction(1, 2))
-    free = transfer_product(JacobiCoefficients.free(), 0.0, 8)
+    free = transfer_product(SiteCoefficients.free(), 0.0, 8)
     report = min_singular_direction(free)
     assert report.isotropic
     assert reducer.reduce(8) == 0.0
@@ -571,7 +527,7 @@ def test_free_full_turn_checkpoint_is_isotropic():
 
 
 def test_simon_stolz_free_energy_zero_counts_steps():
-    coeffs = JacobiCoefficients.free()
+    coeffs = SiteCoefficients.free()
     profile = simon_stolz_profile(coeffs, 0.0, 64)
     assert profile.indices.tolist() == list(range(1, 65))
     assert profile.total == pytest.approx(64.0, abs=1e-9)
@@ -579,7 +535,7 @@ def test_simon_stolz_free_energy_zero_counts_steps():
 
 
 def test_simon_stolz_converges_outside_the_band():
-    coeffs = JacobiCoefficients.free()
+    coeffs = SiteCoefficients.free()
     early = simon_stolz_profile(coeffs, 3.0, 200).total
     late = simon_stolz_profile(coeffs, 3.0, 400).total
     assert late - early < 1e-6
@@ -587,7 +543,7 @@ def test_simon_stolz_converges_outside_the_band():
 
 def test_simon_stolz_skips_bump_indices():
     spec = small_tree()
-    coeffs = JacobiCoefficients.for_tree_block(spec)
+    coeffs = SiteCoefficients.for_tree_block(spec)
     profile = simon_stolz_profile(coeffs, 0.5, 17)
     skipped = set(coeffs.positions)
     assert skipped.isdisjoint(profile.indices.tolist())
