@@ -21,6 +21,7 @@ from oracles import (
     ratio_squared,
     simon_stolz_profile,
     solve_u,
+    step_matrix,
     transfer_product,
     unimodularity_residual,
 )
@@ -480,6 +481,34 @@ def test_two_run_transfer_matches_the_site_by_site_product(spec, phi):
     for n, fast in enumerate(checkpoint_transfers(spec, phi), 1):
         slow = full_entries(transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1))
         assert np.max(np.abs(full_entries(fast) - slow)) <= 1e-6 * np.max(np.abs(slow)), n
+
+
+def test_checkpoint_transfer_matches_direct_product():
+    spec = small_tree()
+    for rho in (0.0, 0.5):
+        coeffs = SiteCoefficients.for_tree_block(spec, rho=rho)
+        for energy in (0.0, 0.9, -1.2):
+            # The runs start on the free boundary; undo its first step and
+            # take the coupled one, so u(0) is replaced by u(0) - tan(rho) u(1).
+            free_step_inverse = Mat2(0.0, 1.0, -1.0, energy)
+            coupling = free_step_inverse @ step_matrix(coeffs, energy, 1)
+            fast_by_bump = checkpoint_transfers(spec, math.acos(energy / 2.0))
+            for n in (1, 2, 4):
+                fast = fast_by_bump[n - 1] @ coupling
+                slow = transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1)
+                assert np.allclose(full_entries(fast), full_entries(slow), atol=1e-10)
+                assert fast.det == pytest.approx(1.0, abs=1e-12)
+
+
+def test_checkpoint_transfer_handles_tight_and_leading_bumps():
+    # Gap of exactly 2 between bumps, and a bump at the very first site.
+    spec = TreeSpec((1, 3, 9), (4, 2, 9))
+    coeffs = SiteCoefficients.for_tree_block(spec)
+    for energy in (0.4, -0.8):
+        fast_by_bump = checkpoint_transfers(spec, math.acos(energy / 2.0))
+        for n in (1, 2, 3):
+            slow = transfer_product(coeffs, energy, coeffs.positions[n - 1] + 1)
+            assert np.allclose(full_entries(fast_by_bump[n - 1]), full_entries(slow), atol=1e-10)
 
 
 def test_checkpoint_transfer_geometric_depth_runs_fast():
