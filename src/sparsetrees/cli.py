@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from decimal import Decimal
@@ -324,6 +325,17 @@ def _load_config(path: str) -> tuple[str, dict]:
     return text, cfg
 
 
+def _out_error(path: str, reason) -> ValidationError:
+    return ValidationError(f"out: cannot write {path}: {reason}")
+
+
+def _check_out(path: str) -> None:
+    """Refuse --out before any work unless its directory exists and is writable."""
+    folder = os.path.dirname(path) or os.curdir
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise _out_error(path, f"{folder} is not a writable directory")
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -341,6 +353,8 @@ def run(argv=None) -> int:
             raise ValidationError(f"format: unknown format {fmt!r}")
         if fmt == "csv" and args.subcommand not in CSV_SUBCOMMANDS:
             raise ValidationError(f"format: csv output is not defined for {args.subcommand}")
+        if args.out:
+            _check_out(args.out)
 
         started = time.perf_counter()
         payload, table = _HANDLERS[args.subcommand](cfg, seed)
@@ -366,7 +380,7 @@ def run(argv=None) -> int:
             with open(args.out, "wb") as handle:
                 handle.write(data)
         except OSError as exc:
-            print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"error: {_out_error(args.out, exc)}", file=sys.stderr)
             return 2
     else:
         sys.stdout.buffer.write(data)

@@ -38,11 +38,12 @@ VERTEX_GUARD = 1_000_000
 # Longest chain component solved by the class count (forest_eigenvalues);
 # longer ones take the stretch count.  A lone block has one subtree class
 # per row, so the class count's work grows as rows**2, and the stretch
-# count's as rows times runs.  On a 500-row block the class count took 0.17 s of
-# CPU and the stretch count 18 ms; the stretch count took 0.29 s on the
+# count's as rows times runs.  On a 500-row block the class count took 0.07 s of
+# CPU and the stretch count 9 ms; the stretch count took 0.09 s on the
 # 10,001-row block of 18 runs in the spectrum-deep benchmark (best of 5,
-# 2 cores, Python 3.11, numpy 2.4).  The cap keeps the bits of shorter
-# blocks the same on every platform; above it they depend on libm.
+# one pinned CPU of a 2-core Xeon, Python 3.11, numpy 2.4).  The cap keeps
+# the bits of shorter blocks the same on every platform; above it they
+# depend on libm.
 CLASS_COUNT_ROWS = 500
 
 # Largest bisection work: the rows of the components solved times class
@@ -350,7 +351,9 @@ class _Stretch:
     def __init__(self, c: np.ndarray) -> None:
         inside = np.abs(c) < 1.0
         self.cos = np.where(inside, c, 0.0)
-        self.sin = np.sqrt((1.0 - self.cos) * (1.0 + self.cos))
+        sin = 1.0 - self.cos
+        sin *= 1.0 + self.cos
+        self.sin = np.sqrt(sin, out=sin)
         self.phi = np.arctan2(self.sin, self.cos)
         self.out = np.flatnonzero(~inside)
         self.sign = np.sign(c[self.out])
@@ -358,9 +361,13 @@ class _Stretch:
         self.g = np.exp(self.mu)
         self.sinh2 = self.g - 1.0 / self.g  # 2 sinh(mu)
 
-    def cross(self, q: np.ndarray, w: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Negative pivots of a run of m >= 2 rows entered with pivot q, and its last pivot.
+    def cross(self, q: np.ndarray, count: np.ndarray, w: float, m: int, a: np.ndarray, b: np.ndarray) -> None:
+        """Cross a run of m >= 2 rows entered with pivot q: q becomes its last
+        pivot, and its negative pivots are added to count.
 
+        The pass runs in place: every step over all points writes into q
+        or the scratch arrays a and b, all of the points' length, so a
+        crossing allocates only arrays of the points outside the band.
         The run's pivots are w*u_j/u_{j-1}, j = 1..m, where
         u_{j+1} = 2c*u_j - u_{j-1}, u_0 = 1 and u_{-1} = r = w/q, so its
         negative pivots are the sign changes of u_0..u_m.  Inside the band
@@ -372,19 +379,26 @@ class _Stretch:
         W_j = 1 + j*(1 - sign*r) at mu = 0, which changes sign at most
         once: the count is [W_m < 0] for sign > 0 and m - [W_m <= 0] for
         sign < 0.  theta is reduced by whole turns before cot is taken, so
-        its sign and the count agree.  q is never -0.0, and the last pivot
-        is returned with -0.0 turned into +0.0: a zero pivot is positive.
+        its sign and the count agree.  The run's count is an integer-valued
+        float far below 2**53, so adding it straight into count is exact.
+        q is never -0.0, and the last pivot is left with -0.0 turned into
+        +0.0: a zero pivot is positive.
         """
-        r = np.clip(w / q, -_HUGE, _HUGE)
-        beta = np.pi / 2 - np.arctan((self.cos - r) / self.sin)
-        theta = beta + m * self.phi
-        turns = np.floor(theta * (1 / np.pi))
-        rest = theta - turns * np.pi
-        crossed = turns - 1.0 + np.ceil(rest * (1 / np.pi))
-        last = w / (self.cos - self.sin / np.tan(rest))
+        r = np.clip(np.divide(w, q, out=a), -_HUGE, _HUGE, out=a)
+        r_out = r[self.out]
+        np.subtract(self.cos, r, out=a)
+        np.divide(a, self.sin, out=a)
+        beta = np.subtract(np.pi / 2, np.arctan(a, out=a), out=a)
+        theta = np.add(beta, np.multiply(m, self.phi, out=b), out=a)
+        turns = np.floor(np.multiply(theta, 1 / np.pi, out=b), out=b)
+        rest = np.subtract(theta, np.multiply(turns, np.pi, out=q), out=a)
+        crossed = np.subtract(turns, 1.0, out=b)
+        crossed += np.ceil(np.multiply(rest, 1 / np.pi, out=q), out=q)
+        np.divide(self.sin, np.tan(rest, out=a), out=a)
+        np.divide(w, np.subtract(self.cos, a, out=a), out=q)  # last pivot
         if self.out.size:
             o, mu, g = self.out, self.mu, self.g
-            t = self.sign * r[o] - 1.0 / g
+            t = self.sign * r_out - 1.0 / g
             s_prev = np.divide(
                 -np.expm1(-2.0 * (m - 1) * mu), self.sinh2, out=np.full(o.size, m - 1.0), where=mu > 0.0
             )
@@ -394,8 +408,9 @@ class _Stretch:
             # 0/0 only where g**(1 - 2m) underflows at the repelling fixed point,
             # sign*r = g: a nearby start ends at the attracting one, ratio 1
             ratio = np.divide(w_last, w_prev, out=np.ones(o.size), where=(w_prev != 0.0) | (w_last != 0.0))
-            last[o] = self.sign * w * g * ratio
-        return crossed, last + 0.0
+            q[o] = self.sign * w * g * ratio
+        count += crossed
+        np.add(q, 0.0, out=q)
 
 
 def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.ndarray:
@@ -404,23 +419,29 @@ def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.
     Pivots go from row 0 on: q = (d - x) - w**2/q_prev, and q = d - x
     where w = 0.  A one-row run takes that plain step, the class count's
     operation; a longer run is crossed in closed form (_Stretch.cross),
-    with its angles computed once per pass for each distinct (d, w).
+    with its angles computed once per pass for each distinct (d, w).  The
+    pass runs in arrays of x's length allocated once per call: the pivot
+    q, two scratch arrays, the float count, and d - x for each distinct d,
+    which no step writes to, and x is left as it is.  Each step writes
+    into q with the operations, in the order, of the plain expressions, so
+    the pivots keep their bits; the count sums integers, exact in any
+    grouping.
     """
     count = np.zeros(len(x))
+    q, a, b = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
     shift = {d: d - x for d in {d for d, _, _ in runs}}
     stretches = {}
     for d, w, m in runs:  # the first run is row 0, with w = 0
         if w == 0.0:
-            q = shift[d]
+            np.copyto(q, shift[d])
         elif m == 1:
-            q = shift[d] - w * w / q
+            np.subtract(shift[d], np.divide(w * w, q, out=q), out=q)
         else:
             if (d, w) not in stretches:
                 stretches[d, w] = _Stretch(shift[d] / (2.0 * w))
-            crossed, q = stretches[d, w].cross(q, w, m)
-            count += crossed
+            stretches[d, w].cross(q, count, w, m, a, b)
             continue
-        count += q < 0.0
+        count += np.less(q, 0.0, out=a)
     return count.astype(np.int64)
 
 

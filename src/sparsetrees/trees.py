@@ -21,7 +21,6 @@ here assumes levels fit machine words.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -157,13 +156,6 @@ class TreeSpec:
         """products[m] = k_1 * ... * k_m (products[0] = 1): the size of every
         generation past m branchings, computed on first read."""
         return tuple(accumulate(self.branch_factors, mul, initial=1))
-
-
-def generation_size(spec: TreeSpec, j: int) -> int:
-    """Number of vertices at generation j, the product of k_n over L_n < j."""
-    if j < 0:
-        raise ValidationError("j: generation must be >= 0")
-    return spec.prefix_products[bisect_left(spec.branch_levels, j)]
 
 
 def ball_count(spec: TreeSpec, depth: int) -> int:

@@ -13,7 +13,10 @@ routes that check it from outside:
 * the per-bump kick evaluated from its coefficients, and from the bump
   matrix itself;
 * the transfer matrix at every checkpoint from two phase-flow runs
-  (`checkpoint_transfers`).
+  (`checkpoint_transfers`);
+* the stretch count's run crossing written as plain array expressions,
+  each step a fresh array (`plain_cross`), which the in-place crossing
+  must match bit for bit.
 
 Site indexing follows `sparsetrees.transfer`: u(0) is the boundary ghost
 value, and a transfer matrix at step j maps (u(j), u(j-1)) to
@@ -430,3 +433,35 @@ def checkpoint_transfers(spec, phi: float, n_bumps: int | None = None) -> list[M
         )
         mats.append(to_pair @ g @ from_pair)
     return mats
+
+
+# ---------------------------------------------------------------------------
+# The stretch count's run crossing in plain expressions
+# ---------------------------------------------------------------------------
+
+
+def plain_cross(angles, q: np.ndarray, w: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Negative pivots and last pivot of a run of m >= 2 rows entered with pivot q.
+
+    `sparsetrees.operators._Stretch.cross` with the same operations in the
+    same order, each step allocating its result; angles is a `_Stretch`.
+    """
+    r = np.clip(w / q, -2.0**1000, 2.0**1000)
+    beta = np.pi / 2 - np.arctan((angles.cos - r) / angles.sin)
+    theta = beta + m * angles.phi
+    turns = np.floor(theta * (1 / np.pi))
+    rest = theta - turns * np.pi
+    crossed = turns - 1.0 + np.ceil(rest * (1 / np.pi))
+    last = w / (angles.cos - angles.sin / np.tan(rest))
+    if angles.out.size:
+        o, mu, g, sign = angles.out, angles.mu, angles.g, angles.sign
+        t = sign * r[o] - 1.0 / g
+        s_prev = np.divide(
+            -np.expm1(-2.0 * (m - 1) * mu), angles.sinh2, out=np.full(o.size, m - 1.0), where=mu > 0.0
+        )
+        w_prev = 1.0 - t * s_prev
+        w_last = w_prev - t * np.exp((1 - 2 * m) * mu)
+        crossed[o] = np.where(sign > 0.0, w_last < 0.0, m - (w_last <= 0.0))
+        ratio = np.divide(w_last, w_prev, out=np.ones(o.size), where=(w_prev != 0.0) | (w_last != 0.0))
+        last[o] = sign * w * g * ratio
+    return crossed, last + 0.0

@@ -142,12 +142,25 @@ def test_stdout_equals_file_output(capsysbinary, tmp_path):
     assert captured.out == out.read_bytes()
 
 
-def test_unwritable_out_exits_2_naming_the_field(tmp_path, capsys):
+def test_unwritable_out_exits_2_naming_the_field(tmp_path, capsys, monkeypatch):
+    def never(cfg, seed):
+        raise AssertionError("the handler ran before --out was checked")
+
+    # the path is refused before the handler runs
+    monkeypatch.setitem(cli._HANDLERS, "efgp-run", never)
     out = tmp_path / "missing" / "report.json"
     assert run(["efgp-run", "--config", str(FIXTURES / "efgp_run.json"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: out: cannot write {out}: ")
     assert err.count("\n") == 1 and not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2_at_write_time(tmp_path, capsys):
+    # a directory passes the check on its parent; the write itself fails
+    assert run(["tree-stats", "--config", str(FIXTURES / "tree_stats.json"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_config_echo_recovers_the_input_bytes():

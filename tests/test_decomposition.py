@@ -32,7 +32,7 @@ from sparsetrees.operators import (
     eigenvalues_sym,
     tridiagonal,
 )
-from sparsetrees.trees import TreeSpec, ball_count, generation_size, make_gamma_tree
+from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
 
 
 def random_small_spec(rng: random.Random, max_branchings: int = 4) -> TreeSpec:
@@ -151,6 +151,13 @@ def test_cut_reads_no_branching_past_it(monkeypatch):
     assert np.array_equal(deep.diag.view(np.int64), short.diag.view(np.int64))
     assert np.array_equal(deep.weight.view(np.int64), short.weight.view(np.int64))
     assert np.array_equal(deep.parent, short.parent)
+
+
+def generation_size(spec: TreeSpec, j: int) -> int:
+    """Number of vertices at generation j, the product of k_n over L_n < j."""
+    if j < 0:
+        raise ValidationError("j: generation must be >= 0")
+    return spec.prefix_products[bisect_left(spec.branch_levels, j)]
 
 
 def kappa(spec: TreeSpec, j: int) -> int:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import plain_cross
 
 from sparsetrees import operators
 from sparsetrees.decomposition import truncated_block
@@ -597,12 +598,17 @@ def test_run_crossing_matches_per_row_steps():
         angles = _Stretch(c)
         for m in (2, 3, 17, 50):
             with np.errstate(divide="ignore", over="ignore"):
-                crossed, last = angles.cross(q_in, w, m)
+                # cross works in place: last starts as a copy of q_in
+                last, crossed = q_in.copy(), np.zeros(len(c))
+                angles.cross(last, crossed, w, m, np.empty(len(c)), np.empty(len(c)))
+                plain = plain_cross(angles, q_in, w, m)
                 q = q_in
                 count = np.zeros(len(c), dtype=np.int64)
                 for _ in range(m):
                     q = 2 * w * c - w * w / q
                     count += q < 0.0
+            # in place, the plain expressions' bits
+            assert np.array_equal(crossed, plain[0]) and np.array_equal(last.view(np.int64), plain[1].view(np.int64))
             gap = np.abs(np.arctan2(last, w) - np.arctan2(q, w)) % math.pi
             assert np.minimum(gap, math.pi - gap).max() <= 1e-9, (w, m)
             tie = np.abs(np.arctan2(q, w)) <= 1e-9
@@ -610,3 +616,23 @@ def test_run_crossing_matches_per_row_steps():
             before_last = crossed - (last < 0.0), count - (q < 0.0)
             assert np.array_equal(before_last[0][tie], before_last[1][tie]), (w, m)
             assert tie.sum() < len(c) // 20
+
+
+def test_stretch_count_leaves_its_points_alone_and_repeats():
+    # The stretch (d, w) = (0, 1) comes back after a w = 0 restart and after
+    # a one-row run with the same d: a pass that wrote into d - x, or that
+    # kept a pivot or a count from an earlier call, would miscount here.
+    off = [1.0] * 5 + [0.0] + [1.0] * 4 + [math.sqrt(2.0)] + [1.0] * 6
+    op = tridiagonal(np.zeros(len(off) + 1), np.array(off))
+    runs = _runs(op.diag, op.weight)
+    assert runs == [(0.0, 0.0, 1), (0.0, 1.0, 5), (0.0, 0.0, 1), (0.0, 1.0, 4), (0.0, math.sqrt(2.0), 1), (0.0, 1.0, 6)]
+    exact = np.linalg.eigvalsh(dense(op))
+    x = np.linspace(-3.0, 3.0, 241) + 1e-3  # in the band and outside it
+    x = x[np.abs(exact[:, None] - x).min(axis=0) > 1e-9]
+    before = x.copy()
+    with np.errstate(divide="ignore", over="ignore"):
+        first = _count_stretches(runs, x)
+        second = _count_stretches(runs, x)
+    assert np.array_equal(x, before)
+    assert np.array_equal(first, second)
+    assert np.array_equal(first, np.sum(exact[:, None] < x, axis=0))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_decomposition import kappa
+from test_decomposition import generation_size, kappa
 
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.trees import (
@@ -20,7 +20,6 @@ from sparsetrees.trees import (
     ball_count,
     check_floor_bits,
     estimate_dimension,
-    generation_size,
     growing,
     make_gamma_tree,
     parse_gamma,
