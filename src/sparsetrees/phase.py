@@ -14,23 +14,28 @@ as converting the exact rational, without reducing it by a gcd first.
 
 A reducer holds no state beyond its angle's fixed-point values, one per
 precision.  The gaps between the geometric family's floors, jittered or
-not, grow by a ratio p/q, and when q is odd a run's `PhaseReducer.walk`
-lets `PhaseReducer.reduce` step their residues at one precision by an
-exact recurrence, a few linear-time operations per gap instead of one
-product of thousands of bits.  reduce rounds each gap from a 128-bit
-window of its residue with a proven error interval, and takes the exact
-residue only where that interval straddles a rounding boundary (Ziv's
-rounding test, `_round_window`), so a walk returns the very doubles of
-reduce without one.  A walk lives for one run; nothing is kept across
-runs.  `transfer.efgp_run` walks every gamma or omega spec with an odd q
-at a float angle.
+not, grow by a ratio p/q, and `PhaseReducer.table` reduces a whole gap
+sequence in one loop by an exact recurrence at the precision of its
+largest gap, a few linear-time operations per gap instead of one product
+of thousands of bits.  It keeps each gap G and the top 192 bits of its
+residue.  A gap near a tabled one, g = G + delta, has the residue
+G * F + delta * F for the fixed-point angle F, so `PhaseReducer.reduce`,
+given a cursor into the table, rounds g from a 128-bit window of that sum
+with a proven error interval.  It takes the exact residue only where the
+interval straddles a rounding boundary (Ziv's rounding test) or delta is
+not small, so a table gives the very doubles of reduce without one.
+`transfer.efgp_run` builds a table for every gamma or omega spec at a
+float angle, and `spectral.mc_exponent` builds one from the unjittered
+floors for all its trials, whose jitter moves each gap by a few sites.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import ValidationError
 
@@ -38,8 +43,13 @@ _TWO_PI = 2.0 * math.pi
 _MIN_BITS = 256
 _GUARD_BITS = 192
 _WINDOW_BITS = 128
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 _WINDOW_SCALE = 2.0**-_WINDOW_BITS
+# the largest window W whose interval (W - 1, W + 2) stays inside the turn
+_WINDOW_LAST = (1 << _WINDOW_BITS) - 3
+_TABLE_BITS = 192
+_TABLE_MASK = (1 << _TABLE_BITS) - 1
+_TABLE_SHIFT = _TABLE_BITS - _WINDOW_BITS
+_DELTA_LIMIT = 1 << 62
 
 
 def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
@@ -65,8 +75,10 @@ class PhaseReducer:
         self.circle_fraction = circle_fraction
         if circle_fraction is not None:
             self.angle = float(circle_fraction) * _TWO_PI
+            self._turn = (circle_fraction.numerator, circle_fraction.denominator)
         else:
             self.angle = float(angle)
+            self._turn = None
         self._fixed_cache: dict[int, int] = {}
 
     @classmethod
@@ -109,103 +121,114 @@ class PhaseReducer:
         """(numerator, denominator) of the fractional turn of steps * angle."""
         if steps < 0:
             raise ValidationError("steps: must be >= 0")
-        if self.circle_fraction is not None:
-            f = self.circle_fraction
-            return (steps * f.numerator) % f.denominator, f.denominator
+        if self._turn is not None:
+            num, den = self._turn
+            return (steps * num) % den, den
         bits = self._bits_for(steps)
         return (steps * self._fixed(bits)) & ((1 << bits) - 1), 1 << bits
 
-    def walk(self, ratio: Fraction, largest: int) -> GapWalk | None:
-        """A walk for `reduce` over gaps that grow about geometrically with
-        ratio p/q, up to about `largest`; None for an exact angle or an
-        even q.
+    def table(self, ratio: Fraction, gaps: Iterable[int], largest: int) -> PhaseTable | None:
+        """The table of `gaps`, each about ratio p/q times the one before,
+        at the precision P of `largest`, for `reduce`'s cursors; None for an
+        exact angle.
 
         By the floors' recurrence q * L_n = p * L_(n-1) + e_n, stated at
         `trees.make_gamma_tree`, their gaps g_n = L_n - L_(n-1) - 2 obey
-        q * g_n = p * g_(n-1) + f_n with f_n = 2(p - q) + e_n - e_(n-1),
-        and jitter of n sites keeps f_n small.  With the fixed-point angle F
-        at the one precision P of `largest`, the residues
+        q * g_n = p * g_(n-1) + f_n with f_n = 2(p - q) + e_n - e_(n-1), a
+        few sites.  With the fixed-point angle F at P, the residues
         R_n = g_n * F mod 2**P then follow exactly from each other:
-        q * R_n = p * R_(n-1) + f_n * F (mod 2**P), and q is odd, so
-        dividing by it is exact once the multiple j * 2**P, j < q, that
-        makes the right side divisible by q is added.  A step costs a few
-        operations linear in P, where the exact residue multiplies two
-        numbers of P bits at a precision of their own.  This is modular
-        arithmetic, exact for any ints g_n, so a walk gives `reduce`'s own
-        doubles for any gap sequence; the ratio only decides the speed.
-
-        Each positive gap g up to P's range is rounded from the top 128
-        bits W of R_n.  reduce(g) works at its own precision b <= P, where
-        g < 2**(b - 192).  Both fixed-point angles lie within 2**-b (plus
-        mpmath's 2**-(b + 60)) of the angle's true fraction of a turn, so
-        g times their difference moves the residue by less than 2**-63
-        window units.  reduce(g)'s residue thus lies in (W - 1, W + 2) window
-        units, and `_round_window` rounds it with a = 1.  Where that is
-        unsure, and for any other gap (zero, negative, or past P's range),
-        reduce takes the exact residue.
+        q * R_n = p * R_(n-1) + f_n * F (mod 2**P).  When q is odd, dividing
+        by it is exact once the multiple j * 2**P, j < q, that makes the
+        right side divisible by q is added, and the loop walks forward from
+        R_0 = 0.  When q is even, p is odd, and the loop walks backward,
+        p * R_(n-1) = q * R_n - f_n * F (mod 2**P), from one whole product
+        for the last gap.  A step costs a few operations linear in P.  This
+        is modular arithmetic, exact for any ints g_n, so any gap sequence
+        gets its true residues; the ratio only decides the speed.
         """
-        p, q = ratio.numerator, ratio.denominator
-        if self.circle_fraction is not None or q % 2 == 0:
+        if self._turn is not None:
             return None
+        p, q = ratio.numerator, ratio.denominator
         bits = self._bits_for(largest)
-        # (2**bits)**-1 mod q: j = -y * inverse mod q makes y + j * 2**bits divisible by q
-        return GapWalk(p, q, bits, self._fixed(bits), pow(1 << bits, -1, q), (1 << bits) - 1)
+        fixed = self._fixed(bits)
+        mask = (1 << bits) - 1
+        shift = bits - _TABLE_BITS
+        floors = list(gaps)
+        # d * R_new = c * R_old + (d * g_new - c * g_old) * F, with d odd
+        c, d, order = (p, q, floors) if q % 2 else (q, p, reversed(floors))
+        # (2**bits)**-1 mod d: j = -y * inverse mod d makes y + j * 2**bits divisible by d
+        inverse = pow(1 << bits, -1, d)
+        windows = []
+        previous = residue = 0
+        for gap in order:
+            y = c * residue + (d * gap - c * previous) * fixed
+            if d != 1:
+                y = (y + ((-(y % d) * inverse) % d << bits)) // d
+            residue = y & mask
+            previous = gap
+            windows.append(residue >> shift)
+        if not q % 2:
+            windows.reverse()
+        return PhaseTable(self.angle, bits, tuple(floors), tuple(windows), fixed >> shift)
 
-    def reduce(self, steps: int, walk: GapWalk | None = None) -> float:
+    def reduce(self, steps: int, walk: Iterator[tuple[int, int, int, int]] | None = None) -> float:
         """steps * angle modulo 2*pi, in [0, 2*pi).
 
         The residue's float is its correctly rounded integer division,
         bit for bit the float of the residue as a reduced Fraction, with
-        no gcd taken.  Given a run's walk (`walk`), steps is the walk's
-        next gap: the walk steps its residue by the recurrence and the gap
-        is rounded from it, which gives the same double.
+        no gcd taken.  Given a cursor into a table of this angle
+        (`PhaseTable.cursor`), steps is the run's next gap g, near the
+        table's next gap G, and the same double comes from the table.
+
+        With s = P - 192, the table holds B = (G * F mod 2**P) >> s and
+        T = F >> s.  Since g * F = G * F + delta * F for delta = g - G,
+        g * F / 2**s lies in
+        B + delta * T + [min(0, delta), 1 + max(0, delta)), modulo 2**192.
+        With W the top 128 of the 192 bits of B + delta * T, g * F mod 2**P
+        thus lies in [W - |delta| / 2**64, W + 1 + |delta| / 2**64) window
+        units of 2**(P - 128).  reduce(g) works at its own precision
+        b <= P, where g < 2**(b - 192).  Both fixed-point angles lie within
+        2**-b (plus mpmath's 2**-(b + 60)) of the angle's true fraction of
+        a turn, so g times their difference moves the residue by less than
+        2**-63 window units.  For |delta| < 2**62, reduce(g)'s residue
+        therefore lies in (W - 1, W + 2) window units, which does not wrap
+        around the turn where 1 <= W and W + 2 < 2**128.  int to
+        float is correctly rounded and monotone, and scaling by 2**-128 is
+        exact, so when W - 1 and W + 2 round to the same double, that
+        double is the correctly rounded residue's (Ziv's rounding test).
+        Where the test is unsure, and for any other gap (zero, negative,
+        past P's range, or |delta| >= 2**62), reduce takes the exact
+        residue.
         """
         if walk is not None:
-            p, q, bits = walk.p, walk.q, walk.bits
-            y = p * walk.residue + (q * steps - p * walk.previous) * walk.fixed
-            if q != 1:
-                y = (y + ((-(y % q) * walk.inverse) % q << bits)) // q
-            residue = y & walk.mask
-            walk.previous, walk.residue = steps, residue
-            if 0 < steps and steps.bit_length() + _GUARD_BITS <= bits:
-                value = _round_window(residue >> (bits - _WINDOW_BITS), 1)
-                if value is not None:
-                    return value
+            floor, window, top, bound = next(walk)
+            delta = steps - floor
+            if 0 < steps < bound and -_DELTA_LIMIT < delta < _DELTA_LIMIT:
+                window = ((window + delta * top) & _TABLE_MASK) >> _TABLE_SHIFT
+                if 0 < window <= _WINDOW_LAST:
+                    low = float(window - 1)
+                    if low == float(window + 2):
+                        value = low * _WINDOW_SCALE * _TWO_PI
+                        return value if value < _TWO_PI else 0.0
         num, den = self._residue(steps)
         value = num / den * _TWO_PI
         return value if value < _TWO_PI else 0.0
 
 
-@dataclass(slots=True)
-class GapWalk:
-    """The state of one run's walk (`PhaseReducer.walk`): the ratio p/q,
-    the precision `bits`, the fixed-point angle there, 2**-bits mod q,
-    the mask 2**bits - 1, and the previous gap with its residue, both 0
-    before the first gap."""
+@dataclass(frozen=True, slots=True)
+class PhaseTable:
+    """A gap sequence's residues at one float angle (`PhaseReducer.table`):
+    the angle, the precision `bits`, the gaps G_n (`floors`), the top 192
+    bits of each G_n * F mod 2**bits (`windows`), and those of F (`top`)."""
 
-    p: int
-    q: int
+    angle: float
     bits: int
-    fixed: int
-    inverse: int
-    mask: int
-    previous: int = 0
-    residue: int = 0
+    floors: tuple[int, ...]
+    windows: tuple[int, ...]
+    top: int
 
-
-def _round_window(window: int, a: int) -> float | None:
-    """The phase of a residue known to lie in (window - a, window + a + 1)
-    units of 2**-128 of a turn, or None when that is unsure (Ziv's test).
-
-    Provided a <= window and window + a + 1 < 2**128, the interval does
-    not wrap around the turn.  int to float is correctly rounded and
-    monotone, and scaling by 2**-128 is exact, so when window - a and
-    window + a + 1 round to the same double, that double is the
-    correctly rounded residue's, whatever it is within the interval.
-    """
-    if a <= window and window + a < _WINDOW_MASK:
-        low = float(window - a)
-        if low == float(window + a + 1):
-            value = low * _WINDOW_SCALE * _TWO_PI
-            return value if value < _TWO_PI else 0.0
-    return None
+    def cursor(self) -> Iterator[tuple[int, int, int, int]]:
+        """One run's pass over the table, for `PhaseReducer.reduce`: per gap,
+        (G_n, its window, top, 2**(bits - 192), the bound below which the
+        precision covers a gap)."""
+        return zip(self.floors, self.windows, repeat(self.top), repeat(1 << (self.bits - _GUARD_BITS)))

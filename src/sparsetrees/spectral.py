@@ -46,7 +46,7 @@ from .trees import (
     sample_omega_tree,
     theoretical_dimension,
 )
-from .transfer import check_phi, efgp_run, mean_kick
+from .transfer import check_phi, efgp_run, mean_kick, phase_table
 
 
 def _as_float_gamma(gamma) -> float:
@@ -215,12 +215,15 @@ def mc_exponent(
     angle would wash out at geometric depths.
 
     The trials share what does not depend on the jitter: gamma is parsed
-    and checked once, and the floors floor(gamma**n) are built once (each
-    trial draws its jitter on them).  A float phi gets a fresh
-    PhaseReducer per trial, an exact one is shared.  Each trial's
-    `efgp_run` walks its own omega spec's gaps when gamma's q is odd (see
-    `PhaseReducer.walk`), so a float trial's reducer computes one
-    fixed-point angle with mpmath, at the precision of the last level.
+    and checked once, the floors floor(gamma**n) are built once (each
+    trial draws its jitter on them), and at a float phi so is the phase
+    table of the floors' gaps (`transfer.phase_table`), built with the
+    first trial's reducer.  A jittered gap is the floors' gap plus a few
+    sites, so every trial's `efgp_run` rounds its phases from that one
+    table (see `PhaseReducer.reduce`), for any gamma.  A float phi gets a
+    fresh PhaseReducer per trial, which computes no fixed-point angle
+    with mpmath unless a gap falls back to its exact residue; an exact
+    reducer is shared and reduces every gap whole.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD.
     """
@@ -251,9 +254,14 @@ def mc_exponent(
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
+    table = None
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
-        trajectory = efgp_run(spec, phi, reducer=reducer)
+        if pi_multiple is None:
+            reducer = PhaseReducer.from_angle(phi)
+            if table is None:
+                table = phase_table(base, reducer)
+        trajectory = efgp_run(spec, phi, reducer=reducer, table=table)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)

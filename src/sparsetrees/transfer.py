@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jacobi import check_rho
-from .phase import PhaseReducer
+from .phase import PhaseReducer, PhaseTable
 from .trees import check_k
 
 _TWO_PI = 2.0 * math.pi
@@ -137,20 +137,29 @@ class EFGPTrajectory:
 
     Entry n of each column is the state just past bump n, and entry 0 the
     initial state.  theta is the outgoing angle (two sites past the
-    branching level), y the log radial kick of bump n alone and
-    theta_entry the incoming angle the kick was evaluated at; at n = 0,
-    y is 0 and theta_entry is theta.  log_r[n] = log_r[n - 1] + y[n].
-    Bump n sits at level spec.branch_levels[n - 1].
+    branching level) and y the log radial kick of bump n alone; at n = 0,
+    y is 0.  log_r[n] = log_r[n - 1] + y[n].  Bump n sits at level
+    spec.branch_levels[n - 1].
     """
 
     log_r: tuple[float, ...]
     theta: tuple[float, ...]
     y: tuple[float, ...]
-    theta_entry: tuple[float, ...]
 
     def mean_y(self) -> float:
         """Average radial kick per bump."""
         return float(np.mean(self.y[1:]))
+
+
+def phase_table(spec, reducer: PhaseReducer, n_bumps: int | None = None) -> PhaseTable | None:
+    """The phase table (`PhaseReducer.table`) of the free stretches before a
+    gamma or omega spec's first n_bumps branchings, L_1 sites and then
+    L_n - L_(n-1) - 2; None for an explicit spec or an exact reducer."""
+    if spec.gamma is None:
+        return None
+    levels = spec.branch_levels[:n_bumps]
+    gaps = (b - a - 2 for a, b in zip(chain((-2,), levels), levels))
+    return reducer.table(spec.gamma, gaps, levels[-1])
 
 
 def efgp_run(
@@ -159,6 +168,7 @@ def efgp_run(
     theta0: float = 0.0,
     n_bumps: int | None = None,
     reducer: PhaseReducer | None = None,
+    table: PhaseTable | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
 
@@ -174,15 +184,16 @@ def efgp_run(
     boundary coupling.  A reducer, such as an exact one from
     `PhaseReducer.from_pi_multiple`, must hold the angle phi itself.
 
-    A gamma or omega spec hands its ratio to `PhaseReducer.walk`, and each
-    gap goes to `PhaseReducer.reduce` with the run's walk: when the ratio
-    has an odd q and phi is a float angle, a recurrence walks the gaps'
-    phase residues at one precision, with the same doubles as reducing
-    each gap whole.  Every other run (explicit specs, an even q, an exact
-    reducer) has no walk and reduces each gap whole.  The walk ends with
-    the run.  Either way entry n does not depend on n_bumps: the first n
-    entries of a run are those of the run stopped at bump n, so two full
-    runs give the transfer matrix at every checkpoint (module docstring).
+    Each gap goes to `PhaseReducer.reduce` with a cursor into a phase
+    table at phi, which gives the double of reducing the gap whole.  A
+    gamma or omega spec at a float phi builds its own (`phase_table`)
+    unless `table` is given: any table built at phi of at least n_bumps
+    gaps near the run's, such as the unjittered floors that
+    `spectral.mc_exponent`'s trials share.  Explicit specs and exact
+    reducers reduce each gap whole.  Entry n does not depend on n_bumps:
+    the first n entries of a run are those of the run stopped at bump n,
+    so two full runs give the transfer matrix at every checkpoint (module
+    docstring).
     """
     check_phi(phi)
     levels = spec.branch_levels
@@ -191,15 +202,16 @@ def efgp_run(
         n_bumps = len(levels)
     if not 1 <= n_bumps <= len(levels):
         raise ValidationError("n_bumps: must be between 1 and the number of branchings")
-    for i in range(1, n_bumps):
-        if levels[i] - levels[i - 1] < 2:
-            raise ValidationError(
-                "branch_levels: phase checkpoints need gaps of at least 2 sites"
-            )
     if reducer is None:
         reducer = PhaseReducer.from_angle(phi)
     elif reducer.angle != phi:
         raise ValidationError(f"reducer: its angle {reducer.angle!r} is not phi = {phi!r}")
+    if table is None:
+        table = phase_table(spec, reducer, n_bumps)
+    elif reducer.circle_fraction is not None or table.angle != phi:
+        raise ValidationError(f"table: built for the float angle {table.angle!r}, not this reducer")
+    elif len(table.floors) < n_bumps:
+        raise ValidationError(f"table: {len(table.floors)} gaps for {n_bumps} bumps")
 
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
@@ -210,18 +222,20 @@ def efgp_run(
     # each in one fixed operation order.
     kick_cache: dict[int, tuple[float, ...]] = {}
     reduce = reducer.reduce
+    cursor = None if table is None else table.cursor()
     log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
-
-    # The free stretch before each bump, L_1 sites and then L_n - L_(n-1) - 2,
-    # made one at a time: a list of them would hold as many bits as the floors.
-    gaps = chain(levels[:1], (b - a - 2 for a, b in zip(levels, levels[1:n_bumps])))
-    walk = None if spec.gamma is None else reducer.walk(spec.gamma, levels[n_bumps - 1])
 
     theta = theta0 % _TWO_PI
     log_r = 0.0
-    log_rs, thetas, ys, entries = [log_r], [theta], [0.0], [theta]
-    for gap, k in zip(gaps, factors):
-        theta_entry = (theta + reduce(gap, walk)) % _TWO_PI
+    log_rs, thetas, ys = [log_r], [theta], [0.0]
+    # The free stretch before each bump is L_1 sites, then L_n - L_(n-1) - 2.
+    previous = -2
+    for level, k in zip(levels[:n_bumps], factors):
+        gap = level - previous - 2
+        if gap < 0:
+            raise ValidationError("branch_levels: phase checkpoints need gaps of at least 2 sites")
+        theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
+        previous = level
         cached = kick_cache.get(k)
         if cached is None:
             kick = bump_coefficients(k, phi)
@@ -238,5 +252,4 @@ def efgp_run(
         log_rs.append(log_r)
         thetas.append(theta)
         ys.append(y)
-        entries.append(theta_entry)
-    return EFGPTrajectory(tuple(log_rs), tuple(thetas), tuple(ys), tuple(entries))
+    return EFGPTrajectory(tuple(log_rs), tuple(thetas), tuple(ys))

@@ -196,7 +196,7 @@ def test_fixed_point_residue_division_is_the_fraction_float(multiple, steps):
 
 
 # ---------------------------------------------------------------------------
-# reduce with a walk: gaps by the floors' exact recurrence
+# reduce with a table cursor: gaps near the table's, by the floors' recurrence
 # ---------------------------------------------------------------------------
 
 
@@ -205,56 +205,97 @@ def floor_gaps(levels):
     return [levels[0]] + [b - a - 2 for a, b in zip(levels, levels[1:])]
 
 
-_odd_ratios = st.tuples(st.sampled_from((1, 1, 3, 5, 7, 9)), st.integers(1, 12)).map(
+def tabled(angle, table_gaps, ratio, largest, gaps):
+    """reduce of each gap through one cursor into the table of table_gaps,
+    next to reduce of each gap whole, as hex strings."""
+    reducer = PhaseReducer.from_angle(angle)
+    cursor = reducer.table(ratio, table_gaps, largest).cursor()
+    # a later reducer of the same angle, as in mc_exponent's trials
+    trial = PhaseReducer.from_angle(angle)
+    got = [trial.reduce(g, cursor).hex() for g in gaps]
+    return got, [PhaseReducer.from_angle(angle).reduce(g).hex() for g in gaps]
+
+
+_ratios = st.tuples(st.sampled_from((1, 1, 2, 3, 4, 5, 7, 8, 9)), st.integers(1, 12)).map(
     lambda qm: Fraction(2 * qm[0] + qm[1], qm[0])
 )
 _gap_ints = st.one_of(
     st.just(0),
-    st.integers(0, 2**64),
+    st.integers(-(2**64), 2**64),
     st.integers(0, 3**1500),
     st.integers(0, 1500).map(lambda n: 3**n),
 )
+_angles = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)).filter(math.isfinite)
 
 
 @st.composite
-def _walk_runs(draw):
+def _table_runs(draw):
     """(angle, gaps, ratio, largest): a prefix of a gamma or omega spec's
-    gaps, gamma = p/q > 2 with q odd, or any non-negative ints with zeros
-    and huge ones, walked by the spec's ratio or another odd-q one, at an
-    angle up to 1e300 in size."""
-    ratio = draw(_odd_ratios)
+    gaps, gamma = p/q > 2 with q odd or even, or any ints with zeros,
+    negative and huge ones, tabled by the spec's ratio or another one, at
+    an angle up to 1e300 in size."""
+    ratio = draw(_ratios)
     if draw(st.booleans()):
         n_levels = draw(st.integers(1, 400))
         spec = make_gamma_tree(2, ratio, n_levels)
         if draw(st.booleans()):
             spec = sample_omega_tree(spec, draw(st.integers(0, 2**64 - 1)))
         gaps = floor_gaps(spec.branch_levels[: draw(st.integers(1, n_levels))])
-        ratio = draw(st.one_of(st.just(ratio), _odd_ratios))
+        ratio = draw(st.one_of(st.just(ratio), _ratios))
     else:
         gaps = draw(st.lists(_gap_ints, min_size=1, max_size=30))
-    angle = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)).filter(math.isfinite))
     # a bound below some gaps leaves them past the precision's range
     largest = draw(st.one_of(st.just(max(gaps)), st.sampled_from(gaps), st.integers(0, 2**300)))
-    return angle, gaps, ratio, largest
+    return draw(_angles), gaps, ratio, largest
 
 
 @_PROPERTY
-@given(run=_walk_runs())
+@given(run=_table_runs())
 def test_walk_is_reduce_of_every_gap(run):
     angle, gaps, ratio, largest = run
-    reducer = PhaseReducer.from_angle(angle)
-    walk = reducer.walk(ratio, largest)
-    assert walk is not None
-    got = [reducer.reduce(g, walk).hex() for g in gaps]
-    assert got == [PhaseReducer.from_angle(angle).reduce(g).hex() for g in gaps]
+    got, whole = tabled(angle, gaps, ratio, largest, [max(g, 0) for g in gaps])
+    assert got == whole
+
+
+_deltas = st.one_of(
+    st.integers(-3, 3),  # the jitter of mc_exponent's trials
+    st.integers(-(2**62) + 1, 2**62 - 1),  # inside the proven range
+    st.sampled_from((-(2**62), 2**62)),  # the range's ends, outside it
+    st.integers(2**62, 2**200).flatmap(lambda d: st.sampled_from((-d, d))),  # past it
+)
+
+
+@st.composite
+def _jittered_runs(draw):
+    """(angle, floors' gaps, ratio, largest, gaps): the floors of gamma =
+    3, 7/3 or 5/2, and gaps near them: the floor gap plus a delta inside
+    or past the table's fast range, or 0 where that would go below 0, with
+    the table's precision at the last floor gap or below some gaps."""
+    ratio = draw(st.sampled_from((Fraction(3), Fraction(7, 3), Fraction(5, 2))))
+    floors = floor_gaps(make_gamma_tree(2, ratio, draw(st.integers(1, 150))).branch_levels)
+    gaps = [max(0, g + draw(_deltas)) for g in floors]
+    largest = draw(st.one_of(st.just(floors[-1]), st.sampled_from(floors)))
+    return draw(_angles), floors, ratio, largest, gaps
+
+
+@_PROPERTY
+@given(run=_jittered_runs())
+def test_table_of_the_floors_is_reduce_of_jittered_gaps(run):
+    angle, floors, ratio, largest, gaps = run
+    got, whole = tabled(angle, floors, ratio, largest, gaps)
+    assert got == whole
+
+
+def residue_float(angle, steps):
+    return PhaseReducer.from_angle(angle).reduce(steps)
 
 
 def test_walk_falls_back_to_the_exact_residue(monkeypatch):
     # gamma = 11/5: floors 2, 4, 10, ..., so the second gap 4 - 2 - 2 is 0
-    # and takes the exact residue; the others are rounded from their windows.
-    gaps = floor_gaps(make_gamma_tree(2, "11/5", 40).branch_levels)
-    assert gaps[1] == 0 and min(gaps[2:]) > 0
-    expected = [PhaseReducer.from_angle(1.0).reduce(g) for g in gaps]
+    # and takes the exact residue; the others are rounded from the windows,
+    # also one site off, and a jump past the proven range is reduced whole.
+    floors = floor_gaps(make_gamma_tree(2, "11/5", 40).branch_levels)
+    assert floors[1] == 0 and min(floors[2:]) > 0
     exact = []
     residue = PhaseReducer._residue
 
@@ -262,45 +303,55 @@ def test_walk_falls_back_to_the_exact_residue(monkeypatch):
         exact.append(steps)
         return residue(self, steps)
 
-    def walked():
-        reducer = PhaseReducer.from_angle(1.0)
-        walk = reducer.walk(Fraction(11, 5), gaps[-1])
-        return [reducer.reduce(g, walk) for g in gaps]
-
     monkeypatch.setattr(PhaseReducer, "_residue", recorded)
-    assert walked() == expected
-    assert exact == [0]
-    # an unsure rounding test sends every gap to the exact residue, with the same values
-    monkeypatch.setattr(phase, "_round_window", lambda window, a: None)
-    exact.clear()
-    assert walked() == expected
-    assert exact == gaps
+    table = PhaseReducer.from_angle(1.0).table(Fraction(11, 5), floors, floors[-1])
+    for gaps, whole in (
+        (floors, [0]),
+        ([g + 1 for g in floors], []),
+        ([g + (1 << 62) for g in floors], [g + (1 << 62) for g in floors]),
+    ):
+        expected = [residue_float(1.0, g) for g in gaps]
+        exact.clear()
+        cursor = table.cursor()
+        assert [PhaseReducer.from_angle(1.0).reduce(g, cursor) for g in gaps] == expected
+        assert exact == whole
 
 
-def test_split_reduce_refuses_negative_steps():
-    reducer = PhaseReducer.from_angle(1.0)
-    walk = reducer.walk(Fraction(3), 10**6)
-    reducer.reduce(5, walk)
-    with pytest.raises(ValidationError, match="^steps: "):
-        reducer.reduce(-1, walk)
-    exact = PhaseReducer.from_pi_multiple("1/3")
-    with pytest.raises(ValidationError, match="^steps: "):
-        exact.reduce(-2, exact.walk(Fraction(3), 10**6))
+def window_reduce(window, steps=5):
+    """reduce of steps through a cursor whose one entry holds a 128-bit
+    window for it with delta = 0, as a table at another angle would."""
+    return PhaseReducer.from_angle(1.0).reduce(steps, iter([(steps, window << 64, 0, 1 << 300)]))
 
 
 def test_round_window_refuses_wraps_and_rounding_boundaries():
     top = 1 << 127
-    assert phase._round_window(top, 1) == 0.5 * TWO_PI
+    whole = residue_float(1.0, 5)
+    assert window_reduce(top) == 0.5 * TWO_PI
     # near 0 and near a full turn the interval may wrap around the circle
-    assert phase._round_window(0, 1) is None
-    assert phase._round_window(phase._WINDOW_MASK - 1, 1) is None
+    assert window_reduce(0) == window_reduce(phase._WINDOW_LAST + 1) == whole
+    assert window_reduce(phase._WINDOW_LAST) == 0.0
     # doubles near 2**127 lie 2**75 apart: 2**127 + 2**74 sits on a tie
-    assert phase._round_window(top + (1 << 74), 1) is None
-    assert phase._round_window(top + (1 << 74), 0) is None
-    assert phase._round_window(top + (1 << 73), 1) == 0.5 * TWO_PI
+    assert window_reduce(top + (1 << 74)) == whole
+    assert window_reduce(top + (1 << 73)) == 0.5 * TWO_PI
+    # steps past the precision's 300 bits, and zero steps, take the exact residue
+    assert window_reduce(top, 1 << 299) == 0.5 * TWO_PI
+    assert window_reduce(top, 1 << 300) == residue_float(1.0, 1 << 300) != 0.5 * TWO_PI
+    assert window_reduce(top, 0) == 0.0
 
 
-def test_walk_is_none_for_an_even_ratio_or_an_exact_angle():
-    assert PhaseReducer.from_angle(1.0).walk(Fraction(5, 2), 9) is None
-    assert PhaseReducer.from_pi_multiple("1/3").walk(Fraction(3), 9) is None
-    assert PhaseReducer.from_angle(1.0).walk(Fraction(7, 3), 9) is not None
+def test_split_reduce_refuses_negative_steps():
+    reducer = PhaseReducer.from_angle(1.0)
+    cursor = reducer.table(Fraction(3), [5, 13, 37], 10**6).cursor()
+    reducer.reduce(5, cursor)
+    with pytest.raises(ValidationError, match="^steps: "):
+        reducer.reduce(-1, cursor)
+    with pytest.raises(ValidationError, match="^steps: "):
+        window_reduce(1 << 127, -1)
+    with pytest.raises(ValidationError, match="^steps: "):
+        PhaseReducer.from_pi_multiple("1/3").reduce(-2)
+
+
+def test_table_is_none_for_an_exact_angle():
+    assert PhaseReducer.from_pi_multiple("1/3").table(Fraction(3), [1, 2], 9) is None
+    table = PhaseReducer.from_angle(1.0).table(Fraction(5, 2), [1, 2], 9)
+    assert (table.angle, table.bits, table.floors) == (1.0, 256, (1, 2))

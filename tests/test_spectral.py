@@ -236,22 +236,26 @@ def test_mc_exponent_exact_right_angle_input():
 
 
 def test_mc_exponent_shared_work_changes_nothing():
-    # At gamma = 3, 400 bumps take the gaps through four precision steps
-    # (256 to 1,024 bits), so each trial's walk at the top precision rounds
-    # gaps of every lower one.
-    k, phi, n_bumps, trials, seed = 2, 1.0, 400, 3, 11
-    report = mc_exponent(k, 3, phi, n_bumps=n_bumps, trials=trials, seed=seed)
+    # 400 bumps take the gaps through three or four precision steps (256
+    # to 1,024 bits at gamma = 3), so the one table at the top precision
+    # rounds gaps of every lower one, walked forward for an odd q (3, 7/3)
+    # and backward for an even one (5/2).
+    for gamma in (3, "7/3", "5/2"):
+        check_shared_work_changes_nothing(gamma)
 
-    # One op without sharing: fresh floors and a fresh reducer per trial.
-    runs = [
-        efgp_run(
-            sample_omega_tree(make_gamma_tree(k, 3, n_bumps), seed, trial),
-            phi,
-            reducer=PhaseReducer.from_angle(phi),
-        )
-        for trial in range(trials)
-    ]
-    log_g = math.log(3.0)
+
+def check_shared_work_changes_nothing(gamma):
+    k, phi, n_bumps, trials, seed = 2, 1.0, 400, 3, 11
+    report = mc_exponent(k, gamma, phi, n_bumps=n_bumps, trials=trials, seed=seed)
+
+    # One op without sharing: fresh floors, a fresh reducer and every gap
+    # reduced whole per trial.
+    runs = []
+    for trial in range(trials):
+        spec = sample_omega_tree(make_gamma_tree(k, gamma, n_bumps), seed, trial)
+        runs.append(efgp_run(TreeSpec(spec.branch_levels, spec.branch_factors), phi))
+    g = float(Fraction(gamma))
+    log_g = math.log(g)
     x = np.arange(n_bumps + 1, dtype=float) * log_g
     xc = x - x.mean()
     num = 0.0
@@ -266,7 +270,7 @@ def test_mc_exponent_shared_work_changes_nothing():
     z = Z(phi, k)
     assert report == ExponentReport(
         k=k,
-        gamma=3.0,
+        gamma=g,
         phi=phi,
         n_bumps=n_bumps,
         trials=trials,
@@ -283,33 +287,36 @@ def test_mc_exponent_shared_work_changes_nothing():
     )
 
 
-def test_mc_exponent_builds_floors_once_and_every_float_trial_walks(monkeypatch):
-    floors, walks = [], []
+def test_mc_exponent_builds_floors_and_one_phase_table_per_op(monkeypatch):
+    floors, tables = [], []
     monkeypatch.setattr(
         "sparsetrees.spectral.make_gamma_tree",
         lambda *args: floors.append(args) or make_gamma_tree(*args),
     )
-    walk = PhaseReducer.walk
+    table = PhaseReducer.table
 
-    def recording_walk(reducer, ratio, largest):
-        walks.append(walk(reducer, ratio, largest))
-        return walks[-1]
+    def recording_table(reducer, ratio, gaps, largest):
+        tables.append(table(reducer, ratio, gaps, largest))
+        return tables[-1]
 
-    monkeypatch.setattr(PhaseReducer, "walk", recording_walk)
-    mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
-    assert len(floors) == 1 and len(walks) == 4
-    # a walk of its own per trial, which reached the trial's last gap
-    assert None not in walks and len(set(map(id, walks))) == 4
-    assert all(w.previous > 0 for w in walks)
+    monkeypatch.setattr(PhaseReducer, "table", recording_table)
+    for gamma in (3, "5/2"):
+        mc_exponent(2, gamma, 1.0, n_bumps=50, trials=4, seed=3)
+    assert len(floors) == 2 and len(tables) == 2
+    # each op's table holds the gaps of its unjittered floors
+    for (k, gamma, n_bumps), built in zip(floors, tables):
+        levels = make_gamma_tree(k, gamma, n_bumps).branch_levels
+        assert list(built.floors) == [b - a - 2 for a, b in zip((-2, *levels), levels)]
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
-    assert len(floors) == 2
-    assert walks[4:] == [None] * 4
+    assert len(floors) == 3
+    assert tables[2:] == [None] * 4
 
 
-def test_mc_exponent_trial_reducers_compute_one_fixed_point_angle_each(monkeypatch):
-    # A float phi builds one reducer per trial, and each trial's walk
-    # rounds every phase at the precision of its last level, so each
-    # reducer computes one mpmath angle (400 bumps meet four precisions).
+def test_mc_exponent_computes_one_fixed_point_angle_per_op(monkeypatch):
+    # A float phi builds one reducer per trial, but only the first one's
+    # table computes an mpmath angle, at the precision of the last level:
+    # at gamma = 3 no jittered gap falls back to its exact residue, so the
+    # later trials' reducers compute none (400 bumps meet four precisions).
     built, computing = [], []
     init, fixed = PhaseReducer.__init__, PhaseReducer._fixed
 
@@ -319,14 +326,14 @@ def test_mc_exponent_trial_reducers_compute_one_fixed_point_angle_each(monkeypat
 
     def recording_fixed(reducer, bits):
         if bits not in reducer._fixed_cache:
-            computing.append(id(reducer))
+            computing.append((id(reducer), bits))
         return fixed(reducer, bits)
 
     monkeypatch.setattr(PhaseReducer, "__init__", recording_init)
     monkeypatch.setattr(PhaseReducer, "_fixed", recording_fixed)
     mc_exponent(2, 3, 1.0, n_bumps=400, trials=4)
     assert len(built) == 4
-    assert sorted(computing) == sorted(map(id, built))
+    assert computing == [(id(built[0]), 1024)]
 
 
 def test_mc_exponent_builds_no_generation_size_table(monkeypatch):

@@ -29,7 +29,7 @@ from oracles import (
 from sparsetrees.errors import ValidationError
 from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import mc_exponent
-from sparsetrees.transfer import boundary_theta0, bump_coefficients, bump_matrix, efgp_run
+from sparsetrees.transfer import boundary_theta0, bump_coefficients, bump_matrix, efgp_run, phase_table
 from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
@@ -311,16 +311,26 @@ def run_sitewise_oracle(spec, phi, rho=0.0):
     return rows
 
 
+def entry_angles(spec, phi, trajectory):
+    """The incoming angle of each bump n >= 1, at which its kick is
+    evaluated: (theta[n - 1] + reduce(gap before bump n)) mod 2 pi."""
+    reducer = PhaseReducer.from_angle(phi)
+    levels = spec.branch_levels[: len(trajectory.theta) - 1]
+    gaps = [b - a - 2 for a, b in zip((-2, *levels), levels)]
+    return [(theta + reducer.reduce(gap)) % TWO_PI for theta, gap in zip(trajectory.theta, gaps)]
+
+
 @pytest.mark.parametrize("phi", [1.0, 2.2, math.pi / 2])
 def test_efgp_run_matches_sitewise_oracle(phi):
     spec = small_tree()
     trajectory = efgp_run(spec, phi)
     oracle = run_sitewise_oracle(spec, phi)
     assert len(trajectory.log_r) == len(oracle) + 1
+    entries = entry_angles(spec, phi, trajectory)
     for n, log_r, theta, theta_entry in oracle:
         assert trajectory.log_r[n] == pytest.approx(log_r, abs=1e-10)
         assert circular_gap(trajectory.theta[n], theta) < 1e-10
-        assert circular_gap(trajectory.theta_entry[n], theta_entry) < 1e-10
+        assert circular_gap(entries[n - 1], theta_entry) < 1e-10
 
 
 def test_efgp_run_with_boundary_coupling_matches_oracle():
@@ -357,8 +367,8 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
             log_r += y
             expected.append((log_r, theta, y, entry))
         trajectory = efgp_run(spec, phi, theta0=theta0)
-        columns = (trajectory.log_r, trajectory.theta, trajectory.y, trajectory.theta_entry)
-        assert list(zip(*columns))[1:] == expected
+        entries = entry_angles(spec, phi, trajectory)
+        assert list(zip(trajectory.log_r[1:], trajectory.theta[1:], trajectory.y[1:], entries)) == expected
 
 
 def test_efgp_run_row_zero_and_levels():
@@ -366,11 +376,10 @@ def test_efgp_run_row_zero_and_levels():
     trajectory = efgp_run(spec, 1.0, theta0=0.3)
     assert (trajectory.log_r[0], trajectory.y[0]) == (0.0, 0.0)
     assert trajectory.theta[0] == pytest.approx(0.3)
-    assert trajectory.theta_entry[0] == trajectory.theta[0]
     for n_bumps in (1, 2, 4):
         trajectory = efgp_run(spec, 1.0, theta0=0.3, n_bumps=n_bumps)
-        columns = (trajectory.log_r, trajectory.theta, trajectory.y, trajectory.theta_entry)
-        assert [len(column) for column in columns] == [n_bumps + 1] * 4
+        columns = (trajectory.log_r, trajectory.theta, trajectory.y)
+        assert [len(column) for column in columns] == [n_bumps + 1] * 3
         for n in range(1, n_bumps + 1):
             assert trajectory.log_r[n] == trajectory.log_r[n - 1] + trajectory.y[n]
 
@@ -394,35 +403,64 @@ def test_efgp_run_refuses_a_reducer_at_another_angle():
     efgp_run(spec, float(multiple) * math.pi, reducer=PhaseReducer.from_pi_multiple(multiple))
 
 
-def test_efgp_run_walks_the_gap_recurrence_only_for_odd_ratios_at_a_float_angle(monkeypatch):
-    walked = []
-    reduce = PhaseReducer.reduce
+def test_efgp_run_refuses_a_table_for_another_reducer_or_a_shorter_run():
+    spec = make_gamma_tree(2, 3, 20)
+    table = phase_table(spec, PhaseReducer.from_angle(1.0))
+    with pytest.raises(ValidationError, match="^table: "):
+        efgp_run(spec, 1.1, table=table)
+    third = PhaseReducer.from_pi_multiple("1/3")
+    float_third = phase_table(spec, PhaseReducer.from_angle(third.angle))
+    with pytest.raises(ValidationError, match="^table: "):
+        efgp_run(spec, third.angle, reducer=third, table=float_third)
+    with pytest.raises(ValidationError, match="^table: 10 gaps for 20 bumps"):
+        efgp_run(spec, 1.0, table=phase_table(spec, PhaseReducer.from_angle(1.0), 10))
+    assert phase_table(spec, third) is None
+    assert phase_table(TreeSpec(spec.branch_levels, spec.branch_factors), PhaseReducer.from_angle(1.0)) is None
+    # a table of other gaps at the same angle gives the same run
+    other = phase_table(sample_omega_tree(spec, seed=2), PhaseReducer.from_angle(1.0))
+    assert efgp_run(spec, 1.0, table=other) == efgp_run(spec, 1.0, table=table) == efgp_run(spec, 1.0)
+
+
+def test_efgp_run_takes_a_table_for_gamma_and_omega_specs_at_a_float_angle(monkeypatch):
+    tables, cursors = [], []
+    build, reduce = PhaseReducer.table, PhaseReducer.reduce
+
+    def recorded_table(self, ratio, gaps, largest):
+        tables.append(build(self, ratio, gaps, largest))
+        return tables[-1]
 
     def recorded(self, steps, walk=None):
-        if walk is not None:
-            walked.append(Fraction(walk.p, walk.q))
+        cursors.append(walk)
         return reduce(self, steps, walk)
 
+    monkeypatch.setattr(PhaseReducer, "table", recorded_table)
     monkeypatch.setattr(PhaseReducer, "reduce", recorded)
     gamma = make_gamma_tree(2, 3, 60)
     omega = sample_omega_tree(make_gamma_tree(2, "7/3", 60), seed=9)
-    for spec in (gamma, omega):
+    for spec in (gamma, omega, make_gamma_tree(2, "5/2", 60)):
         # the same levels as an explicit spec reduce every gap whole
         explicit = TreeSpec(spec.branch_levels, spec.branch_factors)
         assert efgp_run(spec, 1.0, n_bumps=40) == efgp_run(explicit, 1.0, n_bumps=40)
-    # one walked reduce per gap
-    assert walked == [3] * 40 + [Fraction(7, 3)] * 40
-    walked.clear()
-    efgp_run(make_gamma_tree(2, "5/2", 30), 1.0)
+    # a table of the run's own 40 gaps, one cursor for the reduce of each gap
+    assert [len(table.floors) for table in tables] == [40] * 3
+    assert [walk is None for walk in cursors] == ([False] * 40 + [True] * 40) * 3
+    tables.clear()
+    cursors.clear()
     efgp_run(gamma, 1 / 3 * math.pi, reducer=PhaseReducer.from_pi_multiple("1/3"))
-    assert walked == []
-    # mc_exponent's float trials walk their own omega specs
-    mc_exponent(2, "7/3", 1.0, n_bumps=30, trials=2, seed=4)
-    assert walked == [Fraction(7, 3)] * 60
-    walked.clear()
-    mc_exponent(2, "5/2", 1.0, n_bumps=30, trials=2, seed=4)
+    assert tables == [None] and cursors == [None] * 60
+    tables.clear()
+    cursors.clear()
+    # mc_exponent's float trials share one table of the floors' gaps, each
+    # through a cursor of its own
+    for gamma in ("7/3", "5/2"):
+        mc_exponent(2, gamma, 1.0, n_bumps=30, trials=2, seed=4)
+        floors = make_gamma_tree(2, gamma, 30).branch_levels
+        assert len(tables) == 1 and tables[0].floors[-1] == floors[-1] - floors[-2] - 2
+        assert len(cursors) == 60 and None not in cursors and len(set(map(id, cursors))) == 2
+        tables.clear()
+        cursors.clear()
     mc_exponent(2, 3, None, n_bumps=30, trials=2, seed=4, pi_multiple="1/3")
-    assert walked == []
+    assert tables == [None] * 2 and cursors == [None] * 60
 
 
 def test_efgp_run_validation():
