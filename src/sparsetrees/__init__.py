@@ -6,11 +6,17 @@ to direct sums of one-dimensional Jacobi matrices, and runs the Pruefer
 phase flow, whose runs also give the transfer matrices, to classify the
 spectrum (singular continuous interval, dense point complement, local
 scaling exponents).
+
+Importing the package loads no numpy: the modules that build arrays import
+it inside the functions that build them, so a run that builds none (tree
+statistics, the theorem classifier, a phase diagram over a list of
+energies) never pays for numpy's import.  The three names from
+`decomposition`, which imports numpy at its top, are resolved on first use
+by the module `__getattr__` below.
 """
 
 __version__ = "0.1.0"
 
-from .decomposition import plan_decomposition, truncated_block, verify_decomposition
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients
 from .phase import PhaseReducer
@@ -72,3 +78,19 @@ __all__ = [
     "truncated_block",
     "verify_decomposition",
 ]
+
+_DECOMPOSITION_NAMES = ("plan_decomposition", "truncated_block", "verify_decomposition")
+
+
+def __getattr__(name: str):
+    # Any other name must raise AttributeError: `from sparsetrees import
+    # decomposition` imports the submodule only after this lookup fails.
+    if name in _DECOMPOSITION_NAMES:
+        from . import decomposition
+
+        return getattr(decomposition, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_DECOMPOSITION_NAMES))

@@ -9,6 +9,13 @@ and produces deterministic bytes: same config and seed, same output.
 
 Exit codes: 0 on success, 2 on validation errors, 3 on size-guard
 violations.
+
+Importing this module loads no numpy.  The decompose and spectrum handlers
+import `decomposition` and `operators`, which import numpy, when they run.
+The other handlers load it only where the spectral, transfer or trees
+functions they call build arrays (a min/max/points energy grid, a phase
+flow's mean kick, an omega spec's jitter), so tree-stats and
+classify-theorems never load it.
 """
 
 import argparse
@@ -21,13 +28,9 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .decomposition import truncated_block, verify_decomposition
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE
-from .operators import GRID_POINTS_GUARD, eigenvalues_sym
 from .phase import PhaseReducer, parse_pi_multiple
 from .reports import (
     CsvTable,
@@ -41,6 +44,7 @@ from .reports import (
 from .spectral import (
     coverage_grid,
     covered_fraction,
+    energy_grid,
     essential_spectrum_coverage,
     mc_exponent,
     phase_diagram,
@@ -116,13 +120,9 @@ def _energy_grid(cfg: dict) -> list[float]:
         lo = _float_field(grid, "min")
         hi = _float_field(grid, "max")
         points = int_field(grid, "points")
-        if points < 2:
-            raise ValidationError("points: energy grid needs at least 2 points")
-        if points > GRID_POINTS_GUARD:
-            raise GuardError(f"points: {points} points, guard is {GRID_POINTS_GUARD}")
         if not 0.0 < hi - lo < math.inf:
             raise ValidationError("min: energy grid needs min < max, max - min finite")
-        return [float(e) for e in np.linspace(lo, hi, points)]
+        return energy_grid(lo, hi, points, "points").tolist()
     raise ValidationError("energies: must be a nonempty list or a min/max/points mapping")
 
 
@@ -159,6 +159,8 @@ def _run_tree_stats(cfg: dict, seed: int):
 
 
 def _run_decompose(cfg: dict, seed: int):
+    from .decomposition import verify_decomposition
+
     spec = _spec_field(cfg)
     depth = int_field(cfg, "depth")
     variant = _variant_field(cfg, allow_both=True)
@@ -176,6 +178,9 @@ def _run_decompose(cfg: dict, seed: int):
 
 
 def _run_spectrum(cfg: dict, seed: int):
+    from .decomposition import truncated_block
+    from .operators import eigenvalues_sym
+
     spec = _spec_field(cfg)
     depth = int_field(cfg, "depth")
     block = int_field(cfg, "block", 0)

@@ -52,10 +52,6 @@ CLASS_COUNT_ROWS = 500
 # of up to 4,000 rows is accepted.
 WORK_GUARD = 32_000_000
 
-# Most points of an energy grid (the phase-diagram energies) or a coverage
-# grid (spectral.coverage_grid), refused before the grid is allocated.
-GRID_POINTS_GUARD = 1_000_000
-
 # Bisection grid: eigenvalues are located on the integers j in
 # [-2**GRID_BITS, 2**GRID_BITS], all exact doubles, scaled by a power of two.
 GRID_BITS = 53

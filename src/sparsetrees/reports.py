@@ -23,13 +23,12 @@ last bits, and so their bytes, from the platform.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -93,17 +92,22 @@ def _scalar(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, np.integer):
-        value = int(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Decimal):
         _require_plain_integers((value,))
         return str(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
+    # No numpy scalar exists before numpy is loaded, and this module does
+    # not load it.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.integer):
+        return str(int(value))
+    if np is not None and isinstance(value, np.floating):
+        return format_float(float(value))
     raise ValidationError(f"payload: cannot serialize a {type(value).__name__}")
 
 

@@ -19,6 +19,11 @@ against simulated trajectories.
 
 The remaining pieces are finite-horizon classifiers for the unbounded-
 branching regime and an essential-spectrum coverage metric for truncations.
+
+numpy, and the `decomposition` and `operators` modules that import it, are
+imported inside the functions that build arrays (`mc_exponent`, `energy_grid`,
+`covered_fraction` and `essential_spectrum_coverage`), so the closed forms
+and classifiers load none of them.
 """
 
 from __future__ import annotations
@@ -28,12 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .decomposition import truncated_block
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY
-from .operators import GRID_POINTS_GUARD, eigenvalues_sym
 from .phase import PhaseReducer, parse_pi_multiple
 from .trees import (
     TreeSpec,
@@ -47,6 +48,17 @@ from .trees import (
     theoretical_dimension,
 )
 from .transfer import check_phi, efgp_run, mean_kick, phase_table
+
+# Most points of an energy grid (the phase-diagram energies) or a coverage
+# grid, refused before the grid is allocated (`energy_grid`).
+GRID_POINTS_GUARD = 1_000_000
+
+# Most samples, trials times (n_bumps + 1), that mc_exponent holds.  It keeps
+# four arrays of that many doubles at once (the trials' log r curves, their
+# stack, the residuals and their squares), 32 bytes a sample: 2**24 samples
+# are 512 MiB.  AC4 and the mc-angles benchmark run 20 trials of 2,001
+# points, 40,020 samples.
+MC_SAMPLES_GUARD = 2**24
 
 
 def _as_float_gamma(gamma) -> float:
@@ -225,7 +237,8 @@ def mc_exponent(
     with mpmath unless a gap falls back to its exact residue; an exact
     reducer is shared and reduces every gap whole.
     n_bumps is refused with a GuardError when its floors would exceed
-    trees.FLOOR_BITS_GUARD.
+    trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
+    exceeds MC_SAMPLES_GUARD, before the floors are built.
     """
     gamma = parse_gamma(gamma)
     check_jitter_gamma(gamma)
@@ -243,7 +256,15 @@ def mc_exponent(
     if trials < 1:
         raise ValidationError("trials: must be at least 1")
     check_floor_bits(gamma, n_bumps, "n_bumps")
+    samples = trials * (n_bumps + 1)
+    if samples > MC_SAMPLES_GUARD:
+        raise GuardError(
+            f"trials: {trials} trials of {n_bumps + 1} points hold {samples} samples, "
+            f"guard is {MC_SAMPLES_GUARD}"
+        )
     base = make_gamma_tree(k, gamma, n_bumps)
+
+    import numpy as np
 
     g = float(gamma)
     z = Z(phi, k)
@@ -365,19 +386,32 @@ def theorem_classifier(spec: TreeSpec) -> TheoremReport:
     )
 
 
+def energy_grid(lo: float, hi: float, points: int, field: str) -> np.ndarray:
+    """`points` evenly spaced values from lo to hi (numpy's linspace).
+
+    Fewer than 2 points, or more than GRID_POINTS_GUARD, are refused
+    before anything is allocated, naming the config `field` they came from.
+    """
+    if points < 2:
+        raise ValidationError(f"{field}: a grid needs at least 2 points")
+    if points > GRID_POINTS_GUARD:
+        raise GuardError(f"{field}: {points} points, guard is {GRID_POINTS_GUARD}")
+    import numpy as np
+
+    return np.linspace(lo, hi, points)
+
+
 def coverage_grid(eps: float, grid_points: int) -> np.ndarray:
     """The [-2, 2] grid of essential_spectrum_coverage, after checking its inputs."""
     if eps <= 0.0:
         raise ValidationError("eps: must be positive")
-    if grid_points < 2:
-        raise ValidationError("grid_points: need at least 2")
-    if grid_points > GRID_POINTS_GUARD:
-        raise GuardError(f"grid_points: {grid_points} points, guard is {GRID_POINTS_GUARD}")
-    return np.linspace(-2.0, 2.0, grid_points)
+    return energy_grid(-2.0, 2.0, grid_points, "grid_points")
 
 
 def covered_fraction(eigenvalues: np.ndarray, grid: np.ndarray, eps: float) -> float:
     """Fraction of the grid points within eps of an ascending eigenvalue list."""
+    import numpy as np
+
     idx = np.searchsorted(eigenvalues, grid)
     left = eigenvalues[np.clip(idx - 1, 0, eigenvalues.size - 1)]
     right = eigenvalues[np.clip(idx, 0, eigenvalues.size - 1)]
@@ -398,6 +432,9 @@ def essential_spectrum_coverage(
     resolution eps.  Approaches 1 as the depth grows, which is the
     finite-size shadow of the essential spectrum being all of [-2, 2].
     """
-    grid = coverage_grid(eps, grid_points)
+    from .decomposition import truncated_block
+    from .operators import eigenvalues_sym
+
+    points = coverage_grid(eps, grid_points)
     eigenvalues = eigenvalues_sym(truncated_block(spec, 0, depth, variant=ADJACENCY))
-    return covered_fraction(eigenvalues, grid, eps)
+    return covered_fraction(eigenvalues, points, eps)

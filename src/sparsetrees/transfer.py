@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-import numpy as np
-
 from .errors import ValidationError
 from .jacobi import check_rho
 from .phase import PhaseReducer, PhaseTable
@@ -147,7 +145,13 @@ class EFGPTrajectory:
     y: tuple[float, ...]
 
     def mean_y(self) -> float:
-        """Average radial kick per bump."""
+        """Average radial kick per bump, summed by numpy's pairwise mean.
+
+        numpy is imported here, the module's only use, so the phase flow
+        itself loads none.
+        """
+        import numpy as np
+
         return float(np.mean(self.y[1:]))
 
 

@@ -16,6 +16,10 @@ decomposition.py are all read from it.  All counts are exact
 arbitrary-precision integers; generation levels may exceed 64-bit range
 (the geometric family reaches gamma**n for n in the thousands), so nothing
 here assumes levels fit machine words.
+
+numpy is imported only by the omega sampler (`_trial_rng` and the tail
+draw of `sample_omega_tree`), for its Philox streams: building, reading
+and counting a gamma or explicit spec loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
-
-import numpy as np
 
 from .errors import GuardError, ValidationError
 
@@ -264,6 +266,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
         raise ValidationError("seed: must fit in 64 bits")
     if not 0 <= trial < _MAX_SEED:
         raise ValidationError("trial: must fit in 64 bits")
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
 
 
@@ -312,6 +316,8 @@ def sample_omega_tree(base: TreeSpec, seed: int, trial: int = 0) -> TreeSpec:
         else:  # pragma: no cover - unreachable for gamma > 2
             raise ValidationError(f"gamma: repair failed at level {n}")
         levels.append(floor_n + w)
+    import numpy as np
+
     n = np.arange(repairable + 1, n_levels + 1)
     tail = rng.integers(-n, n + 1).tolist()
     levels.extend(f + w for f, w in zip(floors[repairable:], tail))

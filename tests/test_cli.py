@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface against golden files."""
 
+import importlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import sparsetrees
 from sparsetrees import cli
 from sparsetrees.cli import run
 from sparsetrees.decomposition import truncated_block
@@ -104,6 +106,84 @@ def test_decompose_and_spectrum_load_no_mpmath(tmp_path):
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert done.stdout.split("\n")[-2] == "[0, 0] []"
+
+
+NO_NUMPY_SCRIPT = """
+import json, pathlib, sys
+import sparsetrees
+from sparsetrees import cli, spec_from_record
+fixtures, out, energies = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]), sys.argv[3]
+parser = cli.build_parser()
+for path in sorted(fixtures.glob("*.json")):
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    parser.parse_args([cfg["subcommand"], "--config", str(path)])
+    if "spec" in cfg:
+        spec_from_record(cfg["spec"])
+ops = [
+    ("tree-stats", str(fixtures / "tree_stats.json")),
+    ("classify-theorems", str(fixtures / "classify_theorems.json")),
+    ("phase-diagram", energies),
+]
+status = [cli.run([sub, "--config", config, "--out", str(out / f"{i}.out")]) for i, (sub, config) in enumerate(ops)]
+before = "numpy" in sys.modules
+status.append(cli.run(["decompose", "--config", str(fixtures / "decompose.json"), "--out", str(out / "3.out")]))
+print(json.dumps({"status": status, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_import_and_setup_load_no_numpy(tmp_path):
+    # Importing the package and the CLI, parsing and building every fixture
+    # and running the subcommands that build no array must not load numpy;
+    # the decompose fixture, which does build arrays, loads it.
+    energies = tmp_path / "energies.json"
+    energies.write_text(json.dumps({"k": 2, "gamma": 4, "energies": [-1.99, 0.0, 1.2, 2.5]}))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(FIXTURES), str(tmp_path), str(energies)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(done.stdout.split("\n")[-2])
+    assert report == {"status": [0, 0, 0, 0], "numpy_before": False, "numpy_after": True}
+    for i, stem in enumerate(("tree_stats", "classify_theorems")):
+        assert (tmp_path / f"{i}.out").read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+    assert (tmp_path / "3.out").read_bytes() == (GOLDEN / "decompose.json").read_bytes()
+    points = json.loads((tmp_path / "2.out").read_text())["payload"]["points"]
+    assert [(p["E"], p["class"]) for p in points] == [(-1.99, "pp"), (0.0, "sc"), (1.2, "sc"), (2.5, "outside")]
+
+
+def test_public_names_resolve_to_their_home_modules():
+    homes = {
+        "decomposition": ("plan_decomposition", "truncated_block", "verify_decomposition"),
+        "errors": ("GuardError", "ValidationError"),
+        "jacobi": ("ADJACENCY", "DEGREE", "JacobiCoefficients"),
+        "phase": ("PhaseReducer",),
+        "spectral": (
+            "V", "Z", "classify", "corollary_check", "essential_spectrum_coverage", "interval_I",
+            "local_dimension", "mc_exponent", "phase_diagram", "theorem_classifier",
+        ),
+        "transfer": ("bump_coefficients", "efgp_run"),
+        "trees": (
+            "TreeSpec", "ball_count", "estimate_dimension", "make_gamma_tree", "parse_gamma",
+            "sample_omega_tree", "spec_from_record", "spec_to_record", "theoretical_dimension",
+        ),
+    }
+    public = set(sparsetrees.__all__) - {"__version__"}
+    assert public == {name for names in homes.values() for name in names}
+    for module, names in homes.items():
+        home = importlib.import_module(f"sparsetrees.{module}")
+        for name in names:
+            assert getattr(sparsetrees, name) is getattr(home, name), name
+    assert set(sparsetrees.__all__) <= set(dir(sparsetrees))
+    namespace: dict = {}
+    exec("from sparsetrees import *", namespace)
+    assert all(namespace[name] is getattr(sparsetrees, name) for name in sparsetrees.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sparsetrees.no_such_name
+    # an unknown name falls through to the submodule import
+    from sparsetrees import decomposition
+
+    assert decomposition is sys.modules["sparsetrees.decomposition"]
 
 
 @pytest.mark.parametrize("subcommand,stem,suffix", CASES)
@@ -456,6 +536,18 @@ def test_floor_guard_exits_3_naming_the_field(tmp_path, capsys):
         config.write_text(json.dumps(cfg))
         assert run([subcommand, "--config", str(config)]) == 3, subcommand
         assert capsys.readouterr().err.startswith(f"guard: {field}: 13100 floors"), subcommand
+
+
+def test_trials_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
+    # 8,385 trials of 2,001 points are just over MC_SAMPLES_GUARD (2**24)
+    def no_trial(*args, **kwargs):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr("sparsetrees.spectral.sample_omega_tree", no_trial)
+    config = tmp_path / "trials.json"
+    config.write_text(json.dumps({"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 2000, "trials": 8385}))
+    assert run(["mc-exponent", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("guard: trials: 8385 trials of 2001 points")
 
 
 def test_efgp_run_accepts_exact_pi_multiple(tmp_path, capsysbinary):

@@ -12,6 +12,8 @@ from oracles import f_theta
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import (
+    GRID_POINTS_GUARD,
+    MC_SAMPLES_GUARD,
     PREDICTION_DEFERRED,
     PREDICTION_PURE_SC,
     V,
@@ -19,6 +21,7 @@ from sparsetrees.spectral import (
     classify,
     ExponentReport,
     corollary_check,
+    energy_grid,
     essential_spectrum_coverage,
     interval_I,
     local_dimension,
@@ -347,6 +350,30 @@ def test_mc_exponent_builds_no_generation_size_table(monkeypatch):
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
     mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
     assert not built
+
+
+def test_mc_exponent_guards_trials_before_building(monkeypatch):
+    # trials * (n_bumps + 1) samples above the guard are refused before the
+    # floors or any trial are built; at the guard, the floors are built
+    def no_build(*args, **kwargs):
+        raise AssertionError("floors or trial built")
+
+    monkeypatch.setattr("sparsetrees.spectral.make_gamma_tree", no_build)
+    monkeypatch.setattr("sparsetrees.spectral.sample_omega_tree", no_build)
+    over = MC_SAMPLES_GUARD // 2001 + 1
+    with pytest.raises(GuardError, match=f"^trials: {over} trials of 2001 points hold {over * 2001} samples"):
+        mc_exponent(2, 3, 1.0, n_bumps=2000, trials=over)
+    with pytest.raises(AssertionError, match="floors or trial built"):
+        mc_exponent(2, 3, 1.0, n_bumps=2000, trials=over - 1)
+    assert 20 * 2001 * 400 < MC_SAMPLES_GUARD  # AC4's runs sit far inside it
+
+
+def test_energy_grid_refuses_points_naming_the_field():
+    assert energy_grid(-1.0, 0.3, 2, "points").tolist() == [-1.0, 0.3]
+    with pytest.raises(ValidationError, match="^grid_points: a grid needs at least 2 points$"):
+        energy_grid(-2.0, 2.0, 1, "grid_points")
+    with pytest.raises(GuardError, match=f"^points: {GRID_POINTS_GUARD + 1} points, guard is"):
+        energy_grid(-2.0, 2.0, GRID_POINTS_GUARD + 1, "points")
 
 
 def test_mc_exponent_guards_n_bumps_before_building():
