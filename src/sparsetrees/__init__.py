@@ -18,7 +18,7 @@ by the module `__getattr__` below.
 __version__ = "0.1.0"
 
 from .errors import GuardError, ValidationError
-from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients
+from .jacobi import ADJACENCY, DEGREE
 from .phase import PhaseReducer
 from .spectral import (
     V,
@@ -49,7 +49,6 @@ __all__ = [
     "ADJACENCY",
     "DEGREE",
     "GuardError",
-    "JacobiCoefficients",
     "PhaseReducer",
     "TreeSpec",
     "V",

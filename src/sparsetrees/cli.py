@@ -370,7 +370,6 @@ def run(argv=None) -> int:
             config_text=config_text,
             seed=seed,
             payload=payload,
-            timing_seconds=elapsed,
         )
         data = emit(envelope, fmt, table)
     except ValidationError as exc:
@@ -390,7 +389,7 @@ def run(argv=None) -> int:
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    print(f"elapsed_seconds={envelope.timing_seconds:.3f}", file=sys.stderr)
+    print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .jacobi import ADJACENCY, DEGREE, JacobiCoefficients
+from .jacobi import ADJACENCY, check_variant
 from .operators import (
     SymOperator,
     apply_root_boundary,
@@ -32,7 +32,7 @@ from .operators import (
     eigenvalues_sym,
     tridiagonal,
 )
-from .trees import TreeSpec, ball_count
+from .trees import TreeSpec, ball_count, k_in_float_range
 
 __all__ = [
     "DecompositionPlan",
@@ -52,13 +52,6 @@ DECOMPOSITION_RTOL = 1e-9
 def block_start(spec: TreeSpec, block: int) -> int:
     """Start generation R_n of block n: R_0 = 0 and R_n = L_n + 1."""
     return spec.branch_levels[block - 1] + 1 if block else 0
-
-
-def _below(spec: TreeSpec, depth: int) -> TreeSpec:
-    """The branchings at L_n < depth: the only ones that couple two rows of
-    the depth-D truncation or start a block inside it."""
-    cut = bisect_left(spec.branch_levels, depth)
-    return TreeSpec(spec.branch_levels[:cut], spec.branch_factors[:cut])
 
 
 def multiplicities(spec: TreeSpec) -> tuple[int, ...]:
@@ -99,11 +92,11 @@ class DecompositionPlan:
 def plan_decomposition(spec: TreeSpec, depth: int) -> DecompositionPlan:
     if depth < 0:
         raise ValidationError("depth: must be >= 0")
-    seen = _below(spec, depth)
-    offsets = tuple(block_start(seen, n) for n in range(seen.n_branchings + 1))
-    return DecompositionPlan(
-        spec, depth, offsets, multiplicities(seen), tuple(depth - r + 1 for r in offsets)
-    )
+    # only the branchings at L_n < depth start a block inside the truncation
+    cut = bisect_left(spec.branch_levels, depth)
+    offsets = tuple(block_start(spec, n) for n in range(cut + 1))
+    sizes = tuple(depth - r + 1 for r in offsets)
+    return DecompositionPlan(spec, depth, offsets, multiplicities(spec)[: cut + 1], sizes)
 
 
 def truncated_block(
@@ -115,14 +108,17 @@ def truncated_block(
 ) -> SymOperator:
     """Finite tridiagonal piece of one block, cut after generation `depth`.
 
-    Block n is the root block's tail from row R_n on, so its site j sits at
-    generation R_n + j - 1.  The root block's rows 0..depth come from
-    JacobiCoefficients.for_tree_block on the branchings below the cut only,
-    so the cost does not grow with the spec's horizon.  In the degree
-    variant row 0 gets +1 (the root has no parent) and the last row -1.0
-    (its children are cut); without these the eigenvalue match with the
-    truncated tree fails.  rho applies to the block's first row.  Depths
-    above 100,000 are refused before anything is built.
+    Block n is the root block's tail from row R_n on, so its row i sits at
+    generation R_n + i.  The root block's rows 0..depth are read straight
+    from the spec's branch pairs below the cut, so the cost does not grow
+    with the spec's horizon: branching m couples rows L_m and L_m + 1 with
+    weight sqrt(k_m).  In the degree variant each row holds minus the
+    degree of a vertex that has a parent, -(k_m + 1) at row L_m and -2 off
+    the branchings; row 0 then gets +1 (the root has no parent) and the
+    last row -1.0 (its children are cut).  Without these the eigenvalue
+    match with the truncated tree fails.  rho applies to the block's first
+    row.  Depths above 100,000 are refused before anything is built, and a
+    factor too large for a float is refused naming k.
     """
     if depth > _BLOCK_DEPTH_GUARD:
         raise GuardError(
@@ -130,20 +126,23 @@ def truncated_block(
         )
     if not 0 <= block <= spec.n_branchings:
         raise ValidationError("block: outside 0..n_branchings")
-    root = JacobiCoefficients.for_tree_block(_below(spec, depth), variant)
+    check_variant(variant)
     start = block_start(spec, block)
     if start > depth:
         raise ValidationError("depth: block starts beyond the truncation")
-    rows = np.array(root.positions, dtype=np.int64) - 1
+    cut = bisect_left(spec.branch_levels, depth)
+    rows = np.array(spec.branch_levels[:cut], dtype=np.int64)
+    factors = spec.branch_factors[:cut]
     off = np.ones(depth)
-    off[rows] = root.values
-    if variant == ADJACENCY:
-        diag = np.zeros(depth + 1)
-    else:
-        diag = np.full(depth + 1, -2.0)
-        diag[rows] = root.diag_bumps
-        diag[-1] = -1.0
-        diag[0] += 1.0  # a lone root at depth 0 gets -1.0 + 1.0 = +0.0
+    with k_in_float_range():
+        off[rows] = [math.sqrt(k) for k in factors]
+        if variant == ADJACENCY:
+            diag = np.zeros(depth + 1)
+        else:
+            diag = np.full(depth + 1, -2.0)
+            diag[rows] = [-float(k + 1) for k in factors]
+            diag[-1] = -1.0
+            diag[0] += 1.0  # a lone root at depth 0 gets -1.0 + 1.0 = +0.0
     block_op = tridiagonal(diag[start:], off[start:])
     return apply_root_boundary(block_op, rho) if rho != 0.0 else block_op
 
@@ -187,12 +186,11 @@ def verify_decomposition(
     platform's tan, a long block through its libm).  Sorted lists are
     compared entrywise, within DECOMPOSITION_RTOL * (1 + max |eigenvalue|).
     """
+    check_variant(variant)
     if variant == ADJACENCY:
         tree_op = assemble_delta(spec, depth)
-    elif variant == DEGREE:
-        tree_op = assemble_delta_tilde(spec, depth)
     else:
-        raise ValidationError(f"variant: unknown variant {variant!r}")
+        tree_op = assemble_delta_tilde(spec, depth)
     if rho != 0.0:
         tree_op = apply_root_boundary(tree_op, rho)
     tree_eigs = eigenvalues_sym(tree_op)

@@ -190,8 +190,6 @@ class ReportEnvelope:
 
     config_text is the configuration file's content verbatim, so the
     input can be recovered byte-identically from any JSON report.
-    timing_seconds is informational only and is excluded from emitted
-    bytes to keep reports reproducible.
     """
 
     version: str
@@ -199,7 +197,6 @@ class ReportEnvelope:
     config_text: str
     seed: int
     payload: dict
-    timing_seconds: float | None = None
 
     def json_bytes(self) -> bytes:
         body = {

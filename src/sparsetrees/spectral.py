@@ -42,12 +42,17 @@ from .trees import (
     check_jitter_gamma,
     check_k,
     growing,
+    k_in_float_range,
     make_gamma_tree,
     parse_gamma,
     sample_omega_tree,
     theoretical_dimension,
 )
 from .transfer import check_phi, efgp_run, mean_kick, phase_table
+
+# An energy this close to a window endpoint, relative to max(1, endpoint),
+# is classified as the endpoint itself.
+BOUNDARY_RTOL = 1e-12
 
 # Most points of an energy grid (the phase-diagram energies) or a coverage
 # grid, refused before the grid is allocated (`energy_grid`).
@@ -70,7 +75,8 @@ def _as_float_gamma(gamma) -> float:
 def V(k: int) -> float:
     """Threshold value (1 + k)^2 / (4 k) separating the two phases in gamma."""
     check_k(k)
-    return (1 + k) ** 2 / (4 * k)
+    with k_in_float_range():
+        return (1 + k) ** 2 / (4 * k)
 
 
 def Z(phi: float, k: int) -> float:
@@ -92,8 +98,8 @@ class EnergyInterval:
     def contains(self, energy: float) -> bool:
         return -self.endpoint < energy < self.endpoint
 
-    def is_boundary(self, energy: float, tol: float = 1e-12) -> bool:
-        return abs(abs(energy) - self.endpoint) <= tol * max(1.0, self.endpoint)
+    def is_boundary(self, energy: float) -> bool:
+        return abs(abs(energy) - self.endpoint) <= BOUNDARY_RTOL * max(1.0, self.endpoint)
 
 
 def interval_I(k: int, gamma) -> EnergyInterval | None:

@@ -1,8 +1,8 @@
 """The modified Pruefer phase flow for bump operators, and its bump step.
 
-Everything here describes the half-line root block of a tree, whose
-coefficients `jacobi.JacobiCoefficients` holds: off-diagonal bumps on an
-otherwise free background.  The module provides
+Everything here describes the half-line root block of a tree (the model
+in `jacobi`): off-diagonal bumps of weight sqrt(k_n), read from the spec's
+branch pairs, on an otherwise free background.  The module provides
 
 * the two-step transfer matrix across one bump, and its radial kick in
   phase coordinates, r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta);
@@ -34,7 +34,7 @@ from itertools import chain
 from .errors import ValidationError
 from .jacobi import check_rho
 from .phase import PhaseReducer, PhaseTable
-from .trees import check_k
+from .trees import check_k, k_in_float_range
 
 _TWO_PI = 2.0 * math.pi
 
@@ -94,7 +94,8 @@ def mean_kick(k: int, phi: float) -> float:
     check_k(k)
     check_phi(phi)
     sin2 = math.sin(phi) ** 2
-    return ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
+    with k_in_float_range():
+        return ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
 
 
 @lru_cache(maxsize=1024)

@@ -25,6 +25,7 @@ and counting a gamma or explicit spec loads no numpy.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -87,6 +88,19 @@ def check_k(k: int) -> None:
         raise ValidationError("k: branching factor must be an integer >= 2")
 
 
+@contextmanager
+def k_in_float_range():
+    """Refuse, naming k, a branching factor whose float arithmetic overflows.
+
+    Counting is exact at any k, but a bump weight sqrt(k), a kick or a
+    threshold is a float: its OverflowError becomes a ValidationError.
+    """
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValidationError("k: branching factor too large for float arithmetic") from exc
+
+
 def parse_gamma(value: str | float | int | Fraction) -> Fraction:
     """Parse a growth ratio into an exact rational.
 
@@ -147,11 +161,6 @@ class TreeSpec:
     @property
     def n_branchings(self) -> int:
         return len(self.branch_levels)
-
-    @property
-    def horizon(self) -> int:
-        """Largest generation about which the spec carries information."""
-        return self.branch_levels[-1] if self.branch_levels else 0
 
     @cached_property
     def prefix_products(self) -> tuple[int, ...]:

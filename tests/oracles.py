@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from sparsetrees.errors import ValidationError
-from sparsetrees.jacobi import ADJACENCY, JacobiCoefficients, check_rho
+from sparsetrees.jacobi import ADJACENCY, DEGREE, check_rho, check_variant
 from sparsetrees.transfer import (
     BumpCoefficients,
     bump_coefficients,
@@ -209,17 +209,25 @@ def min_singular_direction(mat: Mat2) -> MinSingularDirection:
 
 
 @dataclass(frozen=True)
-class SiteCoefficients(JacobiCoefficients):
-    """Jacobi coefficients read site by site, with a boundary rho.
+class SiteCoefficients:
+    """Jacobi coefficients a(j), b(j) read site by site, with a boundary rho.
 
+    positions: strictly increasing bump sites (a(position) != 1).
+    values: a at each bump.
+    diag_bumps: b at each bump in the degree variant, where b is -2 off the
+    bumps (ignored in the adjacency variant, where b is zero).
     rho adds -tan(rho) to b(1), as `operators.apply_root_boundary` does to
     a cut block's first row.
     """
 
+    positions: tuple[int, ...]
+    values: tuple[float, ...]
+    variant: str = ADJACENCY
+    diag_bumps: tuple[float, ...] = ()
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        check_variant(self.variant)
         check_rho(self.rho)
 
     @classmethod
@@ -229,7 +237,17 @@ class SiteCoefficients(JacobiCoefficients):
 
     @classmethod
     def for_tree_block(cls, spec, variant: str = ADJACENCY, rho: float = 0.0) -> SiteCoefficients:
-        return replace(super().for_tree_block(spec, variant), rho=rho)
+        """The root block of a tree, in the paper's closed form.
+
+        Site j sits at generation j - 1, so branching m puts a bump at
+        j = L_m + 1 with weight sqrt(k_m).  In the degree variant the
+        diagonal is -2 off the bumps and -(k_m + 1) on them: minus the
+        degree of a site that has a parent.
+        """
+        positions = tuple(lv + 1 for lv in spec.branch_levels)
+        values = tuple(math.sqrt(k) for k in spec.branch_factors)
+        diag = tuple(-float(k + 1) for k in spec.branch_factors) if variant == DEGREE else ()
+        return cls(positions, values, variant, diag, rho)
 
     def _bump_index(self, j: int) -> int | None:
         pos = bisect_left(self.positions, j)

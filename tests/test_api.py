@@ -1,0 +1,63 @@
+"""No public name of the package exists only for the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parsed(folder: Path) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(folder.glob("*.py"))}
+
+
+def _public_definitions(module: ast.Module):
+    """(name, node) of every public top-level name and every public method."""
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node
+            yield from ((member.name, member) for member in node.body if isinstance(member, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _references(module: ast.Module):
+    """(name, line) of every name read or attribute taken in a module."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public name needs a reference in src/ other than its own definition,
+    # a reference in perfbench/, or a mention in the README.
+    src = _parsed(ROOT / "src" / "sparsetrees")
+    readers: dict[str, list[tuple[Path, int]]] = {}
+    for path, module in src.items():
+        for name, line in _references(module):
+            readers.setdefault(name, []).append((path, line))
+    perfbench = {name for module in _parsed(ROOT / "perfbench").values() for name, _ in _references(module)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def has_caller(path: Path, name: str, node: ast.AST) -> bool:
+        outside = any(
+            other != path or not node.lineno <= line <= node.end_lineno
+            for other, line in readers.get(name, ())
+        )
+        return outside or name in perfbench or re.search(rf"\b{re.escape(name)}\b", readme) is not None
+
+    orphans = [
+        f"{path.name}:{node.lineno} {name}"
+        for path, module in src.items()
+        for name, node in _public_definitions(module)
+        if not name.startswith("_") and not has_caller(path, name, node)
+    ]
+    assert orphans == []

@@ -156,7 +156,7 @@ def test_public_names_resolve_to_their_home_modules():
     homes = {
         "decomposition": ("plan_decomposition", "truncated_block", "verify_decomposition"),
         "errors": ("GuardError", "ValidationError"),
-        "jacobi": ("ADJACENCY", "DEGREE", "JacobiCoefficients"),
+        "jacobi": ("ADJACENCY", "DEGREE"),
         "phase": ("PhaseReducer",),
         "spectral": (
             "V", "Z", "classify", "corollary_check", "essential_spectrum_coverage", "interval_I",
@@ -548,6 +548,37 @@ def test_trials_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
     config.write_text(json.dumps({"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 2000, "trials": 8385}))
     assert run(["mc-exponent", "--config", str(config)]) == 3
     assert capsys.readouterr().err.startswith("guard: trials: 8385 trials of 2001 points")
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    # past about 1.35e154, 1 + k**2 is no float
+    ("efgp-run", {"spec": {"family": "explicit", "k": [10**155], "L": [3]}, "phi": 1.0}),
+    ("mc-exponent", {"k": 10**155, "gamma": 3, "phi": 1.0, "n_bumps": 4, "trials": 2}),
+    # past about 1.8e308, k itself is no float
+    ("spectrum", {"spec": {"family": "explicit", "k": [2 * 10**308], "L": [3]}, "depth": 6}),
+    # sqrt(k) fits, but k + 1 rounds past the largest float
+    ("spectrum", {"spec": {"family": "explicit", "k": [2**1024 - 2**970 - 1], "L": [3]}, "depth": 6,
+                  "variant": "degree"}),
+    # past about 7.2e308, (1 + k)**2 / (4 k) is no float
+    ("phase-diagram", {"k": 8 * 10**308, "gamma": 4, "energies": [0.5]}),
+])
+def test_branching_factor_past_float_range_exits_2_naming_k(subcommand, cfg, tmp_path, capsys):
+    config = tmp_path / "huge_k.json"
+    config.write_text(json.dumps(cfg))
+    assert run([subcommand, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: k: branching factor too large for float arithmetic\n"
+
+
+def test_branching_factor_inside_float_range_still_runs(tmp_path):
+    # exact counting takes any k, and the phase diagram's threshold fits a float
+    cases = [
+        ("tree-stats", {"spec": {"family": "explicit", "k": [10**400], "L": [3]}, "depth": 6}),
+        ("phase-diagram", {"k": 5 * 10**308, "gamma": 4, "energies": [0.5, 1.0]}),
+    ]
+    for subcommand, cfg in cases:
+        config = tmp_path / "big_k.json"
+        config.write_text(json.dumps(cfg))
+        assert run([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_efgp_run_accepts_exact_pi_multiple(tmp_path, capsysbinary):

@@ -23,7 +23,6 @@ from sparsetrees.decomposition import (
     verify_decomposition,
 )
 from sparsetrees.errors import ValidationError
-from sparsetrees.jacobi import JacobiCoefficients
 from sparsetrees.operators import (
     SymOperator,
     apply_root_boundary,
@@ -129,28 +128,33 @@ def test_blocks_nest_as_tails():
                 )
 
 
-def test_cut_reads_no_branching_past_it(monkeypatch):
+def test_cut_reads_no_branching_past_it():
     # a cut at depth 10,000 keeps the 8 branchings of gamma = 3 below it,
     # however many lie beyond
-    long_plan = plan_decomposition(make_gamma_tree(2, 3, 8000), 10_000)
+    long = make_gamma_tree(2, 3, 8000)
+    long_plan = plan_decomposition(long, 10_000)
     short_plan = plan_decomposition(make_gamma_tree(2, 3, 9), 10_000)
     assert len(long_plan.offsets) == 9
     assert long_plan.offsets == short_plan.offsets and long_plan.sizes == short_plan.sizes
     assert long_plan.multiplicities == short_plan.multiplicities
-    seen = []
-    build = JacobiCoefficients.for_tree_block.__func__
-
-    def recorded(cls, spec, *args, **kwargs):
-        seen.append(spec.n_branchings)
-        return build(cls, spec, *args, **kwargs)
-
-    monkeypatch.setattr(JacobiCoefficients, "for_tree_block", classmethod(recorded))
-    deep = truncated_block(make_gamma_tree(2, 3, 8000), 0, 10_000, "degree")
+    # past the cut every factor is 10**400, which no float holds: the block
+    # is refused naming k if any of them is read
+    unread = TreeSpec(long.branch_levels, long.branch_factors[:8] + (10**400,) * (long.n_branchings - 8))
+    deep = truncated_block(unread, 0, 10_000, "degree")
     short = truncated_block(make_gamma_tree(2, 3, 9), 0, 10_000, "degree")
-    assert seen == [8, 8]
     assert np.array_equal(deep.diag.view(np.int64), short.diag.view(np.int64))
     assert np.array_equal(deep.weight.view(np.int64), short.weight.view(np.int64))
     assert np.array_equal(deep.parent, short.parent)
+    with pytest.raises(ValidationError, match="^k: "):
+        truncated_block(unread, 0, long.branch_levels[8] + 1, "degree")
+
+
+def test_unknown_variant_is_refused():
+    spec = TreeSpec((1, 3), (2, 3))
+    with pytest.raises(ValidationError, match="^variant: unknown variant 'laplacian'"):
+        truncated_block(spec, 0, 5, "laplacian")
+    with pytest.raises(ValidationError, match="^variant: unknown variant 'laplacian'"):
+        verify_decomposition(spec, 5, "laplacian")
 
 
 def generation_size(spec: TreeSpec, j: int) -> int:
