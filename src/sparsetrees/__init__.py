@@ -7,12 +7,13 @@ phase flow, whose runs also give the transfer matrices, to classify the
 spectrum (singular continuous interval, dense point complement, local
 scaling exponents).
 
-Importing the package loads no numpy: the modules that build arrays import
-it inside the functions that build them, so a run that builds none (tree
-statistics, the theorem classifier, a phase diagram over a list of
-energies) never pays for numpy's import.  The three names from
-`decomposition`, which imports numpy at its top, are resolved on first use
-by the module `__getattr__` below.
+numpy is imported only where arrays are built: at the top of `operators`
+and `decomposition`, and inside `spectral.mc_exponent`, the coverage
+functions and the omega sampler's Philox stream.  So importing the package
+loads no numpy, and neither does a run that builds no array (tree
+statistics, the theorem classifier, a phase diagram, a phase-flow run of
+a gamma or explicit spec).  The three names from `decomposition` are
+resolved on first use by the module `__getattr__` below.
 """
 
 __version__ = "0.1.0"

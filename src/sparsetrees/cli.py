@@ -10,12 +10,11 @@ and produces deterministic bytes: same config and seed, same output.
 Exit codes: 0 on success, 2 on validation errors, 3 on size-guard
 violations.
 
-Importing this module loads no numpy.  The decompose and spectrum handlers
-import `decomposition` and `operators`, which import numpy, when they run.
-The other handlers load it only where the spectral, transfer or trees
-functions they call build arrays (a min/max/points energy grid, a phase
-flow's mean kick, an omega spec's jitter), so tree-stats and
-classify-theorems never load it.
+Importing this module loads no numpy, which is imported only where arrays
+are built (see the package docstring): decompose, spectrum and mc-exponent
+load it, and so does an omega spec, whose jitter comes from numpy's Philox
+stream; phase-diagram, and tree-stats, efgp-run and classify-theorems on a
+gamma or explicit spec, never do.
 """
 
 import argparse
@@ -122,7 +121,7 @@ def _energy_grid(cfg: dict) -> list[float]:
         points = int_field(grid, "points")
         if not 0.0 < hi - lo < math.inf:
             raise ValidationError("min: energy grid needs min < max, max - min finite")
-        return energy_grid(lo, hi, points, "points").tolist()
+        return energy_grid(lo, hi, points, "points")
     raise ValidationError("energies: must be a nonempty list or a min/max/points mapping")
 
 
@@ -232,7 +231,7 @@ def _run_efgp(cfg: dict, seed: int):
         EFGP_RUN_HEADER,
         (
             range(n_bumps + 1),
-            levels if spec.gamma is None else decimal_levels(levels, spec.gamma),
+            decimal_levels(levels, spec.gamma or 1),
             trajectory.log_r,
             trajectory.theta,
             trajectory.y,

@@ -32,7 +32,7 @@ from .operators import (
     eigenvalues_sym,
     tridiagonal,
 )
-from .trees import TreeSpec, ball_count, k_in_float_range
+from .trees import TreeSpec, ball_count, in_float_range
 
 __all__ = [
     "DecompositionPlan",
@@ -134,7 +134,7 @@ def truncated_block(
     rows = np.array(spec.branch_levels[:cut], dtype=np.int64)
     factors = spec.branch_factors[:cut]
     off = np.ones(depth)
-    with k_in_float_range():
+    with in_float_range("k"):
         off[rows] = [math.sqrt(k) for k in factors]
         if variant == ADJACENCY:
             diag = np.zeros(depth + 1)

@@ -24,9 +24,10 @@ given a cursor into the table, rounds g from a 128-bit window of that sum
 with a proven error interval.  It takes the exact residue only where the
 interval straddles a rounding boundary (Ziv's rounding test) or delta is
 not small, so a table gives the very doubles of reduce without one.
-`transfer.efgp_run` builds a table for every gamma or omega spec at a
-float angle, and `spectral.mc_exponent` builds one from the unjittered
-floors for all its trials, whose jitter moves each gap by a few sites.
+`transfer.efgp_run` builds a table for every spec at a float angle (an
+explicit one at ratio 1), and `spectral.mc_exponent` builds one from the
+unjittered floors for all its trials, whose jitter moves each gap by a
+few sites.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ The remaining pieces are finite-horizon classifiers for the unbounded-
 branching regime and an essential-spectrum coverage metric for truncations.
 
 numpy, and the `decomposition` and `operators` modules that import it, are
-imported inside the functions that build arrays (`mc_exponent`, `energy_grid`,
-`covered_fraction` and `essential_spectrum_coverage`), so the closed forms
-and classifiers load none of them.
+imported inside the functions that build arrays (`mc_exponent`,
+`covered_fraction` and `essential_spectrum_coverage`), so the closed forms,
+the classifiers and the energy grids load none of them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .trees import (
     check_jitter_gamma,
     check_k,
     growing,
-    k_in_float_range,
+    in_float_range,
     make_gamma_tree,
     parse_gamma,
     sample_omega_tree,
@@ -69,13 +69,14 @@ MC_SAMPLES_GUARD = 2**24
 def _as_float_gamma(gamma) -> float:
     g = parse_gamma(gamma)
     check_jitter_gamma(g)
-    return float(g)
+    with in_float_range("gamma"):
+        return float(g)
 
 
 def V(k: int) -> float:
     """Threshold value (1 + k)^2 / (4 k) separating the two phases in gamma."""
     check_k(k)
-    with k_in_float_range():
+    with in_float_range("k"):
         return (1 + k) ** 2 / (4 * k)
 
 
@@ -247,7 +248,7 @@ def mc_exponent(
     exceeds MC_SAMPLES_GUARD, before the floors are built.
     """
     gamma = parse_gamma(gamma)
-    check_jitter_gamma(gamma)
+    g = _as_float_gamma(gamma)
     check_k(k)
     if (phi is None) == (pi_multiple is None):
         raise ValidationError("phi: give exactly one of phi, pi_multiple")
@@ -272,7 +273,6 @@ def mc_exponent(
 
     import numpy as np
 
-    g = float(gamma)
     z = Z(phi, k)
     log_g = math.log(g)
     x = np.arange(n_bumps + 1, dtype=float) * log_g
@@ -392,8 +392,10 @@ def theorem_classifier(spec: TreeSpec) -> TheoremReport:
     )
 
 
-def energy_grid(lo: float, hi: float, points: int, field: str) -> np.ndarray:
-    """`points` evenly spaced values from lo to hi (numpy's linspace).
+def energy_grid(lo: float, hi: float, points: int, field: str) -> list[float]:
+    """`points` evenly spaced values from lo to hi, the doubles of numpy's
+    linspace: i * step + lo, then hi, or i / (points - 1) * (hi - lo) + lo
+    where step = (hi - lo) / (points - 1) underflows to 0.
 
     Fewer than 2 points, or more than GRID_POINTS_GUARD, are refused
     before anything is allocated, naming the config `field` they came from.
@@ -402,19 +404,21 @@ def energy_grid(lo: float, hi: float, points: int, field: str) -> np.ndarray:
         raise ValidationError(f"{field}: a grid needs at least 2 points")
     if points > GRID_POINTS_GUARD:
         raise GuardError(f"{field}: {points} points, guard is {GRID_POINTS_GUARD}")
-    import numpy as np
+    span, div = hi - lo, points - 1
+    step = span / div
+    if step:
+        return [i * step + lo for i in range(div)] + [hi]
+    return [i / div * span + lo for i in range(div)] + [hi]
 
-    return np.linspace(lo, hi, points)
 
-
-def coverage_grid(eps: float, grid_points: int) -> np.ndarray:
+def coverage_grid(eps: float, grid_points: int) -> list[float]:
     """The [-2, 2] grid of essential_spectrum_coverage, after checking its inputs."""
     if eps <= 0.0:
         raise ValidationError("eps: must be positive")
     return energy_grid(-2.0, 2.0, grid_points, "grid_points")
 
 
-def covered_fraction(eigenvalues: np.ndarray, grid: np.ndarray, eps: float) -> float:
+def covered_fraction(eigenvalues: np.ndarray, grid: list[float], eps: float) -> float:
     """Fraction of the grid points within eps of an ascending eigenvalue list."""
     import numpy as np
 

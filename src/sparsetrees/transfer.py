@@ -34,7 +34,7 @@ from itertools import chain
 from .errors import ValidationError
 from .jacobi import check_rho
 from .phase import PhaseReducer, PhaseTable
-from .trees import check_k, k_in_float_range
+from .trees import check_k, in_float_range
 
 _TWO_PI = 2.0 * math.pi
 
@@ -94,7 +94,7 @@ def mean_kick(k: int, phi: float) -> float:
     check_k(k)
     check_phi(phi)
     sin2 = math.sin(phi) ** 2
-    with k_in_float_range():
+    with in_float_range("k"):
         return ((1.0 + k * k) / (2.0 * k) - math.cos(phi) ** 2) / sin2
 
 
@@ -146,25 +146,19 @@ class EFGPTrajectory:
     y: tuple[float, ...]
 
     def mean_y(self) -> float:
-        """Average radial kick per bump, summed by numpy's pairwise mean.
-
-        numpy is imported here, the module's only use, so the phase flow
-        itself loads none.
-        """
-        import numpy as np
-
-        return float(np.mean(self.y[1:]))
+        """Average radial kick per bump: the correctly rounded sum of the
+        kicks (`math.fsum`), divided by their count."""
+        return math.fsum(self.y[1:]) / (len(self.y) - 1)
 
 
 def phase_table(spec, reducer: PhaseReducer, n_bumps: int | None = None) -> PhaseTable | None:
     """The phase table (`PhaseReducer.table`) of the free stretches before a
-    gamma or omega spec's first n_bumps branchings, L_1 sites and then
-    L_n - L_(n-1) - 2; None for an explicit spec or an exact reducer."""
-    if spec.gamma is None:
-        return None
+    spec's first n_bumps branchings, L_1 sites and then L_n - L_(n-1) - 2;
+    None for an exact reducer.  The table is exact for any gaps, and the
+    ratio only sets its speed, so an explicit spec is walked at ratio 1."""
     levels = spec.branch_levels[:n_bumps]
     gaps = (b - a - 2 for a, b in zip(chain((-2,), levels), levels))
-    return reducer.table(spec.gamma, gaps, levels[-1])
+    return reducer.table(spec.gamma or 1, gaps, levels[-1])
 
 
 def efgp_run(
@@ -191,14 +185,13 @@ def efgp_run(
 
     Each gap goes to `PhaseReducer.reduce` with a cursor into a phase
     table at phi, which gives the double of reducing the gap whole.  A
-    gamma or omega spec at a float phi builds its own (`phase_table`)
-    unless `table` is given: any table built at phi of at least n_bumps
-    gaps near the run's, such as the unjittered floors that
-    `spectral.mc_exponent`'s trials share.  Explicit specs and exact
-    reducers reduce each gap whole.  Entry n does not depend on n_bumps:
-    the first n entries of a run are those of the run stopped at bump n,
-    so two full runs give the transfer matrix at every checkpoint (module
-    docstring).
+    run at a float phi builds its own (`phase_table`) unless `table` is
+    given: any table built at phi of at least n_bumps gaps near the run's,
+    such as the unjittered floors that `spectral.mc_exponent`'s trials
+    share.  An exact reducer reduces each gap whole.  Entry n does not
+    depend on n_bumps: the first n entries of a run are those of the run
+    stopped at bump n, so two full runs give the transfer matrix at every
+    checkpoint (module docstring).
     """
     check_phi(phi)
     levels = spec.branch_levels

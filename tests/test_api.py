@@ -1,4 +1,5 @@
-"""No public name of the package exists only for the tests."""
+"""Static checks of the package source: no public name exists only for the
+tests, and numpy is imported only where arrays are built."""
 
 import ast
 import re
@@ -61,3 +62,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if not name.startswith("_") and not has_caller(path, name, node)
     ]
     assert orphans == []
+
+
+def _numpy_imports(module: ast.Module) -> set[str]:
+    """Where a module imports numpy: "top" at module level, "inner" in a definition."""
+    top = {id(node) for node in module.body}
+    found = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.add("top" if id(node) in top else "inner")
+    return found
+
+
+def test_numpy_is_imported_only_where_arrays_are_built():
+    # operators and decomposition build arrays throughout; the other array
+    # code (mc_exponent, the coverage functions, the omega sampler's Philox
+    # stream) imports numpy in the functions that build them, and the phase
+    # flow, the reports, the CLI and the package root import it nowhere.
+    imports = {path.name: _numpy_imports(module) for path, module in _parsed(ROOT / "src" / "sparsetrees").items()}
+    assert {name for name, found in imports.items() if "top" in found} == {"operators.py", "decomposition.py"}
+    for name in ("phase.py", "transfer.py", "reports.py", "cli.py", "jacobi.py", "errors.py", "__init__.py"):
+        assert imports[name] == set(), name

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -18,6 +19,7 @@ from sparsetrees.cli import run
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.reports import EFGP_RUN_HEADER, PHASE_DIAGRAM_HEADER, format_float
+from sparsetrees.spectral import GRID_POINTS_GUARD
 from sparsetrees.trees import ball_count, spec_from_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -112,43 +114,46 @@ NO_NUMPY_SCRIPT = """
 import json, pathlib, sys
 import sparsetrees
 from sparsetrees import cli, spec_from_record
-fixtures, out, energies = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]), sys.argv[3]
+fixtures, out, ops = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2]), json.loads(sys.argv[3])
 parser = cli.build_parser()
 for path in sorted(fixtures.glob("*.json")):
     cfg = json.loads(path.read_text(encoding="utf-8"))
     parser.parse_args([cfg["subcommand"], "--config", str(path)])
     if "spec" in cfg:
         spec_from_record(cfg["spec"])
-ops = [
-    ("tree-stats", str(fixtures / "tree_stats.json")),
-    ("classify-theorems", str(fixtures / "classify_theorems.json")),
-    ("phase-diagram", energies),
+status = [
+    cli.run([sub, "--config", config, "--format", fmt, "--out", str(out / f"{i}.out")])
+    for i, (sub, config, fmt) in enumerate(ops)
 ]
-status = [cli.run([sub, "--config", config, "--out", str(out / f"{i}.out")]) for i, (sub, config) in enumerate(ops)]
 before = "numpy" in sys.modules
-status.append(cli.run(["decompose", "--config", str(fixtures / "decompose.json"), "--out", str(out / "3.out")]))
+status.append(cli.run(["decompose", "--config", str(fixtures / "decompose.json"), "--out", str(out / "decompose.out")]))
 print(json.dumps({"status": status, "numpy_before": before, "numpy_after": "numpy" in sys.modules}))
 """
 
 
 def test_import_and_setup_load_no_numpy(tmp_path):
     # Importing the package and the CLI, parsing and building every fixture
-    # and running the subcommands that build no array must not load numpy;
-    # the decompose fixture, which does build arrays, loads it.
+    # and running the subcommands that build no array must not load numpy:
+    # every golden but those of the array subcommands, and a phase diagram
+    # over a list of energies.  The decompose fixture, which does build
+    # arrays, loads it.
     energies = tmp_path / "energies.json"
     energies.write_text(json.dumps({"k": 2, "gamma": 4, "energies": [-1.99, 0.0, 1.2, 2.5]}))
+    goldens = [case for case in CASES if case[0] not in ("decompose", "spectrum", "mc-exponent")]
+    ops = [(sub, str(FIXTURES / f"{stem}.json"), fmt) for sub, stem, fmt in goldens]
+    ops.append(("phase-diagram", str(energies), "json"))
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(FIXTURES), str(tmp_path), str(energies)],
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, str(FIXTURES), str(tmp_path), json.dumps(ops)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     report = json.loads(done.stdout.split("\n")[-2])
-    assert report == {"status": [0, 0, 0, 0], "numpy_before": False, "numpy_after": True}
-    for i, stem in enumerate(("tree_stats", "classify_theorems")):
-        assert (tmp_path / f"{i}.out").read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
-    assert (tmp_path / "3.out").read_bytes() == (GOLDEN / "decompose.json").read_bytes()
-    points = json.loads((tmp_path / "2.out").read_text())["payload"]["points"]
+    assert report == {"status": [0] * (len(ops) + 1), "numpy_before": False, "numpy_after": True}
+    for i, (_, stem, fmt) in enumerate(goldens):
+        assert (tmp_path / f"{i}.out").read_bytes() == (GOLDEN / f"{stem}.{fmt}").read_bytes(), (stem, fmt)
+    assert (tmp_path / "decompose.out").read_bytes() == (GOLDEN / "decompose.json").read_bytes()
+    points = json.loads((tmp_path / f"{len(goldens)}.out").read_text())["payload"]["points"]
     assert [(p["E"], p["class"]) for p in points] == [(-1.99, "pp"), (0.0, "sc"), (1.2, "sc"), (2.5, "outside")]
 
 
@@ -506,22 +511,26 @@ def test_truncated_block_errors_and_spectrum_exit_codes(block, depth, error, mes
     assert capsys.readouterr().err == f"{prefix}: {message}\n"
 
 
-def test_grid_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
-    # 10**12 points would be 8 TB of doubles: refused before any grid is built
-    def no_grid(*args, **kwargs):
-        raise AssertionError("grid allocated")
-
-    monkeypatch.setattr(np, "linspace", no_grid)
+def test_grid_guard_exits_3_naming_the_field(tmp_path, capsys):
+    # One point past the guard, the grid's floats alone would take 24 MB:
+    # refused before any grid is built, with a peak far below that.
+    over = GRID_POINTS_GUARD + 1
     tree = {"family": "gamma", "k": 2, "gamma": 3, "N": 3}
     cases = [
-        ("phase-diagram", {"k": 2, "gamma": 4, "energies": {"min": -1.0, "max": 1.0, "points": 10**12}}, "points"),
-        ("spectrum", {"spec": tree, "depth": 5, "coverage": {"eps": 0.05, "grid_points": 10**12}}, "grid_points"),
+        ("phase-diagram", {"k": 2, "gamma": 4, "energies": {"min": -1.0, "max": 1.0, "points": over}}, "points"),
+        ("spectrum", {"spec": tree, "depth": 5, "coverage": {"eps": 0.05, "grid_points": over}}, "grid_points"),
     ]
     for subcommand, cfg, field in cases:
         config = tmp_path / "grid.json"
         config.write_text(json.dumps(cfg))
-        assert run([subcommand, "--config", str(config)]) == 3, subcommand
-        assert capsys.readouterr().err.startswith(f"guard: {field}: 1000000000000 points"), subcommand
+        tracemalloc.start()
+        try:
+            assert run([subcommand, "--config", str(config)]) == 3, subcommand
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, subcommand
+        assert capsys.readouterr().err.startswith(f"guard: {field}: {over} points"), subcommand
 
 
 def test_floor_guard_exits_3_naming_the_field(tmp_path, capsys):
@@ -579,6 +588,33 @@ def test_branching_factor_inside_float_range_still_runs(tmp_path):
         config = tmp_path / "big_k.json"
         config.write_text(json.dumps(cfg))
         assert run([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+HUGE_GAMMA = {"family": "gamma", "k": 2, "gamma": "1e400", "N": 3}
+
+
+@pytest.mark.parametrize("subcommand,cfg,status", [
+    # past about 1.8e308, gamma is no float: refused, mc-exponent before its floors
+    ("tree-stats", {"spec": HUGE_GAMMA, "depth": 5}, 2),
+    ("phase-diagram", {"k": 2, "gamma": "1e400", "energies": [0.5]}, 2),
+    ("mc-exponent", {"k": 2, "gamma": "1e400", "phi": 1.0, "n_bumps": 3, "trials": 2}, 2),
+    # the floors and the phase flow are exact at any gamma
+    ("efgp-run", {"spec": HUGE_GAMMA, "phi": 1.0}, 0),
+    ("classify-theorems", {"spec": HUGE_GAMMA}, 0),
+])
+def test_growth_ratio_past_float_range_exits_2_naming_gamma(subcommand, cfg, status, tmp_path, capsys, monkeypatch):
+    def no_floors(*args, **kwargs):
+        raise AssertionError("floors built")
+
+    monkeypatch.setattr("sparsetrees.spectral.make_gamma_tree", no_floors)
+    config = tmp_path / "huge_gamma.json"
+    config.write_text(json.dumps(cfg))
+    assert run([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err == "error: gamma: growth ratio too large for float arithmetic\n"
+    else:
+        assert err.startswith("elapsed_seconds=")
 
 
 def test_efgp_run_accepts_exact_pi_multiple(tmp_path, capsysbinary):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from oracles import f_theta
 
 from sparsetrees.errors import GuardError, ValidationError
@@ -369,11 +371,32 @@ def test_mc_exponent_guards_trials_before_building(monkeypatch):
 
 
 def test_energy_grid_refuses_points_naming_the_field():
-    assert energy_grid(-1.0, 0.3, 2, "points").tolist() == [-1.0, 0.3]
+    assert energy_grid(-1.0, 0.3, 2, "points") == [-1.0, 0.3]
     with pytest.raises(ValidationError, match="^grid_points: a grid needs at least 2 points$"):
         energy_grid(-2.0, 2.0, 1, "grid_points")
     with pytest.raises(GuardError, match=f"^points: {GRID_POINTS_GUARD + 1} points, guard is"):
         energy_grid(-2.0, 2.0, GRID_POINTS_GUARD + 1, "points")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(2, 10_000),
+)
+@example(-2.0, 2.0, 41)  # the phase-diagram fixture
+@example(-2.0, 2.0, 1000)  # the default coverage grid
+@example(0.0, 5e-324, 3)  # steps that underflow to 0
+@example(-1e-320, 1e-320, 10_000)
+@example(1e300, -1e300, 7)
+def test_energy_grid_is_numpys_linspace_bit_for_bit(lo, hi, points):
+    assume(math.isfinite(hi - lo))
+    grid = energy_grid(lo, hi, points, "points")
+    # numpy also multiplies out the last point, which it then sets to hi,
+    # and may overflow there
+    with np.errstate(over="ignore"):
+        expected = np.linspace(lo, hi, points).tolist()
+    assert [x.hex() for x in grid] == [x.hex() for x in expected]
 
 
 def test_mc_exponent_guards_n_bumps_before_building():

@@ -385,8 +385,11 @@ def test_efgp_run_row_zero_and_levels():
 
 
 def test_mean_y_averages_every_bump():
-    trajectory = efgp_run(make_gamma_tree(2, 3, 50), 1.0)
-    assert trajectory.mean_y() == float(np.mean(trajectory.y[1:]))
+    # the correctly rounded sum of the kicks, divided by their count
+    for spec in (make_gamma_tree(2, 3, 50), make_gamma_tree(2, 3, 300), small_tree()):
+        trajectory = efgp_run(spec, 1.0)
+        ys = trajectory.y[1:]
+        assert trajectory.mean_y() == float(sum(map(Fraction, ys))) / len(ys)
 
 
 def test_efgp_run_refuses_a_reducer_at_another_angle():
@@ -415,14 +418,16 @@ def test_efgp_run_refuses_a_table_for_another_reducer_or_a_shorter_run():
     with pytest.raises(ValidationError, match="^table: 10 gaps for 20 bumps"):
         efgp_run(spec, 1.0, table=phase_table(spec, PhaseReducer.from_angle(1.0), 10))
     assert phase_table(spec, third) is None
-    assert phase_table(TreeSpec(spec.branch_levels, spec.branch_factors), PhaseReducer.from_angle(1.0)) is None
+    # the recurrence is exact for any gaps: walked at ratio 1, the same
+    # levels as an explicit spec give the very same table
+    assert phase_table(TreeSpec(spec.branch_levels, spec.branch_factors), PhaseReducer.from_angle(1.0)) == table
     # a table of other gaps at the same angle gives the same run
     other = phase_table(sample_omega_tree(spec, seed=2), PhaseReducer.from_angle(1.0))
     assert efgp_run(spec, 1.0, table=other) == efgp_run(spec, 1.0, table=table) == efgp_run(spec, 1.0)
 
 
-def test_efgp_run_takes_a_table_for_gamma_and_omega_specs_at_a_float_angle(monkeypatch):
-    tables, cursors = [], []
+def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
+    tables, cursors, reduced = [], [], []
     build, reduce = PhaseReducer.table, PhaseReducer.reduce
 
     def recorded_table(self, ratio, gaps, largest):
@@ -431,19 +436,23 @@ def test_efgp_run_takes_a_table_for_gamma_and_omega_specs_at_a_float_angle(monke
 
     def recorded(self, steps, walk=None):
         cursors.append(walk)
-        return reduce(self, steps, walk)
+        reduced.append((steps, reduce(self, steps, walk)))
+        return reduced[-1][1]
 
     monkeypatch.setattr(PhaseReducer, "table", recorded_table)
     monkeypatch.setattr(PhaseReducer, "reduce", recorded)
     gamma = make_gamma_tree(2, 3, 60)
     omega = sample_omega_tree(make_gamma_tree(2, "7/3", 60), seed=9)
     for spec in (gamma, omega, make_gamma_tree(2, "5/2", 60)):
-        # the same levels as an explicit spec reduce every gap whole
+        # the same levels as an explicit spec, tabled at ratio 1
         explicit = TreeSpec(spec.branch_levels, spec.branch_factors)
         assert efgp_run(spec, 1.0, n_bumps=40) == efgp_run(explicit, 1.0, n_bumps=40)
     # a table of the run's own 40 gaps, one cursor for the reduce of each gap
-    assert [len(table.floors) for table in tables] == [40] * 3
-    assert [walk is None for walk in cursors] == ([False] * 40 + [True] * 40) * 3
+    assert [len(table.floors) for table in tables] == [40] * 6
+    assert None not in cursors and len(cursors) == 240
+    # and each entry angle is the double of its gap reduced whole
+    whole = PhaseReducer.from_angle(1.0)
+    assert [angle for _, angle in reduced] == [reduce(whole, gap) for gap, _ in reduced]
     tables.clear()
     cursors.clear()
     efgp_run(gamma, 1 / 3 * math.pi, reducer=PhaseReducer.from_pi_multiple("1/3"))
