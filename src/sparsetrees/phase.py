@@ -8,6 +8,9 @@ multiplying by the step count and keeping the fractional part loses less
 than 2**-180 of a turn.  The working precision adapts to the step count,
 so step counts with thousands of bits are handled; when the angle is an
 exact rational multiple of pi the reduction is exact integer arithmetic.
+The fixed-point angle is the exact floor of its fraction of a turn, from
+Python ints alone: pi by the Chudnovsky series with binary splitting
+(`_pi_fixed`), then one division checked by Ziv's rounding test.
 Either way the residue is an integer fraction of the turn, and its float
 comes from Python's correctly rounded int/int division: the same double
 as converting the exact rational, without reducing it by a gcd first.
@@ -51,6 +54,59 @@ _TABLE_BITS = 192
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
 _TABLE_SHIFT = _TABLE_BITS - _WINDOW_BITS
 _DELTA_LIMIT = 1 << 62
+# bits of pi past those the floor of angle / 2pi needs, and the step by
+# which a fixed-point angle widens them where Ziv's test is unsure
+_ZIV_BITS = 64
+# 640320**3 / 24, the Chudnovsky series' term ratio
+_CHUDNOVSKY_Q = 640320**3 // 24
+# the largest precision w of pi computed so far, and pi * 2**w (`_pi_fixed`),
+# from floor(pi) at w = 0
+_pi_cache = (0, 3)
+
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """Binary splitting of the Chudnovsky series' terms a to b - 1: the
+    (P, Q, T) with pi = 426880 * sqrt(10005) * Q(0, n) / T(0, n) up to the
+    tail after n terms, each term 47 bits smaller than the one before."""
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * _CHUDNOVSKY_Q
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, m)
+    p2, q2, t2 = _chudnovsky(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
+def _pi_fixed(w: int) -> int:
+    """pi * 2**w within 2 units, from Python ints.
+
+    w // 47 + 2 terms leave a tail below 2**-40 units.  T is cut to
+    w + 64 bits and Q by as many, about w + 40 bits left, before their
+    quotient, which moves it by less than 2**-30 units.  isqrt's floor
+    takes less than 1 unit off sqrt(10005) * 2**w, which the quotient
+    scales by pi / sqrt(10005) < 0.04, and the floor division less than
+    1 unit.  The module keeps one value, at the largest w computed so
+    far, and shifts it down for a smaller w, which halves its error at
+    least and takes off less than 1 more unit.  That int is the cache's
+    whole size: w is a fixed-point angle's precision, the bits of a step
+    count plus the angle's binary exponent plus a few hundred, and the
+    CLI's step counts are gaps between floors that `trees.FLOOR_BITS_GUARD`
+    bounds, so there it holds about 2**27 bits (16 MiB) at most.
+    """
+    global _pi_cache
+    top, value = _pi_cache
+    if w <= top:
+        return value >> (top - w)
+    _, q, t = _chudnovsky(0, w // 47 + 2)
+    cut = max(0, t.bit_length() - w - 64)
+    value = (q >> cut) * 426880 * math.isqrt(10005 << 2 * w) // (t >> cut)
+    _pi_cache = (w, value)
+    return value
 
 
 def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
@@ -96,25 +152,33 @@ class PhaseReducer:
         return max(_MIN_BITS, ((need + 255) // 256) * 256)
 
     def _fixed(self, bits: int) -> int:
-        """floor(frac(angle / 2pi) * 2**bits), cached per precision.
+        """floor(frac(angle / 2pi) * 2**bits), exactly, cached per precision.
 
-        The working precision adds the angle's binary exponent, the most
-        bits the integer part of angle / 2pi takes.  mpmath is imported
-        here, its only use, so the subcommands that never reduce a phase do
-        not load it.
+        With angle = num / den and P = pi * 2**w, the floor sought is that
+        of x = N / (den * P) for N = num * 2**(bits + w - 1), modulo
+        2**bits.  One divmod of N by D = den * pi_w, with pi_w =
+        `_pi_fixed(w)` for P, gives the floor q and the remainder r of
+        y = N / D.  As |pi_w - P| < 2 and P > 2**(w + 1),
+        |x - y| * D < 2|N| / P < m for m = |num| * 2**bits, so
+        floor(x) = q where m <= r < D - m (Ziv's rounding test).  w is bits
+        plus the angle's binary exponent, the most bits the integer part of
+        angle / 2pi takes, plus 64, which leaves the test unsure with a
+        chance near 2**-64; there w widens by 64 bits and the division is
+        taken again.  So the value is exact, and nothing is imported.
         """
         cached = self._fixed_cache.get(bits)
         if cached is not None:
             return cached
-        import mpmath as mp
-
-        with mp.workprec(bits + 64 + max(0, math.frexp(self.angle)[1])):
-            if self.circle_fraction is not None:
-                x = mp.mpf(self.circle_fraction.numerator) / self.circle_fraction.denominator
-            else:
-                x = mp.mpf(self.angle) / (2 * mp.pi)
-            x = x - mp.floor(x)
-            value = int(mp.floor(mp.ldexp(x, bits)))
+        num, den = self.angle.as_integer_ratio()
+        margin = abs(num) << bits
+        w = bits + max(0, math.frexp(self.angle)[1])
+        while True:
+            w += _ZIV_BITS
+            divisor = den * _pi_fixed(w)
+            quotient, rest = divmod(num << (bits + w - 1), divisor)
+            if margin <= rest < divisor - margin:
+                break
+        value = quotient & ((1 << bits) - 1)
         self._fixed_cache[bits] = value
         return value
 
@@ -188,9 +252,9 @@ class PhaseReducer:
         With W the top 128 of the 192 bits of B + delta * T, g * F mod 2**P
         thus lies in [W - |delta| / 2**64, W + 1 + |delta| / 2**64) window
         units of 2**(P - 128).  reduce(g) works at its own precision
-        b <= P, where g < 2**(b - 192).  Both fixed-point angles lie within
-        2**-b (plus mpmath's 2**-(b + 60)) of the angle's true fraction of
-        a turn, so g times their difference moves the residue by less than
+        b <= P, where g < 2**(b - 192).  Both fixed-point angles are exact
+        floors, within 2**-b of the angle's true fraction of a turn, so g
+        times their difference moves the residue by less than
         2**-63 window units.  For |delta| < 2**62, reduce(g)'s residue
         therefore lies in (W - 1, W + 2) window units, which does not wrap
         around the turn where 1 <= W and W + 2 < 2**128.  int to

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY
@@ -128,8 +128,12 @@ def local_dimension(energy: float, k: int, gamma) -> float:
     v = V(k)
     if not abs(energy) < 2.0:
         raise ValidationError("energy: local dimension needs |E| < 2")
+    return _alpha(energy, v, math.log(g))
+
+
+def _alpha(energy: float, v: float, log_gamma: float) -> float:
     ratio = (4.0 * v - energy * energy) / (4.0 - energy * energy)
-    return 1.0 - math.log(ratio) / math.log(g)
+    return 1.0 - math.log(ratio) / log_gamma
 
 
 @dataclass(frozen=True)
@@ -148,24 +152,37 @@ class PhasePoint:
     alpha: float | None
 
 
-def classify(energy: float, k: int, gamma) -> PhasePoint:
-    """Place one energy in the predicted phase diagram."""
+def _classifier(k: int, gamma) -> Callable[[float], PhasePoint]:
+    """The classification of one energy for (k, gamma): gamma, V(k), the
+    window and log(gamma) are computed once, for every energy."""
     g = _as_float_gamma(gamma)
-    check_k(k)
+    v = V(k)
     window = interval_I(k, g)
-    if abs(energy) > 2.0:
-        return PhasePoint(energy, k, g, "outside", None)
-    if window is None:
+    log_gamma = math.log(g)
+
+    def place(energy: float) -> PhasePoint:
+        if math.isnan(energy):
+            raise ValidationError("energy: must not be NaN")
+        if abs(energy) > 2.0:
+            return PhasePoint(energy, k, g, "outside", None)
+        if window is None:
+            return PhasePoint(energy, k, g, "pp", None)
+        if window.is_boundary(energy):
+            return PhasePoint(energy, k, g, "boundary", None)
+        if window.contains(energy):
+            return PhasePoint(energy, k, g, "sc", _alpha(energy, v, log_gamma))
         return PhasePoint(energy, k, g, "pp", None)
-    if window.is_boundary(energy):
-        return PhasePoint(energy, k, g, "boundary", None)
-    if window.contains(energy):
-        return PhasePoint(energy, k, g, "sc", local_dimension(energy, k, g))
-    return PhasePoint(energy, k, g, "pp", None)
+
+    return place
+
+
+def classify(energy: float, k: int, gamma) -> PhasePoint:
+    """Place one energy in the predicted phase diagram; a NaN is refused."""
+    return _classifier(k, gamma)(energy)
 
 
 def phase_diagram(k: int, gamma, energies: Sequence[float]) -> tuple[PhasePoint, ...]:
-    return tuple(classify(e, k, gamma) for e in energies)
+    return tuple(map(_classifier(k, gamma), energies))
 
 
 def corollary_check(k: int, gamma) -> bool:
@@ -241,7 +258,7 @@ def mc_exponent(
     sites, so every trial's `efgp_run` rounds its phases from that one
     table (see `PhaseReducer.reduce`), for any gamma.  A float phi gets a
     fresh PhaseReducer per trial, which computes no fixed-point angle
-    with mpmath unless a gap falls back to its exact residue; an exact
+    unless a gap falls back to its exact residue; an exact
     reducer is shared and reduces every gap whole.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
@@ -397,9 +414,12 @@ def energy_grid(lo: float, hi: float, points: int, field: str) -> list[float]:
     linspace: i * step + lo, then hi, or i / (points - 1) * (hi - lo) + lo
     where step = (hi - lo) / (points - 1) underflows to 0.
 
-    Fewer than 2 points, or more than GRID_POINTS_GUARD, are refused
+    A span hi - lo that is not positive and finite is refused, naming
+    `min`.  Fewer than 2 points, or more than GRID_POINTS_GUARD, are refused
     before anything is allocated, naming the config `field` they came from.
     """
+    if not 0.0 < hi - lo < math.inf:
+        raise ValidationError("min: energy grid needs min < max, max - min finite")
     if points < 2:
         raise ValidationError(f"{field}: a grid needs at least 2 points")
     if points > GRID_POINTS_GUARD:

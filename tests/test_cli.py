@@ -90,24 +90,36 @@ def test_long_block_spectrum_loads_no_scipy(tmp_path):
 
 
 NO_MPMATH_SCRIPT = """
-import sys
+import json, sys
 from sparsetrees import cli
-status = [cli.run([sub, "--config", config, "--out", sys.argv[1]]) for sub, config in zip(sys.argv[2::2], sys.argv[3::2])]
+status = [
+    cli.run([sub, "--config", config, "--format", fmt, "--out", f"{sys.argv[1]}/{i}.out"])
+    for i, (sub, config, fmt) in enumerate(json.loads(sys.argv[2]))
+]
 print(status, sorted(name for name in sys.modules if name.split(".")[0] == "mpmath"))
 """
 
 
-def test_decompose_and_spectrum_load_no_mpmath(tmp_path):
-    # Only phase reduction uses mpmath; a fresh process that decomposes a
-    # tree and solves a spectrum with coverage must not load it.
+def test_no_subcommand_loads_mpmath(tmp_path):
+    # The fixed-point angles are computed from Python ints: a fresh process
+    # that runs every fixture, in every format with a golden file, reduces
+    # phases in efgp-run, mc-exponent and an exact multiple of pi, and must
+    # not load mpmath.
+    exact = tmp_path / "exact.json"
+    config = json.loads((FIXTURES / "efgp_run_gamma.json").read_text())
+    del config["phi"]
+    exact.write_text(json.dumps({**config, "phi_pi_multiple": "1/3"}))
+    ops = [(sub, str(FIXTURES / f"{stem}.json"), fmt) for sub, stem, fmt in CASES]
+    ops.append(("efgp-run", str(exact), "csv"))
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    ops = ["decompose", str(FIXTURES / "decompose.json"), "spectrum", str(FIXTURES / "spectrum.json")]
     done = subprocess.run(
-        [sys.executable, "-c", NO_MPMATH_SCRIPT, str(tmp_path / "report.json"), *ops],
+        [sys.executable, "-c", NO_MPMATH_SCRIPT, str(tmp_path), json.dumps(ops)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert done.stdout.split("\n")[-2] == "[0, 0] []"
+    assert done.stdout.split("\n")[-2] == f"{[0] * len(ops)} []"
+    for i, (_, stem, fmt) in enumerate(CASES):
+        assert (tmp_path / f"{i}.out").read_bytes() == (GOLDEN / f"{stem}.{fmt}").read_bytes(), (stem, fmt)
 
 
 NO_NUMPY_SCRIPT = """

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsetrees import phase
@@ -18,9 +18,15 @@ TWO_PI = 2.0 * math.pi
 
 def fixed_point_residue(reducer, steps):
     """(numerator, 2**bits) of the fractional turn of steps * angle from the
-    fixed-point angle at reduce's precision, also for a rational angle."""
+    fixed-point angle at reduce's precision; for a rational angle num/den
+    of a turn, that angle is floor(num * 2**bits / den) mod 2**bits."""
     bits = reducer._bits_for(steps)
-    return (steps * reducer._fixed(bits)) % (1 << bits), 1 << bits
+    if reducer.circle_fraction is None:
+        fixed = reducer._fixed(bits)
+    else:
+        turn = reducer.circle_fraction
+        fixed = (turn.numerator << bits) // turn.denominator % (1 << bits)
+    return (steps * fixed) % (1 << bits), 1 << bits
 
 
 def residue_fraction(reducer, steps, use_exact=True):
@@ -153,6 +159,88 @@ def test_fixed_point_bound_holds_for_huge_angles():
                 got = residue_fraction(reducer, steps, use_exact=False)
                 gap = mp.mpf(got.numerator) / got.denominator - steps * turn
                 assert abs(gap - mp.nint(gap)) < mp.mpf(2) ** -180, (reducer.angle, steps)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point angle is the exact floor, from pi by the Chudnovsky series
+# ---------------------------------------------------------------------------
+
+
+def exact_floor(angle, bits):
+    """floor(frac(angle / 2pi) * 2**bits) from mpmath at bits + 200 bits
+    past the angle's exponent, or None where that value lies too near an
+    integer for its rounding error to leave the floor certain."""
+    import mpmath as mp
+
+    precision = bits + 200 + max(0, math.frexp(angle)[1])
+    with mp.workprec(precision):
+        # rounded twice, by the 2pi and the division: within 2**(3 - precision) of it
+        x = mp.ldexp(mp.mpf(angle) / (2 * mp.pi), bits)
+        floor = int(mp.floor(x))
+        if x != 0 and min(x - floor, floor + 1 - x) <= abs(x) * mp.ldexp(1, 3 - precision):
+            return None
+    return floor % (1 << bits)
+
+
+_fixed_angles = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),  # with subnormals
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.integers(-1074, 1023)).map(lambda se: math.ldexp(*se)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(angle=_fixed_angles, bits=st.integers(256, 8192))
+@example(angle=-5e-324, bits=256)  # frac is 1 - 2**-1074 / 2pi: 2**256 - 1
+@example(angle=0.0, bits=256)
+@example(angle=1e300, bits=8192)
+def test_fixed_is_the_exact_floor(angle, bits):
+    floor = exact_floor(angle, bits)
+    assume(floor is not None)
+    assert PhaseReducer.from_angle(angle)._fixed(bits) == floor
+
+
+def test_fixed_widens_pi_where_ziv_test_is_unsure(monkeypatch):
+    # With 1 guard bit instead of 64 the test is often unsure; each retry
+    # widens pi by one more bit, and the floor stays exact.
+    rng = random.Random(25)
+    cases = [(rng.uniform(-10.0, 10.0), rng.randrange(256, 2048)) for _ in range(200)]
+    cases += [(math.ldexp(rng.choice((-1.0, 1.0)), rng.randrange(-1074, 1024)), 256) for _ in range(50)]
+    expected = [PhaseReducer.from_angle(angle)._fixed(bits) for angle, bits in cases]
+    widths = []
+    pi_fixed = phase._pi_fixed
+
+    def recorded(w):
+        widths.append(w)
+        return pi_fixed(w)
+
+    monkeypatch.setattr(phase, "_ZIV_BITS", 1)
+    monkeypatch.setattr(phase, "_pi_fixed", recorded)
+    retries = 0
+    for (angle, bits), value in zip(cases, expected):
+        widths.clear()
+        assert PhaseReducer.from_angle(angle)._fixed(bits) == value, (angle, bits)
+        assert widths == list(range(widths[0], widths[0] + len(widths)))
+        retries += len(widths) - 1
+    assert retries > 20
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 47, 53, 64, 100, 1000, 4097, 10007, 65536])
+def test_pi_fixed_is_within_two_units_also_shifted_from_the_cache(w, monkeypatch):
+    import mpmath as mp
+
+    with mp.workprec(w + 100):
+        exact = mp.ldexp(mp.pi, w)
+    monkeypatch.setattr(phase, "_pi_cache", (0, 3))
+    assert abs(phase._pi_fixed(w) - exact) < 2
+    assert phase._pi_cache[0] == w
+    # one entry, at the largest precision so far: a smaller one is its shift
+    for larger in (w + 1, w + 333):
+        phase._pi_fixed(larger)
+        assert phase._pi_cache[0] == larger
+        assert abs(phase._pi_fixed(w) - exact) < 2
+    assert phase._pi_cache[0] == w + 333
 
 
 # ---------------------------------------------------------------------------

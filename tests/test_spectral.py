@@ -319,7 +319,7 @@ def test_mc_exponent_builds_floors_and_one_phase_table_per_op(monkeypatch):
 
 def test_mc_exponent_computes_one_fixed_point_angle_per_op(monkeypatch):
     # A float phi builds one reducer per trial, but only the first one's
-    # table computes an mpmath angle, at the precision of the last level:
+    # table computes a fixed-point angle, at the precision of the last level:
     # at gamma = 3 no jittered gap falls back to its exact residue, so the
     # later trials' reducers compute none (400 bumps meet four precisions).
     built, computing = [], []
@@ -370,6 +370,21 @@ def test_mc_exponent_guards_trials_before_building(monkeypatch):
     assert 20 * 2001 * 400 < MC_SAMPLES_GUARD  # AC4's runs sit far inside it
 
 
+def test_energy_grid_refuses_a_span_not_positive_and_finite():
+    # past float range the span is inf, and numpy's linspace gave [nan, inf, 1e308]
+    for lo, hi in ((-1e308, 1e308), (1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (-math.inf, 0.0)):
+        with pytest.raises(ValidationError, match="^min: energy grid needs min < max, max - min finite$"):
+            energy_grid(lo, hi, 3, "points")
+
+
+def test_classify_refuses_a_nan_energy():
+    with pytest.raises(ValidationError, match="^energy: must not be NaN$"):
+        classify(math.nan, 2, 4)
+    with pytest.raises(ValidationError, match="^energy: must not be NaN$"):
+        phase_diagram(2, 4, [0.0, math.nan])
+    assert classify(-math.inf, 2, 4).label == "outside"
+
+
 def test_energy_grid_refuses_points_naming_the_field():
     assert energy_grid(-1.0, 0.3, 2, "points") == [-1.0, 0.3]
     with pytest.raises(ValidationError, match="^grid_points: a grid needs at least 2 points$"):
@@ -388,9 +403,9 @@ def test_energy_grid_refuses_points_naming_the_field():
 @example(-2.0, 2.0, 1000)  # the default coverage grid
 @example(0.0, 5e-324, 3)  # steps that underflow to 0
 @example(-1e-320, 1e-320, 10_000)
-@example(1e300, -1e300, 7)
+@example(-1e300, 1e300, 7)
 def test_energy_grid_is_numpys_linspace_bit_for_bit(lo, hi, points):
-    assume(math.isfinite(hi - lo))
+    assume(0.0 < hi - lo < math.inf)
     grid = energy_grid(lo, hi, points, "points")
     # numpy also multiplies out the last point, which it then sets to hi,
     # and may overflow there
