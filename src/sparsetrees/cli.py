@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
@@ -155,6 +156,18 @@ def _run_tree_stats(cfg: dict, seed: int):
     return payload, None
 
 
+@contextmanager
+def _work_sized_by(field: str):
+    """Name the config field behind an operator whose eigensolve work the
+    operators' work guards refuse (their messages start with "size:")."""
+    try:
+        yield
+    except GuardError as exc:
+        if not str(exc).startswith("size:"):
+            raise
+        raise GuardError(f"{field}: the truncation is too large to solve ({exc})") from None
+
+
 def _run_decompose(cfg: dict, seed: int):
     from .decomposition import verify_decomposition
 
@@ -163,7 +176,8 @@ def _run_decompose(cfg: dict, seed: int):
     variant = _variant_field(cfg, allow_both=True)
     rho = _float_field(cfg, "rho", 0.0)
     variants = (ADJACENCY, DEGREE) if variant == "both" else (variant,)
-    reports = {v: dataclasses.asdict(verify_decomposition(spec, depth, v, rho)) for v in variants}
+    with _work_sized_by("depth"):
+        reports = {v: dataclasses.asdict(verify_decomposition(spec, depth, v, rho)) for v in variants}
     payload = {
         "spec": spec_to_record(spec),
         "depth": depth,
@@ -191,7 +205,8 @@ def _run_spectrum(cfg: dict, seed: int):
         eps = _float_field(cov, "eps")
         grid_points = int_field(cov, "grid_points", 1000)
         grid = coverage_grid(eps, grid_points)
-    solved = eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))
+    with _work_sized_by("depth"):
+        solved = eigenvalues_sym(truncated_block(spec, block, depth, variant, rho))
     eigenvalues = solved.tolist()
     payload = {
         "spec": spec_to_record(spec),
@@ -207,7 +222,8 @@ def _run_spectrum(cfg: dict, seed: int):
         if block == 0 and variant == ADJACENCY and rho == 0.0:
             fraction = covered_fraction(solved, grid, eps)
         else:
-            fraction = essential_spectrum_coverage(spec, depth, eps, grid_points)
+            with _work_sized_by("depth"):
+                fraction = essential_spectrum_coverage(spec, depth, eps, grid_points)
         payload["coverage"] = {"eps": eps, "grid_points": grid_points, "fraction": fraction}
     return payload, CsvTable(SPECTRUM_HEADER, (range(len(eigenvalues)), eigenvalues))
 

@@ -10,14 +10,18 @@ cut after generation D).  These and the tridiagonal Jacobi blocks are all
 forests numbered parents first, which is the one form SymOperator
 stores.  Eigenvalues come from bisection of inertia counts, component by
 component, each on a power-of-two grid of its own, with one of two
-counts.  The class count runs over classes of equal subtrees, not over
-vertices (on a spherically homogeneous tree every generation is one
-class, and the Jacobi blocks of one tree share their tails), in plain
-IEEE arithmetic, so its bits are the same on every platform; all
-components but long chains share one sweep of it per pass.  The stretch
-count takes each chain of more than CLASS_COUNT_ROWS rows alone: it
-crosses each run of equal rows, such as a free stretch of a Jacobi
-block, in closed form.  No LAPACK routine is called.
+counts.  The bisection keeps one bracket per cluster of eigenvalues that
+share a cell, not one per eigenvalue, and splits a cluster only where the
+counts part it: a tree's eigenvalues repeat with large multiplicities
+(the 524,288-vertex binary tree has 139 distinct ones), and each keeps
+the bits of a bracket of its own.  The class count runs over classes of
+equal subtrees, not over vertices (on a spherically homogeneous tree
+every generation is one class, and the Jacobi blocks of one tree share
+their tails), in plain IEEE arithmetic, so its bits are the same on
+every platform; all components but long chains share one sweep of it per
+pass.  The stretch count takes each chain of more than CLASS_COUNT_ROWS
+rows alone: it crosses each run of equal rows, such as a free stretch of
+a Jacobi block, in closed form.  No LAPACK routine is called.
 """
 
 from __future__ import annotations
@@ -187,38 +191,80 @@ def _subtree_classes(op: SymOperator, vertices) -> tuple[list[tuple], dict[int, 
     return [(d, w * w, below) for d, w, below in keys], tops, rows, bound
 
 
-def _count_below(classes, last_reader, picks, points, back) -> np.ndarray:
-    """Eigenvalues of each bracket's component below its points (Sylvester).
+def _count_below(plan, points, back, edges) -> np.ndarray:
+    """Eigenvalues of each bracket row's component below its points (Sylvester).
 
-    points are the pass's distinct points, and back[i] the indices of
-    bracket i's points among them.  A class's pivot is q = (d - x) - its
-    children's terms, equal terms still added one at a time in elimination
-    order, so q has the bits of the per-vertex elimination.  A zero pivot
-    (always +0.0, as no diagonal is -0.0) sends +inf to its parent: the
-    limit of a tiny positive pivot.  The class's subtree count, [q < 0]
-    plus its children's counts, goes up with its term, and at a root class
-    it is the count of that class's components: it goes at once to their
-    brackets, picks[c].  A root class sends no term (w^2/q would be 0/0 at
+    points are the pass's distinct points, back[r] the indices of row r's
+    points among them, and component i's rows are edges[i] to
+    edges[i + 1] - 1.  plan lists the classes children first, each as
+    (c, d, w^2, kids, adopt, freed, drop, root) (forest_eigenvalues).  A
+    class's pivot is q = (d - x) - its children's terms, summed left to
+    right in elimination order, so q has the bits of the per-vertex
+    elimination; d - x is computed once per distinct d and dropped after
+    the last class with that d (drop).  A zero pivot (always +0.0, as no
+    diagonal is -0.0) sends +inf to its parent: the limit of a tiny
+    positive pivot.  The class's subtree count, [q < 0] plus its
+    children's counts, goes up with its term, and at a root class it is
+    the count of that class's components: it goes at once to the rows of
+    component root.  A root class sends no term (w^2/q would be 0/0 at
     q = 0).  A term and a count are kept until their last reader has added
-    them.
+    them (freed); a class with one child, whose last reader it is (adopt),
+    computes its pivot, term and count in that child's two arrays.
     """
     count = np.empty(back.shape, dtype=np.int64)
+    negative = np.empty(len(points), dtype=bool)
+    edges = edges.tolist()
+    shifts = {}  # d -> d - points
     sent = {}  # class -> (term, subtree count)
-    for c, (d, w2, kids) in enumerate(classes):
-        q = d - points
-        if kids:
-            q -= reduce(np.add, (sent[k][0] for k in kids))
-        below = (q < 0.0).astype(np.int64)
-        for k in kids:
-            below += sent[k][1]
-        if c in picks:
-            count[picks[c]] = below[back[picks[c]]]
+    for c, d, w2, kids, adopt, freed, drop, root in plan:
+        shift = shifts.get(d)
+        if shift is None:
+            shift = shifts[d] = d - points
+        if adopt:
+            q, below = sent.pop(kids[0])
+            np.subtract(shift, q, out=q)
+            below += np.less(q, 0.0, out=negative)
         else:
-            sent[c] = (w2 / q, below)
-        for k in set(kids):
-            if last_reader[k] == c:
+            q = shift - reduce(np.add, [sent[k][0] for k in kids]) if kids else shift
+            below = np.less(q, 0.0, out=negative).astype(np.int64)
+            for k in kids:
+                below += sent[k][1]
+            for k in freed:
                 del sent[k]
+        if root is None:
+            sent[c] = (np.divide(w2, q, out=None if q is shift else q), below)
+        else:
+            rows = slice(edges[root], edges[root + 1])
+            count[rows] = below[back[rows]]
+        if drop:
+            del shifts[d]
     return count
+
+
+def _split_rows(lo, first, counts, offsets, edges, width):
+    """_bisect's rows after a pass, from the counts at each row's inner points.
+
+    Targets are numbered across the components, component i's from
+    offsets[i] and in rows edges[i] to edges[i + 1] - 1, and row r holds
+    the targets from first[r] up to the next row's first.  Target k takes
+    the part after the last inner point whose running maximum of counts
+    is at most k: a new row starts at each distinct maximum strictly inside
+    a row's targets.  counts is overwritten.
+    """
+    start, stop = first[:, None], np.concatenate((first[1:], offsets[-1:]))[:, None]
+    ends = np.maximum.accumulate(counts, axis=1, out=counts)
+    ends += np.repeat(offsets[:-1], edges[1:] - edges[:-1])[:, None]
+    np.minimum(np.maximum(ends, start, out=ends), stop, out=ends)
+    fresh = (ends > start) & (ends < stop)
+    fresh[:, :-1] &= ends[:, :-1] != ends[:, 1:]
+    r, j = np.nonzero(fresh)
+    at = r + np.arange(1, len(r) + 1)  # a new row goes after its row and the new rows before it
+    grown = fresh.sum(axis=1) + 1
+    new_lo = np.repeat(lo + (ends == start).sum(axis=1) * width, grown)
+    new_lo[at] = lo[r] + (j + 1) * width
+    new_first = np.repeat(first, grown)
+    new_first[at] = ends[r, j]
+    return new_lo, new_first
 
 
 def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
@@ -227,65 +273,81 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
     Component i has sizes[i] rows, and its eigenvalues are located on its
     own grid j*h, with j an integer, |j| <= 2**GRID_BITS, and
     h = 2**e / 2**GRID_BITS where 2**e is at least twice its Gershgorin
-    bound bounds[i] (taken with frexp, so exactly).  Each pass splits the
-    bracket [lo, hi) of the component's k-th eigenvalue into
-    2**SECTION_BITS equal parts and keeps the part that ends at the first
-    inner point whose count exceeds k (the last part if none does), so the
-    count stays at most k at lo and above k at hi; where the count is
-    monotone in x this is the cell that halving one bit at a time finds.
-    The eigenvalue is reported as the left end of the final cell
-    [j*h, (j+1)*h), so an eigenvalue on the grid, such as an exact 0, comes
-    back exactly.  If each computed count is the exact count of a matrix
-    within distance E of the component, every eigenvalue is within h + E
-    of the exact one.  count(points, back) gets the pass's distinct points
-    and, for every bracket, the indices back of its inner points among
-    them, and returns the number of the bracket's component's eigenvalues
-    below each, so repeated eigenvalues, and components whose grids meet,
-    share their points.  The bits of a component's eigenvalues are those
-    of solving it alone.
+    bound bounds[i] (taken with frexp, so exactly).  A bracket row is a
+    cluster: a cell [lo, lo + width) of one component's grid with the
+    consecutive eigenvalues (targets) it holds.  Each pass splits every
+    row's cell into 2**SECTION_BITS equal parts, and target k keeps the
+    part that ends at the first inner point whose count exceeds k (the
+    last part if none does), so the count stays at most k at lo and above
+    k at lo + width; where the count is monotone in x this is the cell
+    that halving one bit at a time finds.  That choice grows with k, so a
+    row's targets split into consecutive runs, one row per part that gets
+    any (_split_rows).  Each target thus takes the path it would take in a
+    bracket of its own, monotone count or not, while a pass counts at
+    2**SECTION_BITS - 1 points per cluster, not per eigenvalue (LAPACK's
+    dlaebz keeps intervals with their counts in the same way, after Barth,
+    Martin and Wilkinson, Numer. Math. 9, 1967).  Rows stay
+    in (component, lo) order, the order of their first targets, so each
+    component's rows are one contiguous slice.  An eigenvalue is reported
+    as the left end of its final cell [j*h, (j+1)*h), so an eigenvalue on
+    the grid, such as an exact 0, comes back exactly.  If each computed
+    count is the exact count of a matrix within distance E of the
+    component, every eigenvalue is within h + E of the exact one.
+    count(points, back, edges) gets the pass's distinct points, the
+    indices back of each row's inner points among them, and the rows
+    edges[i] to edges[i + 1] - 1 of component i, and returns the number of
+    the row's component's eigenvalues below each, so clusters, and
+    components whose grids meet, share their points.  The bits of a
+    component's eigenvalues are those of solving it alone.
     """
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
     steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
-    # a grid step per bracket; one component keeps a scalar, as lean as before
+    # a grid step per target; one component keeps a scalar, as lean as before
     h = steps[0] if len(sizes) == 1 else np.repeat(steps, sizes)[:, None]
-    target = np.concatenate([np.arange(n) for n in sizes])[:, None]  # index in its component
-    lo = np.full(len(target), -(1 << GRID_BITS), dtype=np.int64)
+    offsets = np.cumsum([0, *sizes])  # component i's first target
+    first = offsets[:-1]  # each row's first target
+    lo = np.full(len(sizes), -(1 << GRID_BITS), dtype=np.int64)
     width = 1 << (GRID_BITS + 1)
     with np.errstate(divide="ignore", over="ignore"):
         while width > 1:
             width //= parts
-            x = (lo[:, None] + width * inner) * h
+            edges = np.searchsorted(first, offsets)
+            x = (lo[:, None] + width * inner) * (h if len(sizes) == 1 else h[first])
             points, back = np.unique(x, return_inverse=True)
-            above = count(points, back.reshape(x.shape)) > target
-            first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
-            lo += first * width
-    return [np.sort(v) for v in np.split(lo * np.ravel(h), np.cumsum(sizes)[:-1])]
+            # the counts die in _split_rows: the next pass's count does not hold them
+            lo, first = _split_rows(lo, first, count(points, back.reshape(x.shape), edges), offsets, edges, width)
+    return np.split(np.repeat(lo, np.diff(first, append=offsets[-1])) * np.ravel(h), offsets[1:-1])
 
 
 def forest_eigenvalues(op: SymOperator, skip=()) -> dict[int, np.ndarray]:
     """Ascending eigenvalues of each component of a SymOperator (a forest), by root vertex.
 
-    Components that start at the rows given as (first row, rows) in skip
-    are left out.  Every other component is bisected (_bisect) on its own
-    grid, and all of them share one inertia count per pass, which runs
-    over classes of equal subtrees: one pivot per generation on a
-    spherically homogeneous tree, and, for Jacobi blocks that are tails of
-    one another, one per row of the longest plus one per other block's top
-    row.  Equal components are solved once.  Each computed count is the exact count of a matrix whose
-    couplings differ from op's by at most (c + 4)/2 units of roundoff, c
-    the number of children of the coupled parent (Demmel, Dhillon and Ren,
-    Numer. Math. 1995).  Barring underflow, every eigenvalue is therefore
-    within h + (degree + 4) * 2**-53 * B of the exact one, degree the
-    largest vertex degree and B the Gershgorin bound of its component.
+    Components that start at the rows given as (first row, rows) in skip are
+    left out.  Every other component is bisected (_bisect) on its own grid,
+    and all of them share one inertia count per pass, which runs over
+    classes of equal subtrees: one pivot per generation on a spherically
+    homogeneous tree, and, for Jacobi blocks that are tails of one another,
+    one per row of the longest plus one per other block's top row.  Equal
+    components are solved once, and the classes' steps (_count_below's plan)
+    are decided once for all passes.  Each computed count is the exact count
+    of a matrix whose couplings differ from op's by at most (c + 4)/2 units
+    of roundoff, c the number of children of the coupled parent (Demmel,
+    Dhillon and Ren, Numer. Math. 1995).  Barring underflow, every
+    eigenvalue is therefore within h + (degree + 4) * 2**-53 * B of the
+    exact one, degree the largest vertex degree and B the Gershgorin bound
+    of its component.
 
     Only IEEE basic operations and integer counts are used: no LAPACK, no
     libm call, no BLAS reduction.  The bits are thus the same on every
     platform, whether or not the floating-point count is monotone in x,
     and a component's bits do not depend on the other components.  The
     work, the rows of the components solved times the steps (class pivots
-    plus child terms), is refused above WORK_GUARD before any count; a
-    pass holds a few arrays of 3 points per row solved.
+    plus child terms), is refused above WORK_GUARD before any count.  A
+    pass counts at 3 points per cluster of eigenvalues that share a
+    bracket (_bisect), so repeated eigenvalues cost one bracket; it holds
+    a few arrays of those points, d - x for each diagonal still to come,
+    and the terms and counts of the classes not yet read.
     """
     if skip:
         rest = np.ones(op.size, dtype=bool)
@@ -305,9 +367,14 @@ def forest_eigenvalues(op: SymOperator, skip=()) -> dict[int, np.ndarray]:
     if not solved:
         return {}
     last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
-    ends = np.cumsum(sizes).tolist()
-    picks = {c: slice(end - size, end) for c, size, end in zip(solved, sizes, ends)}
-    count = partial(_count_below, classes, last_reader, picks)
+    last_shift = {d: c for c, (d, _, _) in enumerate(classes)}
+    roots = {c: i for i, c in enumerate(solved)}
+    plan = []  # _count_below's steps, decided once for all passes
+    for c, (d, w2, kids) in enumerate(classes):
+        freed = [k for k in dict.fromkeys(kids) if last_reader[k] == c]
+        adopt = len(kids) == 1 and bool(freed)
+        plan.append((c, d, w2, kids, adopt, [] if adopt else freed, last_shift[d] == c, roots.get(c)))
+    count = partial(_count_below, plan)
     evs = dict(zip(solved, _bisect(sizes, [bounds[c] for c in solved], count)))
     return {v: evs[c] for v, c in reversed(tops.items())}
 
@@ -441,8 +508,8 @@ def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.
     return count.astype(np.int64)
 
 
-def _stretch_count(runs, points, back) -> np.ndarray:
-    """_count_stretches at a chain's brackets, in _bisect's form."""
+def _stretch_count(runs, points, back, edges) -> np.ndarray:
+    """_count_stretches at a chain's bracket rows, in _bisect's form (edges unused)."""
     return _count_stretches(runs, points)[back]
 
 

@@ -274,7 +274,7 @@ def mc_exponent(
         multiple = parse_pi_multiple(pi_multiple)
         reducer = PhaseReducer.from_pi_multiple(multiple)
         phi = float(multiple) * math.pi
-    check_phi(phi, "phi" if pi_multiple is None else "pi_multiple")
+    check_phi(phi, "phi" if pi_multiple is None else "pi_multiple", k)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:

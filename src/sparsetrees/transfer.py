@@ -27,6 +27,7 @@ are r cos(theta) = u(j) - cos(phi) u(j-1) and r sin(theta) = sin(phi) u(j-1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -39,10 +40,22 @@ from .trees import check_k, in_float_range
 _TWO_PI = 2.0 * math.pi
 
 
-def check_phi(phi: float, field: str = "phi") -> None:
-    """Refuse a phase step outside (0, pi), naming the config `field` it came from."""
+def check_phi(phi: float, field: str = "phi", k: int | None = None) -> None:
+    """Refuse a phase step outside (0, pi), naming the config `field` it came from.
+
+    Also refused: an angle whose sin^2 underflows (below the smallest
+    normal double), which the kick coefficients divide by, and, given a
+    branching factor k, an angle at which k's kick coefficients
+    (`bump_coefficients`) are not finite.
+    """
     if not (0.0 < phi < math.pi):
         raise ValidationError(f"{field}: the angle must lie strictly between 0 and pi")
+    if math.sin(phi) ** 2 < sys.float_info.min:
+        raise ValidationError(f"{field}: sin(angle)^2 underflows; the angle lies too close to 0 or pi")
+    if k is not None:
+        kick = bump_coefficients(k, phi)
+        if not all(map(math.isfinite, (kick.a, kick.b, kick.c))):
+            raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +244,20 @@ def efgp_run(
     for level, k in zip(levels[:n_bumps], factors):
         gap = level - previous - 2
         if gap < 0:
-            raise ValidationError("branch_levels: phase checkpoints need gaps of at least 2 sites")
+            raise ValidationError("L: phase checkpoints need gaps of at least 2 sites")
         theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
         previous = level
         cached = kick_cache.get(k)
         if cached is None:
+            check_phi(phi, k=k)
             kick = bump_coefficients(k, phi)
             cached = (kick.a, kick.b, kick.c, *bump_matrix(math.sqrt(k), energy))
             kick_cache[k] = cached
         a, b, c, m11, m12, m21, m22 = cached
-        y = 0.5 * log(a + b * cos(2.0 * theta_entry) + c * sin(2.0 * theta_entry))
+        try:
+            y = 0.5 * log(a + b * cos(2.0 * theta_entry) + c * sin(2.0 * theta_entry))
+        except ValueError:  # a ratio of squares, rounded to <= 0 from terms near 1/sin(phi)**2
+            raise ValidationError("phi: the kick rounds to 0 or below at this angle, too close to 0 or pi") from None
         u1 = sin(phi + theta_entry) / sin_phi
         u0 = sin(theta_entry) / sin_phi
         w0 = m11 * u1 + m12 * u0

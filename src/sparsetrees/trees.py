@@ -141,7 +141,8 @@ class TreeSpec:
     corresponding k_n >= 2.  family records how the spec was produced;
     gamma is only set for the generated families, and seed and trial only
     for the jittered one, whose offsets omega_n are its levels less the
-    floors floor(gamma**n).
+    floors floor(gamma**n).  A refusal names the levels L and the factors
+    k, as a spec record does.
     """
 
     branch_levels: tuple[int, ...]
@@ -155,17 +156,15 @@ class TreeSpec:
         if self.family not in ("explicit", "gamma", "omega"):
             raise ValidationError(f"family: unknown family {self.family!r}")
         if len(self.branch_levels) != len(self.branch_factors):
-            raise ValidationError("branch_factors: length must match branch_levels")
+            raise ValidationError("k: as many branching factors as levels L")
         prev = 0
         for lv in self.branch_levels:
             if not isinstance(lv, int) or lv <= prev:
-                raise ValidationError(
-                    "branch_levels: must be strictly increasing integers >= 1"
-                )
+                raise ValidationError("L: must be strictly increasing integers >= 1")
             prev = lv
         for k in self.branch_factors:
             if not isinstance(k, int) or k < 2:
-                raise ValidationError("branch_factors: every factor must be an integer >= 2")
+                raise ValidationError("k: every factor must be an integer >= 2")
         if self.family in ("gamma", "omega") and self.gamma is None:
             raise ValidationError("gamma: required for gamma and omega families")
 
@@ -251,7 +250,8 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
     ----------
     k : constant branching factor, >= 2
     gamma : growth ratio > 1 (rational "p/q", decimal string, or number)
-    n_levels : number of branching generations to materialise
+    n_levels : number of branching generations to materialise (N of a
+        spec record, the name a refusal gives it)
 
     Floors holding more than FLOOR_BITS_GUARD bits in all are refused
     with a GuardError naming N, before any is built.
@@ -260,7 +260,7 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
     if g <= 1:
         raise ValidationError(f"gamma: geometric family needs gamma > 1, got {g}")
     if n_levels < 1:
-        raise ValidationError("n_levels: need at least one branching level")
+        raise ValidationError("N: need at least one branching level")
     check_k(k)
     check_floor_bits(g, n_levels, "N")
     p, q = g.numerator, g.denominator

@@ -16,7 +16,9 @@ routes that check it from outside:
   (`checkpoint_transfers`);
 * the stretch count's run crossing written as plain array expressions,
   each step a fresh array (`plain_cross`), which the in-place crossing
-  must match bit for bit.
+  must match bit for bit;
+* the bisection with one bracket per eigenvalue (`per_eigenvalue_bisect`),
+  which the bisection of clusters must match bit for bit.
 
 Site indexing follows `sparsetrees.transfer`: u(0) is the boundary ghost
 value, and a transfer matrix at step j maps (u(j), u(j-1)) to
@@ -34,6 +36,7 @@ import numpy as np
 
 from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import ADJACENCY, DEGREE, check_rho, check_variant
+from sparsetrees.operators import GRID_BITS, SECTION_BITS
 from sparsetrees.transfer import (
     BumpCoefficients,
     bump_coefficients,
@@ -483,3 +486,37 @@ def plain_cross(angles, q: np.ndarray, w: float, m: int) -> tuple[np.ndarray, np
         ratio = np.divide(w_last, w_prev, out=np.ones(o.size), where=(w_prev != 0.0) | (w_last != 0.0))
         last[o] = sign * w * g * ratio
     return crossed, last + 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bisection with one bracket per eigenvalue
+# ---------------------------------------------------------------------------
+
+
+def per_eigenvalue_bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
+    """`sparsetrees.operators._bisect` with one bracket row per eigenvalue.
+
+    The same grids, passes and choice of part: each pass splits the bracket
+    [lo, hi) of component i's k-th eigenvalue into 2**SECTION_BITS equal
+    parts and keeps the part that ends at the first inner point whose count
+    exceeds k (the last part if none does).  Component i's brackets are the
+    rows offsets[i] to offsets[i + 1] - 1 in every pass, and count gets them
+    as its edges.
+    """
+    parts = 1 << SECTION_BITS
+    inner = np.arange(1, parts)
+    steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
+    h = steps[0] if len(sizes) == 1 else np.repeat(steps, sizes)[:, None]
+    offsets = np.cumsum([0, *sizes])
+    target = np.concatenate([np.arange(n) for n in sizes])[:, None]  # index in its component
+    lo = np.full(len(target), -(1 << GRID_BITS), dtype=np.int64)
+    width = 1 << (GRID_BITS + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        while width > 1:
+            width //= parts
+            x = (lo[:, None] + width * inner) * h
+            points, back = np.unique(x, return_inverse=True)
+            above = count(points, back.reshape(x.shape), offsets) > target
+            first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
+            lo += first * width
+    return [np.sort(v) for v in np.split(lo * np.ravel(h), offsets[1:-1])]

@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface against golden files."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +15,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsetrees
 from sparsetrees import cli
@@ -664,3 +669,82 @@ def test_efgp_run_rejects_theta0_with_rho(tmp_path):
         )
     )
     assert run(["efgp-run", "--config", str(config)]) == 2
+
+
+TINY_PHI_SPEC = {"family": "explicit", "k": [2, 3, 2, 4], "L": [2, 5, 9, 14]}
+
+
+@pytest.mark.parametrize("subcommand,cfg,message", [
+    # sin(phi)**2 underflows: the kick divided by it (1e-300, 1e-170) or
+    # overflowed to an infinite report value (1e-160)
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-300}, "phi: sin(angle)^2 underflows"),
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-170}, "phi: sin(angle)^2 underflows"),
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-160}, "phi: sin(angle)^2 underflows"),
+    ("mc-exponent", {"k": 2, "gamma": 3, "phi": 1e-300, "n_bumps": 4, "trials": 2}, "phi: sin(angle)^2 underflows"),
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi_pi_multiple": "1/" + "1" + "0" * 300},
+     "phi_pi_multiple: sin(angle)^2 underflows"),
+    # sin(phi)**2 is a normal double, but k's kick coefficients overflow
+    ("mc-exponent", {"k": 10**9, "gamma": 3, "phi": 1e-150, "n_bumps": 4, "trials": 2},
+     "phi: the kick coefficients of k = 1000000000 are not finite"),
+    # finite coefficients near 1/sin(phi)**2, but their sum rounds to <= 0: no log
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-100}, "phi: the kick rounds to"),
+])
+def test_tiny_angle_exits_2_naming_the_field(subcommand, cfg, message, tmp_path, capsys):
+    config = tmp_path / "tiny_phi.json"
+    config.write_text(json.dumps(cfg))
+    assert run([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+# Replacement values for the fuzzed configs: zeros, signs, the ends of the
+# float range, angles at and near the ends of (0, pi), sizes a guard or a
+# short run handles, numbers past float range as strings, and wrong types.
+FUZZ_VALUES = [0, -1, 5e-324, 1e-100, 1e-9, 1e308, math.pi / 2, math.pi, 10**4, 2**63,
+               "1e400", "abc", None, True, [], {}]
+FUZZ_ADDED = ["rho", "theta0", "phi_pi_multiple", "block", "n_bumps"]
+FIXTURE_CONFIGS = {path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
+
+
+def config_fields(value) -> set:
+    """Every key of a config, in nested mappings too."""
+    if not isinstance(value, dict):
+        return set()
+    return set(value).union(*(config_fields(v) for v in value.values()))
+
+
+CONFIG_FIELDS = set().union(*map(config_fields, FIXTURE_CONFIGS.values()), FUZZ_ADDED, ["config", "out"])
+
+
+@st.composite
+def mutated_fixtures(draw) -> tuple[str, dict]:
+    """A fixture config with one or two fields replaced by FUZZ_VALUES.
+
+    A field of the config or of one of its mappings (spec, energies,
+    coverage) is replaced, or one of FUZZ_ADDED is added at the top; the
+    subcommand run is the fixture's.  A spec keeps at most 12 levels, so a
+    run that exits 0 takes milliseconds.
+    """
+    fixture = FIXTURE_CONFIGS[draw(st.sampled_from(sorted(FIXTURE_CONFIGS)))]
+    cfg = json.loads(json.dumps(fixture))
+    if cfg.get("spec", {}).get("N", 0) > 12:  # 300 levels of a gamma past float range take a second
+        cfg["spec"]["N"] = 12
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.sampled_from([cfg] + [v for v in cfg.values() if isinstance(v, dict) and v]))
+        fields = sorted(target) + (FUZZ_ADDED if target is cfg else [])
+        target[draw(st.sampled_from(fields))] = draw(st.sampled_from(FUZZ_VALUES))
+    return fixture["subcommand"], cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=mutated_fixtures())
+def test_every_mutated_fixture_gives_a_report_or_a_refusal_naming_a_field(case, tmp_path_factory):
+    subcommand, cfg = case
+    config = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    config.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run([subcommand, "--config", str(config), "--out", str(config.with_suffix(".out"))])
+    assert status in (0, 2, 3), err.getvalue()
+    if status:
+        named = re.match(r"(?:error|guard): (\w+)", err.getvalue())
+        assert named and named.group(1) in CONFIG_FIELDS, err.getvalue()

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import plain_cross
+from oracles import per_eigenvalue_bisect, plain_cross
 
 from sparsetrees import operators
-from sparsetrees.decomposition import truncated_block
+from sparsetrees.decomposition import truncated_block, verify_decomposition
 from sparsetrees.errors import GuardError, ValidationError
 from sparsetrees.operators import (
     CLASS_COUNT_ROWS,
@@ -411,6 +411,81 @@ def test_class_count_is_the_per_vertex_count_bit_for_bit(op):
             assert count_below(mpmath.mpf(ev) - bound) <= k < count_below(mpmath.mpf(ev) + bound)
 
 
+def per_eigenvalue_solve(op: SymOperator) -> list[np.ndarray]:
+    """component_eigenvalues with one bracket per eigenvalue, on the same counts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_bisect", per_eigenvalue_bisect)
+        return component_eigenvalues(op)
+
+
+def direct_sum(ops: list[SymOperator]) -> SymOperator:
+    """The forest with one component per operator, numbered in order."""
+    offsets = np.cumsum([0] + [op.size for op in ops[:-1]])
+    parent = [np.where(op.parent >= 0, op.parent + off, -1) for op, off in zip(ops, offsets)]
+    return SymOperator(
+        np.concatenate([op.diag for op in ops]), np.concatenate(parent), np.concatenate([op.weight for op in ops])
+    )
+
+
+@st.composite
+def direct_sums_whose_grids_meet(draw) -> SymOperator:
+    """Two or three forests side by side, each scaled by 1/2, 1 or 2.
+
+    Scaling by a power of two scales the grid step the same way, and the
+    forests' entries lie in a few binades, so the components' grids share
+    points: one pass's points are merged across components.
+    """
+    parts = draw(st.lists(forests_with_repeated_subtrees(max_rows=20), min_size=2, max_size=3))
+    scales = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(parts), max_size=len(parts)))
+    return direct_sum([SymOperator(op.diag * s, op.parent, op.weight * s) for op, s in zip(parts, scales)])
+
+
+@st.composite
+def long_chains(draw) -> SymOperator:
+    """Truncated blocks of CLASS_COUNT_ROWS + 1 to 800 rows, alone or beside a forest.
+
+    Each takes the stretch count; a forest beside it takes the class count.
+    """
+    spec = make_gamma_tree(draw(st.integers(2, 3)), draw(st.sampled_from([2, 3, "5/2"])), 8)
+    depth = draw(st.integers(CLASS_COUNT_ROWS + 1, 800))
+    variant = draw(st.sampled_from(["adjacency", "degree"]))
+    block = truncated_block(spec, draw(st.integers(0, 1)), depth, variant, draw(st.sampled_from([0.0, 0.3])))
+    if draw(st.booleans()):
+        return direct_sum([block, draw(forests_with_repeated_subtrees(max_rows=20))])
+    return block
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.one_of(forests_with_repeated_subtrees(), direct_sums_whose_grids_meet(), long_chains()))
+@example(assemble_delta_tilde(TreeSpec((1, 3), (3, 2)), 6))
+def test_bisecting_clusters_keeps_the_bits_of_one_bracket_per_eigenvalue(op):
+    got = component_eigenvalues(op)
+    want = per_eigenvalue_solve(op)
+    assert len(got) == len(want)
+    for evs, ref in zip(got, want):
+        assert np.array_equal(evs.view(np.int64), ref.view(np.int64))
+
+
+def test_binary_tree_of_half_a_million_vertices_bisects_its_clusters():
+    # Every generation of depth 19 branches in two: 524,288 vertices with
+    # 139 distinct eigenvalues, so no pass counts at more than 139 rows.
+    spec = TreeSpec(tuple(range(1, 20)), (2,) * 19)
+    op = assemble_delta(spec, 19)
+    rows = []
+    count_below = operators._count_below
+
+    def counted(*args):
+        rows.append(len(args[-2]))  # back: one row of inner points per bracket
+        return count_below(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_count_below", counted)
+        evs = eigenvalues_sym(op)
+    assert op.size == 524_288 and len(rows) == (GRID_BITS + 1) // SECTION_BITS
+    assert max(rows) == rows[-1] == len(np.unique(evs)) == 139
+    assert verify_decomposition(spec, 19).passed
+
+
 def test_class_count_agrees_with_dense_lapack_at_ac1_size():
     # The two largest AC1 trees, in both variants, against LAPACK's dense
     # solver; the tolerance, 1e-12 * (1 + Gershgorin bound), was fixed
@@ -518,15 +593,6 @@ def test_stretch_route_within_stated_bound_of_mpmath_on_deep_blocks():
             for k in sample:
                 ev = mpmath.mpf(evs[k])
                 assert count_below(ev - bound) <= k < count_below(ev + bound), (op.size, k, evs[k])
-
-
-def direct_sum(ops: list[SymOperator]) -> SymOperator:
-    """The forest with one component per operator, numbered in order."""
-    offsets = np.cumsum([0] + [op.size for op in ops[:-1]])
-    parent = [np.where(op.parent >= 0, op.parent + off, -1) for op, off in zip(ops, offsets)]
-    return SymOperator(
-        np.concatenate([op.diag for op in ops]), np.concatenate(parent), np.concatenate([op.weight for op in ops])
-    )
 
 
 def test_each_component_gets_the_bits_of_its_own_solve():
