@@ -15,9 +15,10 @@ Either way the residue is an integer fraction of the turn, and its float
 comes from Python's correctly rounded int/int division: the same double
 as converting the exact rational, without reducing it by a gcd first.
 
-A reducer holds no state beyond its angle's fixed-point values, one per
-precision.  The gaps between the geometric family's floors, jittered or
-not, grow by a ratio p/q, and `PhaseReducer.table` reduces a whole gap
+A reducer holds no state beyond its angle: for a rational multiple of pi
+its exact fraction of a turn (`turn`), else its fixed-point values, one
+per precision.  The gaps between the geometric family's floors, jittered
+or not, grow by a ratio p/q, and `PhaseReducer.table` reduces a whole gap
 sequence in one loop by an exact recurrence at the precision of its
 largest gap, a few linear-time operations per gap instead of one product
 of thousands of bits.  It keeps each gap G and the top 192 bits of its
@@ -27,10 +28,10 @@ given a cursor into the table, rounds g from a 128-bit window of that sum
 with a proven error interval.  It takes the exact residue only where the
 interval straddles a rounding boundary (Ziv's rounding test) or delta is
 not small, so a table gives the very doubles of reduce without one.
-`transfer.efgp_run` builds a table for every spec at a float angle (an
-explicit one at ratio 1), and `spectral.mc_exponent` builds one from the
-unjittered floors for all its trials, whose jitter moves each gap by a
-few sites.
+At a float angle, `transfer.efgp_run` tables its own run's gaps
+(`transfer.stretch_gaps`; an explicit spec's at ratio 1), and
+`spectral.mc_exponent` tables the unjittered floors' gaps once for all its
+trials, whose jitter moves each gap by a few sites.
 """
 
 from __future__ import annotations
@@ -110,42 +111,47 @@ def _pi_fixed(w: int) -> int:
 
 
 def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
-    """Parse an exact rational multiple of pi, naming `field` on failure."""
+    """Parse an exact rational multiple m of pi, naming `field` on failure.
+
+    Also refused: an m whose angle float(m) * pi is past float range.
+    """
     try:
-        return Fraction(value)
+        multiple = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from exc
+    try:
+        finite = math.isfinite(float(multiple) * math.pi)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{field}: {value!r} times pi is past float range")
+    return multiple
 
 
 class PhaseReducer:
-    """Reduce steps * angle modulo 2*pi without walking the sites."""
+    """Reduce steps * angle modulo 2*pi without walking the sites.
 
-    def __init__(
-        self,
-        angle: float | None = None,
-        circle_fraction: Fraction | None = None,
-    ) -> None:
-        if (angle is None) == (circle_fraction is None):
-            raise ValidationError("angle: give exactly one of angle, circle_fraction")
-        if angle is not None and not math.isfinite(angle):
+    `turn` is None for a float angle.  For an exact one
+    (`from_pi_multiple`) it is the (numerator, denominator) of the angle's
+    fraction of a turn, and the residues come from it alone.
+    """
+
+    def __init__(self, angle: float) -> None:
+        if not math.isfinite(angle):
             raise ValidationError("angle: must be finite")
-        self.circle_fraction = circle_fraction
-        if circle_fraction is not None:
-            self.angle = float(circle_fraction) * _TWO_PI
-            self._turn = (circle_fraction.numerator, circle_fraction.denominator)
-        else:
-            self.angle = float(angle)
-            self._turn = None
+        self.angle = float(angle)
+        self.turn: tuple[int, int] | None = None
         self._fixed_cache: dict[int, int] = {}
 
     @classmethod
-    def from_angle(cls, angle: float) -> PhaseReducer:
-        return cls(angle=angle)
-
-    @classmethod
     def from_pi_multiple(cls, multiple: Fraction | str | int) -> PhaseReducer:
-        """Reducer for the angle multiple * pi, kept exact."""
-        return cls(circle_fraction=parse_pi_multiple(multiple) / 2)
+        """Reducer for the angle multiple * pi, kept exact; its float
+        `angle` is float(multiple) * pi, the phi to run it at."""
+        multiple = parse_pi_multiple(multiple)
+        reducer = cls(float(multiple) * math.pi)
+        half = multiple / 2
+        reducer.turn = (half.numerator, half.denominator)
+        return reducer
 
     def _bits_for(self, steps: int) -> int:
         need = steps.bit_length() + _GUARD_BITS
@@ -186,8 +192,8 @@ class PhaseReducer:
         """(numerator, denominator) of the fractional turn of steps * angle."""
         if steps < 0:
             raise ValidationError("steps: must be >= 0")
-        if self._turn is not None:
-            num, den = self._turn
+        if self.turn is not None:
+            num, den = self.turn
             return (steps * num) % den, den
         bits = self._bits_for(steps)
         return (steps * self._fixed(bits)) & ((1 << bits) - 1), 1 << bits
@@ -211,7 +217,7 @@ class PhaseReducer:
         is modular arithmetic, exact for any ints g_n, so any gap sequence
         gets its true residues; the ratio only decides the speed.
         """
-        if self._turn is not None:
+        if self.turn is not None:
             return None
         p, q = ratio.numerator, ratio.denominator
         bits = self._bits_for(largest)

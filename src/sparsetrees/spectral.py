@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY
-from .phase import PhaseReducer, parse_pi_multiple
+from .phase import PhaseReducer
 from .trees import (
     TreeSpec,
     check_floor_bits,
@@ -48,7 +48,7 @@ from .trees import (
     sample_omega_tree,
     theoretical_dimension,
 )
-from .transfer import check_phi, efgp_run, mean_kick, phase_table
+from .transfer import check_phi, efgp_run, mean_kick, stretch_gaps
 
 # An energy this close to a window endpoint, relative to max(1, endpoint),
 # is classified as the endpoint itself.
@@ -253,13 +253,14 @@ def mc_exponent(
     The trials share what does not depend on the jitter: gamma is parsed
     and checked once, the floors floor(gamma**n) are built once (each
     trial draws its jitter on them), and at a float phi so is the phase
-    table of the floors' gaps (`transfer.phase_table`), built with the
-    first trial's reducer.  A jittered gap is the floors' gap plus a few
-    sites, so every trial's `efgp_run` rounds its phases from that one
-    table (see `PhaseReducer.reduce`), for any gamma.  A float phi gets a
-    fresh PhaseReducer per trial, which computes no fixed-point angle
-    unless a gap falls back to its exact residue; an exact
-    reducer is shared and reduces every gap whole.
+    table of the floors' gaps (`transfer.stretch_gaps`,
+    `PhaseReducer.table`), built with the first trial's reducer.  A
+    jittered gap is the floors' gap plus a few sites, so every trial's
+    `efgp_run` rounds its phases from that one table (see
+    `PhaseReducer.reduce`), for any gamma.  A float phi gets a fresh
+    PhaseReducer per trial, which computes no fixed-point angle unless a
+    gap falls back to its exact residue.  An exact reducer is built once,
+    phi is its float `angle`, and it reduces every gap whole.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
     exceeds MC_SAMPLES_GUARD, before the floors are built.
@@ -271,9 +272,8 @@ def mc_exponent(
         raise ValidationError("phi: give exactly one of phi, pi_multiple")
     reducer = None
     if pi_multiple is not None:
-        multiple = parse_pi_multiple(pi_multiple)
-        reducer = PhaseReducer.from_pi_multiple(multiple)
-        phi = float(multiple) * math.pi
+        reducer = PhaseReducer.from_pi_multiple(pi_multiple)
+        phi = reducer.angle
     check_phi(phi, "phi" if pi_multiple is None else "pi_multiple", k)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
@@ -302,9 +302,9 @@ def mc_exponent(
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
         if pi_multiple is None:
-            reducer = PhaseReducer.from_angle(phi)
+            reducer = PhaseReducer(phi)
             if table is None:
-                table = phase_table(base, reducer)
+                table = reducer.table(base.gamma, stretch_gaps(base.branch_levels), base.branch_levels[-1])
         trajectory = efgp_run(spec, phi, reducer=reducer, table=table)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -52,10 +53,8 @@ def check_phi(phi: float, field: str = "phi", k: int | None = None) -> None:
         raise ValidationError(f"{field}: the angle must lie strictly between 0 and pi")
     if math.sin(phi) ** 2 < sys.float_info.min:
         raise ValidationError(f"{field}: sin(angle)^2 underflows; the angle lies too close to 0 or pi")
-    if k is not None:
-        kick = bump_coefficients(k, phi)
-        if not all(map(math.isfinite, (kick.a, kick.b, kick.c))):
-            raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
+    if k is not None and not all(map(math.isfinite, bump_coefficients(k, phi))):
+        raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +92,6 @@ def boundary_theta0(rho: float, phi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BumpCoefficients:
-    """Coefficients of r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta)."""
-
-    a: float
-    b: float
-    c: float
-
-
 def mean_kick(k: int, phi: float) -> float:
     """Angle average a = ((1 + k^2) / (2k) - cos^2(phi)) / sin^2(phi) of r_out^2 / r_in^2."""
     check_k(k)
@@ -112,8 +102,10 @@ def mean_kick(k: int, phi: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
-    """Radial kick coefficients for a branching factor k at phase step phi.
+def bump_coefficients(k: int, phi: float) -> tuple[float, float, float]:
+    """Radial kick coefficients (a, b, c) of
+    r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta), for a branching
+    factor k at phase step phi.
 
     The kick is |G v|^2 for the unit vector v = (cos theta, sin theta) and
     G = Q B P: the phase map P = [[1, cot(phi)], [0, 1 / sin(phi)]] taking
@@ -135,7 +127,7 @@ def bump_coefficients(k: int, phi: float) -> BumpCoefficients:
     sin2 = sin_phi * sin_phi
     b = (k - 1) * (8.0 * cos2 * cos2 - 2.0 * k * cos2 - 8.0 * cos2 + k + 1) / (2.0 * k * sin2)
     c = (k - 1) * cos_phi * (k + 2 - 4.0 * cos2) / (k * sin_phi)
-    return BumpCoefficients(a, b, c)
+    return a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +156,14 @@ class EFGPTrajectory:
         return math.fsum(self.y[1:]) / (len(self.y) - 1)
 
 
-def phase_table(spec, reducer: PhaseReducer, n_bumps: int | None = None) -> PhaseTable | None:
-    """The phase table (`PhaseReducer.table`) of the free stretches before a
-    spec's first n_bumps branchings, L_1 sites and then L_n - L_(n-1) - 2;
-    None for an exact reducer.  The table is exact for any gaps, and the
-    ratio only sets its speed, so an explicit spec is walked at ratio 1."""
-    levels = spec.branch_levels[:n_bumps]
-    gaps = (b - a - 2 for a, b in zip(chain((-2,), levels), levels))
-    return reducer.table(spec.gamma or 1, gaps, levels[-1])
+def stretch_gaps(levels: Sequence[int]) -> list[int]:
+    """The free stretches before branchings at `levels`: L_1 sites, then
+    L_n - L_(n-1) - 2, each bump taking two sites.  Refused: levels less
+    than 2 sites apart, which leave a negative gap."""
+    gaps = [b - a - 2 for a, b in zip(chain((-2,), levels), levels)]
+    if min(gaps, default=0) < 0:
+        raise ValidationError("L: phase checkpoints need gaps of at least 2 sites")
+    return gaps
 
 
 def efgp_run(
@@ -196,11 +188,13 @@ def efgp_run(
     boundary coupling.  A reducer, such as an exact one from
     `PhaseReducer.from_pi_multiple`, must hold the angle phi itself.
 
-    Each gap goes to `PhaseReducer.reduce` with a cursor into a phase
-    table at phi, which gives the double of reducing the gap whole.  A
-    run at a float phi builds its own (`phase_table`) unless `table` is
-    given: any table built at phi of at least n_bumps gaps near the run's,
-    such as the unjittered floors that `spectral.mc_exponent`'s trials
+    The run's gaps (`stretch_gaps`) are listed once.  Each goes to
+    `PhaseReducer.reduce` with a cursor into a phase table at phi, which
+    gives the double of reducing the gap whole.  A run at a float phi
+    tables its own gaps (`PhaseReducer.table`; an explicit spec's at ratio
+    1, which only sets the table's speed) unless `table` is given: any
+    table built at phi of at least n_bumps gaps near the run's, such as
+    the one of the unjittered floors that `spectral.mc_exponent`'s trials
     share.  An exact reducer reduces each gap whole.  Entry n does not
     depend on n_bumps: the first n entries of a run are those of the run
     stopped at bump n, so two full runs give the transfer matrix at every
@@ -214,12 +208,13 @@ def efgp_run(
     if not 1 <= n_bumps <= len(levels):
         raise ValidationError("n_bumps: must be between 1 and the number of branchings")
     if reducer is None:
-        reducer = PhaseReducer.from_angle(phi)
+        reducer = PhaseReducer(phi)
     elif reducer.angle != phi:
         raise ValidationError(f"reducer: its angle {reducer.angle!r} is not phi = {phi!r}")
+    gaps = stretch_gaps(levels[:n_bumps])
     if table is None:
-        table = phase_table(spec, reducer, n_bumps)
-    elif reducer.circle_fraction is not None or table.angle != phi:
+        table = reducer.table(spec.gamma or 1, gaps, levels[n_bumps - 1])
+    elif reducer.turn is not None or table.angle != phi:
         raise ValidationError(f"table: built for the float angle {table.angle!r}, not this reducer")
     elif len(table.floors) < n_bumps:
         raise ValidationError(f"table: {len(table.floors)} gaps for {n_bumps} bumps")
@@ -239,19 +234,12 @@ def efgp_run(
     theta = theta0 % _TWO_PI
     log_r = 0.0
     log_rs, thetas, ys = [log_r], [theta], [0.0]
-    # The free stretch before each bump is L_1 sites, then L_n - L_(n-1) - 2.
-    previous = -2
-    for level, k in zip(levels[:n_bumps], factors):
-        gap = level - previous - 2
-        if gap < 0:
-            raise ValidationError("L: phase checkpoints need gaps of at least 2 sites")
+    for gap, k in zip(gaps, factors):
         theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
-        previous = level
         cached = kick_cache.get(k)
         if cached is None:
             check_phi(phi, k=k)
-            kick = bump_coefficients(k, phi)
-            cached = (kick.a, kick.b, kick.c, *bump_matrix(math.sqrt(k), energy))
+            cached = (*bump_coefficients(k, phi), *bump_matrix(math.sqrt(k), energy))
             kick_cache[k] = cached
         a, b, c, m11, m12, m21, m22 = cached
         try:

@@ -38,7 +38,6 @@ from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import ADJACENCY, DEGREE, check_rho, check_variant
 from sparsetrees.operators import GRID_BITS, SECTION_BITS
 from sparsetrees.transfer import (
-    BumpCoefficients,
     bump_coefficients,
     bump_matrix,
     check_phi,
@@ -400,14 +399,16 @@ def simon_stolz_profile(coeffs: SiteCoefficients, energy: float, j_max: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def ratio_squared(kick: BumpCoefficients, theta: float) -> float:
+def ratio_squared(kick: tuple[float, float, float], theta: float) -> float:
     """r_out^2 / r_in^2 at entry angle theta, in `efgp_run`'s operation order."""
-    return kick.a + kick.b * math.cos(2.0 * theta) + kick.c * math.sin(2.0 * theta)
+    a, b, c = kick
+    return a + b * math.cos(2.0 * theta) + c * math.sin(2.0 * theta)
 
 
-def unimodularity_residual(kick: BumpCoefficients) -> float:
+def unimodularity_residual(kick: tuple[float, float, float]) -> float:
     """|a^2 - b^2 - c^2 - 1|; zero because the bump matrix has det 1."""
-    return abs(kick.a * kick.a - kick.b * kick.b - kick.c * kick.c - 1.0)
+    a, b, c = kick
+    return abs(a * a - b * b - c * c - 1.0)
 
 
 def f_theta(theta: float, k: int, phi: float) -> float:

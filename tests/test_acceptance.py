@@ -128,7 +128,7 @@ def test_ac03_closed_form_consistency():
     for k, gamma in ((2, 4.0), (3, 3.0), (2, 2.5)):
         for energy in np.linspace(-1.99, 1.99, 200):
             phi = math.acos(float(energy) / 2.0)
-            reference = 1.0 - math.log((bump_coefficients(k, phi).a + 1.0) / 2.0) / math.log(gamma)
+            reference = 1.0 - math.log((bump_coefficients(k, phi)[0] + 1.0) / 2.0) / math.log(gamma)
             alpha_worst = max(alpha_worst, abs(local_dimension(float(energy), k, gamma) - reference))
 
     boundary_worst = 0.0

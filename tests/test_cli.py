@@ -428,7 +428,7 @@ def test_validation_errors_exit_2(tmp_path, capsys, monkeypatch):
     # Out-of-range values name the config field they came from.
     tree = '"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 3}'
     out_of_range = [("tree-stats", "{" + tree + f', "depth": {depth}}}', "depth") for depth in (1, 0, -1)]
-    for multiple in ("0", "1"):
+    for multiple in ("0", "1", "1e400"):
         out_of_range += [
             ("efgp-run", "{" + tree + f', "phi_pi_multiple": "{multiple}"}}', "phi_pi_multiple"),
             ("mc-exponent", f'{{"k": 2, "gamma": 3, "phi_pi_multiple": "{multiple}"}}', "phi_pi_multiple"),

@@ -21,11 +21,11 @@ def fixed_point_residue(reducer, steps):
     fixed-point angle at reduce's precision; for a rational angle num/den
     of a turn, that angle is floor(num * 2**bits / den) mod 2**bits."""
     bits = reducer._bits_for(steps)
-    if reducer.circle_fraction is None:
+    if reducer.turn is None:
         fixed = reducer._fixed(bits)
     else:
-        turn = reducer.circle_fraction
-        fixed = (turn.numerator << bits) // turn.denominator % (1 << bits)
+        num, den = reducer.turn
+        fixed = (num << bits) // den % (1 << bits)
     return (steps * fixed) % (1 << bits), 1 << bits
 
 
@@ -37,8 +37,8 @@ def residue_fraction(reducer, steps, use_exact=True):
     steps.bit_length()) of the truth.  The reference that reduce's float
     and its error bound are checked against.
     """
-    if reducer.circle_fraction is not None and use_exact:
-        return steps * reducer.circle_fraction % 1
+    if reducer.turn is not None and use_exact:
+        return steps * Fraction(*reducer.turn) % 1
     return Fraction(*fixed_point_residue(reducer, steps))
 
 
@@ -49,7 +49,7 @@ def circular_gap(a, b):
 
 def test_reduce_small_steps_matches_fmod():
     for angle in (0.3, 1.0, math.pi / 2, 2.9):
-        reducer = PhaseReducer.from_angle(angle)
+        reducer = PhaseReducer(angle)
         for steps in (0, 1, 2, 7, 100, 1000):
             expected = math.fmod(steps * angle, TWO_PI)
             assert circular_gap(reducer.reduce(steps), expected) < 1e-11
@@ -57,7 +57,7 @@ def test_reduce_small_steps_matches_fmod():
 
 def test_reduce_matches_repeated_addition():
     angle = 1.2345678901234
-    reducer = PhaseReducer.from_angle(angle)
+    reducer = PhaseReducer(angle)
     acc = 0.0
     for steps in range(1, 500):
         acc = math.fmod(acc + angle, TWO_PI)
@@ -106,24 +106,20 @@ def test_adaptive_precision_handles_geometric_step_counts():
 def test_reduce_output_range():
     rng = random.Random(99)
     for _ in range(50):
-        reducer = PhaseReducer.from_angle(rng.uniform(-10.0, 10.0))
+        reducer = PhaseReducer(rng.uniform(-10.0, 10.0))
         value = reducer.reduce(rng.randrange(0, 10**18))
         assert 0.0 <= value < TWO_PI
 
 
 def test_construction_and_step_validation():
     with pytest.raises(ValidationError):
-        PhaseReducer()
+        PhaseReducer(math.inf)
     with pytest.raises(ValidationError):
-        PhaseReducer(angle=1.0, circle_fraction=Fraction(1, 4))
-    with pytest.raises(ValidationError):
-        PhaseReducer.from_angle(math.inf)
-    with pytest.raises(ValidationError):
-        PhaseReducer.from_angle(1.0).reduce(-1)
+        PhaseReducer(1.0).reduce(-1)
 
 
 def test_negative_angle_reduces_into_range():
-    reducer = PhaseReducer.from_angle(-0.7)
+    reducer = PhaseReducer(-0.7)
     assert reducer.reduce(1) == pytest.approx(TWO_PI - 0.7, rel=1e-15)
     assert reducer.reduce(13) == pytest.approx(math.fmod(-0.7 * 13, TWO_PI) + TWO_PI, rel=1e-12)
 
@@ -134,8 +130,13 @@ def test_parse_pi_multiple_names_the_field():
     for bad in ("1/0", "abc", "inf", None):
         with pytest.raises(ValidationError, match="^phi_pi_multiple: cannot parse"):
             parse_pi_multiple(bad, "phi_pi_multiple")
-    with pytest.raises(ValidationError, match="^pi_multiple: "):
-        PhaseReducer.from_pi_multiple("1/0")
+    # a multiple whose angle m * pi is past float range
+    for bad in ("1e400", "-1e400", 10**308):
+        with pytest.raises(ValidationError, match="^phi_pi_multiple: .* times pi is past float range"):
+            parse_pi_multiple(bad, "phi_pi_multiple")
+    for bad in ("1/0", "1e400"):
+        with pytest.raises(ValidationError, match="^pi_multiple: "):
+            PhaseReducer.from_pi_multiple(bad)
 
 
 def test_fixed_point_bound_holds_for_huge_angles():
@@ -151,7 +152,7 @@ def test_fixed_point_bound_holds_for_huge_angles():
     cases = []
     with mp.workprec(5000):
         for angle in angles:
-            cases.append((PhaseReducer.from_angle(angle), mp.mpf(angle) / (2 * mp.pi)))
+            cases.append((PhaseReducer(angle), mp.mpf(angle) / (2 * mp.pi)))
         for multiple in (Fraction(10**80 + 1, 3), Fraction(-(10**200) - 7, 11)):
             cases.append((PhaseReducer.from_pi_multiple(multiple), mp.mpf(multiple.numerator) / (2 * multiple.denominator)))
         for reducer, turn in cases:
@@ -198,7 +199,7 @@ _fixed_angles = st.one_of(
 def test_fixed_is_the_exact_floor(angle, bits):
     floor = exact_floor(angle, bits)
     assume(floor is not None)
-    assert PhaseReducer.from_angle(angle)._fixed(bits) == floor
+    assert PhaseReducer(angle)._fixed(bits) == floor
 
 
 def test_fixed_widens_pi_where_ziv_test_is_unsure(monkeypatch):
@@ -207,7 +208,7 @@ def test_fixed_widens_pi_where_ziv_test_is_unsure(monkeypatch):
     rng = random.Random(25)
     cases = [(rng.uniform(-10.0, 10.0), rng.randrange(256, 2048)) for _ in range(200)]
     cases += [(math.ldexp(rng.choice((-1.0, 1.0)), rng.randrange(-1074, 1024)), 256) for _ in range(50)]
-    expected = [PhaseReducer.from_angle(angle)._fixed(bits) for angle, bits in cases]
+    expected = [PhaseReducer(angle)._fixed(bits) for angle, bits in cases]
     widths = []
     pi_fixed = phase._pi_fixed
 
@@ -220,7 +221,7 @@ def test_fixed_widens_pi_where_ziv_test_is_unsure(monkeypatch):
     retries = 0
     for (angle, bits), value in zip(cases, expected):
         widths.clear()
-        assert PhaseReducer.from_angle(angle)._fixed(bits) == value, (angle, bits)
+        assert PhaseReducer(angle)._fixed(bits) == value, (angle, bits)
         assert widths == list(range(widths[0], widths[0] + len(widths)))
         retries += len(widths) - 1
     assert retries > 20
@@ -255,7 +256,7 @@ _steps = st.one_of(
     st.integers(0, 2500).map(lambda n: 3**n),
 )
 _reducers = st.one_of(
-    st.floats(-1e6, 1e6, allow_nan=False).map(PhaseReducer.from_angle),
+    st.floats(-1e6, 1e6, allow_nan=False).map(PhaseReducer),
     st.fractions(-4, 4, max_denominator=10**6).map(PhaseReducer.from_pi_multiple),
 )
 
@@ -296,12 +297,12 @@ def floor_gaps(levels):
 def tabled(angle, table_gaps, ratio, largest, gaps):
     """reduce of each gap through one cursor into the table of table_gaps,
     next to reduce of each gap whole, as hex strings."""
-    reducer = PhaseReducer.from_angle(angle)
+    reducer = PhaseReducer(angle)
     cursor = reducer.table(ratio, table_gaps, largest).cursor()
     # a later reducer of the same angle, as in mc_exponent's trials
-    trial = PhaseReducer.from_angle(angle)
+    trial = PhaseReducer(angle)
     got = [trial.reduce(g, cursor).hex() for g in gaps]
-    return got, [PhaseReducer.from_angle(angle).reduce(g).hex() for g in gaps]
+    return got, [PhaseReducer(angle).reduce(g).hex() for g in gaps]
 
 
 _ratios = st.tuples(st.sampled_from((1, 1, 2, 3, 4, 5, 7, 8, 9)), st.integers(1, 12)).map(
@@ -375,7 +376,7 @@ def test_table_of_the_floors_is_reduce_of_jittered_gaps(run):
 
 
 def residue_float(angle, steps):
-    return PhaseReducer.from_angle(angle).reduce(steps)
+    return PhaseReducer(angle).reduce(steps)
 
 
 def test_walk_falls_back_to_the_exact_residue(monkeypatch):
@@ -392,7 +393,7 @@ def test_walk_falls_back_to_the_exact_residue(monkeypatch):
         return residue(self, steps)
 
     monkeypatch.setattr(PhaseReducer, "_residue", recorded)
-    table = PhaseReducer.from_angle(1.0).table(Fraction(11, 5), floors, floors[-1])
+    table = PhaseReducer(1.0).table(Fraction(11, 5), floors, floors[-1])
     for gaps, whole in (
         (floors, [0]),
         ([g + 1 for g in floors], []),
@@ -401,14 +402,14 @@ def test_walk_falls_back_to_the_exact_residue(monkeypatch):
         expected = [residue_float(1.0, g) for g in gaps]
         exact.clear()
         cursor = table.cursor()
-        assert [PhaseReducer.from_angle(1.0).reduce(g, cursor) for g in gaps] == expected
+        assert [PhaseReducer(1.0).reduce(g, cursor) for g in gaps] == expected
         assert exact == whole
 
 
 def window_reduce(window, steps=5):
     """reduce of steps through a cursor whose one entry holds a 128-bit
     window for it with delta = 0, as a table at another angle would."""
-    return PhaseReducer.from_angle(1.0).reduce(steps, iter([(steps, window << 64, 0, 1 << 300)]))
+    return PhaseReducer(1.0).reduce(steps, iter([(steps, window << 64, 0, 1 << 300)]))
 
 
 def test_round_window_refuses_wraps_and_rounding_boundaries():
@@ -428,7 +429,7 @@ def test_round_window_refuses_wraps_and_rounding_boundaries():
 
 
 def test_split_reduce_refuses_negative_steps():
-    reducer = PhaseReducer.from_angle(1.0)
+    reducer = PhaseReducer(1.0)
     cursor = reducer.table(Fraction(3), [5, 13, 37], 10**6).cursor()
     reducer.reduce(5, cursor)
     with pytest.raises(ValidationError, match="^steps: "):
@@ -441,5 +442,5 @@ def test_split_reduce_refuses_negative_steps():
 
 def test_table_is_none_for_an_exact_angle():
     assert PhaseReducer.from_pi_multiple("1/3").table(Fraction(3), [1, 2], 9) is None
-    table = PhaseReducer.from_angle(1.0).table(Fraction(5, 2), [1, 2], 9)
+    table = PhaseReducer(1.0).table(Fraction(5, 2), [1, 2], 9)
     assert (table.angle, table.bits, table.floors) == (1.0, 256, (1, 2))

@@ -234,6 +234,8 @@ def test_mc_exponent_exact_right_angle_input():
     for bad in ("1/0", "abc"):
         with pytest.raises(ValidationError, match="^pi_multiple: cannot parse"):
             mc_exponent(2, 3, None, pi_multiple=bad)
+    with pytest.raises(ValidationError, match="^pi_multiple: '1e400' times pi is past float range"):
+        mc_exponent(2, 3, None, pi_multiple="1e400")
     # a multiple outside (0, 1) is refused under its own name
     for outside in ("1", "0", "3/2"):
         with pytest.raises(ValidationError, match="^pi_multiple: the angle must lie"):

@@ -29,7 +29,7 @@ from oracles import (
 from sparsetrees.errors import ValidationError
 from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import mc_exponent
-from sparsetrees.transfer import boundary_theta0, bump_coefficients, bump_matrix, efgp_run, phase_table
+from sparsetrees.transfer import boundary_theta0, bump_coefficients, bump_matrix, efgp_run, stretch_gaps
 from sparsetrees.trees import TreeSpec, make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
@@ -212,11 +212,11 @@ def test_boundary_theta0_matches_pair_angle():
 
 
 def test_bump_coefficients_pinned_values():
-    kick = bump_coefficients(2, math.pi / 2)
-    assert kick.a == pytest.approx(1.25, abs=1e-12)
-    assert kick.b == pytest.approx(0.75, abs=1e-12)
-    assert kick.c == pytest.approx(0.0, abs=1e-12)
-    assert bump_coefficients(2, math.pi / 4).a == pytest.approx(1.5, abs=1e-12)
+    a, b, c = bump_coefficients(2, math.pi / 2)
+    assert a == pytest.approx(1.25, abs=1e-12)
+    assert b == pytest.approx(0.75, abs=1e-12)
+    assert c == pytest.approx(0.0, abs=1e-12)
+    assert bump_coefficients(2, math.pi / 4)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_bump_coefficients_unimodularity_grid():
@@ -225,10 +225,10 @@ def test_bump_coefficients_unimodularity_grid():
         k = rng.randrange(2, 13)
         phi = rng.uniform(0.05, math.pi - 0.05)
         kick = bump_coefficients(k, phi)
-        assert kick.a >= 1.0
+        assert kick[0] >= 1.0
         # Forming A^2 - B^2 - C^2 cancels at magnitude A^2, which blows up
         # like 1/sin^4(phi) near the band edges, so scale the tolerance.
-        assert unimodularity_residual(kick) < 1e-10 * max(1.0, kick.a**2)
+        assert unimodularity_residual(kick) < 1e-10 * max(1.0, kick[0] ** 2)
 
 
 def test_bump_kick_matches_direct_ratio_everywhere():
@@ -266,8 +266,8 @@ def test_bump_coefficients_match_the_matrix_product_at_50_digits():
                 gtg = g.T * g
                 exact = ((gtg[0, 0] + gtg[1, 1]) / 2, (gtg[0, 0] - gtg[1, 1]) / 2, gtg[0, 1])
                 kick = bump_coefficients(k, phi)
-                for got, want in zip((kick.a, kick.b, kick.c), exact):
-                    assert abs(got - want) <= 1e-14 * kick.a, (k, phi)
+                for got, want in zip(kick, exact):
+                    assert abs(got - want) <= 1e-14 * kick[0], (k, phi)
 
 
 def test_bump_coefficients_cache_is_bounded():
@@ -314,7 +314,7 @@ def run_sitewise_oracle(spec, phi, rho=0.0):
 def entry_angles(spec, phi, trajectory):
     """The incoming angle of each bump n >= 1, at which its kick is
     evaluated: (theta[n - 1] + reduce(gap before bump n)) mod 2 pi."""
-    reducer = PhaseReducer.from_angle(phi)
+    reducer = PhaseReducer(phi)
     levels = spec.branch_levels[: len(trajectory.theta) - 1]
     gaps = [b - a - 2 for a, b in zip((-2, *levels), levels)]
     return [(theta + reducer.reduce(gap)) % TWO_PI for theta, gap in zip(trajectory.theta, gaps)]
@@ -351,7 +351,7 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
     # composing the oracle helpers must give the same bits.
     spec = TreeSpec(branch_levels=(3, 7, 40, 95, 10**30), branch_factors=(2, 5, 3, 2, 7))
     for phi, theta0 in ((0.37, 0.0), (1.0, 2.5), (2.9, 6.0)):
-        reducer = PhaseReducer.from_angle(phi)
+        reducer = PhaseReducer(phi)
         theta = theta0 % TWO_PI
         log_r = 0.0
         previous = None
@@ -395,35 +395,51 @@ def test_mean_y_averages_every_bump():
 def test_efgp_run_refuses_a_reducer_at_another_angle():
     spec = make_gamma_tree(2, 3, 20)
     with pytest.raises(ValidationError, match="reducer"):
-        efgp_run(spec, 1.0, reducer=PhaseReducer.from_angle(2.0))
-    assert efgp_run(spec, 1.0, reducer=PhaseReducer.from_angle(1.0)) == efgp_run(spec, 1.0)
-    # an exact multiple m of pi holds the angle float(m) * pi bit for bit,
-    # the phi the CLI and mc_exponent pass with it
-    for q in range(2, 100):
-        for p in range(1, q):
-            assert PhaseReducer.from_pi_multiple(Fraction(p, q)).angle == p / q * math.pi
+        efgp_run(spec, 1.0, reducer=PhaseReducer(2.0))
+    assert efgp_run(spec, 1.0, reducer=PhaseReducer(1.0)) == efgp_run(spec, 1.0)
     multiple = Fraction(2, 7)
     efgp_run(spec, float(multiple) * math.pi, reducer=PhaseReducer.from_pi_multiple(multiple))
 
 
+@given(st.fractions(0, 1).filter(lambda multiple: 0 < multiple < 1))
+def test_an_exact_reducer_holds_phi_bit_for_bit(multiple):
+    # an exact multiple m of pi holds the angle float(m) * pi bit for bit,
+    # the phi the CLI passes with it and mc_exponent runs at
+    assert PhaseReducer.from_pi_multiple(multiple).angle == float(multiple) * math.pi
+
+
+def levels_table(reducer, spec, n_bumps=None):
+    """The phase table of a spec's first n_bumps gaps, as `efgp_run` builds it."""
+    levels = spec.branch_levels[:n_bumps]
+    return reducer.table(spec.gamma or 1, stretch_gaps(levels), levels[-1])
+
+
 def test_efgp_run_refuses_a_table_for_another_reducer_or_a_shorter_run():
     spec = make_gamma_tree(2, 3, 20)
-    table = phase_table(spec, PhaseReducer.from_angle(1.0))
+    table = levels_table(PhaseReducer(1.0), spec)
     with pytest.raises(ValidationError, match="^table: "):
         efgp_run(spec, 1.1, table=table)
     third = PhaseReducer.from_pi_multiple("1/3")
-    float_third = phase_table(spec, PhaseReducer.from_angle(third.angle))
+    float_third = levels_table(PhaseReducer(third.angle), spec)
     with pytest.raises(ValidationError, match="^table: "):
         efgp_run(spec, third.angle, reducer=third, table=float_third)
     with pytest.raises(ValidationError, match="^table: 10 gaps for 20 bumps"):
-        efgp_run(spec, 1.0, table=phase_table(spec, PhaseReducer.from_angle(1.0), 10))
-    assert phase_table(spec, third) is None
+        efgp_run(spec, 1.0, table=levels_table(PhaseReducer(1.0), spec, 10))
+    assert levels_table(third, spec) is None
     # the recurrence is exact for any gaps: walked at ratio 1, the same
     # levels as an explicit spec give the very same table
-    assert phase_table(TreeSpec(spec.branch_levels, spec.branch_factors), PhaseReducer.from_angle(1.0)) == table
+    assert levels_table(PhaseReducer(1.0), TreeSpec(spec.branch_levels, spec.branch_factors)) == table
     # a table of other gaps at the same angle gives the same run
-    other = phase_table(sample_omega_tree(spec, seed=2), PhaseReducer.from_angle(1.0))
+    other = levels_table(PhaseReducer(1.0), sample_omega_tree(spec, seed=2))
     assert efgp_run(spec, 1.0, table=other) == efgp_run(spec, 1.0, table=table) == efgp_run(spec, 1.0)
+
+
+def test_stretch_gaps_refuses_levels_closer_than_two_sites():
+    assert stretch_gaps((3, 5, 9)) == [3, 0, 2]
+    with pytest.raises(ValidationError, match="^L: phase checkpoints need gaps of at least 2 sites"):
+        stretch_gaps((3, 4, 9))
+    with pytest.raises(ValidationError, match="^L: "):
+        efgp_run(TreeSpec((3, 4, 9), (2, 2, 2)), 1.0)
 
 
 def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
@@ -451,7 +467,7 @@ def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
     assert [len(table.floors) for table in tables] == [40] * 6
     assert None not in cursors and len(cursors) == 240
     # and each entry angle is the double of its gap reduced whole
-    whole = PhaseReducer.from_angle(1.0)
+    whole = PhaseReducer(1.0)
     assert [angle for _, angle in reduced] == [reduce(whole, gap) for gap, _ in reduced]
     tables.clear()
     cursors.clear()
