@@ -20,18 +20,16 @@ gamma or explicit spec, never do.
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 from contextlib import contextmanager
 from decimal import Decimal
-from fractions import Fraction
 
 from . import __version__
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY, DEGREE
-from .phase import PhaseReducer, parse_pi_multiple
+from .phase import PhaseReducer, resolve_angle
 from .reports import (
     CsvTable,
     EFGP_RUN_HEADER,
@@ -93,23 +91,19 @@ def _spec_field(cfg: dict):
     return spec_from_record(record_field(cfg, "spec"))
 
 
-def _phi_field(cfg: dict) -> tuple[float, Fraction | None]:
-    """Resolve the phase angle: a float, or an exact rational multiple of pi.
-
-    Returns (phi, multiple); multiple is None on the float path, and the
-    parsed rational when phi_pi_multiple is given, phi then being
-    multiple * pi as a float.
-    """
+def _phi_field(cfg: dict) -> float | PhaseReducer:
+    """The phase angle: the float `phi`, or the exact reducer of the
+    rational multiple of pi `phi_pi_multiple`, parsed once and checked
+    here, where its refusals name that field."""
     phi = cfg.get("phi")
     multiple = cfg.get("phi_pi_multiple")
     if (phi is None) == (multiple is None):
         raise ValidationError("phi: give exactly one of phi, phi_pi_multiple")
-    if multiple is not None:
-        frac = parse_pi_multiple(str(multiple), "phi_pi_multiple")
-        phi = float(frac) * math.pi
-        check_phi(phi, "phi_pi_multiple")
-        return phi, frac
-    return _finite(phi, "phi"), None
+    if multiple is None:
+        return _finite(phi, "phi")
+    reducer = PhaseReducer.from_pi_multiple(str(multiple))
+    check_phi(reducer)
+    return reducer
 
 
 def _energy_grid(cfg: dict) -> list[float]:
@@ -230,16 +224,16 @@ def _run_spectrum(cfg: dict, seed: int):
 
 def _run_efgp(cfg: dict, seed: int):
     spec = _spec_field(cfg)
-    phi, multiple = _phi_field(cfg)
-    reducer = None if multiple is None else PhaseReducer.from_pi_multiple(multiple)
+    phi = _phi_field(cfg)
+    angle = resolve_angle(phi)[0]
     if "rho" in cfg and "theta0" in cfg:
         raise ValidationError("theta0: give either theta0 or rho, not both")
     if "rho" in cfg:
-        theta0 = boundary_theta0(_float_field(cfg, "rho"), phi)
+        theta0 = boundary_theta0(_float_field(cfg, "rho"), angle)
     else:
         theta0 = _float_field(cfg, "theta0", 0.0)
     n_bumps = int_field(cfg, "n_bumps", len(spec.branch_levels))
-    trajectory = efgp_run(spec, phi, theta0=theta0, n_bumps=n_bumps, reducer=reducer)
+    trajectory = efgp_run(spec, phi, theta0=theta0, n_bumps=n_bumps)
     levels = (0,) + spec.branch_levels[:n_bumps]
     table = CsvTable(
         EFGP_RUN_HEADER,
@@ -253,7 +247,7 @@ def _run_efgp(cfg: dict, seed: int):
     )
     payload = {
         "spec": spec_to_record(spec),
-        "phi": phi,
+        "phi": angle,
         "theta0": theta0,
         "n_bumps": n_bumps,
         "mean_y": trajectory.mean_y(),
@@ -277,15 +271,13 @@ def _run_phase_diagram(cfg: dict, seed: int):
 def _run_mc_exponent(cfg: dict, seed: int):
     k = int_field(cfg, "k")
     gamma = parse_gamma(record_field(cfg, "gamma"))
-    phi, multiple = _phi_field(cfg)
     report = mc_exponent(
         k,
         gamma,
-        phi if multiple is None else None,
+        _phi_field(cfg),
         n_bumps=int_field(cfg, "n_bumps", 2000),
         trials=int_field(cfg, "trials", 20),
         seed=seed,
-        pi_multiple=multiple,
     )
     payload = dataclasses.asdict(report)
     payload["trial_means"] = list(report.trial_means)

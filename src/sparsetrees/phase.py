@@ -32,11 +32,16 @@ At a float angle, `transfer.efgp_run` tables its own run's gaps
 (`transfer.stretch_gaps`; an explicit spec's at ratio 1), and
 `spectral.mc_exponent` tables the unjittered floors' gaps once for all its
 trials, whose jitter moves each gap by a few sites.
+
+Both take an angle as one value, a float or its reducer, such as the exact
+one of `PhaseReducer.from_pi_multiple`; `resolve_angle` tells the kinds
+apart and names the config field of each in a refusal.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +65,8 @@ _DELTA_LIMIT = 1 << 62
 _ZIV_BITS = 64
 # 640320**3 / 24, the Chudnovsky series' term ratio
 _CHUDNOVSKY_Q = 640320**3 // 24
+# the config field that names an exact angle in its refusals
+_EXACT_FIELD = "phi_pi_multiple"
 # the largest precision w of pi computed so far, and pi * 2**w (`_pi_fixed`),
 # from floor(pi) at w = 0
 _pi_cache = (0, 3)
@@ -110,24 +117,6 @@ def _pi_fixed(w: int) -> int:
     return value
 
 
-def parse_pi_multiple(value: Fraction | str | int, field: str = "pi_multiple") -> Fraction:
-    """Parse an exact rational multiple m of pi, naming `field` on failure.
-
-    Also refused: an m whose angle float(m) * pi is past float range.
-    """
-    try:
-        multiple = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"{field}: cannot parse {value!r} as a rational") from exc
-    try:
-        finite = math.isfinite(float(multiple) * math.pi)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValidationError(f"{field}: {value!r} times pi is past float range")
-    return multiple
-
-
 class PhaseReducer:
     """Reduce steps * angle modulo 2*pi without walking the sites.
 
@@ -137,18 +126,25 @@ class PhaseReducer:
     """
 
     def __init__(self, angle: float) -> None:
-        if not math.isfinite(angle):
+        if not abs(angle) <= sys.float_info.max:  # an int past float range too
             raise ValidationError("angle: must be finite")
         self.angle = float(angle)
         self.turn: tuple[int, int] | None = None
         self._fixed_cache: dict[int, int] = {}
 
     @classmethod
-    def from_pi_multiple(cls, multiple: Fraction | str | int) -> PhaseReducer:
-        """Reducer for the angle multiple * pi, kept exact; its float
-        `angle` is float(multiple) * pi, the phi to run it at."""
-        multiple = parse_pi_multiple(multiple)
-        reducer = cls(float(multiple) * math.pi)
+    def from_pi_multiple(cls, value: Fraction | str | int) -> PhaseReducer:
+        """Reducer for the angle m * pi of an exact rational m, kept exact;
+        its float `angle` is float(m) * pi.  Refused, naming `phi_pi_multiple`:
+        a value that is not a rational, and an m whose float(m) * pi overflows."""
+        try:
+            multiple = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValidationError(f"{_EXACT_FIELD}: cannot parse {value!r} as a rational") from exc
+        try:
+            reducer = cls(float(multiple) * math.pi)
+        except (OverflowError, ValidationError) as exc:
+            raise ValidationError(f"{_EXACT_FIELD}: {value!r} times pi is past float range") from exc
         half = multiple / 2
         reducer.turn = (half.numerator, half.denominator)
         return reducer
@@ -284,6 +280,15 @@ class PhaseReducer:
         num, den = self._residue(steps)
         value = num / den * _TWO_PI
         return value if value < _TWO_PI else 0.0
+
+
+def resolve_angle(phi: float | PhaseReducer) -> tuple[float, PhaseReducer | None, str]:
+    """An angle given as a float or as a PhaseReducer holding it: its float
+    value, its reducer (None for a float), and the config field that names
+    it in a refusal, `phi_pi_multiple` for an exact reducer, else `phi`."""
+    if isinstance(phi, PhaseReducer):
+        return phi.angle, phi, "phi" if phi.turn is None else _EXACT_FIELD
+    return phi, None, "phi"
 
 
 @dataclass(frozen=True, slots=True)

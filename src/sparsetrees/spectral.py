@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import GuardError, ValidationError
 from .jacobi import ADJACENCY
-from .phase import PhaseReducer
+from .phase import PhaseReducer, resolve_angle
 from .trees import (
     TreeSpec,
     check_floor_bits,
@@ -231,11 +230,10 @@ class ExponentReport:
 def mc_exponent(
     k: int,
     gamma,
-    phi: float | None,
+    phi: float | PhaseReducer,
     n_bumps: int = 2000,
     trials: int = 20,
     seed: int = 0,
-    pi_multiple: Fraction | str | None = None,
 ) -> ExponentReport:
     """Estimate the growth exponent from jittered random trees.
 
@@ -245,10 +243,11 @@ def mc_exponent(
     per-bump kicks against the predicted Z, and the pooled regression
     slope of log r against n * log(gamma) against Z / log(gamma).
 
-    Pass pi_multiple (e.g. "1/2" for a right angle) instead of a bare
-    float to run at an exact rational multiple of pi: the phase advances
-    are then reduced exactly, which preserves resonance effects a float
-    angle would wash out at geometric depths.
+    phi is a float angle, or the exact reducer of a rational multiple of
+    pi (`PhaseReducer.from_pi_multiple("1/2")` for a right angle), at
+    whose `angle` the trials then run: its phase advances are reduced
+    exactly, which preserves resonance effects a float angle would wash
+    out at geometric depths.
 
     The trials share what does not depend on the jitter: gamma is parsed
     and checked once, the floors floor(gamma**n) are built once (each
@@ -259,8 +258,8 @@ def mc_exponent(
     `efgp_run` rounds its phases from that one table (see
     `PhaseReducer.reduce`), for any gamma.  A float phi gets a fresh
     PhaseReducer per trial, which computes no fixed-point angle unless a
-    gap falls back to its exact residue.  An exact reducer is built once,
-    phi is its float `angle`, and it reduces every gap whole.
+    gap falls back to its exact residue.  A reducer given as phi serves
+    every trial; an exact one reduces every gap whole.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
     exceeds MC_SAMPLES_GUARD, before the floors are built.
@@ -268,13 +267,8 @@ def mc_exponent(
     gamma = parse_gamma(gamma)
     g = _as_float_gamma(gamma)
     check_k(k)
-    if (phi is None) == (pi_multiple is None):
-        raise ValidationError("phi: give exactly one of phi, pi_multiple")
-    reducer = None
-    if pi_multiple is not None:
-        reducer = PhaseReducer.from_pi_multiple(pi_multiple)
-        phi = reducer.angle
-    check_phi(phi, "phi" if pi_multiple is None else "pi_multiple", k)
+    check_phi(phi, k)
+    phi, shared, _ = resolve_angle(phi)
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:
@@ -301,11 +295,12 @@ def mc_exponent(
     table = None
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
-        if pi_multiple is None:
+        reducer = shared
+        if reducer is None:
             reducer = PhaseReducer(phi)
             if table is None:
                 table = reducer.table(base.gamma, stretch_gaps(base.branch_levels), base.branch_levels[-1])
-        trajectory = efgp_run(spec, phi, reducer=reducer, table=table)
+        trajectory = efgp_run(spec, reducer, table=table)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)

@@ -35,25 +35,27 @@ from itertools import chain
 
 from .errors import ValidationError
 from .jacobi import check_rho
-from .phase import PhaseReducer, PhaseTable
+from .phase import PhaseReducer, PhaseTable, resolve_angle
 from .trees import check_k, in_float_range
 
 _TWO_PI = 2.0 * math.pi
 
 
-def check_phi(phi: float, field: str = "phi", k: int | None = None) -> None:
-    """Refuse a phase step outside (0, pi), naming the config `field` it came from.
+def check_phi(phi: float | PhaseReducer, k: int | None = None) -> None:
+    """Refuse a phase step outside (0, pi), given as a float or as its
+    PhaseReducer, naming the config field of its kind (`resolve_angle`).
 
     Also refused: an angle whose sin^2 underflows (below the smallest
     normal double), which the kick coefficients divide by, and, given a
     branching factor k, an angle at which k's kick coefficients
     (`bump_coefficients`) are not finite.
     """
-    if not (0.0 < phi < math.pi):
+    angle, _, field = resolve_angle(phi)
+    if not (0.0 < angle < math.pi):
         raise ValidationError(f"{field}: the angle must lie strictly between 0 and pi")
-    if math.sin(phi) ** 2 < sys.float_info.min:
+    if math.sin(angle) ** 2 < sys.float_info.min:
         raise ValidationError(f"{field}: sin(angle)^2 underflows; the angle lies too close to 0 or pi")
-    if k is not None and not all(map(math.isfinite, bump_coefficients(k, phi))):
+    if k is not None and not all(map(math.isfinite, bump_coefficients(k, angle))):
         raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
 
 
@@ -168,10 +170,9 @@ def stretch_gaps(levels: Sequence[int]) -> list[int]:
 
 def efgp_run(
     spec,
-    phi: float,
+    phi: float | PhaseReducer,
     theta0: float = 0.0,
     n_bumps: int | None = None,
-    reducer: PhaseReducer | None = None,
     table: PhaseTable | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
@@ -185,8 +186,9 @@ def efgp_run(
     The wall-clock cost is O(n_bumps) regardless of how deep the branching
     levels sit, so geometric trees with thousands of branchings are cheap.
     theta0 is the phase at site 1; use `boundary_theta0` to encode a
-    boundary coupling.  A reducer, such as an exact one from
-    `PhaseReducer.from_pi_multiple`, must hold the angle phi itself.
+    boundary coupling.  phi is a float angle or a PhaseReducer, whose
+    `angle` the run takes: an exact one from
+    `PhaseReducer.from_pi_multiple` keeps a rational multiple of pi exact.
 
     The run's gaps (`stretch_gaps`) are listed once.  Each goes to
     `PhaseReducer.reduce` with a cursor into a phase table at phi, which
@@ -201,6 +203,7 @@ def efgp_run(
     checkpoint (module docstring).
     """
     check_phi(phi)
+    phi, reducer, field = resolve_angle(phi)
     levels = spec.branch_levels
     factors = spec.branch_factors
     if n_bumps is None:
@@ -209,8 +212,6 @@ def efgp_run(
         raise ValidationError("n_bumps: must be between 1 and the number of branchings")
     if reducer is None:
         reducer = PhaseReducer(phi)
-    elif reducer.angle != phi:
-        raise ValidationError(f"reducer: its angle {reducer.angle!r} is not phi = {phi!r}")
     gaps = stretch_gaps(levels[:n_bumps])
     if table is None:
         table = reducer.table(spec.gamma or 1, gaps, levels[n_bumps - 1])
@@ -238,14 +239,14 @@ def efgp_run(
         theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
         cached = kick_cache.get(k)
         if cached is None:
-            check_phi(phi, k=k)
+            check_phi(reducer, k)
             cached = (*bump_coefficients(k, phi), *bump_matrix(math.sqrt(k), energy))
             kick_cache[k] = cached
         a, b, c, m11, m12, m21, m22 = cached
         try:
             y = 0.5 * log(a + b * cos(2.0 * theta_entry) + c * sin(2.0 * theta_entry))
         except ValueError:  # a ratio of squares, rounded to <= 0 from terms near 1/sin(phi)**2
-            raise ValidationError("phi: the kick rounds to 0 or below at this angle, too close to 0 or pi") from None
+            raise ValidationError(f"{field}: the kick rounds to 0 or below at this angle, too close to 0 or pi") from None
         u1 = sin(phi + theta_entry) / sin_phi
         u0 = sin(theta_entry) / sin_phi
         w0 = m11 * u1 + m12 * u0

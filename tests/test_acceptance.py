@@ -30,6 +30,7 @@ from oracles import (
 
 from sparsetrees.cli import run as cli_run
 from sparsetrees.decomposition import plan_decomposition, verify_decomposition
+from sparsetrees.phase import PhaseReducer
 from sparsetrees.spectral import (
     Z,
     essential_spectrum_coverage,
@@ -156,8 +157,8 @@ def test_ac03_closed_form_consistency():
 def test_ac04_monte_carlo_exponent():
     started = time.perf_counter()
     results = []
-    for label, phi, multiple in (("pi/2", None, "1/2"), ("1.0", 1.0, None), ("2.0", 2.0, None)):
-        report = mc_exponent(2, 3, phi, n_bumps=2000, trials=20, seed=20260822, pi_multiple=multiple)
+    for label, phi in (("pi/2", PhaseReducer.from_pi_multiple("1/2")), ("1.0", 1.0), ("2.0", 2.0)):
+        report = mc_exponent(2, 3, phi, n_bumps=2000, trials=20, seed=20260822)
         results.append((label, report))
     elapsed = time.perf_counter() - started
 

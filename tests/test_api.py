@@ -1,5 +1,6 @@
-"""Static checks of the package source: no public name exists only for the
-tests, and numpy is imported only where arrays are built."""
+"""Static checks of the package source: no public name and no defaulted
+parameter exists only for the tests, and numpy is imported only where
+arrays are built."""
 
 import ast
 import re
@@ -62,6 +63,56 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if not name.startswith("_") and not has_caller(path, name, node)
     ]
     assert orphans == []
+
+
+def _defaulted_parameters(module: ast.Module):
+    """(function, parameter, index) of every parameter with a default on a
+    public function or method; index is its position in a call's
+    arguments (self or cls not counted), None for a keyword-only one."""
+    for name, node in _public_definitions(module):
+        if name.startswith("_") or not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first - bound):
+            yield name, arg.arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether a call passes a parameter: by keyword or a ** mapping, or by
+    position, a * spread included."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    spread = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return index is not None and (len(call.args) > index or spread)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # A parameter with a default, on a public function or method, needs a
+    # call in src/ or perfbench/ that passes it, or a `name=` in the
+    # README: a default that only the tests override is an option no
+    # caller uses.
+    src = _parsed(ROOT / "src" / "sparsetrees")
+    calls: dict[str, list[ast.Call]] = {}
+    for module in [*src.values(), *_parsed(ROOT / "perfbench").values()]:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unpassed = [
+        f"{path.name} {function}({parameter})"
+        for path, module in src.items()
+        for function, parameter, index in _defaulted_parameters(module)
+        if not any(_passes(call, parameter, index) for call in calls.get(function, ()))
+        and re.search(rf"\b{re.escape(parameter)}=", readme) is None
+    ]
+    assert unpassed == []
 
 
 def _numpy_imports(module: ast.Module) -> set[str]:

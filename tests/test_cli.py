@@ -656,6 +656,34 @@ def test_efgp_run_accepts_exact_pi_multiple(tmp_path, capsysbinary):
     assert theta1 == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def test_an_exact_angle_is_parsed_once_per_op(tmp_path, monkeypatch):
+    # phi_pi_multiple becomes its exact reducer in one parse, and that
+    # reducer is the angle efgp_run and mc_exponent take
+    parses = []
+
+    def counting(real):
+        def parse(*args):
+            if args and str(args[0]) == "1/2":
+                parses.append(args[0])
+            return real(*args)
+
+        return parse
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sparsetrees") and hasattr(module, "Fraction"):
+            monkeypatch.setattr(module, "Fraction", counting(module.Fraction))
+    configs = {
+        "efgp-run": {"spec": {"family": "explicit", "k": [2, 2, 2], "L": [3, 9, 27]}},
+        "mc-exponent": {"k": 2, "gamma": 3, "n_bumps": 20, "trials": 2},
+    }
+    for subcommand, cfg in configs.items():
+        config = tmp_path / "exact.json"
+        config.write_text(json.dumps({**cfg, "phi_pi_multiple": "1/2"}))
+        parses.clear()
+        assert run([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert parses == ["1/2"], subcommand
+
+
 def test_efgp_run_rejects_theta0_with_rho(tmp_path):
     config = tmp_path / "conflict.json"
     config.write_text(
@@ -688,6 +716,11 @@ TINY_PHI_SPEC = {"family": "explicit", "k": [2, 3, 2, 4], "L": [2, 5, 9, 14]}
      "phi: the kick coefficients of k = 1000000000 are not finite"),
     # finite coefficients near 1/sin(phi)**2, but their sum rounds to <= 0: no log
     ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-100}, "phi: the kick rounds to"),
+    # an exact angle's refusals name its own field, wherever they are found
+    ("efgp-run", {"spec": {"family": "gamma", "k": 100, "gamma": 3, "N": 4}, "phi_pi_multiple": "1e-154"},
+     "phi_pi_multiple: the kick coefficients of k = 100 are not finite"),
+    ("mc-exponent", {"k": 100, "gamma": 3, "phi_pi_multiple": "1e-154", "n_bumps": 4, "trials": 2},
+     "phi_pi_multiple: the kick coefficients of k = 100 are not finite"),
 ])
 def test_tiny_angle_exits_2_naming_the_field(subcommand, cfg, message, tmp_path, capsys):
     config = tmp_path / "tiny_phi.json"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sparsetrees import phase
 from sparsetrees.errors import ValidationError
-from sparsetrees.phase import PhaseReducer, parse_pi_multiple
+from sparsetrees.phase import PhaseReducer
 from sparsetrees.trees import make_gamma_tree, sample_omega_tree
 
 TWO_PI = 2.0 * math.pi
@@ -112,8 +112,11 @@ def test_reduce_output_range():
 
 
 def test_construction_and_step_validation():
-    with pytest.raises(ValidationError):
-        PhaseReducer(math.inf)
+    # an int past float range is refused like an infinite float
+    for angle in (math.inf, math.nan, 10**400, -(10**400)):
+        with pytest.raises(ValidationError, match="^angle: must be finite"):
+            PhaseReducer(angle)
+    assert PhaseReducer(10**300).angle == 1e300
     with pytest.raises(ValidationError):
         PhaseReducer(1.0).reduce(-1)
 
@@ -124,18 +127,15 @@ def test_negative_angle_reduces_into_range():
     assert reducer.reduce(13) == pytest.approx(math.fmod(-0.7 * 13, TWO_PI) + TWO_PI, rel=1e-12)
 
 
-def test_parse_pi_multiple_names_the_field():
-    assert parse_pi_multiple("3/4") == Fraction(3, 4)
-    assert parse_pi_multiple(Fraction(1, 3)) == Fraction(1, 3)
+def test_from_pi_multiple_names_the_field():
+    assert PhaseReducer.from_pi_multiple("3/4").turn == (3, 8)
+    assert PhaseReducer.from_pi_multiple(Fraction(1, 3)).turn == (1, 6)
     for bad in ("1/0", "abc", "inf", None):
         with pytest.raises(ValidationError, match="^phi_pi_multiple: cannot parse"):
-            parse_pi_multiple(bad, "phi_pi_multiple")
+            PhaseReducer.from_pi_multiple(bad)
     # a multiple whose angle m * pi is past float range
     for bad in ("1e400", "-1e400", 10**308):
         with pytest.raises(ValidationError, match="^phi_pi_multiple: .* times pi is past float range"):
-            parse_pi_multiple(bad, "phi_pi_multiple")
-    for bad in ("1/0", "1e400"):
-        with pytest.raises(ValidationError, match="^pi_multiple: "):
             PhaseReducer.from_pi_multiple(bad)
 
 

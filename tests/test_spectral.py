@@ -225,21 +225,17 @@ def test_mc_exponent_single_trial_has_no_error_bar():
 
 
 def test_mc_exponent_exact_right_angle_input():
-    report = mc_exponent(2, 3, None, n_bumps=60, trials=2, seed=1, pi_multiple="1/2")
-    assert report.phi == pytest.approx(math.pi / 2)
-    with pytest.raises(ValidationError):
-        mc_exponent(2, 3, 1.0, pi_multiple="1/2")
-    with pytest.raises(ValidationError):
-        mc_exponent(2, 3, None)
-    for bad in ("1/0", "abc"):
-        with pytest.raises(ValidationError, match="^pi_multiple: cannot parse"):
-            mc_exponent(2, 3, None, pi_multiple=bad)
-    with pytest.raises(ValidationError, match="^pi_multiple: '1e400' times pi is past float range"):
-        mc_exponent(2, 3, None, pi_multiple="1e400")
-    # a multiple outside (0, 1) is refused under its own name
+    report = mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/2"), n_bumps=60, trials=2, seed=1)
+    assert report.phi == math.pi / 2
+    with pytest.raises(ValidationError, match="^phi: the angle must lie"):
+        mc_exponent(2, 3, 4.0)
+    # a multiple outside (0, 1), or one whose kick coefficients are not
+    # finite, is refused under the field of an exact angle
     for outside in ("1", "0", "3/2"):
-        with pytest.raises(ValidationError, match="^pi_multiple: the angle must lie"):
-            mc_exponent(2, 3, None, n_bumps=10, trials=2, pi_multiple=outside)
+        with pytest.raises(ValidationError, match="^phi_pi_multiple: the angle must lie"):
+            mc_exponent(2, 3, PhaseReducer.from_pi_multiple(outside), n_bumps=10, trials=2)
+    with pytest.raises(ValidationError, match="^phi_pi_multiple: the kick coefficients of k = 100"):
+        mc_exponent(100, 3, PhaseReducer.from_pi_multiple("1e-154"), n_bumps=10, trials=2)
 
 
 def test_mc_exponent_shared_work_changes_nothing():
@@ -314,7 +310,7 @@ def test_mc_exponent_builds_floors_and_one_phase_table_per_op(monkeypatch):
     for (k, gamma, n_bumps), built in zip(floors, tables):
         levels = make_gamma_tree(k, gamma, n_bumps).branch_levels
         assert list(built.floors) == [b - a - 2 for a, b in zip((-2, *levels), levels)]
-    mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
+    mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/3"), n_bumps=50, trials=4, seed=3)
     assert len(floors) == 3
     assert tables[2:] == [None] * 4
 
@@ -352,7 +348,7 @@ def test_mc_exponent_builds_no_generation_size_table(monkeypatch):
         TreeSpec, "prefix_products", property(lambda spec: built.append(spec) or products(spec))
     )
     mc_exponent(2, 3, 1.0, n_bumps=50, trials=4, seed=3)
-    mc_exponent(2, 3, None, n_bumps=50, trials=4, seed=3, pi_multiple="1/3")
+    mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/3"), n_bumps=50, trials=4, seed=3)
     assert not built
 
 

@@ -392,13 +392,17 @@ def test_mean_y_averages_every_bump():
         assert trajectory.mean_y() == float(sum(map(Fraction, ys))) / len(ys)
 
 
-def test_efgp_run_refuses_a_reducer_at_another_angle():
+def test_efgp_run_takes_phi_as_a_float_or_its_reducer():
+    # a reducer is the angle itself: the run is at its `angle`, and a
+    # refusal names the config field of its kind
     spec = make_gamma_tree(2, 3, 20)
-    with pytest.raises(ValidationError, match="reducer"):
-        efgp_run(spec, 1.0, reducer=PhaseReducer(2.0))
-    assert efgp_run(spec, 1.0, reducer=PhaseReducer(1.0)) == efgp_run(spec, 1.0)
-    multiple = Fraction(2, 7)
-    efgp_run(spec, float(multiple) * math.pi, reducer=PhaseReducer.from_pi_multiple(multiple))
+    assert efgp_run(spec, PhaseReducer(1.0)) == efgp_run(spec, 1.0)
+    efgp_run(spec, PhaseReducer.from_pi_multiple(Fraction(2, 7)))
+    for outside in ("1", "3/2"):
+        with pytest.raises(ValidationError, match="^phi_pi_multiple: the angle must lie"):
+            efgp_run(spec, PhaseReducer.from_pi_multiple(outside))
+    with pytest.raises(ValidationError, match="^phi: the angle must lie"):
+        efgp_run(spec, PhaseReducer(4.0))
 
 
 @given(st.fractions(0, 1).filter(lambda multiple: 0 < multiple < 1))
@@ -422,7 +426,7 @@ def test_efgp_run_refuses_a_table_for_another_reducer_or_a_shorter_run():
     third = PhaseReducer.from_pi_multiple("1/3")
     float_third = levels_table(PhaseReducer(third.angle), spec)
     with pytest.raises(ValidationError, match="^table: "):
-        efgp_run(spec, third.angle, reducer=third, table=float_third)
+        efgp_run(spec, third, table=float_third)
     with pytest.raises(ValidationError, match="^table: 10 gaps for 20 bumps"):
         efgp_run(spec, 1.0, table=levels_table(PhaseReducer(1.0), spec, 10))
     assert levels_table(third, spec) is None
@@ -471,7 +475,7 @@ def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
     assert [angle for _, angle in reduced] == [reduce(whole, gap) for gap, _ in reduced]
     tables.clear()
     cursors.clear()
-    efgp_run(gamma, 1 / 3 * math.pi, reducer=PhaseReducer.from_pi_multiple("1/3"))
+    efgp_run(gamma, PhaseReducer.from_pi_multiple("1/3"))
     assert tables == [None] and cursors == [None] * 60
     tables.clear()
     cursors.clear()
@@ -484,7 +488,7 @@ def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
         assert len(cursors) == 60 and None not in cursors and len(set(map(id, cursors))) == 2
         tables.clear()
         cursors.clear()
-    mc_exponent(2, 3, None, n_bumps=30, trials=2, seed=4, pi_multiple="1/3")
+    mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/3"), n_bumps=30, trials=2, seed=4)
     assert tables == [None] * 2 and cursors == [None] * 60
 
 
