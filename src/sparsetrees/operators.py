@@ -303,8 +303,7 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
     steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
-    # a grid step per target; one component keeps a scalar, as lean as before
-    h = steps[0] if len(sizes) == 1 else np.repeat(steps, sizes)[:, None]
+    h = np.repeat(steps, sizes)[:, None]  # a grid step per target
     offsets = np.cumsum([0, *sizes])  # component i's first target
     first = offsets[:-1]  # each row's first target
     lo = np.full(len(sizes), -(1 << GRID_BITS), dtype=np.int64)
@@ -313,7 +312,7 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
         while width > 1:
             width //= parts
             edges = np.searchsorted(first, offsets)
-            x = (lo[:, None] + width * inner) * (h if len(sizes) == 1 else h[first])
+            x = (lo[:, None] + width * inner) * h[first]
             points, back = np.unique(x, return_inverse=True)
             # the counts die in _split_rows: the next pass's count does not hold them
             lo, first = _split_rows(lo, first, count(points, back.reshape(x.shape), edges), offsets, edges, width)

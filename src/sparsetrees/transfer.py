@@ -4,12 +4,12 @@ Everything here describes the half-line root block of a tree (the model
 in `jacobi`): off-diagonal bumps of weight sqrt(k_n), read from the spec's
 branch pairs, on an otherwise free background.  The module provides
 
-* the two-step transfer matrix across one bump, and its radial kick in
-  phase coordinates, r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta);
+* the two-step transfer matrix across one bump, and the coefficients of its
+  radial kick, r_out^2 / r_in^2 = a + b cos(2 theta) + c sin(2 theta);
 * the phase flow `efgp_run`, the one closed-form crossing of the free
   stretches: each stretch is a rotation by (gap * phi) mod 2 pi, reduced
   by `phase.PhaseReducer`, so a run costs O(1) per branching however deep
-  the branchings sit.
+  the branchings sit, and each kick is the length of the outgoing vector.
 
 The flow is linear in the solution, so two runs give the whole transfer
 matrix: entry n of the runs from theta0 = 0 and theta0 = pi/2 are the
@@ -30,8 +30,8 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 
 from .errors import ValidationError
 from .jacobi import check_rho
@@ -121,6 +121,8 @@ def bump_coefficients(k: int, phi: float) -> tuple[float, float, float]:
         a = ((1 + k^2) / (2k) - C) / S                       (mean_kick)
         b = (k - 1) (8 C^2 - 2k C - 8 C + k + 1) / (2k S)
         c = (k - 1) cos(phi) (k + 2 - 4 C) / (k sin(phi)).
+    `efgp_run` reads |G v| itself; (a, b, c) serve `check_phi`, and a
+    the growth exponent `spectral.Z`.
     """
     a = mean_kick(k, phi)
     cos_phi = math.cos(phi)
@@ -144,13 +146,16 @@ class EFGPTrajectory:
     Entry n of each column is the state just past bump n, and entry 0 the
     initial state.  theta is the outgoing angle (two sites past the
     branching level) and y the log radial kick of bump n alone; at n = 0,
-    y is 0.  log_r[n] = log_r[n - 1] + y[n].  Bump n sits at level
-    spec.branch_levels[n - 1].
+    y is 0.  The log radius log_r is the running sum of the kicks, log_r[n] =
+    log_r[n - 1] + y[n].  Bump n sits at level spec.branch_levels[n - 1].
     """
 
-    log_r: tuple[float, ...]
     theta: tuple[float, ...]
     y: tuple[float, ...]
+
+    @cached_property
+    def log_r(self) -> tuple[float, ...]:
+        return tuple(accumulate(self.y))
 
     def mean_y(self) -> float:
         """Average radial kick per bump: the correctly rounded sum of the
@@ -180,8 +185,9 @@ def efgp_run(
     Free stretches between branchings are crossed in one step: the angle
     advances by (gap * phi) mod 2 pi via the high-precision reducer, and
     the radius is untouched.  Each branching then applies the exact
-    two-step bump map to the angle and adds its radial kick
-    y_n = log(r_out / r_in) to the running log radius.
+    two-step bump map G (`bump_coefficients`) to the unit vector v at the entry
+    angle: the new angle is that of G v, and the radial kick y_n = log(r_out / r_in)
+    is log |G v|, a sum of squares that does not cancel near the band edges.
 
     The wall-clock cost is O(n_bumps) regardless of how deep the branching
     levels sit, so geometric trees with thousands of branchings are cheap.
@@ -203,7 +209,7 @@ def efgp_run(
     checkpoint (module docstring).
     """
     check_phi(phi)
-    phi, reducer, field = resolve_angle(phi)
+    phi, reducer, _ = resolve_angle(phi)
     levels = spec.branch_levels
     factors = spec.branch_factors
     if n_bumps is None:
@@ -223,37 +229,31 @@ def efgp_run(
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
     energy = 2.0 * cos_phi
-    # Per branching factor: the kick coefficients (a, b, c) and the bump
-    # matrix entries.  Per bump, the loop below evaluates the kick, maps
-    # the entry angle to the pair (u(j), u(j-1)) by P and applies the bump,
+    # Per branching factor: the bump matrix entries.  Per bump, the loop
+    # below maps the entry angle to the pair (u(j), u(j-1)) by P, applies
+    # the bump and reads (x, z) = r_out (cos theta, sin theta) back by Q,
     # each in one fixed operation order.
-    kick_cache: dict[int, tuple[float, ...]] = {}
+    bumps: dict[int, tuple[float, float, float, float]] = {}
     reduce = reducer.reduce
     cursor = None if table is None else table.cursor()
-    log, sin, cos, atan2 = math.log, math.sin, math.cos, math.atan2
+    log, sin, atan2, hypot = math.log, math.sin, math.atan2, math.hypot
 
     theta = theta0 % _TWO_PI
-    log_r = 0.0
-    log_rs, thetas, ys = [log_r], [theta], [0.0]
+    thetas, ys = [theta], [0.0]
     for gap, k in zip(gaps, factors):
         theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
-        cached = kick_cache.get(k)
-        if cached is None:
+        bump = bumps.get(k)
+        if bump is None:
             check_phi(reducer, k)
-            cached = (*bump_coefficients(k, phi), *bump_matrix(math.sqrt(k), energy))
-            kick_cache[k] = cached
-        a, b, c, m11, m12, m21, m22 = cached
-        try:
-            y = 0.5 * log(a + b * cos(2.0 * theta_entry) + c * sin(2.0 * theta_entry))
-        except ValueError:  # a ratio of squares, rounded to <= 0 from terms near 1/sin(phi)**2
-            raise ValidationError(f"{field}: the kick rounds to 0 or below at this angle, too close to 0 or pi") from None
+            bump = bumps[k] = bump_matrix(math.sqrt(k), energy)
+        m11, m12, m21, m22 = bump
         u1 = sin(phi + theta_entry) / sin_phi
         u0 = sin(theta_entry) / sin_phi
         w0 = m11 * u1 + m12 * u0
         w1 = m21 * u1 + m22 * u0
-        theta = atan2(sin_phi * w1, w0 - cos_phi * w1) % _TWO_PI
-        log_r += y
-        log_rs.append(log_r)
+        x = w0 - cos_phi * w1
+        z = sin_phi * w1
+        theta = atan2(z, x) % _TWO_PI
         thetas.append(theta)
-        ys.append(y)
-    return EFGPTrajectory(tuple(log_rs), tuple(thetas), tuple(ys))
+        ys.append(log(hypot(x, z)))
+    return EFGPTrajectory(tuple(thetas), tuple(ys))

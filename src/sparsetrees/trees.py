@@ -65,13 +65,13 @@ def int_field(record: dict, name: str, default=_MISSING) -> int:
 
 
 def check_floor_bits(gamma: Fraction, n_levels: int, name: str) -> None:
-    """Refuse n_levels floors of gamma > 1 above FLOOR_BITS_GUARD, naming field `name`."""
-    bits = n_levels * (n_levels + 1) / 2 * (
-        math.log2(gamma.numerator) - math.log2(gamma.denominator)
-    )
+    """Refuse n_levels floors of gamma > 1 above FLOOR_BITS_GUARD, naming field `name`
+    (the bits are an exact Fraction, so any n_levels compares)."""
+    bits = n_levels * (n_levels + 1) // 2 * Fraction(math.log2(gamma.numerator) - math.log2(gamma.denominator))
     if bits > FLOOR_BITS_GUARD:
+        about = f"about {float(bits):.3g}" if bits < 2**1000 else "over 2^1000"
         raise GuardError(
-            f"{name}: {n_levels} floors of gamma = {gamma} hold about {bits:.3g} bits, "
+            f"{name}: {n_levels} floors of gamma = {gamma} hold {about} bits, "
             f"guard is {FLOOR_BITS_GUARD}"
         )
 

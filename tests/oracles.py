@@ -10,8 +10,8 @@ routes that check it from outside:
   transfer matrix, the recursion solved site by site and the phase map of
   a solution (`step_matrix`, `solve_u`, `efgp_transform`, `phase_to_pair`);
 * the site-by-site inverse-square transfer sum of Simon and Stolz;
-* the per-bump kick evaluated from its coefficients, and from the bump
-  matrix itself;
+* the per-bump kick evaluated from its coefficients, from the bump
+  matrix itself, and as log |G v| at 400 digits (`kick_error_units`);
 * the transfer matrix at every checkpoint from two phase-flow runs
   (`checkpoint_transfers`);
 * the stretch count's run crossing written as plain array expressions,
@@ -32,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath as mp
 import numpy as np
 
 from sparsetrees.errors import ValidationError
@@ -400,7 +401,7 @@ def simon_stolz_profile(coeffs: SiteCoefficients, energy: float, j_max: int) -> 
 
 
 def ratio_squared(kick: tuple[float, float, float], theta: float) -> float:
-    """r_out^2 / r_in^2 at entry angle theta, in `efgp_run`'s operation order."""
+    """r_out^2 / r_in^2 at entry angle theta, from the closed-form coefficients."""
     a, b, c = kick
     return a + b * math.cos(2.0 * theta) + c * math.sin(2.0 * theta)
 
@@ -425,6 +426,27 @@ def bump_r_squared_ratio(k: int, phi: float, theta: float) -> float:
     x = w0 - math.cos(phi) * w1
     y = math.sin(phi) * w1
     return x * x + y * y
+
+
+def kick_error_units(y: float, k: int, phi: float, theta: float) -> float:
+    """The distance of a float kick y at entry angle theta from log |G v| at
+    400 digits, in units of 2^-53 (1 + |y| + 2 pi |dy/dtheta|): the rounding
+    of y itself, and of an angle below 2 pi that the phase map rounds.
+
+    G = Q B P as in `bump_coefficients`, v = (cos theta, sin theta).  G's
+    condition number is below about 1e308 wherever the coefficients are
+    finite, so 400 digits keep the smallest |G v| to about 90.
+    """
+    with mp.workdps(400):
+        s, c = mp.sin(mp.mpf(phi)), mp.cos(mp.mpf(phi))
+        m11, m12, m21, m22 = bump_matrix(mp.sqrt(k), 2 * c)
+        g = mp.matrix([[1, -c], [0, s]]) * mp.matrix([[m11, m12], [m21, m22]]) * mp.matrix([[1, c / s], [0, 1 / s]])
+        gv = g * mp.matrix([mp.cos(theta), mp.sin(theta)])
+        turned = g * mp.matrix([-mp.sin(theta), mp.cos(theta)])
+        length2 = gv[0] ** 2 + gv[1] ** 2
+        exact = mp.log(length2) / 2
+        slope = (gv[0] * turned[0] + gv[1] * turned[1]) / length2
+        return float(abs(y - exact) / (1 + abs(exact) + 2 * mp.pi * abs(slope)) * 2**53)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kick_error_units
 
 import sparsetrees
 from sparsetrees import cli
 from sparsetrees.cli import run
 from sparsetrees.decomposition import truncated_block
 from sparsetrees.errors import GuardError, ValidationError
+from sparsetrees.phase import PhaseReducer
 from sparsetrees.reports import EFGP_RUN_HEADER, PHASE_DIAGRAM_HEADER, format_float
 from sparsetrees.spectral import GRID_POINTS_GUARD
+from sparsetrees.transfer import stretch_gaps
 from sparsetrees.trees import ball_count, spec_from_record
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -551,17 +554,24 @@ def test_grid_guard_exits_3_naming_the_field(tmp_path, capsys):
 
 
 def test_floor_guard_exits_3_naming_the_field(tmp_path, capsys):
-    # just over the floor-bits guard at gamma = 3 (13,000 floors fit)
+    # just over the floor-bits guard at gamma = 3 (13,000 floors fit), and
+    # sizes whose N (N + 1) / 2 no float holds, which once exited 1
+    gamma = {"family": "gamma", "k": 2, "gamma": 3}
     cases = [
-        ("tree-stats", {"spec": {"family": "gamma", "k": 2, "gamma": 3, "N": 13_100}, "depth": 5}, "N"),
-        ("efgp-run", {"spec": {"family": "omega", "k": 2, "gamma": 3, "N": 13_100, "seed": 1}, "phi": 1.0}, "N"),
-        ("mc-exponent", {"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 13_100}, "n_bumps"),
+        ("tree-stats", {"spec": {**gamma, "N": 13_100}, "depth": 5}, "N", 13_100),
+        ("efgp-run", {"spec": {**gamma, "family": "omega", "N": 13_100, "seed": 1}, "phi": 1.0}, "N", 13_100),
+        ("mc-exponent", {"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 13_100}, "n_bumps", 13_100),
+        ("tree-stats", {"spec": {**gamma, "N": 10**400}, "depth": 5}, "N", 10**400),
+        ("decompose", {"spec": {**gamma, "N": 10**300}, "depth": 5}, "N", 10**300),
+        ("spectrum", {"spec": {**gamma, "N": 10**155}, "depth": 5}, "N", 10**155),
+        ("efgp-run", {"spec": {**gamma, "family": "omega", "N": 10**155, "seed": 1}, "phi": 1.0}, "N", 10**155),
+        ("mc-exponent", {"k": 2, "gamma": 3, "phi": 1.0, "n_bumps": 10**200}, "n_bumps", 10**200),
     ]
-    for subcommand, cfg, field in cases:
+    for subcommand, cfg, field, n in cases:
         config = tmp_path / "floors.json"
         config.write_text(json.dumps(cfg))
         assert run([subcommand, "--config", str(config)]) == 3, subcommand
-        assert capsys.readouterr().err.startswith(f"guard: {field}: 13100 floors"), subcommand
+        assert capsys.readouterr().err.startswith(f"guard: {field}: {n} floors of gamma = 3 hold"), subcommand
 
 
 def test_trials_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
@@ -714,8 +724,6 @@ TINY_PHI_SPEC = {"family": "explicit", "k": [2, 3, 2, 4], "L": [2, 5, 9, 14]}
     # sin(phi)**2 is a normal double, but k's kick coefficients overflow
     ("mc-exponent", {"k": 10**9, "gamma": 3, "phi": 1e-150, "n_bumps": 4, "trials": 2},
      "phi: the kick coefficients of k = 1000000000 are not finite"),
-    # finite coefficients near 1/sin(phi)**2, but their sum rounds to <= 0: no log
-    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi": 1e-100}, "phi: the kick rounds to"),
     # an exact angle's refusals name its own field, wherever they are found
     ("efgp-run", {"spec": {"family": "gamma", "k": 100, "gamma": 3, "N": 4}, "phi_pi_multiple": "1e-154"},
      "phi_pi_multiple: the kick coefficients of k = 100 are not finite"),
@@ -729,10 +737,27 @@ def test_tiny_angle_exits_2_naming_the_field(subcommand, cfg, message, tmp_path,
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+def test_efgp_run_near_the_band_edge_gives_each_kick_to_a_few_ulps(tmp_path):
+    # At phi = 1e-100 the closed form a + b cos 2 theta + c sin 2 theta
+    # rounded to 0 or below; the length of the outgoing vector does not
+    # cancel, and each kick lies within the oracle's 8 units of log |G v|.
+    config = tmp_path / "tiny_phi.json"
+    config.write_text(json.dumps({"spec": TINY_PHI_SPEC, "phi": 1e-100}))
+    out = tmp_path / "out.json"
+    assert run(["efgp-run", "--config", str(config), "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["payload"]["rows"]
+    reducer = PhaseReducer(1e-100)
+    gaps = stretch_gaps(TINY_PHI_SPEC["L"])
+    for gap, k, before, row in zip(gaps, TINY_PHI_SPEC["k"], rows[:-1], rows[1:], strict=True):
+        entry = (before["theta"] + reducer.reduce(gap)) % (2.0 * math.pi)
+        assert kick_error_units(row["Y_n"], k, 1e-100, entry) <= 8, row
+
+
 # Replacement values for the fuzzed configs: zeros, signs, the ends of the
 # float range, angles at and near the ends of (0, pi), sizes a guard or a
-# short run handles, numbers past float range as strings, and wrong types.
-FUZZ_VALUES = [0, -1, 5e-324, 1e-100, 1e-9, 1e308, math.pi / 2, math.pi, 10**4, 2**63,
+# short run handles, integers whose N (N + 1) / 2 is past float range,
+# numbers past float range as strings, and wrong types.
+FUZZ_VALUES = [0, -1, 5e-324, 1e-100, 1e-9, 1e308, math.pi / 2, math.pi, 10**4, 2**63, 10**155, 10**300,
                "1e400", "abc", None, True, [], {}]
 FUZZ_ADDED = ["rho", "theta0", "phi_pi_multiple", "block", "n_bumps"]
 FIXTURE_CONFIGS = {path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}

@@ -8,7 +8,7 @@ from itertools import accumulate
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     Mat2,
@@ -16,6 +16,7 @@ from oracles import (
     bump_r_squared_ratio,
     checkpoint_transfers,
     efgp_transform,
+    kick_error_units,
     min_singular_direction,
     phase_to_pair,
     ratio_squared,
@@ -347,8 +348,9 @@ def test_efgp_run_with_boundary_coupling_matches_oracle():
 
 
 def test_efgp_run_is_bit_identical_to_the_helper_composition():
-    # The per-bump body inlines the kick, the phase map and the bump matrix;
-    # composing the oracle helpers must give the same bits.
+    # The per-bump body inlines the phase map, the bump matrix and the
+    # outgoing vector's angle and length; composing the oracle helpers must
+    # give the same bits.
     spec = TreeSpec(branch_levels=(3, 7, 40, 95, 10**30), branch_factors=(2, 5, 3, 2, 7))
     for phi, theta0 in ((0.37, 0.0), (1.0, 2.5), (2.9, 6.0)):
         reducer = PhaseReducer(phi)
@@ -360,15 +362,37 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
             gap = level if previous is None else level - previous - 2
             previous = level
             entry = (theta + reducer.reduce(gap)) % TWO_PI
-            y = 0.5 * math.log(ratio_squared(bump_coefficients(k, phi), entry))
             bump = Mat2(*bump_matrix(math.sqrt(k), 2.0 * math.cos(phi)))
             w0, w1 = bump.apply(phase_to_pair(entry, phi))
-            theta = math.atan2(math.sin(phi) * w1, w0 - math.cos(phi) * w1) % TWO_PI
+            x, z = w0 - math.cos(phi) * w1, math.sin(phi) * w1
+            theta = math.atan2(z, x) % TWO_PI
+            y = math.log(math.hypot(x, z))
             log_r += y
             expected.append((log_r, theta, y, entry))
         trajectory = efgp_run(spec, phi, theta0=theta0)
         entries = entry_angles(spec, phi, trajectory)
         assert list(zip(trajectory.log_r[1:], trajectory.theta[1:], trajectory.y[1:], entries)) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    k=st.sampled_from([2, 3, 7, 10**9]),
+    phi=st.floats(1e-150, math.pi - 1e-8),
+    theta0=st.floats(0.0, TWO_PI, exclude_max=True),
+)
+@example(k=2, phi=1e-150, theta0=0.0)  # the smallest angle drawn
+@example(k=4, phi=1e-100, theta0=0.0)  # where a + b cos 2 theta + c sin 2 theta rounded to <= 0
+@example(k=2, phi=1e-8, theta0=1.0)  # the closed form's error exceeded its smallest values
+@example(k=10**9, phi=math.pi - 1e-8, theta0=3.0)
+def test_kick_is_log_of_the_outgoing_length_to_a_few_ulps(k, phi, theta0):
+    # y against log |G v| at 400 digits, at the flow's own float entry
+    # angle: within 8 units of 2^-53 (1 + |y| + 2 pi |dy/dtheta|) at any
+    # angle the check lets through, the band edges included
+    assume(all(map(math.isfinite, bump_coefficients(k, phi))))
+    spec = TreeSpec((2, 5, 9, 14), (k,) * 4)
+    trajectory = efgp_run(spec, phi, theta0=theta0)
+    for y, entry in zip(trajectory.y[1:], entry_angles(spec, phi, trajectory)):
+        assert kick_error_units(y, k, phi, entry) <= 8, (y, entry)
 
 
 def test_efgp_run_row_zero_and_levels():

@@ -324,6 +324,9 @@ def test_floor_bits_guard_refuses_before_building():
     check_floor_bits(Fraction(3), 13_000, "N")
     with pytest.raises(GuardError, match="^n_bumps: 2000 floors"):
         check_floor_bits(Fraction(10**100), 2_000, "n_bumps")
+    # the bits are counted exactly: no float holds N (N + 1) / 2 here
+    with pytest.raises(GuardError, match=r"^N: 10{400} floors of gamma = 3/2 hold over 2\^1000 bits"):
+        check_floor_bits(Fraction(3, 2), 10**400, "N")
     tracemalloc.start()
     try:
         for build in (
