@@ -61,16 +61,6 @@ from .trees import (
     validate,
 )
 
-SUBCOMMANDS = (
-    "tree-stats",
-    "decompose",
-    "spectrum",
-    "efgp-run",
-    "phase-diagram",
-    "mc-exponent",
-    "classify-theorems",
-)
-
 # The subcommands whose handlers return a CsvTable.
 CSV_SUBCOMMANDS = ("spectrum", "efgp-run", "phase-diagram")
 
@@ -302,6 +292,7 @@ _HANDLERS = {
     "mc-exponent": _run_mc_exponent,
     "classify-theorems": _run_classify,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral analysis of spherically homogeneous sparse trees",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--config", required=True, help="path to a JSON config file")
-        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
 

@@ -42,10 +42,11 @@ VERTEX_GUARD = 1_000_000
 # Longest chain component solved by the class count (forest_eigenvalues);
 # longer ones take the stretch count.  A lone block has one subtree class
 # per row, so the class count's work grows as rows**2, and the stretch
-# count's as rows times runs.  On a 500-row block the class count took 0.07 s of
-# CPU and the stretch count 9 ms; the stretch count took 0.09 s on the
-# 10,001-row block of 18 runs in the spectrum-deep benchmark (best of 5,
-# one pinned CPU of a 2-core Xeon, Python 3.11, numpy 2.4).  The cap keeps
+# count's as rows times runs.  On the lone 500-row root block of
+# make_gamma_tree(2, 3, 8) the class count took 58 ms of CPU and the
+# stretch count 12 ms (13 and 8 ms at 151 rows), and the stretch count
+# 0.11 s on spectrum-deep's 10,001-row block of 18 runs (best of 5, one
+# pinned CPU of a 2-core Xeon, Python 3.11, numpy 2.4).  The cap keeps
 # the bits of shorter blocks the same on every platform; above it they
 # depend on libm.
 CLASS_COUNT_ROWS = 500

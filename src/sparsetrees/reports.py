@@ -6,19 +6,19 @@ double exactly), JSON objects keep the key order their payloads were
 built with, CSV tables carry a fixed documented header row, and wall
 clock timing never enters the output stream.  A tabular payload is one
 table of typed columns, and its CSV lines and its JSON records are both
-rendered from it: each column is type-scanned, checked and formatted
-once, so an all-float column takes one finiteness check and one "%.17g"
-pass, an all-int column one str() pass, an all-Decimal column one check
-that its cells are plain integers and one str() pass, and only columns
-of any other kind are formatted cell by cell.  CPython's int -> str
-takes time quadratic in the digits, a Decimal's str() linear time, so
-huge integers are best handed over as Decimals: `decimal_levels` makes
-them for the geometric floors from the floors' own recurrence, a few
-linear-time decimal steps per level.  Eigenvalues of trees, and of
-blocks of up to operators.CLASS_COUNT_ROWS rows, come from bisection in
-plain IEEE arithmetic, so those reports are the same bytes on every
-platform; only longer blocks, whose stretch count calls libm, take their
-last bits, and so their bytes, from the platform.
+rendered from it with one printf template per table, one `%` operation
+per row.  Each column is type-scanned and checked once for one
+conversion: "%.17g" for all floats (after one finiteness check), "%d"
+for all ints, "%s" for all Decimals (after one check that they are plain
+integers), and "%s" over cells formatted one by one for any other kind.
+CPython's int -> str takes time quadratic in the digits, a Decimal's
+str() linear time, so huge integers are best handed over as Decimals:
+`decimal_levels` makes them for the geometric floors from the floors' own
+recurrence, a few linear-time decimal steps per level.  Eigenvalues of
+trees, and of blocks of up to operators.CLASS_COUNT_ROWS rows, come from
+bisection in plain IEEE arithmetic, so those reports are the same bytes
+on every platform; only longer blocks, whose stretch count calls libm,
+take their last bits, and so their bytes, from the platform.
 """
 
 import json
@@ -27,8 +27,7 @@ import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -46,10 +45,11 @@ def _require_finite(finite) -> None:
 
 
 def _require_plain_integers(decimals) -> None:
-    """Refuse Decimals other than finite integers of exponent 0: only
-    theirs is the str() of the int they hold."""
+    """Refuse every Decimal but the finite integers of exponent 0 other
+    than -0: only theirs is the str() of the int they hold."""
     _require_finite(all(map(Decimal.is_finite, decimals)))
-    if not all(map(_ONE.same_quantum, decimals)):
+    negative_zero = any(map(Decimal.is_zero, filter(Decimal.is_signed, decimals)))
+    if negative_zero or not all(map(_ONE.same_quantum, decimals)):
         raise ValidationError("payload: cannot serialize a Decimal")
 
 
@@ -111,21 +111,21 @@ def _scalar(value) -> str:
     raise ValidationError(f"payload: cannot serialize a {type(value).__name__}")
 
 
-def _column_text(values, cell):
-    """One column's cell texts as a lazy map; cell formats any column that
-    is not all-float, all-int or all-Decimal (None, str, bool, numpy
-    scalars, mixed).  values must be a sequence: it is scanned before the
-    map is made."""
+def _column(values, cell) -> tuple[str, Iterable]:
+    """One column's printf conversion and the values it takes: "%.17g",
+    "%d" or "%s" over an all-float, all-int or all-Decimal column, else
+    "%s" over its cells formatted lazily by cell.  values must be a
+    sequence: it is scanned and checked before anything is formatted."""
     kinds = set(map(type, values))
     if kinds == {float}:
         _require_finite(all(map(math.isfinite, values)))
-        return map("%.17g".__mod__, values)
+        return "%.17g", values
+    if kinds == {int}:
+        return "%d", values
     if kinds == {Decimal}:
         _require_plain_integers(values)
-        return map(str, values)
-    if kinds == {int}:
-        return map(str, values)
-    return map(cell, values)
+        return "%s", values
+    return "%s", map(cell, values)
 
 
 def stable_json(obj) -> str:
@@ -136,7 +136,8 @@ def stable_json(obj) -> str:
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_column_text(obj, stable_json)) + "]"
+        spec, values = _column(obj, stable_json)
+        return "[" + ", ".join(map(spec.__mod__, values)) + "]"
     if isinstance(obj, CsvTable):
         return obj.json_records()
     return _scalar(obj)
@@ -171,17 +172,16 @@ class CsvTable:
             raise ValidationError("payload: CSV row width must match the header")
 
     def emit(self) -> bytes:
-        texts = [_column_text(column, _csv_cell) for column in self.columns]
-        lines = chain((self.header,), map(",".join, zip(*texts)), ("",))
-        return "\n".join(lines).encode("utf-8")
+        specs, columns = zip(*(_column(column, _csv_cell) for column in self.columns))
+        line = ",".join(specs)
+        # One join: adding the header to the joined rows would copy the report once more.
+        return "\n".join([self.header, *map(line.__mod__, zip(*columns)), ""]).encode("utf-8")
 
     def json_records(self) -> str:
-        keyed = [
-            map((json.dumps(field) + ": ").__add__, _column_text(column, stable_json))
-            for field, column in zip(self.header.split(","), self.columns)
-        ]
-        records = ("{" + ", ".join(record) + "}" for record in zip(*keyed))
-        return "[" + ", ".join(records) + "]"
+        specs, columns = zip(*(_column(column, stable_json) for column in self.columns))
+        keys = (json.dumps(field).replace("%", "%%") for field in self.header.split(","))
+        record = "{" + ", ".join(f"{key}: {spec}" for key, spec in zip(keys, specs)) + "}"
+        return "[" + ", ".join(map(record.__mod__, zip(*columns))) + "]"
 
 
 @dataclass(frozen=True)

@@ -185,9 +185,10 @@ def efgp_run(
     Free stretches between branchings are crossed in one step: the angle
     advances by (gap * phi) mod 2 pi via the high-precision reducer, and
     the radius is untouched.  Each branching then applies the exact
-    two-step bump map G (`bump_coefficients`) to the unit vector v at the entry
-    angle: the new angle is that of G v, and the radial kick y_n = log(r_out / r_in)
-    is log |G v|, a sum of squares that does not cancel near the band edges.
+    two-step bump map G = Q B P (B from `bump_matrix`) to the unit vector v
+    at the entry angle: the new angle is that of G v, and the radial kick
+    y_n = log(r_out / r_in) is log |G v|, a sum of squares that does not
+    cancel near the band edges.
 
     The wall-clock cost is O(n_bumps) regardless of how deep the branching
     levels sit, so geometric trees with thousands of branchings are cheap.
@@ -240,13 +241,17 @@ def efgp_run(
 
     theta = theta0 % _TWO_PI
     thetas, ys = [theta], [0.0]
+    add_theta, add_y = thetas.append, ys.append
+    last_k = None
     for gap, k in zip(gaps, factors):
         theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
-        bump = bumps.get(k)
-        if bump is None:
-            check_phi(reducer, k)
-            bump = bumps[k] = bump_matrix(math.sqrt(k), energy)
-        m11, m12, m21, m22 = bump
+        if k != last_k:
+            bump = bumps.get(k)
+            if bump is None:
+                check_phi(reducer, k)
+                bump = bumps[k] = bump_matrix(math.sqrt(k), energy)
+            m11, m12, m21, m22 = bump
+            last_k = k
         u1 = sin(phi + theta_entry) / sin_phi
         u0 = sin(theta_entry) / sin_phi
         w0 = m11 * u1 + m12 * u0
@@ -254,6 +259,6 @@ def efgp_run(
         x = w0 - cos_phi * w1
         z = sin_phi * w1
         theta = atan2(z, x) % _TWO_PI
-        thetas.append(theta)
-        ys.append(log(hypot(x, z)))
+        add_theta(theta)
+        add_y(log(hypot(x, z)))
     return EFGPTrajectory(tuple(thetas), tuple(ys))

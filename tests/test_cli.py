@@ -247,6 +247,28 @@ def test_stdout_equals_file_output(capsysbinary, tmp_path):
     assert captured.out == out.read_bytes()
 
 
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_options_may_come_before_or_after_the_subcommand(subcommand):
+    parser = cli.build_parser()
+    options = ["--config", "cfg.json", "--out", "report.out"]
+    after = parser.parse_args([subcommand, *options])
+    assert parser.parse_args([*options, subcommand]) == after
+    assert vars(after) == {
+        "subcommand": subcommand, "config": "cfg.json", "seed": None, "out": "report.out", "format": None,
+    }
+
+
+def test_unknown_subcommand_exits_2_and_version_prints(capsys):
+    with pytest.raises(SystemExit) as unknown:
+        run(["tree-count", "--config", str(FIXTURES / "tree_stats.json")])
+    assert unknown.value.code == 2
+    assert "invalid choice: 'tree-count'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as version:
+        run(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out == sparsetrees.__version__ + "\n"
+
+
 def test_unwritable_out_exits_2_naming_the_field(tmp_path, capsys, monkeypatch):
     def never(cfg, seed):
         raise AssertionError("the handler ran before --out was checked")

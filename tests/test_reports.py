@@ -85,6 +85,7 @@ PLAIN_TEXT = st.text(
     alphabet=st.characters(blacklist_characters=',\n"', blacklist_categories=("Cs",)),
     max_size=8,
 )
+FIELD_NAMES = st.text(alphabet='%"\\dgs.17c{}: ', max_size=4)
 CELLS = (
     st.none()
     | st.booleans()
@@ -108,8 +109,10 @@ def tables(draw) -> CsvTable:
         kind = draw(st.sampled_from((FLOATS, INTS, DECIMALS, CELLS, PLAIN_TEXT)))
         column = draw(st.lists(kind, min_size=rows, max_size=rows))
         columns.append(tuple(column) if draw(st.booleans()) else column)
-    header = ",".join(f"c{i}" for i in range(width))
-    return CsvTable(header, tuple(columns))
+    # Field names may hold printf and JSON specials, which must come out
+    # literally; unique, since the reference keys a dict by them.
+    fields = draw(st.lists(FIELD_NAMES, min_size=width, max_size=width, unique=True))
+    return CsvTable(",".join(fields), tuple(columns))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -125,6 +128,12 @@ def test_json_columns_give_the_per_element_bytes(table):
     assert stable_json(payload) == reference_json(payload)
     for column in table.columns:
         assert stable_json(column) == reference_json(column)
+
+
+def test_header_fields_with_printf_and_json_specials_render_literally():
+    table = CsvTable('%d,"q",100%,%%s', ((1,), (2.5,), (None,), ("x",)))
+    assert table.emit() == b'%d,"q",100%,%%s\n1,2.5,,x\n'
+    assert stable_json(table) == '[{"%d": 1, "\\"q\\"": 2.5, "100%": null, "%%s": "x"}]'
 
 
 def efgp_run_columns(spec):
@@ -188,9 +197,9 @@ def test_non_finite_values_are_refused_in_csv_and_json(bad, wrap):
         assert str(error.value) == NOT_FINITE
 
 
-@pytest.mark.parametrize("text", ["1.5", "2.0", "1E+3"])
+@pytest.mark.parametrize("text", ["1.5", "2.0", "1E+3", "-0"])
 def test_decimals_other_than_plain_integers_are_refused(text):
-    # Their str() is not the digits of an int, on either route.
+    # Their str() is not the digits of an int, on either route: -0 is 0.
     column = [Decimal(1), Decimal(text)]
     table = CsvTable("i,x", (range(2), column))
     renders = (table.emit, lambda: stable_json({"rows": table}), lambda: stable_json(column))
