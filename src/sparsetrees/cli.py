@@ -269,9 +269,7 @@ def _run_mc_exponent(cfg: dict, seed: int):
         trials=int_field(cfg, "trials", 20),
         seed=seed,
     )
-    payload = dataclasses.asdict(report)
-    payload["trial_means"] = list(report.trial_means)
-    return payload, None
+    return dataclasses.asdict(report), None
 
 
 def _run_classify(cfg: dict, seed: int):

@@ -28,21 +28,20 @@ given a cursor into the table, rounds g from a 128-bit window of that sum
 with a proven error interval.  It takes the exact residue only where the
 interval straddles a rounding boundary (Ziv's rounding test) or delta is
 not small, so a table gives the very doubles of reduce without one.
-At a float angle, `transfer.efgp_run` tables its own run's gaps
-(`transfer.stretch_gaps`; an explicit spec's at ratio 1), and
-`spectral.mc_exponent` tables the unjittered floors' gaps once for all its
-trials, whose jitter moves each gap by a few sites.
-
-Both take an angle as one value, a float or its reducer, such as the exact
-one of `PhaseReducer.from_pi_multiple`; `resolve_angle` tells the kinds
-apart and names the config field of each in a refusal.
+`PhaseReducer.phases` turns the gaps of a `transfer.efgp_run` into its
+rotations, at a float angle from a table of them; `spectral.mc_exponent`
+tables the unjittered floors' gaps once for its trials, whose jitter moves
+each gap by a few sites.  Both take an angle as one value, a float or its
+reducer, such as the exact one of `PhaseReducer.from_pi_multiple`;
+`resolve_angle` tells the kinds apart and names the config field of each
+in a refusal.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -237,6 +236,15 @@ class PhaseReducer:
         if not q % 2:
             windows.reverse()
         return PhaseTable(self.angle, bits, tuple(floors), tuple(windows), fixed >> shift)
+
+    def phases(self, ratio: Fraction, gaps: Sequence[int]) -> list[float]:
+        """`reduce` of each gap, the gaps about ratio p/q times each other:
+        at a float angle through one cursor into their own table at the
+        precision of the largest, at an exact one each gap whole."""
+        if self.turn is not None:
+            return list(map(self.reduce, gaps))
+        cursor = self.table(ratio, gaps, max(gaps)).cursor()
+        return [self.reduce(gap, cursor) for gap in gaps]
 
     def reduce(self, steps: int, walk: Iterator[tuple[int, int, int, int]] | None = None) -> float:
         """steps * angle modulo 2*pi, in [0, 2*pi).

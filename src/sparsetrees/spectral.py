@@ -252,14 +252,14 @@ def mc_exponent(
     The trials share what does not depend on the jitter: gamma is parsed
     and checked once, the floors floor(gamma**n) are built once (each
     trial draws its jitter on them), and at a float phi so is the phase
-    table of the floors' gaps (`transfer.stretch_gaps`,
-    `PhaseReducer.table`), built with the first trial's reducer.  A
-    jittered gap is the floors' gap plus a few sites, so every trial's
-    `efgp_run` rounds its phases from that one table (see
-    `PhaseReducer.reduce`), for any gamma.  A float phi gets a fresh
-    PhaseReducer per trial, which computes no fixed-point angle unless a
-    gap falls back to its exact residue.  A reducer given as phi serves
-    every trial; an exact one reduces every gap whole.
+    table of the floors' gaps (`PhaseReducer.table`), built with the
+    first trial's reducer.  A jittered gap is the floors' gap plus a few
+    sites, so each trial reduces its gaps through a cursor of its own
+    into that table (`PhaseReducer.reduce`), for any gamma, and passes
+    `efgp_run` the phases.  A float phi gets a fresh PhaseReducer per
+    trial, which computes no fixed-point angle unless a gap falls back to
+    its exact residue.  A reducer given as phi serves every trial, and
+    `efgp_run` reduces its gaps (an exact one's whole).
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
     exceeds MC_SAMPLES_GUARD, before the floors are built.
@@ -292,7 +292,7 @@ def mc_exponent(
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
-    table = None
+    table = phases = None
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
         reducer = shared
@@ -300,7 +300,9 @@ def mc_exponent(
             reducer = PhaseReducer(phi)
             if table is None:
                 table = reducer.table(base.gamma, stretch_gaps(base.branch_levels), base.branch_levels[-1])
-        trajectory = efgp_run(spec, reducer, table=table)
+            cursor = table.cursor()
+            phases = [reducer.reduce(gap, cursor) for gap in stretch_gaps(spec.branch_levels)]
+        trajectory = efgp_run(spec, reducer, phases=phases)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)

@@ -35,7 +35,7 @@ from itertools import accumulate, chain
 
 from .errors import ValidationError
 from .jacobi import check_rho
-from .phase import PhaseReducer, PhaseTable, resolve_angle
+from .phase import PhaseReducer, resolve_angle
 from .trees import check_k, in_float_range
 
 _TWO_PI = 2.0 * math.pi
@@ -178,7 +178,7 @@ def efgp_run(
     phi: float | PhaseReducer,
     theta0: float = 0.0,
     n_bumps: int | None = None,
-    table: PhaseTable | None = None,
+    phases: Sequence[float] | None = None,
 ) -> EFGPTrajectory:
     """Run the phase flow across the first n_bumps branchings of a tree.
 
@@ -197,62 +197,53 @@ def efgp_run(
     `angle` the run takes: an exact one from
     `PhaseReducer.from_pi_multiple` keeps a rational multiple of pi exact.
 
-    The run's gaps (`stretch_gaps`) are listed once.  Each goes to
-    `PhaseReducer.reduce` with a cursor into a phase table at phi, which
-    gives the double of reducing the gap whole.  A run at a float phi
-    tables its own gaps (`PhaseReducer.table`; an explicit spec's at ratio
-    1, which only sets the table's speed) unless `table` is given: any
-    table built at phi of at least n_bumps gaps near the run's, such as
-    the one of the unjittered floors that `spectral.mc_exponent`'s trials
-    share.  An exact reducer reduces each gap whole.  Entry n does not
+    The stretch rotations are `phases`, one per bump and at least
+    n_bumps of them, else `PhaseReducer.phases` of the run's gaps
+    (`stretch_gaps`; an explicit spec's at ratio 1, which only sets the
+    speed): the doubles of reducing each gap whole.  Runs at one phi can
+    so share one list, such as the two runs of a transfer matrix, and
+    `spectral.mc_exponent`'s trials pass theirs.  Entry n does not
     depend on n_bumps: the first n entries of a run are those of the run
     stopped at bump n, so two full runs give the transfer matrix at every
     checkpoint (module docstring).
     """
     check_phi(phi)
-    phi, reducer, _ = resolve_angle(phi)
+    angle, reducer, _ = resolve_angle(phi)
     levels = spec.branch_levels
     factors = spec.branch_factors
     if n_bumps is None:
         n_bumps = len(levels)
     if not 1 <= n_bumps <= len(levels):
         raise ValidationError("n_bumps: must be between 1 and the number of branchings")
-    if reducer is None:
-        reducer = PhaseReducer(phi)
-    gaps = stretch_gaps(levels[:n_bumps])
-    if table is None:
-        table = reducer.table(spec.gamma or 1, gaps, levels[n_bumps - 1])
-    elif reducer.turn is not None or table.angle != phi:
-        raise ValidationError(f"table: built for the float angle {table.angle!r}, not this reducer")
-    elif len(table.floors) < n_bumps:
-        raise ValidationError(f"table: {len(table.floors)} gaps for {n_bumps} bumps")
+    if phases is None:
+        phases = (reducer or PhaseReducer(angle)).phases(spec.gamma or 1, stretch_gaps(levels[:n_bumps]))
+    elif len(phases) < n_bumps:
+        raise ValidationError(f"phases: {len(phases)} phases for {n_bumps} bumps")
 
-    sin_phi = math.sin(phi)
-    cos_phi = math.cos(phi)
+    sin_phi = math.sin(angle)
+    cos_phi = math.cos(angle)
     energy = 2.0 * cos_phi
     # Per branching factor: the bump matrix entries.  Per bump, the loop
     # below maps the entry angle to the pair (u(j), u(j-1)) by P, applies
     # the bump and reads (x, z) = r_out (cos theta, sin theta) back by Q,
     # each in one fixed operation order.
     bumps: dict[int, tuple[float, float, float, float]] = {}
-    reduce = reducer.reduce
-    cursor = None if table is None else table.cursor()
     log, sin, atan2, hypot = math.log, math.sin, math.atan2, math.hypot
 
     theta = theta0 % _TWO_PI
     thetas, ys = [theta], [0.0]
     add_theta, add_y = thetas.append, ys.append
     last_k = None
-    for gap, k in zip(gaps, factors):
-        theta_entry = (theta + reduce(gap, cursor)) % _TWO_PI
+    for phase, k in zip(phases[:n_bumps], factors):
+        theta_entry = (theta + phase) % _TWO_PI
         if k != last_k:
             bump = bumps.get(k)
             if bump is None:
-                check_phi(reducer, k)
+                check_phi(phi, k)
                 bump = bumps[k] = bump_matrix(math.sqrt(k), energy)
             m11, m12, m21, m22 = bump
             last_k = k
-        u1 = sin(phi + theta_entry) / sin_phi
+        u1 = sin(angle + theta_entry) / sin_phi
         u0 = sin(theta_entry) / sin_phi
         w0 = m11 * u1 + m12 * u0
         w1 = m21 * u1 + m22 * u0

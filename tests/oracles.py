@@ -38,11 +38,13 @@ import numpy as np
 from sparsetrees.errors import ValidationError
 from sparsetrees.jacobi import ADJACENCY, DEGREE, check_rho, check_variant
 from sparsetrees.operators import GRID_BITS, SECTION_BITS
+from sparsetrees.phase import PhaseReducer
 from sparsetrees.transfer import (
     bump_coefficients,
     bump_matrix,
     check_phi,
     efgp_run,
+    stretch_gaps,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -461,9 +463,11 @@ def checkpoint_transfers(spec, phi: float, n_bumps: int | None = None) -> list[M
     exp(log_r) (cos theta, sin theta) of the phase-coordinate matrix G_n,
     so the transfer matrix on pairs (u(j), u(j-1)) at E = 2 cos(phi) is
     P G_n P^-1 with P = [[1, cot(phi)], [0, 1 / sin(phi)]].  Entry n - 1
-    of the list maps (u(1), u(0)) to (u(L_n + 3), u(L_n + 2)).
+    of the list maps (u(1), u(0)) to (u(L_n + 3), u(L_n + 2)).  The two
+    runs share one list of stretch rotations.
     """
-    runs = [efgp_run(spec, phi, theta0, n_bumps) for theta0 in (0.0, math.pi / 2)]
+    phases = PhaseReducer(phi).phases(spec.gamma or 1, stretch_gaps(spec.branch_levels[:n_bumps]))
+    runs = [efgp_run(spec, phi, theta0, n_bumps, phases) for theta0 in (0.0, math.pi / 2)]
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     to_pair = Mat2(1.0, cos_phi / sin_phi, 0.0, 1.0 / sin_phi)
     from_pair = Mat2(1.0, -cos_phi, 0.0, sin_phi)

@@ -795,36 +795,79 @@ def config_fields(value) -> set:
 CONFIG_FIELDS = set().union(*map(config_fields, FIXTURE_CONFIGS.values()), FUZZ_ADDED, ["config", "out"])
 
 
-@st.composite
-def mutated_fixtures(draw) -> tuple[str, dict]:
-    """A fixture config with one or two fields replaced by FUZZ_VALUES.
+# Values past int64 or float range, that a single-field sweep sets each field to.
+HUGE_VALUES = [2**63, 10**155, 10**300, "1e400"]
 
-    A field of the config or of one of its mappings (spec, energies,
-    coverage) is replaced, or one of FUZZ_ADDED is added at the top; the
-    subcommand run is the fixture's.  A spec keeps at most 12 levels, so a
-    run that exits 0 takes milliseconds.
-    """
-    fixture = FIXTURE_CONFIGS[draw(st.sampled_from(sorted(FIXTURE_CONFIGS)))]
-    cfg = json.loads(json.dumps(fixture))
+
+def fixture_copy(name: str) -> dict:
+    """A fixture config to mutate.  A spec keeps at most 12 levels, so a
+    run that exits 0 takes milliseconds."""
+    cfg = json.loads(json.dumps(FIXTURE_CONFIGS[name]))
     if cfg.get("spec", {}).get("N", 0) > 12:  # 300 levels of a gamma past float range take a second
         cfg["spec"]["N"] = 12
+    return cfg
+
+
+def mutable_targets(cfg: dict) -> list[dict]:
+    """The config and each of its mappings (spec, energies, coverage)."""
+    return [cfg] + [v for v in cfg.values() if isinstance(v, dict) and v]
+
+
+def mutable_fields(cfg: dict, target: dict) -> list[str]:
+    """The fields of a target that a mutation may set: each of its own and,
+    at the top, each of FUZZ_ADDED."""
+    return sorted(target) + (FUZZ_ADDED if target is cfg else [])
+
+
+def refusal_or_report(subcommand: str, cfg: dict, folder) -> str | None:
+    """Run a mutated config through the CLI: None for a report or a
+    refusal naming a config field, else what went wrong."""
+    config = folder / "fuzzed.json"
+    config.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run([subcommand, "--config", str(config), "--out", str(config.with_suffix(".out"))])
+    if status not in (0, 2, 3):
+        return f"exit {status}: {err.getvalue()}"
+    named = re.match(r"(?:error|guard): (\w+)", err.getvalue())
+    if status and not (named and named.group(1) in CONFIG_FIELDS):
+        return f"exit {status} naming no config field: {err.getvalue()}"
+    return None
+
+
+@st.composite
+def mutated_fixtures(draw) -> tuple[str, dict]:
+    """A fixture config (`fixture_copy`) with one or two fields replaced by
+    FUZZ_VALUES, each in a target of `mutable_targets` from its
+    `mutable_fields`; the subcommand run is the fixture's."""
+    name = draw(st.sampled_from(sorted(FIXTURE_CONFIGS)))
+    cfg = fixture_copy(name)
     for _ in range(draw(st.integers(1, 2))):
-        target = draw(st.sampled_from([cfg] + [v for v in cfg.values() if isinstance(v, dict) and v]))
-        fields = sorted(target) + (FUZZ_ADDED if target is cfg else [])
-        target[draw(st.sampled_from(fields))] = draw(st.sampled_from(FUZZ_VALUES))
-    return fixture["subcommand"], cfg
+        target = draw(st.sampled_from(mutable_targets(cfg)))
+        target[draw(st.sampled_from(mutable_fields(cfg, target)))] = draw(st.sampled_from(FUZZ_VALUES))
+    return FIXTURE_CONFIGS[name]["subcommand"], cfg
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=mutated_fixtures())
 def test_every_mutated_fixture_gives_a_report_or_a_refusal_naming_a_field(case, tmp_path_factory):
-    subcommand, cfg = case
-    config = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    config.write_text(json.dumps(cfg))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        status = run([subcommand, "--config", str(config), "--out", str(config.with_suffix(".out"))])
-    assert status in (0, 2, 3), err.getvalue()
-    if status:
-        named = re.match(r"(?:error|guard): (\w+)", err.getvalue())
-        assert named and named.group(1) in CONFIG_FIELDS, err.getvalue()
+    problem = refusal_or_report(*case, tmp_path_factory.getbasetemp())
+    assert problem is None, (case, problem)
+
+
+def test_every_field_set_past_int64_or_float_range_gives_a_report_or_a_refusal(tmp_path):
+    # Each field of each fixture, one at a time, at each of HUGE_VALUES:
+    # the random draws above seldom set a spec's N, say, to a huge value.
+    problems = []
+    for name in sorted(FIXTURE_CONFIGS):
+        subcommand = FIXTURE_CONFIGS[name]["subcommand"]
+        base = fixture_copy(name)
+        for place, target in enumerate(mutable_targets(base)):
+            for field in mutable_fields(base, target):
+                for value in HUGE_VALUES:
+                    cfg = fixture_copy(name)
+                    mutable_targets(cfg)[place][field] = value
+                    problem = refusal_or_report(subcommand, cfg, tmp_path)
+                    if problem is not None:
+                        problems.append((name, field, value, problem))
+    assert problems == []

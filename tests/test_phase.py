@@ -321,8 +321,9 @@ _angles = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)).filter(mat
 def _table_runs(draw):
     """(angle, gaps, ratio, largest): a prefix of a gamma or omega spec's
     gaps, gamma = p/q > 2 with q odd or even, or any ints with zeros,
-    negative and huge ones, tabled by the spec's ratio or another one, at
-    an angle up to 1e300 in size."""
+    negative and huge ones, tabled by the spec's ratio, another one or 1, at
+    a float angle up to 1e300 in size or an exact multiple of pi (a
+    Fraction)."""
     ratio = draw(_ratios)
     if draw(st.booleans()):
         n_levels = draw(st.integers(1, 400))
@@ -330,20 +331,27 @@ def _table_runs(draw):
         if draw(st.booleans()):
             spec = sample_omega_tree(spec, draw(st.integers(0, 2**64 - 1)))
         gaps = floor_gaps(spec.branch_levels[: draw(st.integers(1, n_levels))])
-        ratio = draw(st.one_of(st.just(ratio), _ratios))
     else:
         gaps = draw(st.lists(_gap_ints, min_size=1, max_size=30))
+    # 1 is an explicit spec's ratio
+    ratio = draw(st.one_of(st.just(ratio), _ratios, st.just(Fraction(1))))
     # a bound below some gaps leaves them past the precision's range
     largest = draw(st.one_of(st.just(max(gaps)), st.sampled_from(gaps), st.integers(0, 2**300)))
-    return draw(_angles), gaps, ratio, largest
+    return draw(st.one_of(_angles, st.fractions(-4, 4, max_denominator=10**6))), gaps, ratio, largest
 
 
 @_PROPERTY
 @given(run=_table_runs())
 def test_walk_is_reduce_of_every_gap(run):
     angle, gaps, ratio, largest = run
-    got, whole = tabled(angle, gaps, ratio, largest, [max(g, 0) for g in gaps])
-    assert got == whole
+    steps = [max(g, 0) for g in gaps]
+    make = PhaseReducer.from_pi_multiple if isinstance(angle, Fraction) else PhaseReducer
+    if make is PhaseReducer:
+        got, whole = tabled(angle, gaps, ratio, largest, steps)
+        assert got == whole
+    # a run's phases: reduce of each gap, bit for bit, at either kind of angle
+    alone = make(angle)
+    assert [p.hex() for p in make(angle).phases(ratio, steps)] == [alone.reduce(g).hex() for g in steps]
 
 
 _deltas = st.one_of(

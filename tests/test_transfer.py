@@ -442,24 +442,26 @@ def levels_table(reducer, spec, n_bumps=None):
     return reducer.table(spec.gamma or 1, stretch_gaps(levels), levels[-1])
 
 
-def test_efgp_run_refuses_a_table_for_another_reducer_or_a_shorter_run():
+def test_efgp_run_refuses_short_phases_and_runs_given_ones():
     spec = make_gamma_tree(2, 3, 20)
-    table = levels_table(PhaseReducer(1.0), spec)
-    with pytest.raises(ValidationError, match="^table: "):
-        efgp_run(spec, 1.1, table=table)
+    gaps = stretch_gaps(spec.branch_levels)
+    phases = PhaseReducer(1.0).phases(spec.gamma, gaps)
+    with pytest.raises(ValidationError, match="^phases: 10 phases for 20 bumps"):
+        efgp_run(spec, 1.0, phases=phases[:10])
+    # a run given its own phases is the run that computes them, and a
+    # longer list serves a shorter run
+    assert efgp_run(spec, 1.0, phases=phases) == efgp_run(spec, 1.0)
+    assert efgp_run(spec, 1.0, 0.5, 10, phases) == efgp_run(spec, 1.0, 0.5, 10)
     third = PhaseReducer.from_pi_multiple("1/3")
-    float_third = levels_table(PhaseReducer(third.angle), spec)
-    with pytest.raises(ValidationError, match="^table: "):
-        efgp_run(spec, third, table=float_third)
-    with pytest.raises(ValidationError, match="^table: 10 gaps for 20 bumps"):
-        efgp_run(spec, 1.0, table=levels_table(PhaseReducer(1.0), spec, 10))
-    assert levels_table(third, spec) is None
+    assert efgp_run(spec, third, phases=third.phases(spec.gamma, gaps)) == efgp_run(spec, third)
     # the recurrence is exact for any gaps: walked at ratio 1, the same
-    # levels as an explicit spec give the very same table
+    # levels as an explicit spec give the very same table and phases
+    table = levels_table(PhaseReducer(1.0), spec)
     assert levels_table(PhaseReducer(1.0), TreeSpec(spec.branch_levels, spec.branch_factors)) == table
-    # a table of other gaps at the same angle gives the same run
-    other = levels_table(PhaseReducer(1.0), sample_omega_tree(spec, seed=2))
-    assert efgp_run(spec, 1.0, table=other) == efgp_run(spec, 1.0, table=table) == efgp_run(spec, 1.0)
+    assert PhaseReducer(1.0).phases(1, gaps) == phases
+    # phases through a table of other gaps at the same angle give the same run
+    cursor = levels_table(PhaseReducer(1.0), sample_omega_tree(spec, seed=2)).cursor()
+    assert efgp_run(spec, 1.0, phases=[PhaseReducer(1.0).reduce(g, cursor) for g in gaps]) == efgp_run(spec, 1.0)
 
 
 def test_stretch_gaps_refuses_levels_closer_than_two_sites():
@@ -492,15 +494,17 @@ def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
         explicit = TreeSpec(spec.branch_levels, spec.branch_factors)
         assert efgp_run(spec, 1.0, n_bumps=40) == efgp_run(explicit, 1.0, n_bumps=40)
     # a table of the run's own 40 gaps, one cursor for the reduce of each gap
+    runs_gaps = [stretch_gaps(spec.branch_levels[:40]) for spec in (gamma, omega) for _ in (0, 1)]
+    assert [list(table.floors) for table in tables[:4]] == runs_gaps
     assert [len(table.floors) for table in tables] == [40] * 6
-    assert None not in cursors and len(cursors) == 240
+    assert None not in cursors and len(cursors) == 240 and len(set(map(id, cursors))) == 6
     # and each entry angle is the double of its gap reduced whole
     whole = PhaseReducer(1.0)
     assert [angle for _, angle in reduced] == [reduce(whole, gap) for gap, _ in reduced]
     tables.clear()
     cursors.clear()
     efgp_run(gamma, PhaseReducer.from_pi_multiple("1/3"))
-    assert tables == [None] and cursors == [None] * 60
+    assert tables == [] and cursors == [None] * 60
     tables.clear()
     cursors.clear()
     # mc_exponent's float trials share one table of the floors' gaps, each
@@ -513,7 +517,7 @@ def test_efgp_run_takes_a_table_for_every_spec_at_a_float_angle(monkeypatch):
         tables.clear()
         cursors.clear()
     mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/3"), n_bumps=30, trials=2, seed=4)
-    assert tables == [None] * 2 and cursors == [None] * 60
+    assert tables == [] and cursors == [None] * 60
 
 
 def test_efgp_run_validation():
