@@ -48,7 +48,7 @@ from .spectral import (
     phase_diagram,
     theorem_classifier,
 )
-from .transfer import boundary_theta0, check_phi, efgp_run
+from .transfer import boundary_theta0, efgp_run
 from .trees import (
     ball_count,
     estimate_dimension,
@@ -83,17 +83,15 @@ def _spec_field(cfg: dict):
 
 def _phi_field(cfg: dict) -> float | PhaseReducer:
     """The phase angle: the float `phi`, or the exact reducer of the
-    rational multiple of pi `phi_pi_multiple`, parsed once and checked
-    here, where its refusals name that field."""
+    rational multiple of pi `phi_pi_multiple`, parsed once.  The functions
+    that take it check it, naming its field."""
     phi = cfg.get("phi")
     multiple = cfg.get("phi_pi_multiple")
     if (phi is None) == (multiple is None):
         raise ValidationError("phi: give exactly one of phi, phi_pi_multiple")
     if multiple is None:
         return _finite(phi, "phi")
-    reducer = PhaseReducer.from_pi_multiple(str(multiple))
-    check_phi(reducer)
-    return reducer
+    return PhaseReducer.from_pi_multiple(str(multiple))
 
 
 def _energy_grid(cfg: dict) -> list[float]:
@@ -219,7 +217,7 @@ def _run_efgp(cfg: dict, seed: int):
     if "rho" in cfg and "theta0" in cfg:
         raise ValidationError("theta0: give either theta0 or rho, not both")
     if "rho" in cfg:
-        theta0 = boundary_theta0(_float_field(cfg, "rho"), angle)
+        theta0 = boundary_theta0(_float_field(cfg, "rho"), phi)
     else:
         theta0 = _float_field(cfg, "theta0", 0.0)
     n_bumps = int_field(cfg, "n_bumps", len(spec.branch_levels))

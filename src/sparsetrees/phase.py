@@ -28,13 +28,13 @@ given a cursor into the table, rounds g from a 128-bit window of that sum
 with a proven error interval.  It takes the exact residue only where the
 interval straddles a rounding boundary (Ziv's rounding test) or delta is
 not small, so a table gives the very doubles of reduce without one.
-`PhaseReducer.phases` turns the gaps of a `transfer.efgp_run` into its
-rotations, at a float angle from a table of them; `spectral.mc_exponent`
-tables the unjittered floors' gaps once for its trials, whose jitter moves
-each gap by a few sites.  Both take an angle as one value, a float or its
-reducer, such as the exact one of `PhaseReducer.from_pi_multiple`;
-`resolve_angle` tells the kinds apart and names the config field of each
-in a refusal.
+`PhaseTable.phases` turns one run's gaps into its rotations through one
+cursor into a table: `PhaseReducer.phases` gives a `transfer.efgp_run`
+the table of its own gaps, and `spectral.mc_exponent` tables the
+unjittered floors' gaps once for its trials, whose jitter moves each gap
+by a few sites.  Both take an angle as one value, a float or its reducer,
+such as the exact one of `PhaseReducer.from_pi_multiple`; `resolve_angle`
+tells the kinds apart and names the config field of each in a refusal.
 """
 
 from __future__ import annotations
@@ -235,16 +235,15 @@ class PhaseReducer:
             windows.append(residue >> shift)
         if not q % 2:
             windows.reverse()
-        return PhaseTable(self.angle, bits, tuple(floors), tuple(windows), fixed >> shift)
+        return PhaseTable(bits, tuple(floors), tuple(windows), fixed >> shift)
 
     def phases(self, ratio: Fraction, gaps: Sequence[int]) -> list[float]:
         """`reduce` of each gap, the gaps about ratio p/q times each other:
-        at a float angle through one cursor into their own table at the
-        precision of the largest, at an exact one each gap whole."""
+        at a float angle through their own table at the precision of the
+        largest (`PhaseTable.phases`), at an exact one each gap whole."""
         if self.turn is not None:
             return list(map(self.reduce, gaps))
-        cursor = self.table(ratio, gaps, max(gaps)).cursor()
-        return [self.reduce(gap, cursor) for gap in gaps]
+        return self.table(ratio, gaps, max(gaps)).phases(self, gaps)
 
     def reduce(self, steps: int, walk: Iterator[tuple[int, int, int, int]] | None = None) -> float:
         """steps * angle modulo 2*pi, in [0, 2*pi).
@@ -252,7 +251,7 @@ class PhaseReducer:
         The residue's float is its correctly rounded integer division,
         bit for bit the float of the residue as a reduced Fraction, with
         no gcd taken.  Given a cursor into a table of this angle
-        (`PhaseTable.cursor`), steps is the run's next gap g, near the
+        (`PhaseTable.phases`), steps is the run's next gap g, near the
         table's next gap G, and the same double comes from the table.
 
         With s = P - 192, the table holds B = (G * F mod 2**P) >> s and
@@ -302,17 +301,17 @@ def resolve_angle(phi: float | PhaseReducer) -> tuple[float, PhaseReducer | None
 @dataclass(frozen=True, slots=True)
 class PhaseTable:
     """A gap sequence's residues at one float angle (`PhaseReducer.table`):
-    the angle, the precision `bits`, the gaps G_n (`floors`), the top 192
-    bits of each G_n * F mod 2**bits (`windows`), and those of F (`top`)."""
+    the precision `bits`, the gaps G_n (`floors`), the top 192 bits of each
+    G_n * F mod 2**bits (`windows`), and those of F (`top`)."""
 
-    angle: float
     bits: int
     floors: tuple[int, ...]
     windows: tuple[int, ...]
     top: int
 
-    def cursor(self) -> Iterator[tuple[int, int, int, int]]:
-        """One run's pass over the table, for `PhaseReducer.reduce`: per gap,
-        (G_n, its window, top, 2**(bits - 192), the bound below which the
-        precision covers a gap)."""
-        return zip(self.floors, self.windows, repeat(self.top), repeat(1 << (self.bits - _GUARD_BITS)))
+    def phases(self, reducer: PhaseReducer, gaps: Iterable[int]) -> list[float]:
+        """`reducer.reduce`, at the table's angle, of each gap of a run near
+        the table's through one cursor: per gap, (G_n, its window, top,
+        2**(bits - 192), the bound below which the precision covers a gap)."""
+        cursor = zip(self.floors, self.windows, repeat(self.top), repeat(1 << (self.bits - _GUARD_BITS)))
+        return list(map(reducer.reduce, gaps, repeat(cursor)))

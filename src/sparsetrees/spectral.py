@@ -47,7 +47,7 @@ from .trees import (
     sample_omega_tree,
     theoretical_dimension,
 )
-from .transfer import check_phi, efgp_run, mean_kick, stretch_gaps
+from .transfer import bump_coefficients, check_phi, efgp_run, mean_kick, stretch_gaps
 
 # An energy this close to a window endpoint, relative to max(1, endpoint),
 # is classified as the endpoint itself.
@@ -251,15 +251,14 @@ def mc_exponent(
 
     The trials share what does not depend on the jitter: gamma is parsed
     and checked once, the floors floor(gamma**n) are built once (each
-    trial draws its jitter on them), and at a float phi so is the phase
-    table of the floors' gaps (`PhaseReducer.table`), built with the
-    first trial's reducer.  A jittered gap is the floors' gap plus a few
-    sites, so each trial reduces its gaps through a cursor of its own
-    into that table (`PhaseReducer.reduce`), for any gamma, and passes
-    `efgp_run` the phases.  A float phi gets a fresh PhaseReducer per
-    trial, which computes no fixed-point angle unless a gap falls back to
-    its exact residue.  A reducer given as phi serves every trial, and
-    `efgp_run` reduces its gaps (an exact one's whole).
+    trial draws its jitter on them), and at a float angle so is the phase
+    table of the floors' gaps (`PhaseReducer.table`).  A jittered gap is
+    the floors' gap plus a few sites, so each trial takes its phases from
+    that table (`PhaseTable.phases`) and passes them to `efgp_run`, which
+    reduces an exact angle's gaps whole.  A float phi gets a fresh
+    PhaseReducer per trial, which computes no fixed-point angle unless a
+    gap falls back to its exact residue.  An angle where k's kick
+    coefficients (`bump_coefficients`) are not finite is refused.
     n_bumps is refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
     exceeds MC_SAMPLES_GUARD, before the floors are built.
@@ -267,8 +266,10 @@ def mc_exponent(
     gamma = parse_gamma(gamma)
     g = _as_float_gamma(gamma)
     check_k(k)
-    check_phi(phi, k)
-    phi, shared, _ = resolve_angle(phi)
+    check_phi(phi)
+    phi, shared, field = resolve_angle(phi)
+    if not all(map(math.isfinite, bump_coefficients(k, phi))):
+        raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
     if n_bumps < 1:
         raise ValidationError("n_bumps: must be at least 1")
     if trials < 1:
@@ -288,25 +289,24 @@ def mc_exponent(
     log_g = math.log(g)
     x = np.arange(n_bumps + 1, dtype=float) * log_g
     xc = x - x.mean()
-    den = float(np.dot(xc, xc))
+    # np.sum, not BLAS's np.dot, whose summation order depends on the CPU
+    den = float(np.sum(xc * xc))
     trial_means: list[float] = []
     curves: list[np.ndarray] = []
     num = 0.0
     table = phases = None
     for trial in range(trials):
         spec = sample_omega_tree(base, seed, trial)
-        reducer = shared
-        if reducer is None:
-            reducer = PhaseReducer(phi)
+        reducer = shared or PhaseReducer(phi)
+        if reducer.turn is None:
             if table is None:
                 table = reducer.table(base.gamma, stretch_gaps(base.branch_levels), base.branch_levels[-1])
-            cursor = table.cursor()
-            phases = [reducer.reduce(gap, cursor) for gap in stretch_gaps(spec.branch_levels)]
+            phases = table.phases(reducer, stretch_gaps(spec.branch_levels))
         trajectory = efgp_run(spec, reducer, phases=phases)
         trial_means.append(trajectory.mean_y())
         curve = np.array(trajectory.log_r)
         curves.append(curve)
-        num += float(np.dot(xc, curve))
+        num += float(np.sum(xc * curve))
 
     slope = num / (den * trials)
     stacked = np.vstack(curves)

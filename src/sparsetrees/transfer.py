@@ -41,22 +41,19 @@ from .trees import check_k, in_float_range
 _TWO_PI = 2.0 * math.pi
 
 
-def check_phi(phi: float | PhaseReducer, k: int | None = None) -> None:
+def check_phi(phi: float | PhaseReducer) -> None:
     """Refuse a phase step outside (0, pi), given as a float or as its
     PhaseReducer, naming the config field of its kind (`resolve_angle`).
 
     Also refused: an angle whose sin^2 underflows (below the smallest
-    normal double), which the kick coefficients divide by, and, given a
-    branching factor k, an angle at which k's kick coefficients
-    (`bump_coefficients`) are not finite.
+    normal double), which the phase map divides by.  What k needs of the
+    angle is checked where k is used (`efgp_run`, `spectral.mc_exponent`).
     """
     angle, _, field = resolve_angle(phi)
     if not (0.0 < angle < math.pi):
         raise ValidationError(f"{field}: the angle must lie strictly between 0 and pi")
     if math.sin(angle) ** 2 < sys.float_info.min:
         raise ValidationError(f"{field}: sin(angle)^2 underflows; the angle lies too close to 0 or pi")
-    if k is not None and not all(map(math.isfinite, bump_coefficients(k, angle))):
-        raise ValidationError(f"{field}: the kick coefficients of k = {k} are not finite at this angle")
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +73,18 @@ def bump_matrix(rho: float, energy: float) -> tuple[float, float, float, float]:
     return (energy * energy / rho - rho, -energy / rho, energy / rho, -1.0 / rho)
 
 
-def boundary_theta0(rho: float, phi: float) -> float:
+def boundary_theta0(rho: float, phi: float | PhaseReducer) -> float:
     """Initial phase encoding the boundary-coupling parameter rho.
 
     The boundary term subtracted at site 1 is equivalent to running the
-    free recursion from (u(0), u(1)) = (-tan(rho), 1); this is the angle of
-    that initial pair.  rho = 0 gives the Dirichlet angle 0.
+    free recursion from (u(0), u(1)) = (-tan(rho), 1) at phi, a float or
+    its PhaseReducer; this is that pair's angle, 0 (Dirichlet) at rho = 0.
     """
     check_phi(phi)
     check_rho(rho)
+    angle = resolve_angle(phi)[0]
     t = math.tan(rho)
-    return math.atan2(-math.sin(phi) * t, 1.0 + math.cos(phi) * t) % _TWO_PI
+    return math.atan2(-math.sin(angle) * t, 1.0 + math.cos(angle) * t) % _TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +119,8 @@ def bump_coefficients(k: int, phi: float) -> tuple[float, float, float]:
         a = ((1 + k^2) / (2k) - C) / S                       (mean_kick)
         b = (k - 1) (8 C^2 - 2k C - 8 C + k + 1) / (2k S)
         c = (k - 1) cos(phi) (k + 2 - 4 C) / (k sin(phi)).
-    `efgp_run` reads |G v| itself; (a, b, c) serve `check_phi`, and a
-    the growth exponent `spectral.Z`.
+    `efgp_run` reads |G v| itself; (a, b, c) serve `spectral.mc_exponent`'s
+    refusal of an angle, and a the growth exponent `spectral.Z`.
     """
     a = mean_kick(k, phi)
     cos_phi = math.cos(phi)
@@ -205,7 +203,9 @@ def efgp_run(
     `spectral.mc_exponent`'s trials pass theirs.  Entry n does not
     depend on n_bumps: the first n entries of a run are those of the run
     stopped at bump n, so two full runs give the transfer matrix at every
-    checkpoint (module docstring).
+    checkpoint (module docstring).  The loop cannot overflow: `check_phi`
+    keeps |u| <= 1 / sin(phi) < 1e154, and each new k, refused naming `k`
+    unless k * k is a float, keeps the bump entries below ~sqrt(k) < 1.2e77.
     """
     check_phi(phi)
     angle, reducer, _ = resolve_angle(phi)
@@ -239,7 +239,8 @@ def efgp_run(
         if k != last_k:
             bump = bumps.get(k)
             if bump is None:
-                check_phi(phi, k)
+                with in_float_range("k"):
+                    float(k * k)
                 bump = bumps[k] = bump_matrix(math.sqrt(k), energy)
             m11, m12, m21, m22 = bump
             last_k = k

@@ -436,8 +436,9 @@ def kick_error_units(y: float, k: int, phi: float, theta: float) -> float:
     of y itself, and of an angle below 2 pi that the phase map rounds.
 
     G = Q B P as in `bump_coefficients`, v = (cos theta, sin theta).  G's
-    condition number is below about 1e308 wherever the coefficients are
-    finite, so 400 digits keep the smallest |G v| to about 90.
+    condition number is about k / sin^2(phi), below about 1e310 for the
+    k <= 1e9 at phi >= 1e-150 and k = 100 at 1e-154 pi that the tests
+    hold to it, so 400 digits keep the smallest |G v| to about 90.
     """
     with mp.workdps(400):
         s, c = mp.sin(mp.mpf(phi)), mp.cos(mp.mpf(phi))

@@ -77,6 +77,47 @@ print(status, sorted(name for name in sys.modules if name.split(".")[0] == "scip
 """
 
 
+# Each OpenBLAS core that OPENBLAS_CORETYPE can pick, and the CPU flags it needs.
+OPENBLAS_CORES = {
+    "Prescott": {"pni"},
+    "Nehalem": {"ssse3", "sse4_2"},
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512dq", "avx512bw", "avx512vl", "avx512cd"},
+}
+
+
+def test_mc_exponent_golden_bytes_under_every_openblas_core(tmp_path):
+    # The golden bytes under every core this CPU runs.  OPENBLAS_CORETYPE
+    # selects the kernels of a DYNAMIC_ARCH OpenBLAS only: against a build
+    # for one core, or another BLAS, every run takes the same kernel and
+    # this test proves nothing.
+    try:
+        cpuinfo = pathlib.Path("/proc/cpuinfo").read_text()
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+    match = re.search(r"^flags\s*:(.*)$", cpuinfo, re.M)
+    if match is None:
+        pytest.skip("no x86 CPU flags to pick OpenBLAS cores by")
+    flags = set(match.group(1).split())
+    cores = [core for core, needs in OPENBLAS_CORES.items() if needs <= flags]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    golden = (GOLDEN / "mc_exponent.json").read_bytes()
+    for core in cores:
+        out = tmp_path / f"{core}.json"
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": core,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "sparsetrees", "mc-exponent", "--config", str(FIXTURES / "mc_exponent.json"),
+             "--format", "json", "--out", str(out)],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        assert out.read_bytes() == golden, core
+
+
 def test_long_block_spectrum_loads_no_scipy(tmp_path):
     # A 601-row block takes the stretch count; a fresh process that runs
     # it must not load scipy at all.
@@ -608,6 +649,9 @@ def test_trials_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("guard: trials: 8385 trials of 2001 points")
 
 
+K_SQUARED_PAST_FLOAT = math.isqrt((1 << 1024) - (1 << 970) - 1) + 1
+
+
 @pytest.mark.parametrize("subcommand,cfg", [
     # past about 1.35e154, 1 + k**2 is no float
     ("efgp-run", {"spec": {"family": "explicit", "k": [10**155], "L": [3]}, "phi": 1.0}),
@@ -619,6 +663,8 @@ def test_trials_guard_exits_3_naming_the_field(tmp_path, capsys, monkeypatch):
                   "variant": "degree"}),
     # past about 7.2e308, (1 + k)**2 / (4 k) is no float
     ("phase-diagram", {"k": 8 * 10**308, "gamma": 4, "energies": [0.5]}),
+    # the smallest k whose k * k rounds past the largest double
+    ("efgp-run", {"spec": {"family": "explicit", "k": [2, K_SQUARED_PAST_FLOAT], "L": [3, 7]}, "phi": 1.0}),
 ])
 def test_branching_factor_past_float_range_exits_2_naming_k(subcommand, cfg, tmp_path, capsys):
     config = tmp_path / "huge_k.json"
@@ -632,6 +678,8 @@ def test_branching_factor_inside_float_range_still_runs(tmp_path):
     cases = [
         ("tree-stats", {"spec": {"family": "explicit", "k": [10**400], "L": [3]}, "depth": 6}),
         ("phase-diagram", {"k": 5 * 10**308, "gamma": 4, "energies": [0.5, 1.0]}),
+        # the phase flow needs only k * k in float range
+        ("efgp-run", {"spec": {"family": "explicit", "k": [2, K_SQUARED_PAST_FLOAT - 1], "L": [3, 7]}, "phi": 1.0}),
     ]
     for subcommand, cfg in cases:
         config = tmp_path / "big_k.json"
@@ -747,8 +795,8 @@ TINY_PHI_SPEC = {"family": "explicit", "k": [2, 3, 2, 4], "L": [2, 5, 9, 14]}
     ("mc-exponent", {"k": 10**9, "gamma": 3, "phi": 1e-150, "n_bumps": 4, "trials": 2},
      "phi: the kick coefficients of k = 1000000000 are not finite"),
     # an exact angle's refusals name its own field, wherever they are found
-    ("efgp-run", {"spec": {"family": "gamma", "k": 100, "gamma": 3, "N": 4}, "phi_pi_multiple": "1e-154"},
-     "phi_pi_multiple: the kick coefficients of k = 100 are not finite"),
+    ("efgp-run", {"spec": TINY_PHI_SPEC, "phi_pi_multiple": "1/" + "1" + "0" * 300, "rho": 0.3},
+     "phi_pi_multiple: sin(angle)^2 underflows"),
     ("mc-exponent", {"k": 100, "gamma": 3, "phi_pi_multiple": "1e-154", "n_bumps": 4, "trials": 2},
      "phi_pi_multiple: the kick coefficients of k = 100 are not finite"),
 ])
@@ -759,20 +807,34 @@ def test_tiny_angle_exits_2_naming_the_field(subcommand, cfg, message, tmp_path,
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+def check_each_kick_to_a_few_ulps(cfg: dict, reducer: PhaseReducer, tmp_path) -> None:
+    """Run efgp-run on cfg, and hold each kick to the oracle's 8 units of
+    log |G v| at the run's own entry angle."""
+    config = tmp_path / "tiny_phi.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert run(["efgp-run", "--config", str(config), "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["payload"]["rows"]
+    spec = spec_from_record(cfg["spec"])
+    gaps = stretch_gaps(spec.branch_levels)
+    for gap, k, before, row in zip(gaps, spec.branch_factors, rows[:-1], rows[1:], strict=True):
+        entry = (before["theta"] + reducer.reduce(gap)) % (2.0 * math.pi)
+        assert kick_error_units(row["Y_n"], k, reducer.angle, entry) <= 8, row
+
+
 def test_efgp_run_near_the_band_edge_gives_each_kick_to_a_few_ulps(tmp_path):
     # At phi = 1e-100 the closed form a + b cos 2 theta + c sin 2 theta
     # rounded to 0 or below; the length of the outgoing vector does not
     # cancel, and each kick lies within the oracle's 8 units of log |G v|.
-    config = tmp_path / "tiny_phi.json"
-    config.write_text(json.dumps({"spec": TINY_PHI_SPEC, "phi": 1e-100}))
-    out = tmp_path / "out.json"
-    assert run(["efgp-run", "--config", str(config), "--format", "json", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())["payload"]["rows"]
-    reducer = PhaseReducer(1e-100)
-    gaps = stretch_gaps(TINY_PHI_SPEC["L"])
-    for gap, k, before, row in zip(gaps, TINY_PHI_SPEC["k"], rows[:-1], rows[1:], strict=True):
-        entry = (before["theta"] + reducer.reduce(gap)) % (2.0 * math.pi)
-        assert kick_error_units(row["Y_n"], k, 1e-100, entry) <= 8, row
+    check_each_kick_to_a_few_ulps({"spec": TINY_PHI_SPEC, "phi": 1e-100}, PhaseReducer(1e-100), tmp_path)
+
+
+def test_efgp_run_where_the_kick_coefficients_overflow_gives_each_kick_to_a_few_ulps(tmp_path):
+    # At 1e-154 pi, k = 100's kick coefficients are not finite, but the
+    # flow needs only k * k in float range: it runs, each kick within 8 units
+    spec = {"family": "gamma", "k": 100, "gamma": 3, "N": 4}
+    reducer = PhaseReducer.from_pi_multiple("1e-154")
+    check_each_kick_to_a_few_ulps({"spec": spec, "phi_pi_multiple": "1e-154"}, reducer, tmp_path)
 
 
 # Replacement values for the fuzzed configs: zeros, signs, the ends of the

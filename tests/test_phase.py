@@ -297,11 +297,9 @@ def floor_gaps(levels):
 def tabled(angle, table_gaps, ratio, largest, gaps):
     """reduce of each gap through one cursor into the table of table_gaps,
     next to reduce of each gap whole, as hex strings."""
-    reducer = PhaseReducer(angle)
-    cursor = reducer.table(ratio, table_gaps, largest).cursor()
+    table = PhaseReducer(angle).table(ratio, table_gaps, largest)
     # a later reducer of the same angle, as in mc_exponent's trials
-    trial = PhaseReducer(angle)
-    got = [trial.reduce(g, cursor).hex() for g in gaps]
+    got = [p.hex() for p in table.phases(PhaseReducer(angle), gaps)]
     return got, [PhaseReducer(angle).reduce(g).hex() for g in gaps]
 
 
@@ -409,8 +407,7 @@ def test_walk_falls_back_to_the_exact_residue(monkeypatch):
     ):
         expected = [residue_float(1.0, g) for g in gaps]
         exact.clear()
-        cursor = table.cursor()
-        assert [PhaseReducer(1.0).reduce(g, cursor) for g in gaps] == expected
+        assert table.phases(PhaseReducer(1.0), gaps) == expected
         assert exact == whole
 
 
@@ -438,10 +435,8 @@ def test_round_window_refuses_wraps_and_rounding_boundaries():
 
 def test_split_reduce_refuses_negative_steps():
     reducer = PhaseReducer(1.0)
-    cursor = reducer.table(Fraction(3), [5, 13, 37], 10**6).cursor()
-    reducer.reduce(5, cursor)
     with pytest.raises(ValidationError, match="^steps: "):
-        reducer.reduce(-1, cursor)
+        reducer.table(Fraction(3), [5, 13, 37], 10**6).phases(reducer, [5, -1])
     with pytest.raises(ValidationError, match="^steps: "):
         window_reduce(1 << 127, -1)
     with pytest.raises(ValidationError, match="^steps: "):
@@ -451,4 +446,4 @@ def test_split_reduce_refuses_negative_steps():
 def test_table_is_none_for_an_exact_angle():
     assert PhaseReducer.from_pi_multiple("1/3").table(Fraction(3), [1, 2], 9) is None
     table = PhaseReducer(1.0).table(Fraction(5, 2), [1, 2], 9)
-    assert (table.angle, table.bits, table.floors) == (1.0, 256, (1, 2))
+    assert (table.bits, table.floors) == (256, (1, 2))

@@ -263,14 +263,16 @@ def check_shared_work_changes_nothing(gamma):
     xc = x - x.mean()
     num = 0.0
     for run in runs:
-        num += float(np.dot(xc, np.array(run.log_r)))
-    slope = num / (float(np.dot(xc, xc)) * trials)
+        num += float(np.sum(xc * np.array(run.log_r)))
+    slope = num / (float(np.sum(xc * xc)) * trials)
     stacked = np.vstack([np.array(run.log_r) for run in runs])
     intercept = float(stacked.mean()) - slope * float(x.mean())
     means = np.asarray([run.mean_y() for run in runs])
     mean_y = float(means.mean())
     std_error = float(means.std(ddof=1) / math.sqrt(trials))
     z = Z(phi, k)
+    # a float reducer given as phi serves every trial through the same table
+    assert mc_exponent(k, gamma, PhaseReducer(phi), n_bumps=n_bumps, trials=trials, seed=seed) == report
     assert report == ExponentReport(
         k=k,
         gamma=g,
@@ -314,6 +316,21 @@ def test_mc_exponent_builds_floors_and_one_phase_table_per_op(monkeypatch):
     mc_exponent(2, 3, PhaseReducer.from_pi_multiple("1/3"), n_bumps=50, trials=4, seed=3)
     assert len(floors) == 3
     assert len(tables) == 2
+    # a float reducer given as phi shares one table among its trials too
+    mc_exponent(2, 3, PhaseReducer(1.0), n_bumps=50, trials=4, seed=3)
+    assert len(floors) == 4
+    assert len(tables) == 3
+
+
+def test_mc_exponent_takes_no_blas_dot_product(monkeypatch):
+    # BLAS picks its dot product kernel by CPU, and each kernel sums in its
+    # own order, so the report's bits would depend on the host
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    report = mc_exponent(2, 3, 1.0, n_bumps=50, trials=3, seed=3)
+    assert math.isfinite(report.slope)
 
 
 def test_mc_exponent_computes_one_fixed_point_angle_per_op(monkeypatch):

@@ -2,13 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     Mat2,
@@ -384,15 +385,39 @@ def test_efgp_run_is_bit_identical_to_the_helper_composition():
 @example(k=4, phi=1e-100, theta0=0.0)  # where a + b cos 2 theta + c sin 2 theta rounded to <= 0
 @example(k=2, phi=1e-8, theta0=1.0)  # the closed form's error exceeded its smallest values
 @example(k=10**9, phi=math.pi - 1e-8, theta0=3.0)
+@example(k=10**9, phi=1e-150, theta0=0.0)  # where the kick coefficients overflow
 def test_kick_is_log_of_the_outgoing_length_to_a_few_ulps(k, phi, theta0):
     # y against log |G v| at 400 digits, at the flow's own float entry
     # angle: within 8 units of 2^-53 (1 + |y| + 2 pi |dy/dtheta|) at any
-    # angle the check lets through, the band edges included
-    assume(all(map(math.isfinite, bump_coefficients(k, phi))))
+    # angle the check lets through, the band edges included, and also
+    # where the kick coefficients (bump_coefficients) are not finite
     spec = TreeSpec((2, 5, 9, 14), (k,) * 4)
     trajectory = efgp_run(spec, phi, theta0=theta0)
     for y, entry in zip(trajectory.y[1:], entry_angles(spec, phi, trajectory)):
         assert kick_error_units(y, k, phi, entry) <= 8, (y, entry)
+
+
+# The largest k whose k * k is a double, and the smallest angle whose sin^2
+# is a normal one: the ends of what efgp_run admits.
+K_LARGEST = math.isqrt(int(sys.float_info.max))
+PHI_SMALLEST = math.sqrt(sys.float_info.min)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    k=st.integers(2, K_LARGEST),
+    phi=st.one_of(st.floats(PHI_SMALLEST, 1e-100), st.floats(PHI_SMALLEST, math.pi, exclude_max=True)),
+    theta0=st.floats(0.0, TWO_PI, exclude_max=True),
+)
+@example(k=K_LARGEST, phi=PHI_SMALLEST, theta0=0.0)
+@example(k=K_LARGEST, phi=PHI_SMALLEST, theta0=math.pi / 2)
+@example(k=K_LARGEST, phi=math.nextafter(math.pi, 0.0), theta0=1.0)
+@example(k=2, phi=PHI_SMALLEST, theta0=3.0)
+def test_flow_is_finite_at_the_extremes_it_admits(k, phi, theta0):
+    assert math.sin(math.nextafter(PHI_SMALLEST, 0.0)) ** 2 < sys.float_info.min <= math.sin(PHI_SMALLEST) ** 2
+    spec = TreeSpec((2, 5, 9, 14, 30), (k, 2, k, k, 3))
+    trajectory = efgp_run(spec, phi, theta0=theta0)
+    assert all(map(math.isfinite, trajectory.theta + trajectory.y))
 
 
 def test_efgp_run_row_zero_and_levels():
@@ -460,8 +485,8 @@ def test_efgp_run_refuses_short_phases_and_runs_given_ones():
     assert levels_table(PhaseReducer(1.0), TreeSpec(spec.branch_levels, spec.branch_factors)) == table
     assert PhaseReducer(1.0).phases(1, gaps) == phases
     # phases through a table of other gaps at the same angle give the same run
-    cursor = levels_table(PhaseReducer(1.0), sample_omega_tree(spec, seed=2)).cursor()
-    assert efgp_run(spec, 1.0, phases=[PhaseReducer(1.0).reduce(g, cursor) for g in gaps]) == efgp_run(spec, 1.0)
+    other = levels_table(PhaseReducer(1.0), sample_omega_tree(spec, seed=2))
+    assert efgp_run(spec, 1.0, phases=other.phases(PhaseReducer(1.0), gaps)) == efgp_run(spec, 1.0)
 
 
 def test_stretch_gaps_refuses_levels_closer_than_two_sites():
