@@ -309,11 +309,11 @@ def _load_config(path: str) -> tuple[str, dict]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config: top level must be a JSON object")
@@ -325,7 +325,10 @@ def _out_error(path: str, reason) -> ValidationError:
 
 
 def _check_out(path: str) -> None:
-    """Refuse --out before any work unless its directory exists and is writable."""
+    """Refuse --out before any work if it names a directory, or unless its
+    directory exists and is writable."""
+    if os.path.isdir(path):
+        raise _out_error(path, "is a directory")
     folder = os.path.dirname(path) or os.curdir
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise _out_error(path, f"{folder} is not a writable directory")

@@ -177,9 +177,9 @@ def verify_decomposition(
     a zero coupling.  Each block is solved on its own grid, so its
     eigenvalues have the bits eigenvalues_sym gives the block alone, but
     the tails share their subtree classes, and so one class count.  Both
-    sides take the class count, except that chains above CLASS_COUNT_ROWS
-    rows take the stretch count; either way the
-    comparison checks the decomposition, not the eigensolver, which
+    sides take component_eigenvalues' class count, or its stretch count
+    for chains above CLASS_COUNT_ROWS rows; either way the comparison
+    checks the decomposition, not the eigensolver, which
     tests/test_operators.py checks against a 40-digit mpmath count.  No
     LAPACK routine is called.  With rho = 0 and no such long block the
     report is the same on every platform (a nonzero rho enters through the

@@ -39,7 +39,7 @@ from .trees import TreeSpec, ball_count
 
 VERTEX_GUARD = 1_000_000
 
-# Longest chain component solved by the class count (forest_eigenvalues);
+# Longest chain component solved by the class count (component_eigenvalues);
 # longer ones take the stretch count.  A lone block has one subtree class
 # per row, so the class count's work grows as rows**2, and the stretch
 # count's as rows times runs.  On the lone 500-row root block of
@@ -51,8 +51,8 @@ VERTEX_GUARD = 1_000_000
 # depend on libm.
 CLASS_COUNT_ROWS = 500
 
-# Largest bisection work: the rows of the components solved times class
-# steps (forest_eigenvalues), or a chain's rows times its runs (the stretch
+# Largest bisection work: the rows of the components solved by the class
+# count times its class steps, or a chain's rows times its runs (the stretch
 # count).  A forest has at most 2 * rows - 1 class steps, so every forest
 # of up to 4,000 rows is accepted.
 WORK_GUARD = 32_000_000
@@ -198,7 +198,7 @@ def _count_below(plan, points, back, edges) -> np.ndarray:
     points are the pass's distinct points, back[r] the indices of row r's
     points among them, and component i's rows are edges[i] to
     edges[i + 1] - 1.  plan lists the classes children first, each as
-    (c, d, w^2, kids, adopt, freed, drop, root) (forest_eigenvalues).  A
+    (c, d, w^2, kids, adopt, freed, drop, root) (component_eigenvalues).  A
     class's pivot is q = (d - x) - its children's terms, summed left to
     right in elimination order, so q has the bits of the per-vertex
     elimination; d - x is computed once per distinct d and dropped after
@@ -318,65 +318,6 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
             # the counts die in _split_rows: the next pass's count does not hold them
             lo, first = _split_rows(lo, first, count(points, back.reshape(x.shape), edges), offsets, edges, width)
     return np.split(np.repeat(lo, np.diff(first, append=offsets[-1])) * np.ravel(h), offsets[1:-1])
-
-
-def forest_eigenvalues(op: SymOperator, skip=()) -> dict[int, np.ndarray]:
-    """Ascending eigenvalues of each component of a SymOperator (a forest), by root vertex.
-
-    Components that start at the rows given as (first row, rows) in skip are
-    left out.  Every other component is bisected (_bisect) on its own grid,
-    and all of them share one inertia count per pass, which runs over
-    classes of equal subtrees: one pivot per generation on a spherically
-    homogeneous tree, and, for Jacobi blocks that are tails of one another,
-    one per row of the longest plus one per other block's top row.  Equal
-    components are solved once, and the classes' steps (_count_below's plan)
-    are decided once for all passes.  Each computed count is the exact count
-    of a matrix whose couplings differ from op's by at most (c + 4)/2 units
-    of roundoff, c the number of children of the coupled parent (Demmel,
-    Dhillon and Ren, Numer. Math. 1995).  Barring underflow, every
-    eigenvalue is therefore within h + (degree + 4) * 2**-53 * B of the
-    exact one, degree the largest vertex degree and B the Gershgorin bound
-    of its component.
-
-    Only IEEE basic operations and integer counts are used: no LAPACK, no
-    libm call, no BLAS reduction.  The bits are thus the same on every
-    platform, whether or not the floating-point count is monotone in x,
-    and a component's bits do not depend on the other components.  The
-    work, the rows of the components solved times the steps (class pivots
-    plus child terms), is refused above WORK_GUARD before any count.  A
-    pass counts at 3 points per cluster of eigenvalues that share a
-    bracket (_bisect), so repeated eigenvalues cost one bracket; it holds
-    a few arrays of those points, d - x for each diagonal still to come,
-    and the terms and counts of the classes not yet read.
-    """
-    if skip:
-        rest = np.ones(op.size, dtype=bool)
-        for first, rows in skip:
-            rest[first : first + rows] = False
-        vertices = np.flatnonzero(rest)[::-1].tolist()
-    else:
-        vertices = range(op.size - 1, -1, -1)
-    classes, tops, rows, bounds = _subtree_classes(op, vertices)
-    solved = list(dict.fromkeys(tops.values()))  # root classes, each solved once
-    sizes = [rows[c] for c in solved]
-    steps = sum(1 + len(kids) for _, _, kids in classes)
-    if sum(sizes) * steps > WORK_GUARD:
-        raise GuardError(
-            f"size: bisection work {sum(sizes)} rows x {steps} class steps, guard is {WORK_GUARD}"
-        )
-    if not solved:
-        return {}
-    last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
-    last_shift = {d: c for c, (d, _, _) in enumerate(classes)}
-    roots = {c: i for i, c in enumerate(solved)}
-    plan = []  # _count_below's steps, decided once for all passes
-    for c, (d, w2, kids) in enumerate(classes):
-        freed = [k for k in dict.fromkeys(kids) if last_reader[k] == c]
-        adopt = len(kids) == 1 and bool(freed)
-        plan.append((c, d, w2, kids, adopt, [] if adopt else freed, last_shift[d] == c, roots.get(c)))
-    count = partial(_count_below, plan)
-    evs = dict(zip(solved, _bisect(sizes, [bounds[c] for c in solved], count)))
-    return {v: evs[c] for v, c in reversed(tops.items())}
 
 
 def _runs(diag: np.ndarray, weight: np.ndarray) -> list[tuple[float, float, int]]:
@@ -508,11 +449,6 @@ def _count_stretches(runs: list[tuple[float, float, int]], x: np.ndarray) -> np.
     return count.astype(np.int64)
 
 
-def _stretch_count(runs, points, back, edges) -> np.ndarray:
-    """_count_stretches at a chain's bracket rows, in _bisect's form (edges unused)."""
-    return _count_stretches(runs, points)[back]
-
-
 def _long_chains(op: SymOperator) -> list[tuple[int, int]]:
     """(first row, rows) of each component that is a chain of more than CLASS_COUNT_ROWS rows.
 
@@ -535,34 +471,74 @@ def _long_chains(op: SymOperator) -> list[tuple[int, int]]:
 def component_eigenvalues(op: SymOperator) -> list[np.ndarray]:
     """Ascending eigenvalues of each component of a SymOperator (a forest), in the order of their roots.
 
-    A component that is a chain of more than CLASS_COUNT_ROWS rows,
-    numbered in order (a long block, or a tree that does not branch inside
-    the truncation), is bisected (_bisect) alone on the stretch count,
-    _count_stretches, whose work, rows times runs, is refused above
-    WORK_GUARD (_runs).  Its closed forms call libm (arctan, arctan2, tan,
-    arccosh, exp, expm1), so those bits are the platform's.  To first
-    order, with libm within 2 units in the last place, each of its counts
-    is the exact count of a matrix whose entries differ from the chain's
-    by at most about 50 * 2**-53 * B; every eigenvalue is stated to be
-    within h + 2**-46 * B of the exact one, a bound the tests check
-    against 40-digit counts.  Every other component goes through one
-    forest_eigenvalues sweep: the same bits on every platform.  Each
-    component is solved on its own grid, so its bits are those of solving
-    it alone, and all work is refused before any count.  An operator of
-    one row is its own eigenvalue.
+    Each component is bisected (_bisect) on its own grid of step h, so its
+    bits are those of solving it alone, and all work is refused above
+    WORK_GUARD before any count.  B is a component's Gershgorin bound.  An
+    operator of one row is its own eigenvalue.
+
+    A chain of more than CLASS_COUNT_ROWS rows, numbered in order (a long
+    block, or a tree that does not branch inside the truncation), is
+    bisected alone on the stretch count (_count_stretches); its work, rows
+    times runs, is refused in _runs.  Its closed forms call libm (arctan,
+    arctan2, tan, arccosh, exp, expm1), so its bits are the platform's.
+    To first order, with libm within 2 units in the last place, each count
+    is the exact count of a matrix within about 50 * 2**-53 * B of the
+    chain: every eigenvalue is stated to be within h + 2**-46 * B of the
+    exact one, a bound the tests check against 40-digit counts.
+
+    All other components share one sweep of the class count (_count_below)
+    per pass, over classes of equal subtrees: one pivot per generation on
+    a spherically homogeneous tree, and, for Jacobi blocks that are tails
+    of one another, one per row of the longest plus one per other block's
+    top row.  Equal components are solved once, and the classes' steps
+    (the plan) are decided once for all passes.  Its work is the rows
+    solved times the steps (class pivots plus child terms).  It takes only
+    IEEE basic operations and integer counts, no LAPACK, libm or BLAS, so
+    its bits are the same on every platform, whether or not the
+    floating-point count is monotone in x.  Each count is the exact count
+    of a matrix whose couplings differ from op's by at most (c + 4)/2
+    units of roundoff, c the number of children of the coupled parent
+    (Demmel, Dhillon and Ren, Numer. Math. 1995): barring underflow, every
+    eigenvalue is within h + (degree + 4) * 2**-53 * B of the exact one,
+    degree the largest vertex degree.  A pass counts at 3 points per
+    cluster of eigenvalues that share a bracket, and holds a few arrays of
+    those points: d - x for each diagonal still to come, and the terms and
+    counts of the classes not yet read.
     """
     if op.size <= 1:
         return [op.diag.copy()]
     chains = _long_chains(op)
     runs = [_runs(op.diag[a : a + n], op.weight[a : a + n]) for a, n in chains]
-    solved = forest_eigenvalues(op, chains)
+    rest = np.ones(op.size, dtype=bool)
+    for a, n in chains:
+        rest[a : a + n] = False
+    classes, tops, rows, bounds = _subtree_classes(op, np.flatnonzero(rest)[::-1].tolist())
+    solved = list(dict.fromkeys(tops.values()))  # root classes, each solved once
+    sizes = [rows[c] for c in solved]
+    steps = sum(1 + len(kids) for _, _, kids in classes)
+    if sum(sizes) * steps > WORK_GUARD:
+        raise GuardError(
+            f"size: bisection work {sum(sizes)} rows x {steps} class steps, guard is {WORK_GUARD}"
+        )
+    last_reader = {k: c for c, (_, _, kids) in enumerate(classes) for k in kids}
+    last_shift = {d: c for c, (d, _, _) in enumerate(classes)}
+    roots = {c: i for i, c in enumerate(solved)}
+    plan = []  # _count_below's steps, decided once for all passes
+    for c, (d, w2, kids) in enumerate(classes):
+        freed = [k for k in dict.fromkeys(kids) if last_reader[k] == c]
+        adopt = len(kids) == 1 and bool(freed)
+        plan.append((c, d, w2, kids, adopt, [] if adopt else freed, last_shift[d] == c, roots.get(c)))
+    count = partial(_count_below, plan)
+    evs = dict(zip(solved, _bisect(sizes, [bounds[c] for c in solved], count) if solved else []))
+    found = {v: evs[c] for v, c in tops.items()}
     for (a, n), chain_runs in zip(chains, runs):
         diag, weight = op.diag[a : a + n], op.weight[a : a + n]
         radius = np.abs(diag) + np.abs(weight)  # Gershgorin: own coupling, then the child's
         radius[:-1] += np.abs(weight[1:])
-        count = partial(_stretch_count, chain_runs)
-        (solved[a],) = _bisect([n], [float(radius.max())], count)
-    return [solved[root] for root in sorted(solved)]
+        (found[a],) = _bisect(
+            [n], [float(radius.max())], lambda points, back, edges: _count_stretches(chain_runs, points)[back]
+        )
+    return [found[root] for root in sorted(found)]
 
 
 def eigenvalues_sym(op: SymOperator) -> np.ndarray:

@@ -23,7 +23,6 @@ take their last bits, and so their bytes, from the platform.
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
@@ -101,13 +100,6 @@ def _scalar(value) -> str:
         return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    # No numpy scalar exists before numpy is loaded, and this module does
-    # not load it.
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.integer):
-        return str(int(value))
-    if np is not None and isinstance(value, np.floating):
-        return format_float(float(value))
     raise ValidationError(f"payload: cannot serialize a {type(value).__name__}")
 
 

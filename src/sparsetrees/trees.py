@@ -276,8 +276,6 @@ def make_gamma_tree(k: int, gamma: str | float | Fraction, n_levels: int) -> Tre
                 f"gamma: floor(gamma**n) not strictly increasing at this horizon (gamma={g})"
             )
         levels.append(level)
-    if levels[0] < 1:
-        raise ValidationError("gamma: first level floor(gamma) must be >= 1")
     return TreeSpec(tuple(levels), (k,) * n_levels, family="gamma", gamma=g)
 
 

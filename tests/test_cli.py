@@ -323,12 +323,27 @@ def test_unwritable_out_exits_2_naming_the_field(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and not out.parent.exists()
 
 
-def test_out_naming_a_directory_exits_2_at_write_time(tmp_path, capsys):
-    # a directory passes the check on its parent; the write itself fails
+def test_out_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(cfg, seed):
+        raise AssertionError("the handler ran before --out was checked")
+
+    monkeypatch.setitem(cli._HANDLERS, "tree-stats", never)
     assert run(["tree-stats", "--config", str(FIXTURES / "tree_stats.json"), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: out: cannot write {tmp_path}: ")
-    assert err.count("\n") == 1
+    assert err == f"error: out: cannot write {tmp_path}: is a directory\n"
+
+
+@pytest.mark.parametrize("content", [
+    b'{"depth": 4, "note": "caf\xe9"}',  # Latin-1, not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the parser's recursion limit
+    b'{"depth": 4,}',
+], ids=["not-utf8", "nested-100000-deep", "trailing-comma"])
+def test_config_the_cli_cannot_decode_exits_2(content, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert run(["tree-stats", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
 
 
 def test_config_echo_recovers_the_input_bytes():

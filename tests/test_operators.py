@@ -30,7 +30,6 @@ from sparsetrees.operators import (
     assemble_delta_tilde,
     component_eigenvalues,
     eigenvalues_sym,
-    forest_eigenvalues,
     tridiagonal,
 )
 from sparsetrees.trees import TreeSpec, ball_count, make_gamma_tree
@@ -249,23 +248,26 @@ def grid_step(gershgorin: float) -> float:
 
 
 def documented_bound(op: SymOperator) -> float:
-    """h + (degree + 4) * 2**-53 * B, as forest_eigenvalues states it."""
+    """h + (degree + 4) * 2**-53 * B, as component_eigenvalues states it for the class count."""
     gershgorin, degree = gershgorin_and_degree(op)
     return grid_step(gershgorin) + (degree + 4) * 2.0**-53 * gershgorin
 
 
 def stretch_bound(op: SymOperator) -> float:
-    """h + 2**-46 * B, as eigenvalues_sym states it for the stretch count."""
+    """h + 2**-46 * B, as component_eigenvalues states it for the stretch count."""
     gershgorin, _ = gershgorin_and_degree(op)
     return grid_step(gershgorin) + 2.0**-46 * gershgorin
 
 
-def class_count(op: SymOperator) -> np.ndarray:
-    """All eigenvalues of op by the class count (forest_eigenvalues), ascending."""
-    return np.sort(np.concatenate(list(forest_eigenvalues(op).values())))
+def class_count(op: SymOperator) -> list[np.ndarray]:
+    """component_eigenvalues with CLASS_COUNT_ROWS raised to op's size, so
+    that every component, however long a chain, takes the class count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "CLASS_COUNT_ROWS", max(op.size, CLASS_COUNT_ROWS))
+        return component_eigenvalues(op)
 
 
-def test_forest_eigenvalues_within_documented_bound_of_mpmath():
+def test_class_count_within_documented_bound_of_mpmath():
     fixture_block = make_gamma_tree(2, 3, 6)  # tests/fixtures/spectrum.json
     fixture_tree = make_gamma_tree(2, "5/2", 5)  # tests/fixtures/decompose.json
     cases = [
@@ -279,7 +281,7 @@ def test_forest_eigenvalues_within_documented_bound_of_mpmath():
     ]
     largest_cluster = 0
     for op in cases:
-        evs = class_count(op)
+        evs = np.sort(np.concatenate(class_count(op)))
         assert evs.shape == (op.size,) and np.all(np.diff(evs) >= 0)
         with mpmath.workdps(40):
             bound = mpmath.mpf(documented_bound(op))
@@ -291,7 +293,7 @@ def test_forest_eigenvalues_within_documented_bound_of_mpmath():
                 assert below <= k < upto, (op.size, k, ev)
                 largest_cluster = max(largest_cluster, upto - below)
     # the odd zero-diagonal block has the exact eigenvalue 0, on the grid
-    assert class_count(cases[0])[30] == 0.0
+    assert class_count(cases[0])[0][30] == 0.0
     # the tree's repeated eigenvalues are each found
     assert largest_cluster >= 2
     assert cases[3].size == 47
@@ -396,14 +398,11 @@ def test_class_count_is_the_per_vertex_count_bit_for_bit(op):
     # Each component on its own grid: the class count of the whole forest
     # has the bits of the per-vertex count of each component alone.
     want = [per_vertex_eigenvalues(part) for part in components(op)]
-    got = forest_eigenvalues(op)
-    assert list(got) == np.flatnonzero(op.parent < 0).tolist()
-    for evs, ref in zip(got.values(), want):
+    got = class_count(op)
+    assert op.size > 1 and len(got) == np.count_nonzero(op.parent < 0)  # one entry per root
+    for evs, ref in zip(got, want, strict=True):
         assert np.array_equal(evs.view(np.int64), ref.view(np.int64))
-    if op.size > 1:  # no component here is a long chain
-        for evs, ref in zip(component_eigenvalues(op), want, strict=True):
-            assert np.array_equal(evs.view(np.int64), ref.view(np.int64))
-    evs = class_count(op)
+    evs = np.sort(np.concatenate(got))
     with mpmath.workdps(40):
         bound = mpmath.mpf(documented_bound(op))
         count_below = mp_count_below(op)
@@ -562,7 +561,7 @@ def test_stretch_count_is_the_per_row_count(op, data):
 
 
 def test_stretch_route_agrees_with_the_class_count_on_long_blocks():
-    # Blocks of 501 to 2,000 rows: the stretch count against forest_eigenvalues,
+    # Blocks of 501 to 2,000 rows: the stretch count against the class count,
     # each within its stated bound, so within the sum of the two.
     cases = [
         truncated_block(make_gamma_tree(2, 3, 8), 0, CLASS_COUNT_ROWS),
@@ -572,7 +571,7 @@ def test_stretch_route_agrees_with_the_class_count_on_long_blocks():
     for op in cases:
         assert op.size > CLASS_COUNT_ROWS and op.is_tridiagonal()
         got = eigenvalues_sym(op)
-        want = class_count(op)
+        (want,) = class_count(op)
         assert np.abs(got - want).max() <= stretch_bound(op) + documented_bound(op), op.size
 
 

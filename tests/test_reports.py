@@ -93,7 +93,6 @@ CELLS = (
     | INTS
     | DECIMALS
     | FLOATS.map(np.float64)
-    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
     | PLAIN_TEXT
 )
 

@@ -13,10 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_decomposition import generation_size, kappa
 
+from sparsetrees.decomposition import plan_decomposition
 from sparsetrees.errors import GuardError, ValidationError
+from sparsetrees.operators import SymOperator, apply_root_boundary
+from sparsetrees.reports import stable_json
+from sparsetrees.spectral import mc_exponent
+from sparsetrees.transfer import bump_matrix
 from sparsetrees.trees import (
     FLOOR_BITS_GUARD,
     TreeSpec,
+    ball_constant,
     ball_count,
     check_floor_bits,
     estimate_dimension,
@@ -354,3 +360,29 @@ def test_spec_validation_errors():
         TreeSpec((0,), (2,))
     with pytest.raises(ValidationError):
         TreeSpec((1,), (2, 3))
+
+
+BASE = make_gamma_tree(2, 3, 4)
+EMPTY = SymOperator(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
+
+
+@pytest.mark.parametrize("refused,field", [
+    (lambda: plan_decomposition(BASE, -1), "depth"),
+    (lambda: TreeSpec((1, 3), (2, 2), family="bogus"), "family"),
+    (lambda: TreeSpec((1, 3), (2, 2), family="gamma"), "gamma"),
+    (lambda: ball_constant(2, 1), "gamma"),
+    (lambda: sample_omega_tree(BASE, -1), "seed"),
+    (lambda: sample_omega_tree(BASE, 2**64), "seed"),
+    (lambda: sample_omega_tree(BASE, 0, 2**64), "trial"),
+    (lambda: mc_exponent(2, 3, 1.0, 10, 0), "trials"),
+    (lambda: bump_matrix(0.0, 1.0), "rho"),
+    (lambda: apply_root_boundary(EMPTY, 0.0), "op"),
+    (lambda: stable_json({"x": object()}), "payload"),
+], ids=[
+    "plan-depth", "unknown-family", "gamma-family-without-gamma", "ball-constant-gamma-1",
+    "negative-seed", "seed-past-64-bits", "trial-past-64-bits", "no-trials", "zero-bump-weight",
+    "empty-operator", "unserializable-payload",
+])
+def test_public_refusals_name_their_field(refused, field):
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        refused()
