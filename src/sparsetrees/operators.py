@@ -45,7 +45,7 @@ VERTEX_GUARD = 1_000_000
 # count's as rows times runs.  On the lone 500-row root block of
 # make_gamma_tree(2, 3, 8) the class count took 58 ms of CPU and the
 # stretch count 12 ms (13 and 8 ms at 151 rows), and the stretch count
-# 0.11 s on spectrum-deep's 10,001-row block of 18 runs (best of 5, one
+# 0.09 s on spectrum-deep's 10,001-row block of 18 runs (best of 5, one
 # pinned CPU of a 2-core Xeon, Python 3.11, numpy 2.4).  The cap keeps
 # the bits of shorter blocks the same on every platform; above it they
 # depend on libm.
@@ -192,35 +192,36 @@ def _subtree_classes(op: SymOperator, vertices) -> tuple[list[tuple], dict[int, 
     return [(d, w * w, below) for d, w, below in keys], tops, rows, bound
 
 
-def _count_below(plan, points, back, edges) -> np.ndarray:
+def _count_below(plan, x, edges) -> np.ndarray:
     """Eigenvalues of each bracket row's component below its points (Sylvester).
 
-    points are the pass's distinct points, back[r] the indices of row r's
-    points among them, and component i's rows are edges[i] to
-    edges[i + 1] - 1.  plan lists the classes children first, each as
-    (c, d, w^2, kids, adopt, freed, drop, root) (component_eigenvalues).  A
-    class's pivot is q = (d - x) - its children's terms, summed left to
-    right in elimination order, so q has the bits of the per-vertex
-    elimination; d - x is computed once per distinct d and dropped after
-    the last class with that d (drop).  A zero pivot (always +0.0, as no
-    diagonal is -0.0) sends +inf to its parent: the limit of a tiny
-    positive pivot.  The class's subtree count, [q < 0] plus its
-    children's counts, goes up with its term, and at a root class it is
-    the count of that class's components: it goes at once to the rows of
-    component root.  A root class sends no term (w^2/q would be 0/0 at
-    q = 0).  A term and a count are kept until their last reader has added
-    them (freed); a class with one child, whose last reader it is (adopt),
-    computes its pivot, term and count in that child's two arrays.
+    x holds the pass's points, column r those of bracket row r, and
+    component i's rows are edges[i] to edges[i + 1] - 1.  plan lists the
+    classes children first, each as (c, d, w^2, kids, adopt, freed, drop,
+    root) (component_eigenvalues).  A class's pivot is q = (d - x) - its
+    children's terms, summed left to right in elimination order, so q has
+    the bits of the per-vertex elimination; d - x is computed once per
+    distinct d and dropped after the last class with that d (drop).  A
+    zero pivot (always +0.0, as no diagonal is -0.0) sends +inf to its
+    parent: the limit of a tiny positive pivot.  The class's subtree
+    count, [q < 0] plus its children's counts, goes up with its term, and
+    at a root class it is the count of that class's components: it goes at
+    once to the columns of component root.  A root class sends no term
+    (w^2/q would be 0/0 at q = 0).  A term and a count are kept until their
+    last reader has added them (freed); a class with one child, whose last
+    reader it is (adopt), computes its pivot, term and count in that
+    child's two arrays.  Every step works point by point, so a point that
+    two rows share is counted twice with the same bits.
     """
-    count = np.empty(back.shape, dtype=np.int64)
-    negative = np.empty(len(points), dtype=bool)
+    count = np.empty(x.shape, dtype=np.int64)
+    negative = np.empty(x.shape, dtype=bool)
     edges = edges.tolist()
-    shifts = {}  # d -> d - points
+    shifts = {}  # d -> d - x
     sent = {}  # class -> (term, subtree count)
     for c, d, w2, kids, adopt, freed, drop, root in plan:
         shift = shifts.get(d)
         if shift is None:
-            shift = shifts[d] = d - points
+            shift = shifts[d] = d - x
         if adopt:
             q, below = sent.pop(kids[0])
             np.subtract(shift, q, out=q)
@@ -236,7 +237,7 @@ def _count_below(plan, points, back, edges) -> np.ndarray:
             sent[c] = (np.divide(w2, q, out=None if q is shift else q), below)
         else:
             rows = slice(edges[root], edges[root + 1])
-            count[rows] = below[back[rows]]
+            count[:, rows] = below[:, rows]
         if drop:
             del shifts[d]
     return count
@@ -247,24 +248,27 @@ def _split_rows(lo, first, counts, offsets, edges, width):
 
     Targets are numbered across the components, component i's from
     offsets[i] and in rows edges[i] to edges[i + 1] - 1, and row r holds
-    the targets from first[r] up to the next row's first.  Target k takes
-    the part after the last inner point whose running maximum of counts
-    is at most k: a new row starts at each distinct maximum strictly inside
-    a row's targets.  counts is overwritten.
+    the targets from first[r] up to the next row's first.  counts[j, r] is
+    the count at row r's inner point j + 1.  Target k takes the part after
+    the last inner point whose running maximum of counts is at most k: a
+    new row starts at each distinct maximum strictly inside a row's
+    targets.  counts is overwritten.
     """
-    start, stop = first[:, None], np.concatenate((first[1:], offsets[-1:]))[:, None]
-    ends = np.maximum.accumulate(counts, axis=1, out=counts)
-    ends += np.repeat(offsets[:-1], edges[1:] - edges[:-1])[:, None]
-    np.minimum(np.maximum(ends, start, out=ends), stop, out=ends)
-    fresh = (ends > start) & (ends < stop)
-    fresh[:, :-1] &= ends[:, :-1] != ends[:, 1:]
-    r, j = np.nonzero(fresh)
+    stop = np.concatenate((first[1:], offsets[-1:]))
+    ends = counts
+    for j in range(1, len(ends)):  # running maximum down each column
+        np.maximum(ends[j], ends[j - 1], out=ends[j])
+    ends += np.repeat(offsets[:-1], edges[1:] - edges[:-1])
+    np.minimum(np.maximum(ends, first, out=ends), stop, out=ends)
+    fresh = (ends > first) & (ends < stop)
+    fresh[:-1] &= ends[:-1] != ends[1:]
+    r, j = np.nonzero(fresh.T)  # row by row, each row's points in order
     at = r + np.arange(1, len(r) + 1)  # a new row goes after its row and the new rows before it
-    grown = fresh.sum(axis=1) + 1
-    new_lo = np.repeat(lo + (ends == start).sum(axis=1) * width, grown)
+    grown = np.count_nonzero(fresh, axis=0) + 1
+    new_lo = np.repeat(lo + np.count_nonzero(ends == first, axis=0) * width, grown)
     new_lo[at] = lo[r] + (j + 1) * width
     new_first = np.repeat(first, grown)
-    new_first[at] = ends[r, j]
+    new_first[at] = ends[j, r]
     return new_lo, new_first
 
 
@@ -294,17 +298,17 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
     the grid, such as an exact 0, comes back exactly.  If each computed
     count is the exact count of a matrix within distance E of the
     component, every eigenvalue is within h + E of the exact one.
-    count(points, back, edges) gets the pass's distinct points, the
-    indices back of each row's inner points among them, and the rows
-    edges[i] to edges[i + 1] - 1 of component i, and returns the number of
-    the row's component's eigenvalues below each, so clusters, and
-    components whose grids meet, share their points.  The bits of a
-    component's eigenvalues are those of solving it alone.
+    count(x, edges) gets the pass's points x, one column of
+    2**SECTION_BITS - 1 inner points per row, and the rows edges[i] to
+    edges[i + 1] - 1 of component i, and returns in x's shape the number
+    of the row's component's eigenvalues below each point.  A count works
+    point by point, so the bits of a component's eigenvalues are those of
+    solving it alone, whatever points other rows or components share.
     """
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)  # inner points of a bracket, in steps
     steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
-    h = np.repeat(steps, sizes)[:, None]  # a grid step per target
+    h = np.repeat(steps, sizes)  # a grid step per target
     offsets = np.cumsum([0, *sizes])  # component i's first target
     first = offsets[:-1]  # each row's first target
     lo = np.full(len(sizes), -(1 << GRID_BITS), dtype=np.int64)
@@ -313,11 +317,10 @@ def _bisect(sizes: list[int], bounds: list[float], count) -> list[np.ndarray]:
         while width > 1:
             width //= parts
             edges = np.searchsorted(first, offsets)
-            x = (lo[:, None] + width * inner) * h[first]
-            points, back = np.unique(x, return_inverse=True)
+            x = (lo + width * inner[:, None]) * h[first]  # one column per row
             # the counts die in _split_rows: the next pass's count does not hold them
-            lo, first = _split_rows(lo, first, count(points, back.reshape(x.shape), edges), offsets, edges, width)
-    return np.split(np.repeat(lo, np.diff(first, append=offsets[-1])) * np.ravel(h), offsets[1:-1])
+            lo, first = _split_rows(lo, first, count(x, edges), offsets, edges, width)
+    return np.split(np.repeat(lo, np.diff(first, append=offsets[-1])) * h, offsets[1:-1])
 
 
 def _runs(diag: np.ndarray, weight: np.ndarray) -> list[tuple[float, float, int]]:
@@ -536,7 +539,7 @@ def component_eigenvalues(op: SymOperator) -> list[np.ndarray]:
         radius = np.abs(diag) + np.abs(weight)  # Gershgorin: own coupling, then the child's
         radius[:-1] += np.abs(weight[1:])
         (found[a],) = _bisect(
-            [n], [float(radius.max())], lambda points, back, edges: _count_stretches(chain_runs, points)[back]
+            [n], [float(radius.max())], lambda x, _: _count_stretches(chain_runs, x.ravel()).reshape(x.shape)
         )
     return [found[root] for root in sorted(found)]
 

@@ -18,7 +18,8 @@ routes that check it from outside:
   each step a fresh array (`plain_cross`), which the in-place crossing
   must match bit for bit;
 * the bisection with one bracket per eigenvalue (`per_eigenvalue_bisect`),
-  which the bisection of clusters must match bit for bit.
+  which the bisection of clusters must match bit for bit, and the split of
+  cluster rows after a pass taken one target at a time (`per_row_split`).
 
 Site indexing follows `sparsetrees.transfer`: u(0) is the boundary ghost
 value, and a transfer matrix at step j maps (u(j), u(j-1)) to
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import mpmath as mp
@@ -534,17 +536,41 @@ def per_eigenvalue_bisect(sizes: list[int], bounds: list[float], count) -> list[
     parts = 1 << SECTION_BITS
     inner = np.arange(1, parts)
     steps = [math.ldexp(1.0, math.frexp(b)[1] + 1 - GRID_BITS) for b in bounds]
-    h = steps[0] if len(sizes) == 1 else np.repeat(steps, sizes)[:, None]
+    h = np.repeat(steps, sizes)
     offsets = np.cumsum([0, *sizes])
-    target = np.concatenate([np.arange(n) for n in sizes])[:, None]  # index in its component
+    target = np.concatenate([np.arange(n) for n in sizes])  # index in its component
     lo = np.full(len(target), -(1 << GRID_BITS), dtype=np.int64)
     width = 1 << (GRID_BITS + 1)
     with np.errstate(divide="ignore", over="ignore"):
         while width > 1:
             width //= parts
-            x = (lo[:, None] + width * inner) * h
-            points, back = np.unique(x, return_inverse=True)
-            above = count(points, back.reshape(x.shape), offsets) > target
-            first = np.where(above.any(axis=1), above.argmax(axis=1), parts - 1)
+            x = (lo + width * inner[:, None]) * h  # one column per bracket
+            above = count(x, offsets) > target
+            first = np.where(above.any(axis=0), above.argmax(axis=0), parts - 1)
             lo += first * width
-    return [np.sort(v) for v in np.split(lo * np.ravel(h), offsets[1:-1])]
+    return [np.sort(v) for v in np.split(lo * h, offsets[1:-1])]
+
+
+def per_row_split(lo, first, counts, offsets, width) -> tuple[np.ndarray, np.ndarray]:
+    """`sparsetrees.operators._split_rows` one row and one target at a time.
+
+    Row r of component i holds the targets first[r] up to the next row's
+    first (offsets[i + 1] after its last row), and counts[j, r] is the
+    count at its inner point j + 1.  Target k keeps the part after every
+    inner point whose running maximum, shifted by offsets[i], is at most
+    k; the targets of a row that keep one part make one new row, which
+    starts at the left end of that part and at its first target.
+    """
+    new_lo, new_first = [], []
+    stops = [*first[1:].tolist(), int(offsets[-1])]
+    for r, (start, stop) in enumerate(zip(first.tolist(), stops)):
+        offset = int(offsets[np.searchsorted(offsets, start, side="right") - 1])
+        running = [offset + m for m in accumulate(counts[:, r].tolist(), max)]
+        kept = None
+        for k in range(start, stop):
+            part = sum(m <= k for m in running)
+            if part != kept:
+                new_lo.append(int(lo[r]) + part * width)
+                new_first.append(k)
+                kept = part
+    return np.array(new_lo, dtype=np.int64), np.array(new_first, dtype=np.int64)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import per_eigenvalue_bisect, plain_cross
+from oracles import per_eigenvalue_bisect, per_row_split, plain_cross
 
 from sparsetrees import operators
 from sparsetrees.decomposition import truncated_block, verify_decomposition
@@ -25,6 +25,7 @@ from sparsetrees.operators import (
     _count_stretches,
     _Stretch,
     _runs,
+    _split_rows,
     apply_root_boundary,
     assemble_delta,
     assemble_delta_tilde,
@@ -432,7 +433,7 @@ def direct_sums_whose_grids_meet(draw) -> SymOperator:
 
     Scaling by a power of two scales the grid step the same way, and the
     forests' entries lie in a few binades, so the components' grids share
-    points: one pass's points are merged across components.
+    points: one pass counts some points once for each component.
     """
     parts = draw(st.lists(forests_with_repeated_subtrees(max_rows=20), min_size=2, max_size=3))
     scales = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(parts), max_size=len(parts)))
@@ -457,6 +458,8 @@ def long_chains(draw) -> SymOperator:
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.one_of(forests_with_repeated_subtrees(), direct_sums_whose_grids_meet(), long_chains()))
 @example(assemble_delta_tilde(TreeSpec((1, 3), (3, 2)), 6))
+# two components with one Gershgorin bound and the same eigenvalues: their brackets share every point
+@example(direct_sum([tridiagonal([0.25, -0.5], [1.0]), tridiagonal([-0.5, 0.25], [1.0])]))
 def test_bisecting_clusters_keeps_the_bits_of_one_bracket_per_eigenvalue(op):
     got = component_eigenvalues(op)
     want = per_eigenvalue_solve(op)
@@ -474,7 +477,7 @@ def test_binary_tree_of_half_a_million_vertices_bisects_its_clusters():
     count_below = operators._count_below
 
     def counted(*args):
-        rows.append(len(args[-2]))  # back: one row of inner points per bracket
+        rows.append(args[-2].shape[1])  # x: one column of inner points per bracket
         return count_below(*args)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -483,6 +486,33 @@ def test_binary_tree_of_half_a_million_vertices_bisects_its_clusters():
     assert op.size == 524_288 and len(rows) == (GRID_BITS + 1) // SECTION_BITS
     assert max(rows) == rows[-1] == len(np.unique(evs)) == 139
     assert verify_decomposition(spec, 19).passed
+
+
+@st.composite
+def cluster_rows_with_counts(draw):
+    """One pass's bracket rows of 1 to 3 components, 1 to 4 targets a row, with
+    any counts of each component at the rows' inner points, monotone or not."""
+    comps = draw(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=4), min_size=1, max_size=3))
+    sizes = [sum(rows) for rows in comps]
+    offsets = np.cumsum([0, *sizes])
+    first = np.concatenate([start + np.cumsum([0, *rows[:-1]]) for start, rows in zip(offsets, comps)])
+    owner = [i for i, rows in enumerate(comps) for _ in rows]
+    counts = np.array(
+        [[draw(st.integers(0, sizes[i])) for i in owner] for _ in range((1 << SECTION_BITS) - 1)], dtype=np.int64
+    )
+    width = 1 << draw(st.integers(0, GRID_BITS - 1))
+    lo = np.array([draw(st.integers(-(1 << GRID_BITS), 0)) for _ in owner], dtype=np.int64)
+    return lo, first, counts, offsets, width
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(cluster_rows_with_counts())
+def test_split_rows_is_the_split_of_each_row_one_target_at_a_time(case):
+    lo, first, counts, offsets, width = case
+    want = per_row_split(lo, first, counts, offsets, width)
+    got = _split_rows(lo, first, counts.copy(), offsets, np.searchsorted(first, offsets), width)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
 def test_class_count_agrees_with_dense_lapack_at_ac1_size():
