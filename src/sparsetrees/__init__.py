@@ -24,7 +24,6 @@ from .phase import PhaseReducer
 from .spectral import (
     V,
     Z,
-    classify,
     corollary_check,
     essential_spectrum_coverage,
     interval_I,
@@ -58,7 +57,6 @@ __all__ = [
     "__version__",
     "ball_count",
     "bump_coefficients",
-    "classify",
     "corollary_check",
     "efgp_run",
     "essential_spectrum_coverage",

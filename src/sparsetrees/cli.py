@@ -35,7 +35,6 @@ from .reports import (
     EFGP_RUN_HEADER,
     PHASE_DIAGRAM_HEADER,
     SPECTRUM_HEADER,
-    ReportEnvelope,
     decimal_levels,
     emit,
 )
@@ -357,14 +356,15 @@ def run(argv=None) -> int:
         started = time.perf_counter()
         payload, table = _HANDLERS[args.subcommand](cfg, seed)
         elapsed = time.perf_counter() - started
-        envelope = ReportEnvelope(
+        data = emit(
+            fmt,
+            table,
             version=__version__,
             subcommand=args.subcommand,
             config_text=config_text,
             seed=seed,
             payload=payload,
         )
-        data = emit(envelope, fmt, table)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -384,7 +384,3 @@ def run(argv=None) -> int:
         sys.stdout.buffer.flush()
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
-
-
-def main(argv=None) -> int:
-    return run(argv)

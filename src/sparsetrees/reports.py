@@ -176,33 +176,23 @@ class CsvTable:
         return "[" + ", ".join(map(record.__mod__, zip(*columns))) + "]"
 
 
-@dataclass(frozen=True)
-class ReportEnvelope:
-    """A finished run: version, config echo, effective seed, payload.
+def emit(
+    fmt: str,
+    table: CsvTable | None,
+    *,
+    version: str,
+    subcommand: str,
+    config_text: str,
+    seed: int,
+    payload: dict,
+) -> bytes:
+    """The report bytes: table as CSV when fmt is "csv", else the JSON
+    envelope of version, subcommand, config, seed and payload.
 
-    config_text is the configuration file's content verbatim, so the
-    input can be recovered byte-identically from any JSON report.
+    The config is config_text, the configuration file's content verbatim,
+    so the input can be recovered byte-identically from any JSON report.
     """
-
-    version: str
-    subcommand: str
-    config_text: str
-    seed: int
-    payload: dict
-
-    def json_bytes(self) -> bytes:
-        body = {
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "config": self.config_text,
-            "seed": self.seed,
-            "payload": self.payload,
-        }
-        return (stable_json(body) + "\n").encode("utf-8")
-
-
-def emit(envelope: ReportEnvelope, fmt: str, table: CsvTable | None = None) -> bytes:
-    """The report bytes: table as CSV when fmt is "csv", else the JSON envelope."""
     if fmt == "csv":
         return table.emit()
-    return envelope.json_bytes()
+    body = {"version": version, "subcommand": subcommand, "config": config_text, "seed": seed, "payload": payload}
+    return (stable_json(body) + "\n").encode("utf-8")

@@ -58,10 +58,9 @@ BOUNDARY_RTOL = 1e-12
 GRID_POINTS_GUARD = 1_000_000
 
 # Most samples, trials times (n_bumps + 1), that mc_exponent holds.  It keeps
-# four arrays of that many doubles at once (the trials' log r curves, their
-# stack, the residuals and their squares), 32 bytes a sample: 2**24 samples
-# are 512 MiB.  AC4 and the mc-angles benchmark run 20 trials of 2,001
-# points, 40,020 samples.
+# them in one array of doubles (the trials' log r curves, then in place their
+# squared residuals), 8 bytes a sample: 2**24 samples are 128 MiB.  AC4 and
+# the mc-angles benchmark run 20 trials of 2,001 points, 40,020 samples.
 MC_SAMPLES_GUARD = 2**24
 
 
@@ -175,11 +174,6 @@ def _classifier(k: int, gamma) -> Callable[[float], PhasePoint]:
     return place
 
 
-def classify(energy: float, k: int, gamma) -> PhasePoint:
-    """Place one energy in the predicted phase diagram; a NaN is refused."""
-    return _classifier(k, gamma)(energy)
-
-
 def phase_diagram(k: int, gamma, energies: Sequence[float]) -> tuple[PhasePoint, ...]:
     return tuple(map(_classifier(k, gamma), energies))
 
@@ -259,7 +253,9 @@ def mc_exponent(
     PhaseReducer per trial, which computes no fixed-point angle unless a
     gap falls back to its exact residue.  An angle where k's kick
     coefficients (`bump_coefficients`) are not finite is refused.
-    n_bumps is refused with a GuardError when its floors would exceed
+    The trials' log r curves are held in one array of trials * (n_bumps + 1)
+    doubles, which their squared residuals then overwrite.  n_bumps is
+    refused with a GuardError when its floors would exceed
     trees.FLOOR_BITS_GUARD, and trials when trials * (n_bumps + 1)
     exceeds MC_SAMPLES_GUARD, before the floors are built.
     """
@@ -285,6 +281,8 @@ def mc_exponent(
 
     import numpy as np
 
+    stacked = np.empty((trials, n_bumps + 1))
+
     z = Z(phi, k)
     log_g = math.log(g)
     x = np.arange(n_bumps + 1, dtype=float) * log_g
@@ -292,7 +290,6 @@ def mc_exponent(
     # np.sum, not BLAS's np.dot, whose summation order depends on the CPU
     den = float(np.sum(xc * xc))
     trial_means: list[float] = []
-    curves: list[np.ndarray] = []
     num = 0.0
     table = phases = None
     for trial in range(trials):
@@ -304,15 +301,13 @@ def mc_exponent(
             phases = table.phases(reducer, stretch_gaps(spec.branch_levels))
         trajectory = efgp_run(spec, reducer, phases=phases)
         trial_means.append(trajectory.mean_y())
-        curve = np.array(trajectory.log_r)
-        curves.append(curve)
-        num += float(np.sum(xc * curve))
+        stacked[trial] = trajectory.log_r
+        num += float(np.sum(xc * stacked[trial]))
 
     slope = num / (den * trials)
-    stacked = np.vstack(curves)
     intercept = float(stacked.mean()) - slope * float(x.mean())
-    residuals = stacked - (intercept + slope * x)
-    rms_residual = float(np.sqrt(np.mean(residuals**2)))
+    np.square(np.subtract(stacked, intercept + slope * x, out=stacked), out=stacked)
+    rms_residual = float(np.sqrt(np.mean(stacked)))
 
     means = np.asarray(trial_means)
     mean_y = float(means.mean())

@@ -218,6 +218,21 @@ def test_import_and_setup_load_no_numpy(tmp_path):
     assert [(p["E"], p["class"]) for p in points] == [(-1.99, "pp"), (0.0, "sc"), (1.2, "sc"), (2.5, "outside")]
 
 
+def test_entry_point_is_run():
+    # pyproject.toml's script target, read with a regex: tomllib needs Python 3.11
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S).group(1)
+    module, attr = re.fullmatch(r'sparsetrees = "([\w.]+):(\w+)"\s*', scripts).groups()
+    assert getattr(importlib.import_module(module), attr) is run
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "sparsetrees", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, sparsetrees.__version__ + "\n")
+
+
 def test_public_names_resolve_to_their_home_modules():
     homes = {
         "decomposition": ("plan_decomposition", "truncated_block", "verify_decomposition"),
@@ -225,7 +240,7 @@ def test_public_names_resolve_to_their_home_modules():
         "jacobi": ("ADJACENCY", "DEGREE"),
         "phase": ("PhaseReducer",),
         "spectral": (
-            "V", "Z", "classify", "corollary_check", "essential_spectrum_coverage", "interval_I",
+            "V", "Z", "corollary_check", "essential_spectrum_coverage", "interval_I",
             "local_dimension", "mc_exponent", "phase_diagram", "theorem_classifier",
         ),
         "transfer": ("bump_coefficients", "efgp_run"),

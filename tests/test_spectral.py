@@ -20,7 +20,6 @@ from sparsetrees.spectral import (
     PREDICTION_PURE_SC,
     V,
     Z,
-    classify,
     ExponentReport,
     corollary_check,
     energy_grid,
@@ -146,20 +145,20 @@ def test_local_dimension_symmetric_with_peak_at_zero():
 
 def test_classify_labels():
     endpoint = interval_I(2, 4).endpoint
-    assert classify(0.0, 2, 4).label == "sc"
-    assert classify(1.97, 2, 4).label == "pp"
-    assert classify(endpoint, 2, 4).label == "boundary"
-    assert classify(2.5, 2, 4).label == "outside"
-    assert classify(2.0, 2, 4).label == "pp"
+    assert phase_diagram(2, 4, [0.0])[0].label == "sc"
+    assert phase_diagram(2, 4, [1.97])[0].label == "pp"
+    assert phase_diagram(2, 4, [endpoint])[0].label == "boundary"
+    assert phase_diagram(2, 4, [2.5])[0].label == "outside"
+    assert phase_diagram(2, 4, [2.0])[0].label == "pp"
     # Empty window: everything inside the band is pp.
     for energy in np.linspace(-1.9, 1.9, 11):
-        assert classify(float(energy), 7, "11/5").label == "pp"
+        assert phase_diagram(7, "11/5", [float(energy)])[0].label == "pp"
 
 
 def test_classify_symmetry_and_alpha_range():
     for energy in np.linspace(-1.95, 1.95, 27):
-        point = classify(float(energy), 2, 4)
-        mirror = classify(float(-energy), 2, 4)
+        point = phase_diagram(2, 4, [float(energy)])[0]
+        mirror = phase_diagram(2, 4, [float(-energy)])[0]
         assert point.label == mirror.label
         if point.label == "sc":
             assert 0.0 < point.alpha <= 1.0
@@ -386,6 +385,21 @@ def test_mc_exponent_guards_trials_before_building(monkeypatch):
     assert 20 * 2001 * 400 < MC_SAMPLES_GUARD  # AC4's runs sit far inside it
 
 
+def test_mc_exponent_holds_about_one_array_of_samples():
+    # MC_SAMPLES_GUARD bounds trials * (n_bumps + 1) samples of 8 bytes; an
+    # op's peak stays within 3 times that, so the guard bounds its memory.
+    # The first op warms the caches that every later op shares.
+    trials, n_bumps = 300, 30
+    mc_exponent(2, 3, 1.0, n_bumps=n_bumps, trials=1)
+    tracemalloc.start()
+    try:
+        mc_exponent(2, 3, 1.0, n_bumps=n_bumps, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * trials * (n_bumps + 1) * 8
+
+
 def test_energy_grid_refuses_a_span_not_positive_and_finite():
     # past float range the span is inf, and numpy's linspace gave [nan, inf, 1e308]
     for lo, hi in ((-1e308, 1e308), (1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (-math.inf, 0.0)):
@@ -395,10 +409,10 @@ def test_energy_grid_refuses_a_span_not_positive_and_finite():
 
 def test_classify_refuses_a_nan_energy():
     with pytest.raises(ValidationError, match="^energy: must not be NaN$"):
-        classify(math.nan, 2, 4)
+        phase_diagram(2, 4, [math.nan])
     with pytest.raises(ValidationError, match="^energy: must not be NaN$"):
         phase_diagram(2, 4, [0.0, math.nan])
-    assert classify(-math.inf, 2, 4).label == "outside"
+    assert phase_diagram(2, 4, [-math.inf])[0].label == "outside"
 
 
 def test_energy_grid_refuses_points_naming_the_field():
